@@ -18,6 +18,7 @@
 // caller can re-run (see ft_gemm_reliable).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -30,6 +31,13 @@ struct Mismatch {
   double delta;       ///< reference minus predicted
 };
 
+/// Whether a checksum residual d fails the tolerance test.  Written as
+/// "not |d| <= tau" so a NaN residual (a fault that produced NaN, or Inf
+/// minus Inf) is flagged: every ordered comparison with NaN is false.
+inline bool outside_tolerance(double d, double tau) {
+  return !(std::abs(d) <= tau);
+}
+
 /// Scan a checksum pair for entries differing by more than tau.
 template <typename T>
 void find_mismatches(const T* predicted, const T* reference,
@@ -37,7 +45,7 @@ void find_mismatches(const T* predicted, const T* reference,
                      std::vector<Mismatch>& out) {
   for (std::int64_t i = 0; i < count; ++i) {
     const double d = double(reference[i]) - double(predicted[i]);
-    if (d > tau || d < -tau) out.push_back({base + i, d});
+    if (outside_tolerance(d, tau)) out.push_back({base + i, d});
   }
 }
 

@@ -1,0 +1,477 @@
+// Checksum domains: the precision-specific half of the (FT-)GEMM executor.
+//
+// core/driver.hpp holds one executor for every precision.  Everything it
+// does not share across precisions lives behind a domain, a class the
+// executor instantiates once per call:
+//
+//   FloatDomain<S, C> (fp64, fp32, bf16/fp16 storage with fp32 compute)
+//     - C itself is the accumulator.  The encode pass scales C by beta and
+//       encodes Cc/Cr from it in the same sweep.
+//     - Checksums are ComputeT and compared against a ToleranceModel bound
+//       derived from amax(A), amax(B) and amax(C).  Each member records its
+//       amax partials and member 0 refreshes the bound once per panel.
+//     - Ar is reduced from per-member partials, in member order.
+//     - Cr reference partials are lane-strided (cr_lanes slots per column).
+//
+//   ExactDomain (int8 storage, int32 accumulation; see kernels/int8_types.hpp)
+//     - C is never an accumulator.  The biased product accumulates in the
+//       private int32 buffer ctx.cq, and the caller's float C is written once
+//       by the dequantize epilogue (the store step) after the last panel.
+//       Predicted and reference checksums cover cq alone, starting from zero.
+//     - Checksums are int64 and compared at zero: integer sums are exact and
+//       order-independent, so the locator runs with zero slack and there is
+//       no ToleranceModel and no amax (docs/DESIGN.md §11).
+//     - The Ar encode writes disjoint K-slices directly: no partials.
+//     - The epilogue's zero-point vectors arow/bcol are accumulated by the
+//       packers (arow on the first pass over each (row, panel) region).
+//
+// Both domains share the executor's thread topology, barrier structure and
+// summation order, so results do not depend on the team backend or on the
+// fast-path decision.  Three plumbing facts are also domain-owned so the
+// entry points stay generic: the row-major swap of per-call quantization
+// parameters, the accepted depth, and the alpha a resident payload is keyed
+// under.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "abft/checksum.hpp"
+#include "abft/tolerance.hpp"
+#include "abft/verifier.hpp"
+#include "core/context.hpp"
+#include "core/operand_cache.hpp"
+#include "core/options.hpp"
+#include "core/plan.hpp"
+#include "kernels/int8_types.hpp"
+#include "kernels/microkernel.hpp"
+#include "runtime/team.hpp"
+
+namespace ftgemm::detail {
+
+/// One team member's static partitions: rows of C (MR-aligned), the
+/// N-range it reduces, scans and stores, and the K-range of the Ar encode.
+struct MemberRanges {
+  index_t ms = 0, mlen = 0;
+  index_t js = 0, jlen = 0;
+  index_t ks = 0, klen = 0;
+};
+
+/// Per-call quantization of the float domains: none.
+struct NoQuant {};
+
+template <typename S, typename C>
+class FloatDomain {
+ public:
+  using Scalar = C;  ///< alpha, beta and the caller's C
+  using Quant = NoQuant;
+  using Ref = C;     ///< checksum element
+
+  static Quant normalize_quant(Layout, const Quant& q) { return q; }
+  static bool depth_ok(index_t) { return true; }
+  static C resident_alpha(C alpha) { return alpha; }
+
+  FloatDomain(const GemmPlan<S, C>& plan, GemmContext<S, C>& ctx, C alpha,
+              C beta, C* c, index_t ldc, const ResidentAPayload<S, C>* ra,
+              const Quant&)
+      : plan_(plan), ks_(plan.kernels), ctx_(ctx), alpha_(alpha),
+        beta_(beta), c_(c), ldc_(ldc), ra_(ra),
+        amax_(plan.key.ft ? std::size_t(plan.threads) * 3 : 0, 0.0) {}
+
+  /// The buffer the macro kernels accumulate into.
+  [[nodiscard]] C* acc() const { return c_; }
+  [[nodiscard]] index_t ldacc() const { return ldc_; }
+
+  /// Encode phase: C = beta*C fused with Cc/Cr encoding; Ar; amax.
+  template <bool FT>
+  void encode(runtime::TeamMember& tm, const MemberRanges& r,
+              const OperandView<S>& av, bool /*degenerate*/) {
+    const index_t n = plan_.key.n, k = plan_.key.k;
+    const int tid = tm.tid(), nt = tm.nt();
+    if constexpr (!FT) {
+      if (r.mlen > 0) scale_c(c_, ldc_, r.ms, r.mlen, n, beta_);
+      tm.barrier();
+      return;
+    }
+    if (r.mlen > 0)
+      std::fill(ctx_.cc() + r.ms, ctx_.cc() + r.ms + r.mlen, C(0));
+    std::fill(ctx_.crref_part(tid), ctx_.crref_part(tid) + n, C(0));
+    double amax_c = 0.0, amax_a = 0.0;
+    if (ra_ == nullptr)
+      std::fill(ctx_.ar_part(tid), ctx_.ar_part(tid) + k, C(0));
+    if (r.mlen > 0) {
+      amax_c = ks_.pack.scale_encode_c(c_, ldc_, r.ms, r.mlen, n, beta_,
+                                       ctx_.cc(), ctx_.crref_part(tid));
+      if (ra_ == nullptr) {
+        amax_a = ks_.pack.encode_ar(av, r.ms, r.mlen, k, alpha_,
+                                    ctx_.ar_part(tid));
+      }
+    }
+    // Resident hit: the payload carries amax(A) and the fully reduced Ar
+    // (encoded at fill in this plan's per-member partial order).
+    if (ra_ != nullptr) amax_a = tid == 0 ? ra_->amax_a : 0.0;
+    amax_[std::size_t(tid) * 3 + 0] = amax_a;
+    // amax(B) is folded into the per-panel Bc reduction sweep; slot 1
+    // accumulates monotonically as panels stream through.
+    amax_[std::size_t(tid) * 3 + 1] = 0.0;
+    amax_[std::size_t(tid) * 3 + 2] = amax_c;
+    tm.barrier();
+    // Reduce the per-member partials: Ar over a K-partition, Cr over an
+    // N-partition (the encode pass stored Cr partials in crref_part).
+    for (index_t p = r.ks; p < r.ks + r.klen; ++p) {
+      if (ra_ != nullptr) {
+        ctx_.ar()[p] = ra_->ar.data()[p];
+        continue;
+      }
+      C sum = C(0);
+      for (int t = 0; t < nt; ++t) sum += ctx_.ar_part(t)[p];
+      ctx_.ar()[p] = sum;
+    }
+    for (index_t j = r.js; j < r.js + r.jlen; ++j) {
+      C sum = C(0);
+      for (int t = 0; t < nt; ++t) sum += ctx_.crref_part(t)[j];
+      ctx_.cr()[j] = sum;
+    }
+    tm.barrier();
+  }
+
+  /// Pack op(B) depth [k0, k0+klen) x cols [j0, j0+nlen) into `dst`, fused
+  /// with the predicted-Cr update in FT.
+  template <bool FT>
+  void pack_b(const OperandView<S>& bv, index_t k0, index_t j0, index_t klen,
+              index_t nlen, C* dst) {
+    const index_t nr = plan_.blocking.nr;
+    if constexpr (FT) {
+      ks_.pack.pack_b_ft(bv, k0, j0, klen, nlen, nr, dst, ctx_.ar() + k0,
+                         ctx_.cr() + j0);
+    } else {
+      ks_.pack.pack_b(bv, k0, j0, klen, nlen, nr, dst);
+    }
+  }
+
+  /// Bc ("an extra stage of reduction operation among threads", §2.3) for
+  /// depth rows [kk0, kk0+kklen) of the freshly packed B~, folding amax(B).
+  void reduce_bc(int tid, index_t klen, index_t nlen, index_t kk0,
+                 index_t kklen) {
+    double& amax_b = amax_[std::size_t(tid) * 3 + 1];
+    amax_b = ks_.pack.reduce_bc(ctx_.btilde(), klen, nlen, plan_.blocking.nr,
+                                kk0, kklen, ctx_.bc(), amax_b);
+  }
+
+  /// Produce the A~ slab of rows [i0, i0+ilen) x depth [k0, k0+klen) the
+  /// kernels read, fused with the predicted-Cc update in FT.  A resident
+  /// slab is consumed zero-copy (uniform payloads) or widened into this
+  /// member's atilde (narrow storage: alpha applied, one fp32 rounding —
+  /// bit-identical to the cold convert-on-pack), and the Cc update the
+  /// skipped pack_a_ft would have made is replayed from it.
+  template <bool FT>
+  const C* pack_a(const OperandView<S>& av, index_t i0, index_t k0,
+                  index_t ilen, index_t klen, bool /*first_pass*/, int tid) {
+    const index_t mr = plan_.blocking.mr;
+    C* dst = ctx_.atilde(tid);
+    if (ra_ != nullptr) {
+      // i0 is MR-aligned, so the slab starts on a tile boundary at the
+      // exact bytes a cold pack would have written.
+      const S* slab = ra_->panel_at(k0) + (i0 / mr) * (mr * klen);
+      const C* panel = dst;
+      if constexpr (std::is_same_v<S, C>) {
+        panel = slab;
+      } else {
+        ks_.pack.widen_a(slab, ilen, klen, mr, alpha_, dst);
+      }
+      if constexpr (FT) {
+        ks_.pack.encode_cc(panel, av.trans, ilen, klen, mr, ctx_.bc(),
+                           ctx_.cc() + i0);
+      }
+      return panel;
+    }
+    if constexpr (FT) {
+      ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, alpha_, dst, ctx_.bc(),
+                         ctx_.cc() + i0);
+    } else {
+      ks_.pack.pack_a(av, i0, k0, ilen, klen, mr, alpha_, dst);
+    }
+    return dst;
+  }
+
+  /// Refresh the verification thresholds: amax(B) now covers every panel
+  /// streamed so far, i.e. exactly the contributions the checksums hold.
+  void refresh_tolerance(runtime::TeamMember& tm) {
+    tm.single([&] {
+      double amax_a = 0.0, amax_b = 0.0, amax_c = 0.0;
+      for (int t = 0; t < tm.nt(); ++t) {
+        amax_a = std::max(amax_a, amax_[std::size_t(t) * 3]);
+        amax_b = std::max(amax_b, amax_[std::size_t(t) * 3 + 1]);
+        amax_c = std::max(amax_c, amax_[std::size_t(t) * 3 + 2]);
+      }
+      tol_ = ToleranceModel<C>::compute(plan_.key.m, plan_.key.n,
+                                        plan_.key.k, amax_a, amax_b, amax_c,
+                                        double(alpha_), double(beta_),
+                                        plan_.tol_factor);
+    });  // trailing team barrier
+  }
+
+  /// Append the entries of a checksum pair that disagree beyond tolerance
+  /// (`rows`: Cc entries, else Cr entries).
+  void scan(bool rows, const C* predicted, const C* reference, index_t count,
+            index_t base, std::vector<Mismatch>& out) const {
+    find_mismatches(predicted, reference, count, tau(rows), base, out);
+  }
+
+  /// Re-verification of one exact sum against its prediction; `d` is the
+  /// residual the locator consumes.  NaN-sound (see outside_tolerance).
+  bool mismatch(bool rows, C sum, C predicted, double& d) const {
+    d = double(sum) - double(predicted);
+    return outside_tolerance(d, tau(rows));
+  }
+
+  /// Locator slack for a round with `count` open mismatches.
+  [[nodiscard]] double slack(std::size_t count) const {
+    return std::max(tol_.cc_tau, tol_.cr_tau) * double(2 + count);
+  }
+
+  static void correct(C& value, double delta) { value -= C(delta); }
+
+  /// C is the accumulator: nothing left to store.
+  void store(const MemberRanges&, bool) {}
+
+ private:
+  [[nodiscard]] double tau(bool rows) const {
+    return rows ? tol_.cc_tau : tol_.cr_tau;
+  }
+
+  const GemmPlan<S, C>& plan_;
+  const KernelSet<S, C>& ks_;
+  GemmContext<S, C>& ctx_;
+  C alpha_, beta_;
+  C* c_;
+  index_t ldc_;
+  const ResidentAPayload<S, C>* ra_;
+  /// Per-member (amax A, amax B, amax C) partials, shared by the team.
+  std::vector<double> amax_;
+  ToleranceModel<C> tol_{};
+};
+
+class ExactDomain {
+ public:
+  using S = std::int8_t;
+  using C = std::int32_t;
+  using Scalar = float;  ///< alpha, beta and the caller's C
+  using Quant = QuantParams;
+  using Ref = std::int64_t;
+
+  /// Row-major calls are served by the column-major core with the operands
+  /// swapped (normalize_layout), so the quantization parameters must travel
+  /// with their matrices, not their argument slots.
+  static Quant normalize_quant(Layout layout, const Quant& q) {
+    Quant out = q;
+    if (layout == Layout::kRowMajor) {
+      std::swap(out.scale_a, out.scale_b);
+      std::swap(out.zero_a, out.zero_b);
+    }
+    return out;
+  }
+  /// The int32 accumulators must never wrap (kernels/int8_types.hpp).
+  static bool depth_ok(index_t k) { return k <= kI8MaxDepth; }
+  /// Resident payloads hold raw biased bytes and exact byte sums, never a
+  /// scaled encoding: one payload serves every (alpha, QuantParams).
+  static C resident_alpha(Scalar) { return C(1); }
+
+  ExactDomain(const GemmPlan<S, C>& plan, GemmContext<S, C>& ctx,
+              Scalar alpha, Scalar beta, Scalar* c, index_t ldc,
+              const ResidentAPayload<S, C>* ra, const Quant& q)
+      : plan_(plan), ks_(plan.kernels), ctx_(ctx), alpha_(alpha),
+        beta_(beta), c_(c), ldc_(ldc), ra_(ra), q_(q) {}
+
+  /// The private biased-product accumulator (leading dimension m).
+  [[nodiscard]] C* acc() const { return ctx_.cq(); }
+  [[nodiscard]] index_t ldacc() const { return plan_.key.m; }
+
+  /// Encode phase: zero the accumulator, the zero-point vectors and the
+  /// predicted checksums; Ar over this member's K-slice.
+  template <bool FT>
+  void encode(runtime::TeamMember& tm, const MemberRanges& r,
+              const OperandView<S>& av, bool degenerate) {
+    if (degenerate) return;
+    const index_t m = plan_.key.m;
+    if (r.jlen > 0) {
+      std::fill(ctx_.cq() + std::size_t(r.js) * std::size_t(m),
+                ctx_.cq() + std::size_t(r.js + r.jlen) * std::size_t(m), 0);
+      std::fill(ctx_.bcol() + r.js, ctx_.bcol() + r.js + r.jlen, 0);
+    }
+    if (r.mlen > 0) {
+      std::fill(ctx_.arow() + r.ms, ctx_.arow() + r.ms + r.mlen, 0);
+      if (ra_ != nullptr) {
+        // The payload's integrity row sums are per-packed-row sums of the
+        // biased bytes: exactly arow (pack_a is skipped on hits).
+        std::copy(ra_->rowchk.data() + r.ms,
+                  ra_->rowchk.data() + r.ms + r.mlen, ctx_.arow() + r.ms);
+      }
+    }
+    if constexpr (FT) {
+      if (r.mlen > 0)
+        std::fill(ctx_.cc() + r.ms, ctx_.cc() + r.ms + r.mlen, Ref(0));
+      if (r.jlen > 0)
+        std::fill(ctx_.cr() + r.js, ctx_.cr() + r.js + r.jlen, Ref(0));
+      if (r.klen > 0) {
+        if (ra_ != nullptr) {
+          std::copy(ra_->ar.data() + r.ks, ra_->ar.data() + r.ks + r.klen,
+                    ctx_.ar() + r.ks);
+        } else {
+          std::fill(ctx_.ar() + r.ks, ctx_.ar() + r.ks + r.klen, 0);
+          ks_.pack.encode_ar(av, 0, m, r.ks, r.klen, ctx_.ar() + r.ks);
+        }
+      }
+    }
+    tm.barrier();
+  }
+
+  template <bool FT>
+  void pack_b(const OperandView<S>& bv, index_t k0, index_t j0, index_t klen,
+              index_t nlen, S* dst) {
+    const index_t nr = plan_.blocking.nr;
+    if constexpr (FT) {
+      ks_.pack.pack_b_ft(bv, k0, j0, klen, nlen, nr, dst, ctx_.bcol(),
+                         ctx_.ar() + k0, ctx_.cr());
+    } else {
+      ks_.pack.pack_b(bv, k0, j0, klen, nlen, nr, dst, ctx_.bcol());
+    }
+  }
+
+  void reduce_bc(int, index_t klen, index_t nlen, index_t kk0,
+                 index_t kklen) {
+    ks_.pack.reduce_bc(ctx_.btilde(), klen, nlen, plan_.blocking.nr, kk0,
+                       kklen, ctx_.bc());
+  }
+
+  /// A resident slab already holds the biased u8 bytes and is consumed
+  /// zero-copy.  arow must see each (row, panel) region exactly once, so
+  /// only the first pass (jc == 0) accumulates it: A~ is repacked with
+  /// identical bytes for every later jc block.
+  template <bool FT>
+  const std::uint8_t* pack_a(const OperandView<S>& av, index_t i0,
+                             index_t k0, index_t ilen, index_t klen,
+                             bool first_pass, int tid) {
+    const index_t mr = plan_.blocking.mr;
+    if (ra_ != nullptr) {
+      const std::uint8_t* slab =
+          reinterpret_cast<const std::uint8_t*>(ra_->panel_at(k0)) +
+          (i0 / mr) * i8_tile_bytes(klen, mr);
+      if constexpr (FT) {
+        ks_.pack.encode_cc(slab, ilen, klen, mr, ctx_.bc(), ctx_.cc() + i0);
+      }
+      return slab;
+    }
+    std::uint8_t* dst = ctx_.atilde(tid);
+    std::int32_t* arow = first_pass ? ctx_.arow() : nullptr;
+    if constexpr (FT) {
+      ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, dst, arow, ctx_.bc(),
+                         ctx_.cc());
+    } else {
+      ks_.pack.pack_a(av, i0, k0, ilen, klen, mr, dst, arow);
+    }
+    return dst;
+  }
+
+  /// Exact checksums: there is no threshold to refresh.
+  void refresh_tolerance(runtime::TeamMember&) {}
+
+  void scan(bool, const Ref* predicted, const Ref* reference, index_t count,
+            index_t base, std::vector<Mismatch>& out) const {
+    for (index_t i = 0; i < count; ++i) {
+      const Ref d = reference[i] - predicted[i];
+      if (d != 0) out.push_back({base + i, double(d)});
+    }
+  }
+
+  bool mismatch(bool, Ref sum, Ref predicted, double& d) const {
+    const Ref diff = sum - predicted;
+    d = double(diff);
+    return diff != 0;
+  }
+
+  /// Checksum deltas are at most ~2^31 * max(m, n): exact in the solver's
+  /// doubles, so the locator needs no slack.
+  [[nodiscard]] double slack(std::size_t) const { return 0.0; }
+
+  static void correct(C& value, double delta) {
+    value -= C(std::llround(delta));
+  }
+
+  /// The write-back: undo the bias/zero-point shift and dequantize this
+  /// member's column range of the finished accumulator into the caller's C,
+  ///
+  ///   S[i,j] = cq[i,j] - zb*arow[i] - (128+za)*bcol[j] + k*(128+za)*zb,
+  ///   C[i,j] = float( alpha*sa*sb * S[i,j] + beta * C[i,j] ),
+  ///
+  /// with the scale product and the accumulation carried in fp64 so the only
+  /// rounding of the whole path is the final fp32 store.  When beta == 0, C
+  /// is never read (BLAS semantics: an uninitialized C stays NaN-free).
+  /// `degenerate` covers k <= 0 and alpha == 0: compute was skipped and the
+  /// buffers hold garbage, so the identity C = beta*C is applied directly.
+  void store(const MemberRanges& r, bool degenerate) {
+    const index_t m = plan_.key.m, k = plan_.key.k;
+    const float beta = beta_;
+    if (degenerate) {
+      for (index_t j = r.js; j < r.js + r.jlen; ++j) {
+        for (index_t i = 0; i < m; ++i) {
+          float& cij = c_[i + j * ldc_];
+          cij = beta == 0.0f ? 0.0f : float(double(beta) * double(cij));
+        }
+      }
+      return;
+    }
+    const std::int32_t* cq = ctx_.cq();
+    const std::int32_t* arow = ctx_.arow();
+    const std::int32_t* bcol = ctx_.bcol();
+    const double sab =
+        double(alpha_) * double(q_.scale_a) * double(q_.scale_b);
+    const std::int64_t za128 = 128 + std::int64_t(q_.zero_a);
+    const std::int64_t zb = std::int64_t(q_.zero_b);
+    const std::int64_t kzz = std::int64_t(k) * za128 * zb;
+    for (index_t j = r.js; j < r.js + r.jlen; ++j) {
+      const std::int64_t colterm = za128 * std::int64_t(bcol[j]) - kzz;
+      for (index_t i = 0; i < m; ++i) {
+        const std::int64_t s = std::int64_t(cq[i + j * m]) -
+                               zb * std::int64_t(arow[i]) - colterm;
+        const double v = sab * double(s);
+        float& cij = c_[i + j * ldc_];
+        cij = beta == 0.0f ? float(v) : float(v + double(beta) * double(cij));
+      }
+    }
+  }
+
+ private:
+  const GemmPlan<S, C>& plan_;
+  const KernelSet<S, C>& ks_;
+  GemmContext<S, C>& ctx_;
+  Scalar alpha_, beta_;
+  Scalar* c_;
+  index_t ldc_;
+  const ResidentAPayload<S, C>* ra_;
+  Quant q_;
+};
+
+template <typename S, typename C>
+struct DomainOf {
+  using type = FloatDomain<S, C>;
+};
+template <>
+struct DomainOf<std::int8_t, std::int32_t> {
+  using type = ExactDomain;
+};
+
+/// The checksum domain of the (StorageT, ComputeT) path, and the scalar /
+/// per-call quantization types its entry points take.
+template <typename S, typename C = S>
+using Domain = typename DomainOf<S, C>::type;
+template <typename S, typename C = S>
+using ScalarOf = typename Domain<S, C>::Scalar;
+template <typename S, typename C = S>
+using QuantOf = typename Domain<S, C>::Quant;
+
+}  // namespace ftgemm::detail

@@ -1,10 +1,16 @@
 // The (FT-)GEMM executor: a faithful implementation of Fig. 1 of the paper,
 // split into plan and execute phases (see core/plan.hpp).
 //
-// One template, two instantiations per element type:
+// One executor for every precision.  It is a template over the storage /
+// compute pair and FT:
 //   FT = false : the "Ori" high-performance GEMM (packing + cache blocking
 //                + SIMD micro-kernels),
 //   FT = true  : FT-GEMM with the fused ABFT scheme of §2.2/§2.3.
+// What differs between precisions (which buffer accumulates, how checksums
+// compare, what the store step does) lives in the checksum domain the
+// executor instantiates per call: FloatDomain for fp64/fp32/bf16/fp16 and
+// ExactDomain for int8 (core/checksum_domain.hpp).  The executor body names
+// no precision.
 //
 // execute() is a *pure executor*: every decision — ISA, kernel set, blocking,
 // thread topology, tolerance factor, fast-path selection — was made by the
@@ -29,13 +35,11 @@
 // threads = 1 *is* the serial algorithm — no separate code path exists, so
 // serial and parallel results are produced by the same verified code.
 //
-// The planner's small-GEMM fast path (plan.fast_path) takes execute_small
-// instead: the whole problem fits a single macro-tile, so B~ and A~ are each
-// packed exactly once by one thread, with no parallel region, no partition
-// bookkeeping, no barriers, and no per-call reduction scratch — the dominant
-// costs of the general path at serving-style sizes.  The arithmetic, packing
-// layout and summation order are identical to the general path at nt = 1,
-// so results (Ori and FT) are bit-identical.
+// The planner's small-GEMM fast path (plan.fast_path) is that serial
+// algorithm too: the planner pins the plan to one thread, run_team executes
+// a one-member team inline (no parallel region, and barriers are no-ops),
+// and the whole problem is one panel, one B~ chunk and one A~ block.  Fast
+// and general plans therefore run the same code and produce the same bits.
 //
 // Verification happens once per rank-KC panel ("p-loop: verify" in Fig. 1):
 // every element of C is updated exactly once per panel, so the reference
@@ -44,22 +48,17 @@
 #pragma once
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
+#include <cstdint>
 #include <vector>
 
-#include "abft/checksum.hpp"
-#include "abft/tolerance.hpp"
 #include "abft/verifier.hpp"
-#include "arch/isa.hpp"
-#include "blocking/plan.hpp"
+#include "core/checksum_domain.hpp"
 #include "core/context.hpp"
 #include "core/operand_cache.hpp"
 #include "core/options.hpp"
 #include "core/plan.hpp"
+#include "inject/injector.hpp"
 #include "kernels/macro_kernel.hpp"
-#include "kernels/microkernel.hpp"
-#include "kernels/packing.hpp"
 #include "runtime/team.hpp"
 #include "util/timer.hpp"
 
@@ -82,6 +81,15 @@ void normalize_layout(Layout layout, Trans& ta, Trans& tb, index_t& m,
   }
 }
 
+/// valid_gemm_args plus the checksum domain's depth gate (post-normalization
+/// column-major arguments).
+template <typename S, typename C = S>
+bool valid_args(Trans ta, Trans tb, index_t m, index_t n, index_t k,
+                index_t lda, index_t ldb, index_t ldc) {
+  return valid_gemm_args(ta, tb, m, n, k, lda, ldb, ldc) &&
+         Domain<S, C>::depth_ok(k);
+}
+
 /// Split `total` into `parts` contiguous chunks aligned to `unit`
 /// (chunk boundaries fall on multiples of `unit`; the last chunk absorbs
 /// the remainder).  Empty chunks are expressed as len = 0.
@@ -97,27 +105,29 @@ inline void partition_units(index_t total, index_t unit, int parts, int idx,
 }
 
 /// Locate/correct the errors behind the found checksum mismatches, then
-/// re-verify the touched rows and columns with exact sums over C and repeat
-/// if needed.  One round suffices for ordinary errors; corrections whose
-/// delta estimate was degraded by catastrophic rounding (an exponent bit
-/// flip dwarfing the entire row sum) converge in two.  Single-threaded:
-/// the general path calls it from an `omp single` section, the fast path
-/// directly.  `rows`/`cols` are consumed as scratch.
-template <typename T, typename S = T>
+/// re-verify the touched rows and columns with exact sums over the
+/// accumulator and repeat if needed.  One round suffices for ordinary
+/// errors; corrections whose delta estimate was degraded by catastrophic
+/// rounding (an exponent bit flip dwarfing the entire row sum) converge in
+/// two.  A non-finite element never converges (NaN fails every tolerance
+/// test) and ends the panel uncorrectable.  Single-threaded: called from a
+/// team `single` section.  `rows`/`cols` are consumed as scratch.
+template <typename D, typename Ctx>
 inline void locate_correct_reverify(
-    std::vector<Mismatch>& rows, std::vector<Mismatch>& cols,
-    const ToleranceModel<T>& tol, index_t m, index_t n, T* c, index_t ldc,
-    GemmContext<S, T>& ctx, int panel,
+    std::vector<Mismatch>& rows, std::vector<Mismatch>& cols, const D& dom,
+    index_t m, index_t n, Ctx& ctx, int panel,
     std::vector<CorrectionRecord>* correction_log, std::int64_t& detected,
     std::int64_t& corrected, int& uncorrectable) {
+  using Ref = typename D::Ref;
   if (rows.empty() && cols.empty()) return;
+  auto* acc = dom.acc();
+  const index_t ld = dom.ldacc();
   bool failed = false;
   std::vector<index_t> touched_rows, touched_cols;
   constexpr int kMaxRounds = 4;
   for (int round = 0;; ++round) {
-    const double slack = std::max(tol.cc_tau, tol.cr_tau) *
-                         double(2 + rows.size() + cols.size());
-    const SolveOutcome outcome = solve_error_assignment(rows, cols, slack);
+    const SolveOutcome outcome = solve_error_assignment(
+        rows, cols, dom.slack(rows.size() + cols.size()));
     if (!outcome.solved) {
       if (round == 0) {
         detected += std::int64_t(std::max(rows.size(), cols.size()));
@@ -126,7 +136,7 @@ inline void locate_correct_reverify(
       break;
     }
     for (const LocatedError& err : outcome.errors) {
-      c[err.row + err.col * ldc] -= T(err.delta);
+      dom.correct(acc[err.row + err.col * ld], err.delta);
       touched_rows.push_back(err.row);
       touched_cols.push_back(err.col);
       if (correction_log != nullptr) {
@@ -146,17 +156,16 @@ inline void locate_correct_reverify(
                        touched_cols.end());
     rows.clear();
     cols.clear();
+    double d = 0.0;
     for (const index_t i : touched_rows) {
-      T sum = T(0);
-      for (index_t j = 0; j < n; ++j) sum += c[i + j * ldc];
-      const double d = double(sum) - double(ctx.cc()[i]);
-      if (std::abs(d) > tol.cc_tau) rows.push_back({i, d});
+      Ref sum = Ref(0);
+      for (index_t j = 0; j < n; ++j) sum += acc[i + j * ld];
+      if (dom.mismatch(true, sum, ctx.cc()[i], d)) rows.push_back({i, d});
     }
     for (const index_t j : touched_cols) {
-      T sum = T(0);
-      for (index_t i = 0; i < m; ++i) sum += c[i + j * ldc];
-      const double d = double(sum) - double(ctx.cr()[j]);
-      if (std::abs(d) > tol.cr_tau) cols.push_back({j, d});
+      Ref sum = Ref(0);
+      for (index_t i = 0; i < m; ++i) sum += acc[i + j * ld];
+      if (dom.mismatch(false, sum, ctx.cr()[j], d)) cols.push_back({j, d});
     }
     if (rows.empty() && cols.empty()) break;  // converged
     if (round + 1 >= kMaxRounds) {
@@ -167,25 +176,24 @@ inline void locate_correct_reverify(
   if (failed) ++uncorrectable;
 }
 
-/// Apply the corruptions an injector planned for one macro block, emulating
-/// an in-kernel fault: the register-level reference checksums would have
-/// seen the corrupted value too.  `crref_lane` is the executing thread's
-/// lane-strided Cr reference partial.
-template <typename T, bool FT, typename S = T>
+/// Apply the corruptions an injector planned for one macro block of the
+/// accumulator, emulating an in-kernel fault: the register-level reference
+/// checksums would have seen the corrupted value too.  `crref_lane` is the
+/// executing member's lane-strided Cr reference partial.
+template <bool FT, typename Acc, typename Ctx, typename Ref>
 inline void apply_planned_injections(FaultInjector* injector,
                                      const BlockContext& bctx,
                                      std::vector<InjectionRecord>& planned,
-                                     T* c, index_t ldc,
-                                     GemmContext<S, T>& ctx, T* crref_lane,
-                                     index_t lanes) {
+                                     Acc* acc, index_t ld, Ctx& ctx,
+                                     Ref* crref_lane, index_t lanes) {
   planned.clear();
   injector->plan_block(bctx, planned);
   for (InjectionRecord rec : planned) {
-    T& value = c[rec.i + rec.j * ldc];
+    Acc& value = acc[rec.i + rec.j * ld];
     const double applied = apply_corruption(value, rec);
     if constexpr (FT) {
-      ctx.ccref()[rec.i] += T(applied);
-      crref_lane[rec.j * lanes] += T(applied);
+      ctx.ccref()[rec.i] += Ref(applied);
+      crref_lane[rec.j * lanes] += Ref(applied);
     }
     rec.delta = applied;
     injector->record(rec);
@@ -213,199 +221,37 @@ inline void strike_transient_panel(MemoryFaultInjector* mem,
   mem->record_applied(flips.size());
 }
 
-/// Single-macro-tile direct path (plan.fast_path): serial, packed-once, no
-/// parallel region, no partition/barrier machinery, no per-call reduction
-/// scratch.  Bit-identical to the general path (FT checksums still fused).
-///
-/// `ra` (may be null) is a resident pre-packed pre-encoded A payload for
-/// this exact (operand, plan): the pack_a/encode_ar work is skipped and the
-/// fused Cc update is replayed from the resident panel with the packer's own
-/// accumulation structure (PackSet::encode_cc), so the result stays
-/// bit-identical to the cold path.
-template <typename S, bool FT, typename C = S>
-FtReport execute_small(const GemmPlan<S, C>& plan, C alpha, const S* a,
-                       index_t lda, const S* b, index_t ldb, C beta, C* c,
-                       index_t ldc, FaultInjector* injector,
-                       std::vector<CorrectionRecord>* correction_log,
-                       GemmContext<S, C>& ctx,
-                       const ResidentAPayload<S, C>* ra = nullptr,
-                       MemoryFaultInjector* mem_injector = nullptr) {
-  using T = C;  // every buffer/accumulator below is compute-precision
-  FtReport report;
-  const WallTimer timer;
-  const PlanKey& key = plan.key;
-  const index_t m = key.m, n = key.n, k = key.k;
-  const KernelSet<S, C>& ks = plan.kernels;
-  const index_t lanes = ks.cr_lanes;
-  const bool degenerate = plan.k_zero || alpha == T(0);
-
-  if (injector != nullptr) injector->begin_call(m, n, k, 1);
-  ctx.ensure(plan);
-
-  const OperandView<S> av{a, lda, key.ta == Trans::kTrans};
-  const OperandView<S> bv{b, ldb, key.tb == Trans::kTrans};
-
-  // ---- Encode phase (one pass over C fused with beta-scaling, one over A).
-  double amax_a = 0.0, amax_b = 0.0, amax_c = 0.0;
-  if constexpr (FT) {
-    std::fill(ctx.cc(), ctx.cc() + m, T(0));
-    std::fill(ctx.crref_part(0), ctx.crref_part(0) + n, T(0));
-    amax_c = ks.pack.scale_encode_c(c, ldc, index_t(0), m, n, beta, ctx.cc(),
-                                    ctx.crref_part(0));
-    if (ra != nullptr) {
-      // Resident hit: Ar and amax(A) were encoded when the payload was
-      // filled, in this exact reduction order.
-      std::copy(ra->ar.data(), ra->ar.data() + k, ctx.ar());
-      amax_a = ra->amax_a;
-    } else {
-      std::fill(ctx.ar_part(0), ctx.ar_part(0) + k, T(0));
-      amax_a = ks.pack.encode_ar(av, index_t(0), m, k, alpha, ctx.ar_part(0));
-      // The general path's cross-thread reductions collapse to copies at one
-      // thread (a sum of a single term), keeping results bit-identical.
-      std::copy(ctx.ar_part(0), ctx.ar_part(0) + k, ctx.ar());
-    }
-    std::copy(ctx.crref_part(0), ctx.crref_part(0) + n, ctx.cr());
-  } else {
-    scale_c(c, ldc, index_t(0), m, n, beta);
-  }
-
-  std::int64_t detected = 0, corrected = 0;
-  int uncorrectable = 0;
-  int panels_run = 0;
-
-  if (!degenerate) {
-    // ---- The single rank-K panel: pack B~ once, pack A~ once, one macro
-    // block, verify.
-    // A fast-path plan always has kc >= k, so a resident payload is a
-    // single panel starting at k-offset 0.  Uniform payloads are consumed
-    // zero-copy; narrow-storage payloads hold raw storage bits and are
-    // widened (alpha applied, one fp32 rounding — bit-identical to the cold
-    // convert-on-pack) into this call's atilde.
-    const T* apanel = ctx.atilde(0);
-    if (ra != nullptr) {
-      if constexpr (std::is_same_v<S, C>) {
-        apanel = ra->panel_at(0);
-      } else {
-        ks.pack.widen_a(ra->panel_at(0), m, k, plan.blocking.mr, alpha,
-                        ctx.atilde(0));
-      }
-    }
-    if constexpr (FT) {
-      std::fill(ctx.ccref(), ctx.ccref() + m, T(0));
-      std::fill(ctx.crref_part(0), ctx.crref_part(0) + n * lanes, T(0));
-      ks.pack.pack_b_ft(bv, 0, 0, k, n, plan.blocking.nr, ctx.btilde(),
-                        ctx.ar(), ctx.cr());
-      amax_b = ks.pack.reduce_bc(ctx.btilde(), k, n, plan.blocking.nr,
-                                 index_t(0), k, ctx.bc(), 0.0);
-      if (ra != nullptr) {
-        ks.pack.encode_cc(apanel, av.trans, m, k, plan.blocking.mr, ctx.bc(),
-                          ctx.cc());
-      } else {
-        ks.pack.pack_a_ft(av, 0, 0, m, k, plan.blocking.mr, alpha,
-                          ctx.atilde(0), ctx.bc(), ctx.cc());
-      }
-    } else {
-      ks.pack.pack_b(bv, 0, 0, k, n, plan.blocking.nr, ctx.btilde());
-      if (ra == nullptr) {
-        ks.pack.pack_a(av, 0, 0, m, k, plan.blocking.mr, alpha,
-                       ctx.atilde(0));
-      }
-    }
-
-    // Transient-surface strikes, between pack (all predicted checksums
-    // derived) and consume.  B~ always lives in workspace; A~ only when
-    // this call packed or widened it there — a zero-copy resident panel is
-    // the kResidentPanel surface, struck on acquire instead.
-    if (mem_injector != nullptr) {
-      const index_t nr = plan.blocking.nr, mr = plan.blocking.mr;
-      strike_transient_panel(
-          mem_injector, MemorySurface::kPanelB, ctx.btilde(),
-          std::size_t(k) * std::size_t(n), [&](std::size_t l) {
-            const index_t j = index_t(l / std::size_t(k));
-            const index_t kk = index_t(l % std::size_t(k));
-            return std::size_t((j / nr) * (nr * k) + kk * nr + j % nr);
-          });
-      if (apanel == ctx.atilde(0)) {
-        strike_transient_panel(
-            mem_injector, MemorySurface::kPanelA, ctx.atilde(0),
-            std::size_t(m) * std::size_t(k), [&](std::size_t l) {
-              const index_t i = index_t(l / std::size_t(k));
-              const index_t kk = index_t(l % std::size_t(k));
-              return std::size_t((i / mr) * (mr * k) + kk * mr + i % mr);
-            });
-      }
-    }
-
-    run_macro_block<T, FT>(ks, m, n, k, apanel, ctx.btilde(), c, ldc,
-                           FT ? ctx.crref_part(0) : nullptr,
-                           FT ? ctx.ccref() : nullptr);
-
-    if (injector != nullptr) {
-      std::vector<InjectionRecord> planned;
-      const BlockContext bctx{0, 0, 0, m, n, 0};
-      apply_planned_injections<T, FT>(injector, bctx, planned, c, ldc, ctx,
-                                      ctx.crref_part(0), lanes);
-    }
-
-    if constexpr (FT) {
-      const ToleranceModel<T> tol =
-          ToleranceModel<T>::compute(m, n, k, amax_a, amax_b, amax_c,
-                                     double(alpha), double(beta),
-                                     plan.tol_factor);
-      for (index_t j = 0; j < n; ++j) {
-        T sum = T(0);
-        const T* part = ctx.crref_part(0) + j * lanes;
-        for (index_t l = 0; l < lanes; ++l) sum += part[l];
-        ctx.crref()[j] = sum;
-      }
-      std::vector<Mismatch> rows, cols;
-      find_mismatches(ctx.cc(), ctx.ccref(), m, tol.cc_tau, index_t(0), rows);
-      find_mismatches(ctx.cr(), ctx.crref(), n, tol.cr_tau, index_t(0), cols);
-      locate_correct_reverify(rows, cols, tol, m, n, c, ldc, ctx, 0,
-                              correction_log, detected, corrected,
-                              uncorrectable);
-      ++panels_run;
-    }
-  }
-
-  report.panels = FT ? panels_run : int(degenerate ? 0 : 1);
-  report.errors_detected = detected;
-  report.errors_corrected = corrected;
-  report.uncorrectable_panels = uncorrectable;
-  report.elapsed_seconds = timer.seconds();
-  return report;
-}
-
 /// Execute a planned (FT-)GEMM.  Shape, transposes, kernels, blocking,
 /// topology and tolerance all come from `plan`; `injector`/`correction_log`
 /// are per-call instrumentation sinks (may be null).  `ra` (may be null) is
 /// a resident pre-packed pre-encoded A payload for this exact
-/// (operand, plan) — see execute_small.
+/// (operand, plan): pack_a is skipped and the fused Cc update is replayed
+/// from the resident panel with the packer's own accumulation structure
+/// (PackSet::encode_cc), so the result stays bit-identical to the cold
+/// path.  `quant` is the call's quantization (int8 only; like alpha/beta an
+/// operand value no plan fingerprint covers).
 template <typename S, bool FT, typename C = S>
-FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
-                 const S* b, index_t ldb, C beta, C* c, index_t ldc,
+FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
+                 const S* a, index_t lda, const S* b, index_t ldb,
+                 ScalarOf<S, C> beta, ScalarOf<S, C>* c, index_t ldc,
                  FaultInjector* injector,
                  std::vector<CorrectionRecord>* correction_log,
                  GemmContext<S, C>& ctx,
                  const ResidentAPayload<S, C>* ra = nullptr,
-                 MemoryFaultInjector* mem_injector = nullptr) {
-  using T = C;  // every buffer/accumulator below is compute-precision
+                 MemoryFaultInjector* mem_injector = nullptr,
+                 const QuantOf<S, C>& quant = {}) {
+  using KS = KernelSet<S, C>;
+  using Ref = typename Domain<S, C>::Ref;
   FtReport report;
   const PlanKey& key = plan.key;
   const index_t m = key.m, n = key.n, k = key.k;
   if (m <= 0 || n <= 0) return report;
 
-  if (plan.fast_path) {
-    return execute_small<S, FT, C>(plan, alpha, a, lda, b, ldb, beta, c, ldc,
-                                   injector, correction_log, ctx, ra,
-                                   mem_injector);
-  }
-
   const WallTimer timer;
-  const KernelSet<S, C>& ks = plan.kernels;
+  const KS& ks = plan.kernels;
   const BlockingPlan& bp = plan.blocking;
   const int nt = plan.threads;
-  const bool degenerate = plan.k_zero || alpha == T(0);
+  const bool degenerate = plan.k_zero || alpha == ScalarOf<S, C>(0);
 
   if (injector != nullptr)
     injector->begin_call(m, n, k,
@@ -417,11 +263,10 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
   const OperandView<S> av{a, lda, key.ta == Trans::kTrans};
   const OperandView<S> bv{b, ldb, key.tb == Trans::kTrans};
 
-  // Shared across the parallel region.
-  std::vector<double> amax_parts(std::size_t(nt) * 3, 0.0);
-  ToleranceModel<T> tol{};
-  std::vector<std::vector<Mismatch>> row_mm(static_cast<std::size_t>(nt));
-  std::vector<std::vector<Mismatch>> col_mm(static_cast<std::size_t>(nt));
+  // Shared across the team.
+  Domain<S, C> dom(plan, ctx, alpha, beta, c, ldc, ra, quant);
+  std::vector<std::vector<Mismatch>> row_mm(FT ? std::size_t(nt) : 0);
+  std::vector<std::vector<Mismatch>> col_mm(FT ? std::size_t(nt) : 0);
   std::int64_t detected = 0;
   std::int64_t corrected = 0;
   int uncorrectable = 0;
@@ -431,63 +276,16 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
     const int tid = tm.tid();
     std::vector<InjectionRecord> planned;
 
-    // M-partition of C (and A) for this thread, aligned to MR so only the
+    MemberRanges r;
+    // M-partition of C (and A) for this member, aligned to MR so only the
     // global edge produces partial register tiles.
-    index_t ms = 0, mlen = 0;
-    partition_units(m, bp.mr, nt, tid, ms, mlen);
-    // Static N-partition used for reductions and checksum scans.
-    index_t js_red = 0, jlen_red = 0;
-    partition_units(n, 1, nt, tid, js_red, jlen_red);
-    // Static K-partition for the Ar reduction.
-    index_t ks_red = 0, klen_red = 0;
-    partition_units(k, 1, nt, tid, ks_red, klen_red);
+    partition_units(m, bp.mr, nt, tid, r.ms, r.mlen);
+    // Static N-partition used for reductions, checksum scans and the store.
+    partition_units(n, 1, nt, tid, r.js, r.jlen);
+    // Static K-partition for the Ar encode.
+    partition_units(k, 1, nt, tid, r.ks, r.klen);
 
-    // ---- Encode phase: C = beta*C fused with Cc/Cr encoding; Ar; amax. ----
-    if constexpr (FT) {
-      if (mlen > 0) std::fill(ctx.cc() + ms, ctx.cc() + ms + mlen, T(0));
-      std::fill(ctx.crref_part(tid), ctx.crref_part(tid) + n, T(0));
-      double amax_c = 0.0, amax_a = 0.0;
-      if (ra == nullptr) {
-        std::fill(ctx.ar_part(tid), ctx.ar_part(tid) + k, T(0));
-      }
-      if (mlen > 0) {
-        amax_c = ks.pack.scale_encode_c(c, ldc, ms, mlen, n, beta, ctx.cc(),
-                                        ctx.crref_part(tid));
-        if (ra == nullptr) {
-          amax_a =
-              ks.pack.encode_ar(av, ms, mlen, k, alpha, ctx.ar_part(tid));
-        }
-      }
-      // Resident hit: the payload carries amax(A) and the fully reduced Ar
-      // (encoded at fill in this plan's per-thread partial order).
-      if (ra != nullptr) amax_a = tid == 0 ? ra->amax_a : 0.0;
-      amax_parts[std::size_t(tid) * 3 + 0] = amax_a;
-      // amax(B) is folded into the per-panel Bc reduction sweep; slot 1
-      // accumulates monotonically as panels stream through.
-      amax_parts[std::size_t(tid) * 3 + 1] = 0.0;
-      amax_parts[std::size_t(tid) * 3 + 2] = amax_c;
-      tm.barrier();
-      // Reduce the per-thread partials: Ar over a K-partition, Cr over an
-      // N-partition (the encode pass stored Cr partials in crref_part).
-      for (index_t p = ks_red; p < ks_red + klen_red; ++p) {
-        if (ra != nullptr) {
-          ctx.ar()[p] = ra->ar.data()[p];
-          continue;
-        }
-        T sum = T(0);
-        for (int t = 0; t < nt; ++t) sum += ctx.ar_part(t)[p];
-        ctx.ar()[p] = sum;
-      }
-      for (index_t j = js_red; j < js_red + jlen_red; ++j) {
-        T sum = T(0);
-        for (int t = 0; t < nt; ++t) sum += ctx.crref_part(t)[j];
-        ctx.cr()[j] = sum;
-      }
-      tm.barrier();
-    } else {
-      if (mlen > 0) scale_c(c, ldc, ms, mlen, n, beta);
-      tm.barrier();
-    }
+    dom.template encode<FT>(tm, r, av, degenerate);
 
     // ---- Panel loop: one rank-KC update + verification per iteration. ----
     if (!degenerate) {
@@ -496,11 +294,12 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
         const index_t pinc = std::min(bp.kc, k - p);
 
         if constexpr (FT) {
-          // Reference checksums cover exactly this panel's C values.
-          if (mlen > 0)
-            std::fill(ctx.ccref() + ms, ctx.ccref() + ms + mlen, T(0));
+          // Reference checksums cover exactly this panel's values.
+          if (r.mlen > 0)
+            std::fill(ctx.ccref() + r.ms, ctx.ccref() + r.ms + r.mlen,
+                      Ref(0));
           std::fill(ctx.crref_part(tid), ctx.crref_part(tid) + n * lanes,
-                    T(0));
+                    Ref(0));
         }
 
         for (index_t jc = 0; jc < n; jc += bp.nc) {
@@ -510,165 +309,100 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
           // land on micro-panel boundaries).
           index_t js = 0, jlen = 0;
           partition_units(jinc, bp.nr, nt, tid, js, jlen);
-          if constexpr (FT) {
-            if (jlen > 0) {
-              ks.pack.pack_b_ft(bv, p, jc + js, pinc, jlen, bp.nr,
-                                ctx.btilde() + (js / bp.nr) * (bp.nr * pinc),
-                                ctx.ar() + p, ctx.cr() + jc + js);
-            }
-          } else {
-            if (jlen > 0) {
-              ks.pack.pack_b(bv, p, jc + js, pinc, jlen, bp.nr,
-                             ctx.btilde() + (js / bp.nr) * (bp.nr * pinc));
-            }
+          if (jlen > 0) {
+            const index_t tile = packed_tile_elems<KS>(pinc, bp.nr);
+            dom.template pack_b<FT>(bv, p, jc + js, pinc, jlen,
+                                    ctx.btilde() + (js / bp.nr) * tile);
           }
           tm.barrier();
           if constexpr (FT) {
-            // Bc reduction ("an extra stage of reduction operation among
-            // threads", §2.3): each thread derives its K-slice of the panel
-            // checksum from the freshly packed, cache-resident B~.
+            // Bc from the freshly packed, cache-resident B~, each member
+            // deriving its K-slice.
             index_t kks = 0, kklen = 0;
             partition_units(pinc, 1, nt, tid, kks, kklen);
-            if (kklen > 0) {
-              amax_parts[std::size_t(tid) * 3 + 1] = ks.pack.reduce_bc(
-                  ctx.btilde(), pinc, jinc, bp.nr, kks, kklen, ctx.bc(),
-                  amax_parts[std::size_t(tid) * 3 + 1]);
-            }
+            if (kklen > 0) dom.reduce_bc(tid, pinc, jinc, kks, kklen);
             tm.barrier();
           }
 
           // Transient B~ strike: one member mutates the shared panel after
-          // every checksum predicted from it (Cr via pack_b_ft, Bc via
-          // reduce_bc) and before any macro kernel consumes it.
-          // mem_injector is uniform across the team, so every member takes
-          // the single's implicit trailing barrier.
+          // every checksum predicted from it (Cr at pack, Bc at reduce) and
+          // before any macro kernel consumes it.  mem_injector is uniform
+          // across the team, so every member takes the single's implicit
+          // trailing barrier.
           if (mem_injector != nullptr) {
             tm.single([&] {
               strike_transient_panel(
                   mem_injector, MemorySurface::kPanelB, ctx.btilde(),
-                  std::size_t(pinc) * std::size_t(jinc),
-                  [&](std::size_t l) {
-                    const index_t j = index_t(l / std::size_t(pinc));
-                    const index_t kk = index_t(l % std::size_t(pinc));
-                    return std::size_t((j / bp.nr) * (bp.nr * pinc) +
-                                       kk * bp.nr + j % bp.nr);
+                  std::size_t(pinc) * std::size_t(jinc), [&](std::size_t l) {
+                    return packed_offset<KS>(index_t(l) / pinc,
+                                             index_t(l) % pinc, pinc, bp.nr);
                   });
             });
           }
 
-          // Macro loop over this thread's rows.
-          for (index_t ic = 0; ic < mlen; ic += bp.mc) {
-            const index_t ilen = std::min(bp.mc, mlen - ic);
-            // Resident hit: slice this thread's (ic) slab out of the
-            // payload's whole-M panel — ms and ic are both MR-aligned, so
-            // the slab starts on a tile boundary at the exact bytes a cold
-            // pack_a would have written into atilde.  Narrow-storage
-            // payloads hold raw storage bits: widen the slab (alpha
-            // applied, one fp32 rounding — bit-identical to the cold
-            // convert-on-pack) into this thread's private atilde instead.
-            const T* apanel = ctx.atilde(tid);
-            if (ra != nullptr) {
-              const S* slab =
-                  ra->panel_at(p) + ((ms + ic) / bp.mr) * (bp.mr * pinc);
-              if constexpr (std::is_same_v<S, C>) {
-                apanel = slab;
-              } else {
-                ks.pack.widen_a(slab, ilen, pinc, bp.mr, alpha,
-                                ctx.atilde(tid));
-              }
-            }
-            if constexpr (FT) {
-              if (ra != nullptr) {
-                // Replay the fused Cc update the skipped pack_a_ft would
-                // have accumulated for this (jc, ic) block.
-                ks.pack.encode_cc(apanel, av.trans, ilen, pinc, bp.mr,
-                                  ctx.bc(), ctx.cc() + ms + ic);
-              } else {
-                ks.pack.pack_a_ft(av, ms + ic, p, ilen, pinc, bp.mr, alpha,
-                                  ctx.atilde(tid), ctx.bc(),
-                                  ctx.cc() + ms + ic);
-              }
-            } else {
-              if (ra == nullptr) {
-                ks.pack.pack_a(av, ms + ic, p, ilen, pinc, bp.mr, alpha,
-                               ctx.atilde(tid));
-              }
-            }
+          // Macro loop over this member's rows.  ms and ic are both
+          // MR-aligned, so a resident slab starts on a tile boundary.
+          for (index_t ic = 0; ic < r.mlen; ic += bp.mc) {
+            const index_t ilen = std::min(bp.mc, r.mlen - ic);
+            const index_t i0 = r.ms + ic;
+            const auto* apanel =
+                dom.template pack_a<FT>(av, i0, p, ilen, pinc, jc == 0, tid);
 
-            // Transient A~ strike by the owning thread, only when the slab
-            // was packed/widened into this thread's private workspace — a
-            // zero-copy resident slab belongs to the kResidentPanel
-            // surface (and corrupting it here would poison later calls).
-            // Pinned to member 0: opportunity *order* must not depend on
-            // which thread packs first, or an armed one-shot injector's
-            // strike placement would be a scheduling race.
+            // Transient A~ strike by the owning member, only when the slab
+            // was packed/widened into its private workspace: a zero-copy
+            // resident slab belongs to the kResidentPanel surface (and
+            // corrupting it here would poison later calls).  Pinned to
+            // member 0: opportunity *order* must not depend on which member
+            // packs first, or an armed one-shot injector's strike placement
+            // would be a scheduling race.
             if (mem_injector != nullptr && tid == 0 &&
                 apanel == ctx.atilde(tid)) {
               strike_transient_panel(
                   mem_injector, MemorySurface::kPanelA, ctx.atilde(tid),
-                  std::size_t(ilen) * std::size_t(pinc),
-                  [&](std::size_t l) {
-                    const index_t i = index_t(l / std::size_t(pinc));
-                    const index_t kk = index_t(l % std::size_t(pinc));
-                    return std::size_t((i / bp.mr) * (bp.mr * pinc) +
-                                       kk * bp.mr + i % bp.mr);
+                  std::size_t(ilen) * std::size_t(pinc), [&](std::size_t l) {
+                    return packed_offset<KS>(index_t(l) / pinc,
+                                             index_t(l) % pinc, pinc, bp.mr);
                   });
             }
 
-            run_macro_block<T, FT>(
-                ks, ilen, jinc, pinc, apanel, ctx.btilde(),
-                c + (ms + ic) + jc * ldc, ldc,
-                FT ? ctx.crref_part(tid) + jc * lanes : nullptr,
-                FT ? ctx.ccref() + ms + ic : nullptr);
+            run_macro_block<FT>(ks, ilen, jinc, pinc, apanel, ctx.btilde(),
+                                dom.acc() + i0 + jc * dom.ldacc(),
+                                dom.ldacc(),
+                                FT ? ctx.crref_part(tid) + jc * lanes : nullptr,
+                                FT ? ctx.ccref() + i0 : nullptr);
 
             if (injector != nullptr) {
-              const BlockContext bctx{panel, ms + ic, jc, ilen, jinc, tid};
-              apply_planned_injections<T, FT>(injector, bctx, planned, c,
-                                              ldc, ctx, ctx.crref_part(tid),
-                                              lanes);
+              const BlockContext bctx{panel, i0, jc, ilen, jinc, tid};
+              apply_planned_injections<FT>(
+                  injector, bctx, planned, dom.acc(), dom.ldacc(), ctx,
+                  FT ? ctx.crref_part(tid) : nullptr, lanes);
             }
           }
           tm.barrier();  // B~ chunk complete before it is repacked
         }
 
         if constexpr (FT) {
-          // Refresh the verification thresholds: amax(B) now covers every
-          // panel streamed so far, i.e. exactly the contributions the
-          // checksums have accumulated.
-          tm.single([&] {
-            double amax_a_all = 0.0, amax_b_all = 0.0, amax_c_all = 0.0;
-            for (int t = 0; t < nt; ++t) {
-              amax_a_all =
-                  std::max(amax_a_all, amax_parts[std::size_t(t) * 3]);
-              amax_b_all =
-                  std::max(amax_b_all, amax_parts[std::size_t(t) * 3 + 1]);
-              amax_c_all =
-                  std::max(amax_c_all, amax_parts[std::size_t(t) * 3 + 2]);
-            }
-            tol = ToleranceModel<T>::compute(m, n, k, amax_a_all, amax_b_all,
-                                             amax_c_all, double(alpha),
-                                             double(beta), plan.tol_factor);
-          });  // trailing team barrier (the "implicit barrier" of omp single)
-          // Reduce per-thread Cr references, then scan for mismatches in
+          dom.refresh_tolerance(tm);
+          // Reduce per-member Cr references, then scan for mismatches in
           // parallel (rows over the M-partition, columns over N).
-          for (index_t j = js_red; j < js_red + jlen_red; ++j) {
-            T sum = T(0);
+          for (index_t j = r.js; j < r.js + r.jlen; ++j) {
+            Ref sum = Ref(0);
             for (int t = 0; t < nt; ++t) {
-              const T* part = ctx.crref_part(t) + j * lanes;
+              const Ref* part = ctx.crref_part(t) + j * lanes;
               for (index_t l = 0; l < lanes; ++l) sum += part[l];
             }
             ctx.crref()[j] = sum;
           }
           row_mm[std::size_t(tid)].clear();
           col_mm[std::size_t(tid)].clear();
-          if (mlen > 0) {
-            find_mismatches(ctx.cc() + ms, ctx.ccref() + ms, mlen, tol.cc_tau,
-                            ms, row_mm[std::size_t(tid)]);
+          if (r.mlen > 0) {
+            dom.scan(true, ctx.cc() + r.ms, ctx.ccref() + r.ms, r.mlen, r.ms,
+                     row_mm[std::size_t(tid)]);
           }
           tm.barrier();
-          if (jlen_red > 0) {
-            find_mismatches(ctx.cr() + js_red, ctx.crref() + js_red, jlen_red,
-                            tol.cr_tau, js_red, col_mm[std::size_t(tid)]);
+          if (r.jlen > 0) {
+            dom.scan(false, ctx.cr() + r.js, ctx.crref() + r.js, r.jlen,
+                     r.js, col_mm[std::size_t(tid)]);
           }
           tm.barrier();
           tm.single([&] {
@@ -679,14 +413,18 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
               cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
                           col_mm[std::size_t(t)].end());
             }
-            locate_correct_reverify(rows, cols, tol, m, n, c, ldc, ctx,
-                                    panel, correction_log, detected,
-                                    corrected, uncorrectable);
+            locate_correct_reverify(rows, cols, dom, m, n, ctx, panel,
+                                    correction_log, detected, corrected,
+                                    uncorrectable);
             ++panels_run;
           });  // trailing team barrier
         }
       }
     }
+
+    // Every member arrives here synchronized (the last B~ chunk's barrier),
+    // so the accumulator is final; a degenerate call computed nothing.
+    dom.store(r, degenerate);
   };
   runtime::run_team(plan.runtime, nt, team_body);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/driver.hpp"
+#include "core/gemm_i8.hpp"
 #include "core/plan.hpp"
 #include "runtime/team.hpp"
 #include "runtime/topology.hpp"
@@ -17,6 +18,10 @@
 namespace ftgemm {
 
 namespace {
+
+using detail::Domain;
+using detail::QuantOf;
+using detail::ScalarOf;
 
 /// Per-problem flop count at or below which kAuto picks inter-batch
 /// parallelism: threading a problem this small is mostly barrier overhead
@@ -40,10 +45,12 @@ bool pick_inter_batch(const BatchOptions& opts, index_t m, index_t n,
 
 template <typename S, bool FT, typename C = S>
 BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
-                        index_t n, index_t k, C alpha, const S* const* a,
-                        index_t lda, const S* const* b, index_t ldb, C beta,
-                        C* const* c, index_t ldc, index_t batch,
-                        const BatchOptions& opts) {
+                        index_t n, index_t k, ScalarOf<S, C> alpha,
+                        const S* const* a, index_t lda, const S* const* b,
+                        index_t ldb, ScalarOf<S, C> beta,
+                        ScalarOf<S, C>* const* c, index_t ldc, index_t batch,
+                        const BatchOptions& opts,
+                        const QuantOf<S, C>& quant = {}) {
   BatchReport report;
   const WallTimer timer;
   if (batch < 0) {
@@ -52,8 +59,9 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
   }
   if (batch == 0) return report;
 
+  const QuantOf<S, C> q = Domain<S, C>::normalize_quant(layout, quant);
   detail::normalize_layout(layout, ta, tb, m, n, a, lda, b, ldb);
-  if (!valid_gemm_args(ta, tb, m, n, k, lda, ldb, ldc)) {
+  if (!detail::valid_args<S, C>(ta, tb, m, n, k, lda, ldb, ldc)) {
     report.invalid_args = true;
     return report;
   }
@@ -118,16 +126,17 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
     // hit).  The memory injector / verification run per-member, like the
     // compute-domain injector.
     ResidentAcquisition<S, C> acq;
-    if (opts.base.resident_a && m > 0 && n > 0 && k > 0 && alpha != C(0) &&
-        a[p] != nullptr) {
-      acq = cache.operands().acquire(a[p], lda, ta == Trans::kTrans, alpha,
-                                     *plan, opts.base.memory_injector,
-                                     opts.base.resident_verify);
+    if (opts.base.resident_a && m > 0 && n > 0 && k > 0 &&
+        alpha != ScalarOf<S, C>(0) && a[p] != nullptr) {
+      acq = cache.operands().acquire(
+          a[p], lda, ta == Trans::kTrans,
+          Domain<S, C>::resident_alpha(alpha), *plan,
+          opts.base.memory_injector, opts.base.resident_verify);
     }
     FtReport rep = detail::execute<S, FT, C>(*plan, alpha, a[p], lda, b[p],
                                              ldb, beta, c[p], ldc, injector,
                                              log, ctx, acq.payload.get(),
-                                             opts.base.memory_injector);
+                                             opts.base.memory_injector, q);
     rep.resident_hit = acq.hit;
     rep.resident_heals = acq.heals;
     rep.resident_ecc_corrected = acq.ecc_corrected;
@@ -173,11 +182,13 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
 
 template <typename S, bool FT, typename C = S>
 BatchReport run_strided_batched(Layout layout, Trans ta, Trans tb, index_t m,
-                                index_t n, index_t k, C alpha, const S* a,
-                                index_t lda, index_t stride_a, const S* b,
-                                index_t ldb, index_t stride_b, C beta, C* c,
+                                index_t n, index_t k, ScalarOf<S, C> alpha,
+                                const S* a, index_t lda, index_t stride_a,
+                                const S* b, index_t ldb, index_t stride_b,
+                                ScalarOf<S, C> beta, ScalarOf<S, C>* c,
                                 index_t ldc, index_t stride_c, index_t batch,
-                                const BatchOptions& opts) {
+                                const BatchOptions& opts,
+                                const QuantOf<S, C>& quant = {}) {
   if (batch < 0) {
     BatchReport report;
     report.invalid_args = true;
@@ -186,7 +197,7 @@ BatchReport run_strided_batched(Layout layout, Trans ta, Trans tb, index_t m,
   if (batch == 0) return {};
   std::vector<const S*> ap(static_cast<std::size_t>(batch));
   std::vector<const S*> bp(static_cast<std::size_t>(batch));
-  std::vector<C*> cp(static_cast<std::size_t>(batch));
+  std::vector<ScalarOf<S, C>*> cp(static_cast<std::size_t>(batch));
   for (index_t p = 0; p < batch; ++p) {
     ap[std::size_t(p)] = a + p * stride_a;
     bp[std::size_t(p)] = b + p * stride_b;
@@ -194,7 +205,7 @@ BatchReport run_strided_batched(Layout layout, Trans ta, Trans tb, index_t m,
   }
   return run_batched<S, FT, C>(layout, ta, tb, m, n, k, alpha, ap.data(), lda,
                                bp.data(), ldb, beta, cp.data(), ldc, batch,
-                               opts);
+                               opts, quant);
 }
 
 }  // namespace
@@ -328,5 +339,56 @@ template BatchReport ft_gemm_strided_batched<fp16_t, float>(
     Layout, Trans, Trans, index_t, index_t, index_t, float, const fp16_t*,
     index_t, index_t, const fp16_t*, index_t, index_t, float, float*, index_t,
     index_t, index_t, const BatchOptions&);
+
+// int8 forms: one QuantParams for the whole batch (see core/gemm_i8.hpp).
+
+BatchReport gemm_i8_batched(Layout layout, Trans ta, Trans tb, index_t m,
+                            index_t n, index_t k, float alpha,
+                            const std::int8_t* const* a, index_t lda,
+                            const std::int8_t* const* b, index_t ldb,
+                            float beta, float* const* c, index_t ldc,
+                            index_t batch, const QuantParams& qp,
+                            const BatchOptions& opts) {
+  return run_batched<std::int8_t, false, std::int32_t>(
+      layout, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, batch,
+      opts, qp);
+}
+
+BatchReport ft_gemm_i8_batched(Layout layout, Trans ta, Trans tb, index_t m,
+                               index_t n, index_t k, float alpha,
+                               const std::int8_t* const* a, index_t lda,
+                               const std::int8_t* const* b, index_t ldb,
+                               float beta, float* const* c, index_t ldc,
+                               index_t batch, const QuantParams& qp,
+                               const BatchOptions& opts) {
+  return run_batched<std::int8_t, true, std::int32_t>(
+      layout, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, batch,
+      opts, qp);
+}
+
+BatchReport gemm_i8_strided_batched(Layout layout, Trans ta, Trans tb,
+                                    index_t m, index_t n, index_t k,
+                                    float alpha, const std::int8_t* a,
+                                    index_t lda, index_t stride_a,
+                                    const std::int8_t* b, index_t ldb,
+                                    index_t stride_b, float beta, float* c,
+                                    index_t ldc, index_t stride_c,
+                                    index_t batch, const QuantParams& qp,
+                                    const BatchOptions& opts) {
+  return run_strided_batched<std::int8_t, false, std::int32_t>(
+      layout, ta, tb, m, n, k, alpha, a, lda, stride_a, b, ldb, stride_b,
+      beta, c, ldc, stride_c, batch, opts, qp);
+}
+
+BatchReport ft_gemm_i8_strided_batched(
+    Layout layout, Trans ta, Trans tb, index_t m, index_t n, index_t k,
+    float alpha, const std::int8_t* a, index_t lda, index_t stride_a,
+    const std::int8_t* b, index_t ldb, index_t stride_b, float beta, float* c,
+    index_t ldc, index_t stride_c, index_t batch, const QuantParams& qp,
+    const BatchOptions& opts) {
+  return run_strided_batched<std::int8_t, true, std::int32_t>(
+      layout, ta, tb, m, n, k, alpha, a, lda, stride_a, b, ldb, stride_b,
+      beta, c, ldc, stride_c, batch, opts, qp);
+}
 
 }  // namespace ftgemm

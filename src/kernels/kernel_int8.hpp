@@ -10,8 +10,10 @@
 // bandwidth win), so the generic "panels are ComputeT" pack/kernel
 // signatures cannot be reused.  KernelSet<int8_t, int32_t> and
 // PackSet<int8_t, int32_t> are therefore full specializations with their
-// own member signatures, and the executor (core/driver_i8.hpp) is a
-// dedicated implementation of the same plan/execute architecture.
+// own member signatures.  The executor is shared: core/driver.hpp runs the
+// int8 path through ExactDomain (core/checksum_domain.hpp), and the one
+// macro kernel (kernels/macro_kernel.hpp) reads the packed depth quad from
+// KernelSet::kDepthQuad.
 //
 // Operand convention (see kernels/int8_types.hpp): A is packed *biased*
 // (u8 = s8 + 128) because the AVX-512 VNNI dot instruction `vpdpbusd`
@@ -138,6 +140,9 @@ struct PackSet<std::int8_t, std::int32_t> {
 /// micro-kernels, int64 FT references, cr_lanes fixed at 1).
 template <>
 struct KernelSet<std::int8_t, std::int32_t> {
+  static constexpr index_t kDepthQuad = kI8KQuad;
+  static constexpr index_t kMaxTile = kI8MaxMr * kI8MaxNr;
+
   I8MicroKernel base = nullptr;
   I8MicroKernelFt ft = nullptr;
   index_t mr = 0;
@@ -169,55 +174,5 @@ KernelSet<std::int8_t, std::int32_t> get_kernel_set<std::int8_t,
 template <>
 PackSet<std::int8_t, std::int32_t> get_pack_set<std::int8_t, std::int32_t>(
     Isa isa);
-
-/// Macro kernel of the int8 path: sweep the packed tiles of one
-/// (mlen x nlen x kc) block, full tiles through the (FT) micro-kernel, edge
-/// tiles through a zeroed scratch tile with an exact scalar merge (padding
-/// products are zero, so the scratch rows/cols beyond the edge contribute
-/// nothing).  `c` is the int32 biased-product accumulator (ldc = its
-/// leading dimension); cr_ref/cc_ref are the block's int64 reference
-/// checksum slices (FT only, stride 1).
-template <bool FT>
-inline void run_macro_block_i8(const KernelSet<std::int8_t, std::int32_t>& ks,
-                               index_t mlen, index_t nlen, index_t kc,
-                               const std::uint8_t* a_packed,
-                               const std::int8_t* b_packed, std::int32_t* c,
-                               index_t ldc, std::int64_t* cr_ref,
-                               std::int64_t* cc_ref) {
-  const index_t a_tile = i8_tile_bytes(kc, ks.mr);
-  const index_t b_tile = i8_tile_bytes(kc, ks.nr);
-  for (index_t jt = 0; jt < nlen; jt += ks.nr) {
-    const index_t njj = nlen - jt < ks.nr ? nlen - jt : ks.nr;
-    const std::int8_t* bt = b_packed + (jt / ks.nr) * b_tile;
-    for (index_t it = 0; it < mlen; it += ks.mr) {
-      const index_t mii = mlen - it < ks.mr ? mlen - it : ks.mr;
-      const std::uint8_t* at = a_packed + (it / ks.mr) * a_tile;
-      std::int32_t* ct = c + it + jt * ldc;
-      if (mii == ks.mr && njj == ks.nr) {
-        if constexpr (FT) {
-          ks.ft(kc, at, bt, ct, ldc, cr_ref + jt, cc_ref + it);
-        } else {
-          ks.base(kc, at, bt, ct, ldc);
-        }
-      } else {
-        alignas(64) std::int32_t tile[kI8MaxMr * kI8MaxNr];
-        for (index_t x = 0; x < ks.mr * ks.nr; ++x) tile[x] = 0;
-        ks.base(kc, at, bt, tile, ks.mr);
-        for (index_t jj = 0; jj < njj; ++jj) {
-          std::int64_t colsum = 0;
-          for (index_t ii = 0; ii < mii; ++ii) {
-            ct[ii + jj * ldc] += tile[ii + jj * ks.mr];
-            if constexpr (FT) {
-              const std::int32_t v = ct[ii + jj * ldc];  // updated value
-              cc_ref[it + ii] += v;
-              colsum += v;
-            }
-          }
-          if constexpr (FT) cr_ref[jt + jj] += colsum;
-        }
-      }
-    }
-  }
-}
 
 }  // namespace ftgemm

@@ -181,6 +181,11 @@ struct PackSet {
 /// engine sees StorageT.
 template <typename StorageT, typename ComputeT = StorageT>
 struct KernelSet {
+  /// Packed depth granularity (panels are padded to a multiple of it) and
+  /// the macro kernel's edge-tile scratch bound.
+  static constexpr index_t kDepthQuad = 1;
+  static constexpr index_t kMaxTile = kMaxMr * kMaxNr;
+
   MicroKernelBase<ComputeT> base = nullptr;
   MicroKernelFt<ComputeT> ft = nullptr;
   index_t mr = 0;

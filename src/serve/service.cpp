@@ -758,7 +758,7 @@ void GemmService::execute_coalesced_typed(std::vector<detail::Pending>& group,
   }
   // Inter-batch by construction: every member's plan is fast-path (one
   // thread), so per-member execution inside the batched call is the same
-  // execute_small a synchronous call runs — the bit-identity contract.
+  // one-member execute a synchronous call runs — the bit-identity contract.
   BatchOptions bopts;
   bopts.base = head.opts;
   bopts.schedule = BatchSchedule::kInter;

@@ -10,7 +10,7 @@
 //   submit(GemmRequest) -> GemmFuture
 //
 //   - An *inline-execute fast lane*: when a request's resolved plan takes
-//     the small-GEMM fast path (execute_small — the regime where a queue
+//     the small-GEMM fast path (a one-thread plan — the regime where a queue
 //     round-trip costs more than the GEMM itself) and the service is idle
 //     enough (home-shard queue empty, in-flight groups below a threshold),
 //     submit() executes the request synchronously on the calling thread —
@@ -61,8 +61,9 @@
 // plans: the planner pins those to one thread regardless of the requested
 // topology, and the batched inter-scheduler runs each member through the
 // identical one-thread plan (same blocking, same kernels, same summation
-// order) — execute_small either way.  tests/test_service.cpp asserts this
-// differentially across shapes x backends x priorities x shard counts.
+// order) — the same one-member execute either way.  tests/test_service.cpp
+// asserts this differentially across shapes x backends x priorities x shard
+// counts.
 //
 // Ordering: priority lanes drain highest-first and FIFO within a lane *per
 // shard*; once more than one shard (or the inline lane) is in play,

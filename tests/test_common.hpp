@@ -137,8 +137,9 @@ inline Matrix<std::int8_t> random_i8_matrix(index_t rows, index_t cols,
   return m;
 }
 
-/// The int8 oracle: widened-int64 exact inner sum plus a mirror of
-/// dequantize_epilogue_i8's double arithmetic (core/driver_i8.hpp).  The
+/// The int8 oracle: widened-int64 exact inner sum plus a mirror of the
+/// dequantize epilogue's double arithmetic (ExactDomain::store in
+/// core/checksum_domain.hpp).  The
 /// int8 suites compare against it at tolerance ZERO, so the association
 /// order of the scale product must match the library's exactly: a
 /// row-major call is normalized to the transposed column-major problem

@@ -207,31 +207,129 @@ TEST(MultiError, OutOfGeometryScheduleEntriesAreCountedUndelivered) {
 // Bit-flip fault model.
 // ---------------------------------------------------------------------------
 
-class BitflipSweep : public ::testing::TestWithParam<int> {};
+/// Value of the struck element when the flip lands.
+enum class Struck {
+  kRandom,    ///< random operands: |C(i,j)| < 1, every flip stays finite
+  kOneToTwo,  ///< C(i,j) in (1, 2): bit 62 sets the all-ones exponent -> NaN
+  kOne,       ///< C(i,j) == 1.0 exactly: bit 62 gives +Inf
+};
 
-TEST_P(BitflipSweep, HighBitsCorrected) {
-  const int bit = GetParam();
-  const GemmCase cs{64, 64, 64};
-  DeterministicInjector inj(
-      {{InjectionKind::kFlipBit, 0, 17, 23, 0.0, bit}});
-  const InjectionRun run = run_with_injector(cs, inj);
-  ASSERT_EQ(run.injected, 1u);
-  const double applied = std::abs(inj.log()[0].delta);
-  if (applied > 1e-4) {
-    EXPECT_EQ(run.report.errors_corrected, 1) << "bit " << bit;
-    EXPECT_TRUE(run.report.clean());
+/// Forwards to `inner` during the first call only: a transient fault that
+/// a re-execution does not meet again.
+class FirstCallOnly final : public FaultInjector {
+ public:
+  explicit FirstCallOnly(FaultInjector& inner) : inner_(inner) {}
+  void begin_call(std::int64_t m, std::int64_t n, std::int64_t k,
+                  int panels) override {
+    if (calls_++ == 0) inner_.begin_call(m, n, k, panels);
   }
-  // Whether corrected (large flip, converged via the exact-recheck rounds)
-  // or below threshold (low mantissa bit, numerically harmless by the
-  // tolerance argument), the result must stay near the reference.
-  EXPECT_LE(run.rel_err, std::max(gemm_tolerance<double>(cs.k), 1e-9));
+  void plan_block(const BlockContext& ctx,
+                  std::vector<InjectionRecord>& out) override {
+    if (calls_ == 1) inner_.plan_block(ctx, out);
+  }
+
+ private:
+  FaultInjector& inner_;
+  int calls_ = 0;
+};
+
+bool all_finite(const Matrix<double>& c) {
+  for (index_t j = 0; j < c.cols(); ++j)
+    for (index_t i = 0; i < c.rows(); ++i)
+      if (!std::isfinite(c(i, j))) return false;
+  return true;
 }
 
-INSTANTIATE_TEST_SUITE_P(Bits, BitflipSweep,
-                         ::testing::Values(62, 60, 55, 52, 40, 30),
-                         [](const auto& info) {
-                           return "bit" + std::to_string(info.param);
-                         });
+class BitflipSweep
+    : public ::testing::TestWithParam<std::tuple<int, Struck, bool>> {};
+
+TEST_P(BitflipSweep, HighBitsCorrected) {
+  const auto [bit, struck, fast] = GetParam();
+  constexpr index_t kI = 17, kJ = 23;
+  GemmCase cs{64, 64, 64};
+  if (struck != Struck::kRandom) {
+    // beta = 1 over C in [1.25, 1.75] plus an alpha*A*B of magnitude at
+    // most 64/512 keeps every entry, the struck one included, in (1, 2).
+    cs.alpha = 1.0 / 512.0;
+    cs.beta = 1.0;
+  }
+  Problem<double> p(cs);
+  if (struck != Struck::kRandom) {
+    for (index_t j = 0; j < cs.n; ++j)
+      for (index_t i = 0; i < cs.m; ++i)
+        p.c(i, j) = 1.5 + 0.25 * p.c(i, j);
+  }
+  if (struck == Struck::kOne) {
+    // A zero row of A leaves row kI of C at beta*C exactly.
+    for (index_t kk = 0; kk < cs.k; ++kk) p.a(kI, kk) = 0.0;
+    p.c(kI, kJ) = 1.0;
+  }
+  const Matrix<double> ref = reference_result(cs, p);
+
+  DeterministicInjector inj({{InjectionKind::kFlipBit, 0, kI, kJ, 0.0, bit}});
+  Options opts;
+  opts.small_fast_path = fast;
+  opts.injector = &inj;
+  Matrix<double> c = p.c.clone();
+  const FtReport rep = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n,
+                                cs.k, cs.alpha, p.a.data(), p.a.ld(),
+                                p.b.data(), p.b.ld(), cs.beta, c.data(),
+                                c.ld(), opts);
+  ASSERT_EQ(inj.injected_count(), 1u);
+  // The one forbidden outcome: a clean report over a non-finite C.
+  if (!all_finite(c)) {
+    EXPECT_FALSE(rep.clean()) << "silent non-finite C";
+  }
+
+  if (struck == Struck::kRandom) {
+    if (std::abs(inj.log()[0].delta) > 1e-4) {
+      EXPECT_EQ(rep.errors_corrected, 1) << "bit " << bit;
+      EXPECT_TRUE(rep.clean());
+    }
+    // Whether corrected (large flip, converged via the exact-recheck
+    // rounds) or below threshold (low mantissa bit, numerically harmless by
+    // the tolerance argument), the result must stay near the reference.
+    EXPECT_LE(max_rel_diff(c, ref),
+              std::max(gemm_tolerance<double>(cs.k), 1e-9));
+    return;
+  }
+  // A non-finite element cannot be repaired by subtracting a delta: the
+  // panel must be flagged, and a re-execution restores the result.
+  EXPECT_FALSE(rep.clean());
+  EXPECT_GE(rep.errors_detected, 1);
+
+  FirstCallOnly once(inj);
+  opts.injector = &once;
+  Matrix<double> healed = p.c.clone();
+  const FtReport rel = ft_dgemm_reliable(
+      Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, p.a.data(),
+      p.a.ld(), p.b.data(), p.b.ld(), cs.beta, healed.data(), healed.ld(),
+      opts);
+  EXPECT_TRUE(rel.clean());
+  EXPECT_EQ(rel.retries, 1);
+  EXPECT_LE(max_rel_diff(healed, ref), gemm_tolerance<double>(cs.k));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bits, BitflipSweep,
+    ::testing::Combine(::testing::Values(62, 60, 55, 52, 40, 30),
+                       ::testing::Values(Struck::kRandom),
+                       ::testing::Values(true, false)),
+    [](const auto& info) {
+      return "bit" + std::to_string(std::get<0>(info.param)) +
+             (std::get<2>(info.param) ? "" : "_general");
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    NonFinite, BitflipSweep,
+    ::testing::Combine(::testing::Values(62),
+                       ::testing::Values(Struck::kOneToTwo, Struck::kOne),
+                       ::testing::Values(true, false)),
+    [](const auto& info) {
+      return std::string(std::get<1>(info.param) == Struck::kOne ? "inf"
+                                                                 : "nan") +
+             (std::get<2>(info.param) ? "_fast" : "_general");
+    });
 
 // ---------------------------------------------------------------------------
 // Stochastic injectors.

@@ -318,8 +318,10 @@ TEST(Int8Gemm, DegenerateCases) {
   expect_matrix_near(p.c, before, 0.0, "invalid call touched C");
 }
 
-/// Integer accumulation is order-independent: any thread count and either
-/// the fast or the general path must produce the very same bits.
+/// Integer accumulation is order-independent: any thread count must produce
+/// the very same bits.  This shape takes the general path at every thread
+/// count; fast-vs-general bit-identity is PlanEquivalenceTyped's job
+/// (tests/test_plan.cpp).
 TEST(Int8Gemm, ThreadCountsBitIdentical) {
   const std::uint64_t seed = test_seed(43);
   const index_t m = 150, n = 140, k = 700;

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/gemm_i8.hpp"
 #include "core/plan.hpp"
 #include "inject/injectors.hpp"
 #include "test_common.hpp"
@@ -263,85 +265,112 @@ TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
 // edge tiles, transposes, and non-trivial alpha/beta.
 // ---------------------------------------------------------------------------
 
+/// Every storage type the executor serves: uniform fp32/fp64, bf16 storage
+/// with fp32 compute (FloatDomain), and int8 (ExactDomain).
 template <typename T>
 class PlanEquivalenceTyped : public ::testing::Test {};
-using Precisions = ::testing::Types<float, double>;
+using Precisions = ::testing::Types<float, double, bf16_t, std::int8_t>;
 TYPED_TEST_SUITE(PlanEquivalenceTyped, Precisions);
 
-template <typename T>
+/// The plan's compute type and the caller's C type for storage type S.
+template <typename S>
+using PlanComputeT = std::conditional_t<
+    std::is_same_v<S, std::int8_t>, std::int32_t,
+    std::conditional_t<std::is_same_v<S, bf16_t>, float, S>>;
+template <typename S>
+using OutT = std::conditional_t<std::is_same_v<S, double>, double, float>;
+
+/// One (FT or Ori) call of storage type S through its public entry point.
+template <typename S>
+FtReport run_precision(bool ft, const GemmCase& cs, const Matrix<S>& a,
+                       const Matrix<S>& b, Matrix<OutT<S>>& c,
+                       const Options& opts) {
+  using C = OutT<S>;
+  const C alpha = C(cs.alpha), beta = C(cs.beta);
+  const auto args = [&](auto&& fn, auto&&... extra) {
+    return fn(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, alpha,
+              a.data(), a.ld(), b.data(), b.ld(), beta, c.data(), c.ld(),
+              extra..., opts);
+  };
+  if constexpr (std::is_same_v<S, double>) {
+    if (ft) return args(ft_dgemm);
+    args(dgemm);
+  } else if constexpr (std::is_same_v<S, float>) {
+    if (ft) return args(ft_sgemm);
+    args(sgemm);
+  } else if constexpr (std::is_same_v<S, bf16_t>) {
+    if (ft) return args(ft_gemm_bf16);
+    args(gemm_bf16);
+  } else {
+    const QuantParams qp{0.05f, 0.25f, 17, -9};
+    if (ft) return args(ft_gemm_i8, qp);
+    args(gemm_i8, qp);
+  }
+  return {};
+}
+
+template <typename S>
 void expect_bit_identical(const GemmCase& cs) {
-  Problem<T> p(cs, 101);
-  Matrix<T> c_fast = p.c.clone();
-  Matrix<T> c_general = p.c.clone();
+  using C = OutT<S>;
+  // Seeds 101/102/103 are Problem(cs, 101)'s, so the uniform types draw the
+  // operands the oracle check below rebuilds.
+  const auto operand = [](std::pair<index_t, index_t> dims,
+                          std::uint64_t seed) {
+    if constexpr (std::is_same_v<S, std::int8_t>) {
+      return testing::random_i8_matrix(dims.first, dims.second, seed);
+    } else {
+      Matrix<S> x(dims.first, dims.second);
+      x.fill_random(seed);
+      return x;
+    }
+  };
+  const Matrix<S> a = operand(testing::a_dims(cs), 101);
+  const Matrix<S> b = operand(testing::b_dims(cs), 102);
+  Matrix<C> c0(cs.m, cs.n);
+  c0.fill_random(103);
 
   Options fast_opts;     // default: planner may take the fast path
   Options general_opts;
   general_opts.small_fast_path = false;
 
   // Confirm the sweep actually exercises the branch under test.
-  ASSERT_TRUE(build_plan<T>(cs.ta, cs.tb, cs.m, cs.n, cs.k, fast_opts, true)
-                  .fast_path)
+  using P = PlanComputeT<S>;
+  ASSERT_TRUE((build_plan<S, P>(cs.ta, cs.tb, cs.m, cs.n, cs.k, fast_opts,
+                                true)
+                   .fast_path))
       << cs;
-  ASSERT_FALSE(
-      build_plan<T>(cs.ta, cs.tb, cs.m, cs.n, cs.k, general_opts, true)
-          .fast_path)
+  ASSERT_FALSE((build_plan<S, P>(cs.ta, cs.tb, cs.m, cs.n, cs.k,
+                                 general_opts, true)
+                    .fast_path))
       << cs;
 
-  FtReport rep_fast, rep_general;
-  if constexpr (sizeof(T) == 8) {
-    rep_fast = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
-                        cs.alpha, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
-                        cs.beta, c_fast.data(), c_fast.ld(), fast_opts);
-    rep_general = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
-                           cs.alpha, p.a.data(), p.a.ld(), p.b.data(),
-                           p.b.ld(), cs.beta, c_general.data(),
-                           c_general.ld(), general_opts);
-  } else {
-    rep_fast = ft_sgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
-                        T(cs.alpha), p.a.data(), p.a.ld(), p.b.data(),
-                        p.b.ld(), T(cs.beta), c_fast.data(), c_fast.ld(),
-                        fast_opts);
-    rep_general = ft_sgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
-                           T(cs.alpha), p.a.data(), p.a.ld(), p.b.data(),
-                           p.b.ld(), T(cs.beta), c_general.data(),
-                           c_general.ld(), general_opts);
+  for (const bool ft : {true, false}) {
+    Matrix<C> c_fast = c0.clone();
+    Matrix<C> c_general = c0.clone();
+    const FtReport rep_fast =
+        run_precision<S>(ft, cs, a, b, c_fast, fast_opts);
+    const FtReport rep_general =
+        run_precision<S>(ft, cs, a, b, c_general, general_opts);
+    EXPECT_TRUE(rep_fast.clean()) << cs;
+    EXPECT_TRUE(rep_general.clean()) << cs;
+    EXPECT_EQ(rep_fast.errors_detected, 0) << cs;
+    EXPECT_EQ(rep_general.errors_detected, 0) << cs;
+    EXPECT_EQ(rep_fast.panels, rep_general.panels) << cs;
+    ASSERT_EQ(0, std::memcmp(c_fast.data(), c_general.data(),
+                             sizeof(C) * std::size_t(c_fast.ld()) *
+                                 std::size_t(cs.n)))
+        << (ft ? "FT" : "Ori") << " fast path diverged from general path for "
+        << cs;
   }
-  EXPECT_TRUE(rep_fast.clean()) << cs;
-  EXPECT_TRUE(rep_general.clean()) << cs;
-  EXPECT_EQ(rep_fast.errors_detected, 0) << cs;
-  EXPECT_EQ(rep_general.errors_detected, 0) << cs;
-  ASSERT_EQ(0, std::memcmp(c_fast.data(), c_general.data(),
-                           sizeof(T) * std::size_t(c_fast.ld()) *
-                               std::size_t(cs.n)))
-      << "FT fast path diverged from general path for " << cs;
 
-  // Ori: same sweep, same bar.
-  Matrix<T> o_fast = p.c.clone();
-  Matrix<T> o_general = p.c.clone();
-  if constexpr (sizeof(T) == 8) {
-    dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
-          p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), cs.beta, o_fast.data(),
-          o_fast.ld(), fast_opts);
-    dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
-          p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), cs.beta,
-          o_general.data(), o_general.ld(), general_opts);
-  } else {
-    sgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, T(cs.alpha),
-          p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), T(cs.beta),
-          o_fast.data(), o_fast.ld(), fast_opts);
-    sgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, T(cs.alpha),
-          p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), T(cs.beta),
-          o_general.data(), o_general.ld(), general_opts);
+  // And the fast path agrees with the naive oracle (the uniform types; the
+  // precision suites hold bf16 and int8 to their own oracles).
+  if constexpr (std::is_same_v<S, C>) {
+    Matrix<C> c_fast = c0.clone();
+    run_precision<S>(true, cs, a, b, c_fast, fast_opts);
+    const Matrix<S> ref = reference_result(cs, Problem<S>(cs, 101));
+    EXPECT_LE(max_abs_diff(c_fast, ref), gemm_tolerance<S>(cs.k)) << cs;
   }
-  ASSERT_EQ(0, std::memcmp(o_fast.data(), o_general.data(),
-                           sizeof(T) * std::size_t(o_fast.ld()) *
-                               std::size_t(cs.n)))
-      << "Ori fast path diverged from general path for " << cs;
-
-  // And both agree with the naive oracle to rounding.
-  const Matrix<T> ref = reference_result(cs, p);
-  const double tol = gemm_tolerance<T>(cs.k);
-  EXPECT_LE(max_abs_diff(c_fast, ref), tol) << cs;
 }
 
 TYPED_TEST(PlanEquivalenceTyped, FastPathBitIdenticalToGeneralPath) {

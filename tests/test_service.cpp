@@ -616,7 +616,7 @@ TEST(ServiceInline, FastLaneIsBitIdenticalToQueuedExecution) {
   off.inline_fast_lane = false;
   GemmService s_queued(off);
 
-  const GemmCase cs{48, 40, 64};  // resolves to the execute_small fast path
+  const GemmCase cs{48, 40, 64};  // resolves to the fast path
   Options opts;
   opts.threads = 2;  // the planner pins fast-path plans to 1 regardless
   const int kRounds = 6;
