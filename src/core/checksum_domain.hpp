@@ -1,26 +1,34 @@
-// Checksum domains: the precision-specific half of the (FT-)GEMM executor.
+// Checksum domains: the precision-specific half of the (FT-)GEMM stack.
 //
-// core/driver.hpp holds one executor for every precision.  Everything it
-// does not share across precisions lives behind a domain, a class the
-// executor instantiates once per call:
+// core/driver.hpp holds one executor for every precision, core/plan.cpp one
+// planner, core/context.hpp one workspace and serve/service.cpp one service
+// route.  Everything they do not share across precisions lives behind a
+// domain, a class the executor instantiates once per call and whose static
+// facts the planner and the workspace read:
 //
 //   FloatDomain<S, C> (fp64, fp32, bf16/fp16 storage with fp32 compute)
 //     - C itself is the accumulator.  The encode pass scales C by beta and
 //       encodes Cc/Cr from it in the same sweep.
-//     - Checksums are ComputeT and compared against a ToleranceModel bound
-//       derived from amax(A), amax(B) and amax(C).  Each member records its
-//       amax partials and member 0 refreshes the bound once per panel.
+//     - Packed panels, checksums and operand sums are all ComputeT (narrow
+//       storage is widened on pack).
+//     - Checksums are compared against a ToleranceModel bound derived from
+//       amax(A), amax(B) and amax(C).  Each member records its amax partials
+//       and member 0 refreshes the bound once per panel.
 //     - Ar is reduced from per-member partials, in member order.
 //     - Cr reference partials are lane-strided (cr_lanes slots per column).
 //
-//   ExactDomain (int8 storage, int32 accumulation; see kernels/int8_types.hpp)
+//   ExactDomain<int8_t, int32_t> (int8 storage, int32 accumulation; see
+//   kernels/int8_types.hpp)
 //     - C is never an accumulator.  The biased product accumulates in the
 //       private int32 buffer ctx.cq, and the caller's float C is written once
 //       by the dequantize epilogue (the store step) after the last panel.
 //       Predicted and reference checksums cover cq alone, starting from zero.
+//     - Packed panels stay 8-bit (biased u8 A~, s8 B~): the planner sizes
+//       the blocking for one-byte elements.
 //     - Checksums are int64 and compared at zero: integer sums are exact and
 //       order-independent, so the locator runs with zero slack and there is
-//       no ToleranceModel and no amax (docs/DESIGN.md §11).
+//       no ToleranceModel and no amax (docs/DESIGN.md §11); the planner's
+//       tolerance factor is exactly 0.
 //     - The Ar encode writes disjoint K-slices directly: no partials.
 //     - The epilogue's zero-point vectors arow/bcol are accumulated by the
 //       packers (arow on the first pass over each (row, panel) region).
@@ -31,11 +39,16 @@
 // entry points stay generic: the row-major swap of per-call quantization
 // parameters, the accepted depth, and the alpha a resident payload is keyed
 // under.
+//
+// The bottom of this file lists the supported precisions once, as
+// (Precision, StorageT, ComputeT) entries; the serving layer and the
+// process-wide cache reset visit that list instead of naming precisions.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -43,13 +56,30 @@
 #include "abft/checksum.hpp"
 #include "abft/tolerance.hpp"
 #include "abft/verifier.hpp"
-#include "core/context.hpp"
 #include "core/operand_cache.hpp"
 #include "core/options.hpp"
 #include "core/plan.hpp"
 #include "kernels/int8_types.hpp"
 #include "kernels/microkernel.hpp"
 #include "runtime/team.hpp"
+
+namespace ftgemm {
+
+/// Element type of a type-erased serving request (serve/service.hpp), one
+/// value per supported precision (detail::Precisions below).  kBf16/kF16
+/// are the narrow-storage mixed-precision paths: A/B are bf16_t/fp16_t, C
+/// and the scalars are fp32, and all arithmetic — accumulation and
+/// checksums — runs in fp32.  kI8 is the quantized integer path: A/B are s8,
+/// C and the scalars are fp32, arithmetic is exact int32/int64, and the
+/// request carries its QuantParams.
+enum class Precision { kF32, kF64, kBf16, kF16, kI8 };
+
+/// The workspace (core/context.hpp) takes its buffer element types from the
+/// domain, so the domains only hold it by reference.
+template <typename StorageT, typename ComputeT>
+class GemmContext;
+
+}  // namespace ftgemm
 
 namespace ftgemm::detail {
 
@@ -61,19 +91,38 @@ struct MemberRanges {
   index_t ks = 0, klen = 0;
 };
 
-/// Per-call quantization of the float domains: none.
-struct NoQuant {};
+/// Per-call quantization of the float domains: none.  A request's
+/// QuantParams converts to it and is dropped (the float paths ignore it).
+struct NoQuant {
+  NoQuant() = default;
+  explicit NoQuant(const QuantParams&) {}
+};
 
 template <typename S, typename C>
 class FloatDomain {
  public:
-  using Scalar = C;  ///< alpha, beta and the caller's C
+  using Scalar = C;   ///< alpha, beta and the caller's C
   using Quant = NoQuant;
-  using Ref = C;     ///< checksum element
+  using PackedA = C;  ///< packed A~ element (narrow storage widens on pack)
+  using PackedB = C;  ///< packed B~ element
+  using Ref = C;      ///< checksum element
+  using Sum = C;      ///< operand checksum (Ar, Bc) element
+  /// C itself accumulates: no private accumulator, no zero-point vectors.
+  static constexpr bool kPrivateAcc = false;
+  /// Ar is reduced from per-member partials.
+  static constexpr bool kArPartials = true;
 
   static Quant normalize_quant(Layout, const Quant& q) { return q; }
   static bool depth_ok(index_t) { return true; }
   static C resident_alpha(C alpha) { return alpha; }
+  /// Verification safety factor: the caller's, else the ComputeT default
+  /// (the checksum arithmetic the tolerance model bounds runs in ComputeT,
+  /// so bf16/fp16 storage shares the fp32 derivation, DESIGN.md §10).
+  static double tolerance_factor(const PlanKey& key) {
+    if (!key.ft) return 0.0;
+    return key.tolerance_factor > 0.0 ? key.tolerance_factor
+                                      : default_tolerance_factor_for<C>();
+  }
 
   FloatDomain(const GemmPlan<S, C>& plan, GemmContext<S, C>& ctx, C alpha,
               C beta, C* c, index_t ldc, const ResidentAPayload<S, C>* ra,
@@ -256,13 +305,22 @@ class FloatDomain {
   ToleranceModel<C> tol_{};
 };
 
+/// Templated like FloatDomain only so it names the workspace lazily; the
+/// one instantiation is <int8_t, int32_t> (DomainOf below).
+template <typename S, typename C>
 class ExactDomain {
  public:
-  using S = std::int8_t;
-  using C = std::int32_t;
   using Scalar = float;  ///< alpha, beta and the caller's C
   using Quant = QuantParams;
-  using Ref = std::int64_t;
+  using PackedA = std::uint8_t;  ///< biased u8 A~ (the VNNI operand order)
+  using PackedB = std::int8_t;   ///< s8 B~
+  using Ref = std::int64_t;      ///< predicted/reference checksums
+  using Sum = std::int32_t;      ///< Ar, Bc and the zero-point vectors
+  /// The biased product accumulates in the private int32 buffer cq; the
+  /// epilogue's zero-point vectors arow/bcol ride along.
+  static constexpr bool kPrivateAcc = true;
+  /// The Ar encode writes disjoint K-slices: no partials.
+  static constexpr bool kArPartials = false;
 
   /// Row-major calls are served by the column-major core with the operands
   /// swapped (normalize_layout), so the quantization parameters must travel
@@ -280,6 +338,8 @@ class ExactDomain {
   /// Resident payloads hold raw biased bytes and exact byte sums, never a
   /// scaled encoding: one payload serves every (alpha, QuantParams).
   static C resident_alpha(Scalar) { return C(1); }
+  /// Integer checksums are exact: any nonzero residual is a fault.
+  static double tolerance_factor(const PlanKey&) { return 0.0; }
 
   ExactDomain(const GemmPlan<S, C>& plan, GemmContext<S, C>& ctx,
               Scalar alpha, Scalar beta, Scalar* c, index_t ldc,
@@ -353,21 +413,20 @@ class ExactDomain {
   /// only the first pass (jc == 0) accumulates it: A~ is repacked with
   /// identical bytes for every later jc block.
   template <bool FT>
-  const std::uint8_t* pack_a(const OperandView<S>& av, index_t i0,
-                             index_t k0, index_t ilen, index_t klen,
-                             bool first_pass, int tid) {
+  const PackedA* pack_a(const OperandView<S>& av, index_t i0, index_t k0,
+                        index_t ilen, index_t klen, bool first_pass, int tid) {
     const index_t mr = plan_.blocking.mr;
     if (ra_ != nullptr) {
-      const std::uint8_t* slab =
-          reinterpret_cast<const std::uint8_t*>(ra_->panel_at(k0)) +
+      const PackedA* slab =
+          reinterpret_cast<const PackedA*>(ra_->panel_at(k0)) +
           (i0 / mr) * i8_tile_bytes(klen, mr);
       if constexpr (FT) {
         ks_.pack.encode_cc(slab, ilen, klen, mr, ctx_.bc(), ctx_.cc() + i0);
       }
       return slab;
     }
-    std::uint8_t* dst = ctx_.atilde(tid);
-    std::int32_t* arow = first_pass ? ctx_.arow() : nullptr;
+    PackedA* dst = ctx_.atilde(tid);
+    Sum* arow = first_pass ? ctx_.arow() : nullptr;
     if constexpr (FT) {
       ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, dst, arow, ctx_.bc(),
                          ctx_.cc());
@@ -425,9 +484,9 @@ class ExactDomain {
       }
       return;
     }
-    const std::int32_t* cq = ctx_.cq();
-    const std::int32_t* arow = ctx_.arow();
-    const std::int32_t* bcol = ctx_.bcol();
+    const C* cq = ctx_.cq();
+    const Sum* arow = ctx_.arow();
+    const Sum* bcol = ctx_.bcol();
     const double sab =
         double(alpha_) * double(q_.scale_a) * double(q_.scale_b);
     const std::int64_t za128 = 128 + std::int64_t(q_.zero_a);
@@ -462,7 +521,7 @@ struct DomainOf {
 };
 template <>
 struct DomainOf<std::int8_t, std::int32_t> {
-  using type = ExactDomain;
+  using type = ExactDomain<std::int8_t, std::int32_t>;
 };
 
 /// The checksum domain of the (StorageT, ComputeT) path, and the scalar /
@@ -473,5 +532,48 @@ template <typename S, typename C = S>
 using ScalarOf = typename Domain<S, C>::Scalar;
 template <typename S, typename C = S>
 using QuantOf = typename Domain<S, C>::Quant;
+
+/// One supported precision: its serving tag and its (StorageT, ComputeT).
+template <Precision P, typename S, typename C = S>
+struct PrecisionEntry {
+  static constexpr Precision kPrecision = P;
+  using Storage = S;
+  using Compute = C;
+};
+
+/// Every supported precision, listed once.
+using Precisions =
+    std::tuple<PrecisionEntry<Precision::kF32, float>,
+               PrecisionEntry<Precision::kF64, double>,
+               PrecisionEntry<Precision::kBf16, bf16_t, float>,
+               PrecisionEntry<Precision::kF16, fp16_t, float>,
+               PrecisionEntry<Precision::kI8, std::int8_t, std::int32_t>>;
+
+/// Call f(E{}) for every entry E of the list.
+template <typename F>
+void for_each_precision(F&& f) {
+  std::apply([&](auto... e) { (f(e), ...); }, Precisions{});
+}
+
+/// Call f(E{}) for the entry tagged `p`.
+template <typename F>
+void visit_precision(Precision p, F&& f) {
+  for_each_precision([&](auto e) {
+    if (decltype(e)::kPrecision == p) f(e);
+  });
+}
+
+/// The entry whose storage type is S as member `type`; no member for an
+/// unsupported S, so signatures built on EntryOf drop out of overload
+/// resolution instead of guessing a precision.
+template <typename S, typename List = Precisions>
+struct EntryOfStorage {};
+template <typename S, typename E, typename... Rest>
+struct EntryOfStorage<S, std::tuple<E, Rest...>>
+    : std::conditional_t<std::is_same_v<S, typename E::Storage>,
+                         std::enable_if<true, E>,
+                         EntryOfStorage<S, std::tuple<Rest...>>> {};
+template <typename S>
+using EntryOf = typename EntryOfStorage<S>::type;
 
 }  // namespace ftgemm::detail

@@ -9,77 +9,146 @@
 //   - ccref/crref: reference checksums accumulated from computed C values,
 //   - ar, bc:  operand checksums, with per-thread partials for the
 //     reductions the parallel algorithm requires.
+//
+// One workspace serves every precision: the checksum domain
+// (core/checksum_domain.hpp) names each buffer's element type and which
+// buffers exist at all.  Only a domain with a private accumulator (int8)
+// sizes cq and the zero-point vectors arow/bcol, and only a domain that
+// reduces Ar from partials (the float paths) sizes ar_part; the others stay
+// empty and never allocate.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "blocking/plan.hpp"
+#include "core/checksum_domain.hpp"
 #include "core/operand_cache.hpp"
 #include "core/plan.hpp"
+#include "kernels/macro_kernel.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/matrix.hpp"
 
 namespace ftgemm {
 
+/// Element counts of every workspace buffer of one problem, before
+/// cache-line padding.  Per-member buffers (atilde, crref_part, ar_part)
+/// count one member; cc and cr each come with an equally sized reference
+/// (ccref, crref).  A buffer the domain does not use counts zero.  The one
+/// sizing behind GemmContext::ensure and GemmPlan::workspace_bytes.
+template <typename S, typename C = S>
+struct WorkspaceSizes {
+  using D = detail::Domain<S, C>;
+  std::size_t atilde = 0, btilde = 0;
+  std::size_t cq = 0, arow = 0, bcol = 0;
+  std::size_t cc = 0, cr = 0, crref_part = 0, ar = 0, ar_part = 0, bc = 0;
+
+  WorkspaceSizes(index_t m, index_t n, index_t k, const BlockingPlan& bp,
+                 bool ft, index_t cr_lanes) {
+    const auto su = [](index_t v) {
+      return std::size_t(std::max<index_t>(v, 0));
+    };
+    using KS = KernelSet<S, C>;
+    atilde = su(packed_tile_elems<KS>(bp.kc, bp.mc));
+    btilde = su(packed_tile_elems<KS>(bp.kc, bp.nc));
+    if (D::kPrivateAcc) {
+      cq = su(m * n);
+      arow = su(m);
+      bcol = su(n);
+    }
+    if (!ft) return;
+    cc = su(m);
+    cr = su(n);
+    crref_part = su(n * cr_lanes);
+    ar = su(k);
+    if (D::kArPartials) ar_part = su(k);
+    bc = su(bp.kc);
+  }
+  explicit WorkspaceSizes(const GemmPlan<S, C>& plan)
+      : WorkspaceSizes(plan.key.m, plan.key.n,
+                       std::max<index_t>(plan.key.k, 1), plan.blocking,
+                       plan.key.ft, plan.kernels.cr_lanes) {}
+
+  /// Unpadded footprint on `threads` members.
+  [[nodiscard]] std::size_t bytes(int threads) const {
+    const std::size_t nt = std::size_t(threads);
+    return atilde * nt * sizeof(typename D::PackedA) +
+           btilde * sizeof(typename D::PackedB) + cq * sizeof(C) +
+           (arow + bcol) * sizeof(typename D::Sum) +
+           (2 * cc + 2 * cr + crref_part * nt) * sizeof(typename D::Ref) +
+           (ar + ar_part * nt + bc) * sizeof(typename D::Sum);
+  }
+};
+
 template <typename StorageT, typename ComputeT = StorageT>
 class GemmContext {
+  using D = detail::Domain<StorageT, ComputeT>;
+
  public:
-  using T = ComputeT;  ///< every workspace buffer is compute-precision
+  using PackedA = typename D::PackedA;
+  using PackedB = typename D::PackedB;
+  using Ref = typename D::Ref;
+  using Sum = typename D::Sum;
 
   /// Size all buffers for an (m, n, k) problem on `threads` threads.
   /// Grow-only: repeated calls with smaller problems reuse storage.
   void ensure(index_t m, index_t n, index_t k, const BlockingPlan& plan,
               int threads, bool ft, index_t cr_lanes = 1) {
-    const auto su = [](index_t v) { return static_cast<std::size_t>(v); };
-    atilde_stride_ = pad(plan.mc * plan.kc);
-    atilde_.ensure(su(atilde_stride_) * su(threads));
-    btilde_.ensure(su(plan.kc * plan.nc));
-    if (!ft) return;
-    cc_.ensure(su(m));
-    ccref_.ensure(su(m));
-    cr_.ensure(su(n));
-    crref_.ensure(su(n));
+    const WorkspaceSizes<StorageT, ComputeT> sz(m, n, k, plan, ft, cr_lanes);
+    const std::size_t nt = std::size_t(threads);
+    atilde_stride_ = pad<PackedA>(sz.atilde);
+    atilde_.ensure(atilde_stride_ * nt);
+    btilde_.ensure(sz.btilde);
+    cq_.ensure(sz.cq);
+    arow_.ensure(sz.arow);
+    bcol_.ensure(sz.bcol);
+    cc_.ensure(sz.cc);
+    ccref_.ensure(sz.cc);
+    cr_.ensure(sz.cr);
+    crref_.ensure(sz.cr);
     // Lane-strided reference partials (cr_lanes slots per column); the
-    // buffer doubles as the stride-1 per-thread Cr partial during the
-    // encode pass (the two uses never overlap in time).
-    crref_stride_ = pad(n * cr_lanes);
-    crref_part_.ensure(su(crref_stride_) * su(threads));
-    ar_.ensure(su(k));
-    ar_stride_ = pad(k);
-    ar_part_.ensure(su(ar_stride_) * su(threads));
-    bc_.ensure(su(plan.kc));
+    // float domains also use the buffer as the stride-1 per-member Cr
+    // partial of the encode pass (the two uses never overlap in time).
+    crref_stride_ = pad<Ref>(sz.crref_part);
+    crref_part_.ensure(crref_stride_ * nt);
+    ar_.ensure(sz.ar);
+    ar_stride_ = pad<Sum>(sz.ar_part);
+    ar_part_.ensure(ar_stride_ * nt);
+    bc_.ensure(sz.bc);
   }
-
-  [[nodiscard]] T* atilde(int tid) {
-    return atilde_.data() + static_cast<std::size_t>(atilde_stride_) *
-                                static_cast<std::size_t>(tid);
-  }
-  [[nodiscard]] T* btilde() { return btilde_.data(); }
-
-  [[nodiscard]] T* cc() { return cc_.data(); }
-  [[nodiscard]] T* cr() { return cr_.data(); }
-  [[nodiscard]] T* ccref() { return ccref_.data(); }
-  [[nodiscard]] T* crref() { return crref_.data(); }
-  [[nodiscard]] T* crref_part(int tid) {
-    return crref_part_.data() + static_cast<std::size_t>(crref_stride_) *
-                                    static_cast<std::size_t>(tid);
-  }
-  [[nodiscard]] T* ar() { return ar_.data(); }
-  [[nodiscard]] T* ar_part(int tid) {
-    return ar_part_.data() + static_cast<std::size_t>(ar_stride_) *
-                                 static_cast<std::size_t>(tid);
-  }
-  [[nodiscard]] T* bc() { return bc_.data(); }
 
   /// Size all buffers for the problem a GemmPlan was built for.
   void ensure(const GemmPlan<StorageT, ComputeT>& plan) {
     ensure(plan.key.m, plan.key.n, std::max<index_t>(plan.key.k, 1),
            plan.blocking, plan.threads, plan.key.ft, plan.kernels.cr_lanes);
   }
+
+  [[nodiscard]] PackedA* atilde(int tid) {
+    return atilde_.data() + atilde_stride_ * std::size_t(tid);
+  }
+  [[nodiscard]] PackedB* btilde() { return btilde_.data(); }
+  /// Private accumulator and zero-point vectors (kPrivateAcc domains).
+  [[nodiscard]] ComputeT* cq() { return cq_.data(); }
+  [[nodiscard]] Sum* arow() { return arow_.data(); }
+  [[nodiscard]] Sum* bcol() { return bcol_.data(); }
+
+  [[nodiscard]] Ref* cc() { return cc_.data(); }
+  [[nodiscard]] Ref* cr() { return cr_.data(); }
+  [[nodiscard]] Ref* ccref() { return ccref_.data(); }
+  [[nodiscard]] Ref* crref() { return crref_.data(); }
+  [[nodiscard]] Ref* crref_part(int tid) {
+    return crref_part_.data() + crref_stride_ * std::size_t(tid);
+  }
+  [[nodiscard]] Sum* ar() { return ar_.data(); }
+  /// Per-member Ar partials (kArPartials domains).
+  [[nodiscard]] Sum* ar_part(int tid) {
+    return ar_part_.data() + ar_stride_ * std::size_t(tid);
+  }
+  [[nodiscard]] Sum* bc() { return bc_.data(); }
 
   /// Plans this workspace's owner has built, so repeated calls of one shape
   /// skip re-planning entirely (LRU, see core/plan.hpp).
@@ -88,95 +157,22 @@ class GemmContext {
  private:
   /// Pad a per-thread stride to a cache-line multiple to avoid false
   /// sharing between adjacent threads' partials.
-  static index_t pad(index_t elems) {
-    const index_t per_line = index_t(kCacheLineBytes / sizeof(T));
-    return (elems + per_line - 1) / per_line * per_line;
-  }
-
-  AlignedBuffer<T> atilde_;
-  AlignedBuffer<T> btilde_;
-  AlignedBuffer<T> cc_, cr_, ccref_, crref_;
-  AlignedBuffer<T> crref_part_, ar_, ar_part_, bc_;
-  index_t atilde_stride_ = 0;
-  index_t crref_stride_ = 0;
-  index_t ar_stride_ = 0;
-  PlanCache<StorageT, ComputeT> plans_;
-};
-
-/// Workspace of the int8 path (full specialization): the packed panels stay
-/// 8-bit (A~ biased u8, B~ s8 — the bandwidth win of the path), the product
-/// accumulates in a separate int32 buffer `cq` (the caller's float C is only
-/// touched by the dequantize epilogue), the epilogue's zero-point correction
-/// vectors (arow/bcol) are int32, and the checksums split by exactness
-/// budget: predicted/reference Cc/Cr in int64, operand checksums Ar/Bc in
-/// int32 (bounds in kernels/int8_types.hpp).  No ar partials exist — the
-/// driver partitions the Ar encode over K, so threads write disjoint slices
-/// and integer exactness makes the result order-independent.
-template <>
-class GemmContext<std::int8_t, std::int32_t> {
- public:
-  void ensure(index_t m, index_t n, index_t k, const BlockingPlan& plan,
-              int threads, bool ft) {
-    const auto su = [](index_t v) { return static_cast<std::size_t>(v); };
-    atilde_stride_ = pad<std::uint8_t>(i8_tile_bytes(plan.kc, plan.mc));
-    atilde_.ensure(su(atilde_stride_) * su(threads));
-    btilde_.ensure(su(i8_tile_bytes(plan.kc, plan.nc)));
-    cq_.ensure(su(m) * su(n));
-    arow_.ensure(su(m));
-    bcol_.ensure(su(n));
-    if (!ft) return;
-    cc_.ensure(su(m));
-    ccref_.ensure(su(m));
-    cr_.ensure(su(n));
-    crref_.ensure(su(n));
-    crref_stride_ = pad<std::int64_t>(n);
-    crref_part_.ensure(su(crref_stride_) * su(threads));
-    ar_.ensure(su(k));
-    bc_.ensure(su(plan.kc));
-  }
-
-  void ensure(const GemmPlan<std::int8_t, std::int32_t>& plan) {
-    ensure(plan.key.m, plan.key.n, std::max<index_t>(plan.key.k, 1),
-           plan.blocking, plan.threads, plan.key.ft);
-  }
-
-  [[nodiscard]] std::uint8_t* atilde(int tid) {
-    return atilde_.data() + static_cast<std::size_t>(atilde_stride_) *
-                                static_cast<std::size_t>(tid);
-  }
-  [[nodiscard]] std::int8_t* btilde() { return btilde_.data(); }
-  [[nodiscard]] std::int32_t* cq() { return cq_.data(); }
-  [[nodiscard]] std::int32_t* arow() { return arow_.data(); }
-  [[nodiscard]] std::int32_t* bcol() { return bcol_.data(); }
-  [[nodiscard]] std::int64_t* cc() { return cc_.data(); }
-  [[nodiscard]] std::int64_t* cr() { return cr_.data(); }
-  [[nodiscard]] std::int64_t* ccref() { return ccref_.data(); }
-  [[nodiscard]] std::int64_t* crref() { return crref_.data(); }
-  [[nodiscard]] std::int64_t* crref_part(int tid) {
-    return crref_part_.data() + static_cast<std::size_t>(crref_stride_) *
-                                    static_cast<std::size_t>(tid);
-  }
-  [[nodiscard]] std::int32_t* ar() { return ar_.data(); }
-  [[nodiscard]] std::int32_t* bc() { return bc_.data(); }
-
-  [[nodiscard]] PlanCache<std::int8_t, std::int32_t>& plans() {
-    return plans_;
-  }
-
- private:
   template <typename U>
-  static index_t pad(index_t elems) {
-    const index_t per_line = index_t(kCacheLineBytes / sizeof(U));
+  static std::size_t pad(std::size_t elems) {
+    const std::size_t per_line = kCacheLineBytes / sizeof(U);
     return (elems + per_line - 1) / per_line * per_line;
   }
 
-  AlignedBuffer<std::uint8_t> atilde_;
-  AlignedBuffer<std::int8_t> btilde_;
-  AlignedBuffer<std::int32_t> cq_, arow_, bcol_, ar_, bc_;
-  AlignedBuffer<std::int64_t> cc_, cr_, ccref_, crref_, crref_part_;
-  index_t atilde_stride_ = 0;
-  index_t crref_stride_ = 0;
-  PlanCache<std::int8_t, std::int32_t> plans_;
+  AlignedBuffer<PackedA> atilde_;
+  AlignedBuffer<PackedB> btilde_;
+  AlignedBuffer<ComputeT> cq_;
+  AlignedBuffer<Sum> arow_, bcol_;
+  AlignedBuffer<Ref> cc_, cr_, ccref_, crref_, crref_part_;
+  AlignedBuffer<Sum> ar_, ar_part_, bc_;
+  std::size_t atilde_stride_ = 0;
+  std::size_t crref_stride_ = 0;
+  std::size_t ar_stride_ = 0;
+  PlanCache<StorageT, ComputeT> plans_;
 };
 
 /// Thread-safe pool of GemmContexts plus a shared plan cache: the substrate

@@ -137,10 +137,6 @@ FtReport ft_gemm_f16_reliable(Layout layout, Trans ta, Trans tb, index_t m,
 /// instead).
 void clear_process_caches();
 
-/// Deprecated historical name for clear_process_caches() (from when the
-/// plan cache was thread-local and the only process cache).  Same effect.
-[[deprecated("use clear_process_caches()")]] void clear_thread_plan_cache();
-
 // ---------------------------------------------------------------------------
 // Engine with workspace reuse.
 // ---------------------------------------------------------------------------
@@ -149,23 +145,31 @@ void clear_process_caches();
 /// plan cache, so repeated calls of similar size perform no allocation and
 /// no re-planning.  (StorageT, ComputeT) generalized like the rest of the
 /// stack: GemmEngine<float> is plain fp32, GemmEngine<bf16_t, float> is
-/// bf16 storage with fp32 accumulation.
+/// bf16 storage with fp32 accumulation, and GemmEngine<int8_t, int32_t>
+/// (GemmEngineI8, core/gemm_i8.hpp) is the quantized path.  Scalars and C
+/// take the checksum domain's Scalar type (ComputeT on the float paths,
+/// fp32 on the int8 path, whose C is fed by the dequantize epilogue), and
+/// the trailing per-call quantization is empty on the float paths and the
+/// call's QuantParams on the int8 path.
 template <typename StorageT, typename ComputeT = StorageT>
 class GemmEngine {
  public:
+  using Scalar = detail::ScalarOf<StorageT, ComputeT>;
+  using Quant = detail::QuantOf<StorageT, ComputeT>;
+
   explicit GemmEngine(Options opts = {}) : opts_(opts) {}
 
   /// Plain high-performance GEMM ("Ori").
   void gemm(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
-            index_t k, ComputeT alpha, const StorageT* a, index_t lda,
-            const StorageT* b, index_t ldb, ComputeT beta, ComputeT* c,
-            index_t ldc);
+            index_t k, Scalar alpha, const StorageT* a, index_t lda,
+            const StorageT* b, index_t ldb, Scalar beta, Scalar* c,
+            index_t ldc, const Quant& qp = {});
 
   /// Fault-tolerant GEMM.
   FtReport ft_gemm(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
-                   index_t k, ComputeT alpha, const StorageT* a, index_t lda,
-                   const StorageT* b, index_t ldb, ComputeT beta, ComputeT* c,
-                   index_t ldc);
+                   index_t k, Scalar alpha, const StorageT* a, index_t lda,
+                   const StorageT* b, index_t ldb, Scalar beta, Scalar* c,
+                   index_t ldc, const Quant& qp = {});
 
   [[nodiscard]] Options& options() { return opts_; }
   [[nodiscard]] const Options& options() const { return opts_; }
@@ -179,5 +183,6 @@ extern template class GemmEngine<double>;
 extern template class GemmEngine<float>;
 extern template class GemmEngine<bf16_t, float>;
 extern template class GemmEngine<fp16_t, float>;
+extern template class GemmEngine<std::int8_t, std::int32_t>;
 
 }  // namespace ftgemm

@@ -101,35 +101,9 @@ ResidentOperand make_resident_a_i8(Trans ta, Trans tb, index_t m, index_t n,
                                    index_t lda, const Options& opts = {},
                                    bool ft = true);
 
-/// Engine of the int8 path (full specialization: the generic engine's
-/// ComputeT alpha/beta/C signature would demand int32 scales and an int32
-/// C, but the quantized contract is fp32 scales and an fp32 C fed by the
-/// dequantize epilogue — and every call carries its QuantParams).
-template <>
-class GemmEngine<std::int8_t, std::int32_t> {
- public:
-  explicit GemmEngine(Options opts = {}) : opts_(opts) {}
-
-  /// Plain high-performance int8 GEMM ("Ori").
-  void gemm(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
-            index_t k, float alpha, const std::int8_t* a, index_t lda,
-            const std::int8_t* b, index_t ldb, float beta, float* c,
-            index_t ldc, const QuantParams& qp = {});
-
-  /// Fault-tolerant int8 GEMM (exact integer ABFT).
-  FtReport ft_gemm(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
-                   index_t k, float alpha, const std::int8_t* a, index_t lda,
-                   const std::int8_t* b, index_t ldb, float beta, float* c,
-                   index_t ldc, const QuantParams& qp = {});
-
-  [[nodiscard]] Options& options() { return opts_; }
-  [[nodiscard]] const Options& options() const { return opts_; }
-
- private:
-  Options opts_;
-  GemmContext<std::int8_t, std::int32_t> ctx_;
-};
-
+/// Engine of the int8 path: the one GemmEngine template (core/gemm.hpp)
+/// at <int8_t, int32_t> — fp32 scales and C, and every call takes its
+/// QuantParams as the trailing argument.
 using GemmEngineI8 = GemmEngine<std::int8_t, std::int32_t>;
 
 }  // namespace ftgemm

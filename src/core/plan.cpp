@@ -2,7 +2,8 @@
 
 #include <algorithm>
 
-#include "abft/tolerance.hpp"
+#include "core/checksum_domain.hpp"
+#include "core/context.hpp"
 #include "runtime/topology.hpp"
 #include "util/env.hpp"
 
@@ -27,24 +28,32 @@ PlanKey make_plan_key(Trans ta, Trans tb, index_t m, index_t n, index_t k,
 
 template <typename S, typename C>
 GemmPlan<S, C> build_plan(const PlanKey& key) {
+  using D = detail::Domain<S, C>;
   GemmPlan<S, C> plan;
   plan.key = key;
   plan.isa = key.isa_override >= 0 ? Isa(key.isa_override) : select_isa();
   plan.kernels = get_kernel_set<S, C>(plan.isa);
-  // Blocking and tolerance both key on ComputeT: the cache-resident panels
-  // are ComputeT-wide (narrow storage is widened on pack), and the checksum
-  // arithmetic whose rounding the tolerance model bounds runs entirely in
-  // ComputeT — a bf16-storage plan therefore shares the fp32 blocking and
-  // the fp32 tolerance derivation exactly (DESIGN.md §10).
-  plan.blocking =
-      make_plan(plan.isa, int(sizeof(C)), key.m, key.n, key.k);
+  // Blocking is sized for the element the packed panels hold — ComputeT on
+  // the float paths (narrow storage is widened on pack, so a bf16 plan
+  // shares the fp32 blocking exactly, DESIGN.md §10), one byte on the int8
+  // path (its whole bandwidth argument) — then fitted to the kernel set's
+  // register tile and packed depth quad.  The float blocking model already
+  // uses the float kernels' tiles, so the fit only moves int8 plans.
+  plan.blocking = make_plan(plan.isa, int(sizeof(typename D::PackedB)),
+                            key.m, key.n, key.k);
+  const auto round_up = [](index_t v, index_t q) {
+    return ((std::max<index_t>(v, q) + q - 1) / q) * q;
+  };
+  plan.blocking.mr = plan.kernels.mr;
+  plan.blocking.nr = plan.kernels.nr;
+  plan.blocking.mc = round_up(plan.blocking.mc, plan.kernels.mr);
+  plan.blocking.nc = round_up(plan.blocking.nc, plan.kernels.nr);
+  plan.blocking.kc =
+      round_up(plan.blocking.kc, KernelSet<S, C>::kDepthQuad);
   plan.k_zero = key.k <= 0;
   plan.num_panels =
       plan.k_zero ? 0 : (key.k + plan.blocking.kc - 1) / plan.blocking.kc;
-  plan.tol_factor = !key.ft ? 0.0
-                    : key.tolerance_factor > 0.0
-                        ? key.tolerance_factor
-                        : default_tolerance_factor_for<C>();
+  plan.tol_factor = D::tolerance_factor(key);
 
   // Single-macro-tile fast path: the whole problem fits one packed-A block
   // and one packed-B panel, so the cooperative-packing machinery would be
@@ -60,23 +69,9 @@ GemmPlan<S, C> build_plan(const PlanKey& key) {
                                        kFastPathFlopCutoff);
   plan.threads = plan.fast_path ? 1 : key.threads;
   plan.runtime = RuntimeBackend(key.runtime);
-
-  // Workspace footprint (diagnostics; GemmContext::ensure is the allocation
-  // authority and pads per-thread strides on top of these).
-  const auto elems = [](index_t v) { return std::size_t(std::max<index_t>(v, 0)); };
-  std::size_t ws = elems(plan.blocking.mc * plan.blocking.kc) *
-                       std::size_t(plan.threads) +        // atilde per thread
-                   elems(plan.blocking.kc * plan.blocking.nc);  // shared btilde
-  if (key.ft) {
-    const index_t lanes = plan.kernels.cr_lanes;
-    const index_t kk = std::max<index_t>(key.k, 1);
-    ws += elems(2 * key.m);                                // cc, ccref
-    ws += elems(2 * key.n);                                // cr, crref
-    ws += elems(key.n * lanes) * std::size_t(plan.threads);  // crref partials
-    ws += elems(kk) + elems(kk) * std::size_t(plan.threads);  // ar + partials
-    ws += elems(plan.blocking.kc);                         // bc
-  }
-  plan.workspace_bytes = ws * sizeof(C);
+  // Unpadded footprint (diagnostics); GemmContext::ensure sizes its
+  // buffers from the same WorkspaceSizes and pads per-thread strides.
+  plan.workspace_bytes = WorkspaceSizes<S, C>(plan).bytes(plan.threads);
   plan.self_check = plan_self_check(plan);
   return plan;
 }
@@ -85,68 +80,7 @@ template GemmPlan<float> build_plan<float, float>(const PlanKey&);
 template GemmPlan<double> build_plan<double, double>(const PlanKey&);
 template GemmPlan<bf16_t, float> build_plan<bf16_t, float>(const PlanKey&);
 template GemmPlan<fp16_t, float> build_plan<fp16_t, float>(const PlanKey&);
-
-// int8 planning (declared in plan.hpp).  Differences from the generic body:
-//  * blocking is derived at elem_bytes = 1 — the packed panels stay 8-bit,
-//    which is the entire bandwidth argument of the int8 path — then
-//    re-shaped onto the int8 register tiles (MR/NR differ per ISA from the
-//    float layer's) and the packed depth quad;
-//  * tol_factor is exactly 0.0: integer checksums make verification an
-//    equality test, not a rounding-bound test (DESIGN.md §11);
-//  * workspace is accounted in bytes directly (mixed 1/4/8-byte buffers).
-template <>
-GemmPlan<std::int8_t, std::int32_t> build_plan<std::int8_t, std::int32_t>(
-    const PlanKey& key) {
-  GemmPlan<std::int8_t, std::int32_t> plan;
-  plan.key = key;
-  plan.isa = key.isa_override >= 0 ? Isa(key.isa_override) : select_isa();
-  plan.kernels = get_kernel_set<std::int8_t, std::int32_t>(plan.isa);
-  plan.blocking = make_plan(plan.isa, 1, key.m, key.n, key.k);
-  const auto round_up = [](index_t v, index_t q) {
-    return ((std::max<index_t>(v, q) + q - 1) / q) * q;
-  };
-  plan.blocking.mr = plan.kernels.mr;
-  plan.blocking.nr = plan.kernels.nr;
-  plan.blocking.mc = round_up(plan.blocking.mc, plan.kernels.mr);
-  plan.blocking.nc = round_up(plan.blocking.nc, plan.kernels.nr);
-  plan.blocking.kc = round_up(plan.blocking.kc, kI8KQuad);
-  plan.k_zero = key.k <= 0;
-  plan.num_panels =
-      plan.k_zero ? 0 : (key.k + plan.blocking.kc - 1) / plan.blocking.kc;
-  plan.tol_factor = 0.0;
-
-  const double flops =
-      2.0 * double(key.m) * double(key.n) * double(key.k);
-  plan.fast_path = key.fast_path_allowed && key.m > 0 && key.n > 0 &&
-                   key.k > 0 && key.m <= plan.blocking.mc &&
-                   key.n <= plan.blocking.nc && key.k <= plan.blocking.kc &&
-                   flops <= env_double("FTGEMM_FAST_PATH_FLOPS",
-                                       kFastPathFlopCutoff);
-  plan.threads = plan.fast_path ? 1 : key.threads;
-  plan.runtime = RuntimeBackend(key.runtime);
-
-  // Byte-accurate workspace accounting (diagnostics; the GemmContext
-  // specialization in core/context.hpp is the allocation authority).
-  const auto elems = [](index_t v) {
-    return std::size_t(std::max<index_t>(v, 0));
-  };
-  const std::size_t threads = std::size_t(plan.threads);
-  std::size_t ws =
-      elems(i8_tile_bytes(plan.blocking.kc, plan.blocking.mc)) * threads +
-      elems(i8_tile_bytes(plan.blocking.kc, plan.blocking.nc));
-  ws += elems(key.m * key.n) * sizeof(std::int32_t);  // biased accumulator
-  ws += elems(key.m) * sizeof(std::int32_t);          // arow
-  ws += elems(key.n) * sizeof(std::int32_t);          // bcol
-  if (key.ft) {
-    ws += elems(2 * key.m) * sizeof(std::int64_t);    // cc, ccref
-    ws += elems(2 * key.n) * sizeof(std::int64_t);    // cr, crref
-    ws += elems(key.n) * sizeof(std::int64_t) * threads;  // crref partials
-    ws += elems(std::max<index_t>(key.k, 1)) * sizeof(std::int32_t);  // ar
-    ws += elems(plan.blocking.kc) * sizeof(std::int32_t);             // bc
-  }
-  plan.workspace_bytes = ws;
-  plan.self_check = plan_self_check(plan);
-  return plan;
-}
+template GemmPlan<std::int8_t, std::int32_t>
+    build_plan<std::int8_t, std::int32_t>(const PlanKey&);
 
 }  // namespace ftgemm

@@ -121,10 +121,11 @@ struct PlanKeyHash {
 
 /// The immutable result of planning one (shape, opts) combination.  Executors
 /// (core/driver.hpp) read every decision from here and contain none of their
-/// own.  (StorageT, ComputeT) generalized like the kernel layer: blocking,
-/// tolerance, and workspace are all derived from ComputeT (the panels and
-/// checksums the kernels actually touch), StorageT only selects the pack
-/// engine.
+/// own.  (StorageT, ComputeT) generalized like the kernel layer: the packed
+/// element width behind the blocking, the tolerance rule and the workspace
+/// buffer types come from the pair's checksum domain
+/// (core/checksum_domain.hpp), the register tile and depth quad from its
+/// kernel set.
 template <typename StorageT, typename ComputeT = StorageT>
 struct GemmPlan {
   PlanKey key;               ///< fingerprint this plan was built from
@@ -198,9 +199,10 @@ PlanKey make_plan_key(Trans ta, Trans tb, index_t m, index_t n, index_t k,
 
 /// Build a plan from its key: resolve the ISA (select_isa unless overridden),
 /// fetch the kernel set, derive the shape-aware blocking, resolve the FT
-/// tolerance factor, size the workspace, and decide the fast path.
-/// Deterministic: equal keys (under an unchanged environment) produce equal
-/// plans.
+/// tolerance factor, size the workspace, and decide the fast path.  One
+/// body for every precision (plan.cpp); what differs is read from the
+/// checksum domain and the kernel set.  Deterministic: equal keys (under an
+/// unchanged environment) produce equal plans.
 template <typename S, typename C = S>
 GemmPlan<S, C> build_plan(const PlanKey& key);
 
@@ -315,14 +317,7 @@ extern template GemmPlan<bf16_t, float>
     build_plan<bf16_t, float>(const PlanKey&);
 extern template GemmPlan<fp16_t, float>
     build_plan<fp16_t, float>(const PlanKey&);
-
-/// int8 planning is a full specialization (defined in plan.cpp): packed
-/// panels stay 8-bit, register tiles come from the int8 kernel sets rather
-/// than the float blocking model, KC is rounded to the packed depth quad,
-/// and the tolerance factor is pinned to exactly zero — integer checksums
-/// are exact, so any nonzero residual is a fault (DESIGN.md §11).
-template <>
-GemmPlan<std::int8_t, std::int32_t> build_plan<std::int8_t, std::int32_t>(
-    const PlanKey& key);
+extern template GemmPlan<std::int8_t, std::int32_t>
+    build_plan<std::int8_t, std::int32_t>(const PlanKey&);
 
 }  // namespace ftgemm

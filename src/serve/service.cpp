@@ -28,13 +28,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <type_traits>
 #include <utility>
 
+#include "core/checksum_domain.hpp"
 #include "core/context.hpp"
-#include "core/driver.hpp"
-#include "core/gemm.hpp"
-#include "core/gemm_i8.hpp"
+#include "core/dispatch.hpp"
 #include "runtime/topology.hpp"
 #include "serve/shard.hpp"
 #include "serve/state.hpp"
@@ -109,13 +107,24 @@ void GemmFuture::then(std::function<void(const GemmResult&)> fn) {
 
 namespace {
 
+using ftgemm::detail::Domain;
+using ftgemm::detail::QuantOf;
+using ftgemm::detail::ScalarOf;
+using ftgemm::detail::visit_precision;
+
 /// Everything the entry points would reject plus the null-pointer
 /// dereferences only the service can see (it knows alpha up front).
 bool request_valid(const GemmRequest& r) {
   if (r.batch < 1) return false;
-  // int8 exactness depth bound — the entry points would reject it anyway;
-  // catching it at the door avoids planning an unusable shape.
-  if (r.precision == Precision::kI8 && r.k > kI8MaxDepth) return false;
+  // The domain's depth gate (the int8 exactness bound) — the entry points
+  // would reject it anyway; catching it at the door avoids planning an
+  // unusable shape.  A tag outside the precision list fails it too.
+  bool depth_ok = false;
+  visit_precision(r.precision, [&](auto e) {
+    using E = decltype(e);
+    depth_ok = Domain<typename E::Storage, typename E::Compute>::depth_ok(r.k);
+  });
+  if (!depth_ok) return false;
   Trans ta = r.ta, tb = r.tb;
   index_t m = r.m, n = r.n, lda = r.lda, ldb = r.ldb;
   const void* a = r.a;
@@ -130,7 +139,7 @@ bool request_valid(const GemmRequest& r) {
   return true;
 }
 
-template <typename S, typename C = S>
+template <typename S, typename C>
 bool plan_takes_fast_path(Trans ta, Trans tb, index_t m, index_t n, index_t k,
                           const Options& opts, bool ft, PlanKey& key) {
   key = make_plan_key(ta, tb, m, n, k, opts, ft);
@@ -153,139 +162,51 @@ bool resolve_fast_path(const GemmRequest& r, PlanKey& key) {
   const void* a = r.a;
   const void* b = r.b;
   ftgemm::detail::normalize_layout(r.layout, ta, tb, m, n, a, lda, b, ldb);
-  switch (r.precision) {
-    case Precision::kF64:
-      return plan_takes_fast_path<double>(ta, tb, m, n, r.k, r.opts, r.ft,
-                                          key);
-    case Precision::kBf16:
-      return plan_takes_fast_path<bf16_t, float>(ta, tb, m, n, r.k, r.opts,
-                                                 r.ft, key);
-    case Precision::kF16:
-      return plan_takes_fast_path<fp16_t, float>(ta, tb, m, n, r.k, r.opts,
-                                                 r.ft, key);
-    case Precision::kI8:
-      return plan_takes_fast_path<std::int8_t, std::int32_t>(
-          ta, tb, m, n, r.k, r.opts, r.ft, key);
-    case Precision::kF32:
-      break;
-  }
-  return plan_takes_fast_path<float>(ta, tb, m, n, r.k, r.opts, r.ft, key);
+  bool fast = false;
+  visit_precision(r.precision, [&](auto e) {
+    using E = decltype(e);
+    fast = plan_takes_fast_path<typename E::Storage, typename E::Compute>(
+        ta, tb, m, n, r.k, r.opts, r.ft, key);
+  });
+  return fast;
 }
 
-/// Synchronous execution of one request through the public entry points —
-/// the direct and inline routes *are* the synchronous API (on a pool
-/// worker / the caller thread).
-template <typename T>
+/// Synchronous execution of one request through the generic single and
+/// batched dispatch every public entry point forwards to — the direct and
+/// inline routes *are* the synchronous API (on a pool worker / the caller
+/// thread).  The request's QuantParams become the domain's per-call
+/// quantization (dropped by the float domains).
+template <typename S, typename C>
 GemmResult run_direct(const GemmRequest& r) {
+  using Scalar = ScalarOf<S, C>;
   GemmResult res;
-  const T alpha = T(r.alpha);
-  const T beta = T(r.beta);
-  const T* a = static_cast<const T*>(r.a);
-  const T* b = static_cast<const T*>(r.b);
-  T* c = static_cast<T*>(r.c);
-  if (r.batch > 1) {
-    BatchOptions bopts;
-    bopts.base = r.opts;
-    res.batch =
-        r.ft ? ft_gemm_strided_batched<T>(r.layout, r.ta, r.tb, r.m, r.n, r.k,
-                                          alpha, a, r.lda, r.stride_a, b,
-                                          r.ldb, r.stride_b, beta, c, r.ldc,
-                                          r.stride_c, r.batch, bopts)
-             : gemm_strided_batched<T>(r.layout, r.ta, r.tb, r.m, r.n, r.k,
-                                       alpha, a, r.lda, r.stride_a, b, r.ldb,
-                                       r.stride_b, beta, c, r.ldc, r.stride_c,
-                                       r.batch, bopts);
-  } else if (r.ft) {
-    if constexpr (sizeof(T) == 8) {
-      res.report = ft_dgemm(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a,
-                            r.lda, b, r.ldb, beta, c, r.ldc, r.opts);
-    } else {
-      res.report = ft_sgemm(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a,
-                            r.lda, b, r.ldb, beta, c, r.ldc, r.opts);
-    }
-  } else {
-    if constexpr (sizeof(T) == 8) {
-      dgemm(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda, b, r.ldb,
-            beta, c, r.ldc, r.opts);
-    } else {
-      sgemm(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda, b, r.ldb,
-            beta, c, r.ldc, r.opts);
-    }
-  }
-  res.status = RequestStatus::kDone;
-  return res;
-}
-
-/// Mixed-precision direct execution: narrow (bf16/fp16) A and B, fp32 C,
-/// through the dedicated entry points (core/gemm.hpp).
-template <typename S>
-GemmResult run_direct_mixed(const GemmRequest& r) {
-  GemmResult res;
-  const float alpha = float(r.alpha);
-  const float beta = float(r.beta);
+  const Scalar alpha = Scalar(r.alpha);
+  const Scalar beta = Scalar(r.beta);
   const S* a = static_cast<const S*>(r.a);
   const S* b = static_cast<const S*>(r.b);
-  float* c = static_cast<float*>(r.c);
+  Scalar* c = static_cast<Scalar*>(r.c);
+  const QuantOf<S, C> q(r.qp);
   if (r.batch > 1) {
     BatchOptions bopts;
     bopts.base = r.opts;
     res.batch =
-        r.ft ? ft_gemm_strided_batched<S, float>(
+        r.ft ? ftgemm::detail::run_strided_batched<S, true, C>(
                    r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda,
                    r.stride_a, b, r.ldb, r.stride_b, beta, c, r.ldc,
-                   r.stride_c, r.batch, bopts)
-             : gemm_strided_batched<S, float>(
+                   r.stride_c, r.batch, bopts, q)
+             : ftgemm::detail::run_strided_batched<S, false, C>(
                    r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda,
                    r.stride_a, b, r.ldb, r.stride_b, beta, c, r.ldc,
-                   r.stride_c, r.batch, bopts);
+                   r.stride_c, r.batch, bopts, q);
   } else if (r.ft) {
-    if constexpr (std::is_same_v<S, bf16_t>) {
-      res.report = ft_gemm_bf16(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a,
-                                r.lda, b, r.ldb, beta, c, r.ldc, r.opts);
-    } else {
-      res.report = ft_gemm_f16(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a,
-                               r.lda, b, r.ldb, beta, c, r.ldc, r.opts);
-    }
+    res.report = ftgemm::detail::dispatch<S, true, C>(
+        r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda, b, r.ldb, beta,
+        c, r.ldc, r.opts, nullptr, q);
   } else {
-    if constexpr (std::is_same_v<S, bf16_t>) {
-      gemm_bf16(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda, b,
-                r.ldb, beta, c, r.ldc, r.opts);
-    } else {
-      gemm_f16(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda, b, r.ldb,
-               beta, c, r.ldc, r.opts);
-    }
-  }
-  res.status = RequestStatus::kDone;
-  return res;
-}
-
-/// Quantized int8 direct execution: s8 A and B, fp32 scalars and C, the
-/// request's QuantParams passed through (core/gemm_i8.hpp).
-GemmResult run_direct_i8(const GemmRequest& r) {
-  GemmResult res;
-  const float alpha = float(r.alpha);
-  const float beta = float(r.beta);
-  const auto* a = static_cast<const std::int8_t*>(r.a);
-  const auto* b = static_cast<const std::int8_t*>(r.b);
-  auto* c = static_cast<float*>(r.c);
-  if (r.batch > 1) {
-    BatchOptions bopts;
-    bopts.base = r.opts;
-    res.batch =
-        r.ft ? ft_gemm_i8_strided_batched(r.layout, r.ta, r.tb, r.m, r.n, r.k,
-                                          alpha, a, r.lda, r.stride_a, b,
-                                          r.ldb, r.stride_b, beta, c, r.ldc,
-                                          r.stride_c, r.batch, r.qp, bopts)
-             : gemm_i8_strided_batched(r.layout, r.ta, r.tb, r.m, r.n, r.k,
-                                       alpha, a, r.lda, r.stride_a, b, r.ldb,
-                                       r.stride_b, beta, c, r.ldc, r.stride_c,
-                                       r.batch, r.qp, bopts);
-  } else if (r.ft) {
-    res.report = ft_gemm_i8(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a,
-                            r.lda, b, r.ldb, beta, c, r.ldc, r.qp, r.opts);
-  } else {
-    gemm_i8(r.layout, r.ta, r.tb, r.m, r.n, r.k, alpha, a, r.lda, b, r.ldb,
-            beta, c, r.ldc, r.qp, r.opts);
+    // Ori requests report nothing (GemmResult::report stays default).
+    ftgemm::detail::dispatch<S, false, C>(r.layout, r.ta, r.tb, r.m, r.n,
+                                          r.k, alpha, a, r.lda, b, r.ldb,
+                                          beta, c, r.ldc, r.opts, nullptr, q);
   }
   res.status = RequestStatus::kDone;
   return res;
@@ -673,23 +594,11 @@ void GemmService::execute_group(std::vector<detail::Pending>& group,
   if (group.size() == 1) {
     execute_direct(group.front(), inlined);
   } else {
-    switch (group.front().req.precision) {
-      case Precision::kF64:
-        execute_coalesced_typed<double>(group, shard_id);
-        break;
-      case Precision::kF32:
-        execute_coalesced_typed<float>(group, shard_id);
-        break;
-      case Precision::kBf16:
-        execute_coalesced_typed<bf16_t, float>(group, shard_id);
-        break;
-      case Precision::kF16:
-        execute_coalesced_typed<fp16_t, float>(group, shard_id);
-        break;
-      case Precision::kI8:
-        execute_coalesced_i8(group, shard_id);
-        break;
-    }
+    visit_precision(group.front().req.precision, [&](auto e) {
+      using E = decltype(e);
+      execute_coalesced<typename E::Storage, typename E::Compute>(group,
+                                                                  shard_id);
+    });
   }
   if (inlined) {
     std::lock_guard<std::mutex> lk(stats_m_);
@@ -702,13 +611,10 @@ void GemmService::execute_group(std::vector<detail::Pending>& group,
 
 void GemmService::execute_direct(detail::Pending& p, bool inlined) {
   GemmResult res;
-  switch (p.req.precision) {
-    case Precision::kF64: res = run_direct<double>(p.req); break;
-    case Precision::kF32: res = run_direct<float>(p.req); break;
-    case Precision::kBf16: res = run_direct_mixed<bf16_t>(p.req); break;
-    case Precision::kF16: res = run_direct_mixed<fp16_t>(p.req); break;
-    case Precision::kI8: res = run_direct_i8(p.req); break;
-  }
+  visit_precision(p.req.precision, [&](auto e) {
+    using E = decltype(e);
+    res = run_direct<typename E::Storage, typename E::Compute>(p.req);
+  });
   res.inlined = inlined;
   {
     std::lock_guard<std::mutex> lk(stats_m_);
@@ -743,36 +649,40 @@ void GemmService::execute_direct(detail::Pending& p, bool inlined) {
 }
 
 template <typename S, typename C>
-void GemmService::execute_coalesced_typed(std::vector<detail::Pending>& group,
-                                          int shard_id) {
+void GemmService::execute_coalesced(std::vector<detail::Pending>& group,
+                                    int shard_id) {
+  using Scalar = ScalarOf<S, C>;
   const GemmRequest& head = group.front().req;
   const index_t members = index_t(group.size());
   std::vector<const S*> ap(static_cast<std::size_t>(members));
   std::vector<const S*> bp(static_cast<std::size_t>(members));
-  std::vector<C*> cp(static_cast<std::size_t>(members));
+  std::vector<Scalar*> cp(static_cast<std::size_t>(members));
   for (index_t i = 0; i < members; ++i) {
     const GemmRequest& r = group[std::size_t(i)].req;
     ap[std::size_t(i)] = static_cast<const S*>(r.a);
     bp[std::size_t(i)] = static_cast<const S*>(r.b);
-    cp[std::size_t(i)] = static_cast<C*>(r.c);
+    cp[std::size_t(i)] = static_cast<Scalar*>(r.c);
   }
   // Inter-batch by construction: every member's plan is fast-path (one
   // thread), so per-member execution inside the batched call is the same
   // one-member execute a synchronous call runs — the bit-identity contract.
+  // One QuantParams serves the whole merged batch (coalesce_match required
+  // every member's to be equal).
   BatchOptions bopts;
   bopts.base = head.opts;
   bopts.schedule = BatchSchedule::kInter;
+  const QuantOf<S, C> q(head.qp);
   const BatchReport rep =
-      head.ft ? ft_gemm_batched<S, C>(head.layout, head.ta, head.tb, head.m,
-                                      head.n, head.k, C(head.alpha),
-                                      ap.data(), head.lda, bp.data(),
-                                      head.ldb, C(head.beta), cp.data(),
-                                      head.ldc, members, bopts)
-              : gemm_batched<S, C>(head.layout, head.ta, head.tb, head.m,
-                                   head.n, head.k, C(head.alpha), ap.data(),
-                                   head.lda, bp.data(), head.ldb,
-                                   C(head.beta), cp.data(), head.ldc, members,
-                                   bopts);
+      head.ft ? ftgemm::detail::run_batched<S, true, C>(
+                    head.layout, head.ta, head.tb, head.m, head.n, head.k,
+                    Scalar(head.alpha), ap.data(), head.lda, bp.data(),
+                    head.ldb, Scalar(head.beta), cp.data(), head.ldc, members,
+                    bopts, q)
+              : ftgemm::detail::run_batched<S, false, C>(
+                    head.layout, head.ta, head.tb, head.m, head.n, head.k,
+                    Scalar(head.alpha), ap.data(), head.lda, bp.data(),
+                    head.ldb, Scalar(head.beta), cp.data(), head.ldc, members,
+                    bopts, q);
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     stats_.completed += std::uint64_t(members);
@@ -802,74 +712,5 @@ void GemmService::execute_coalesced_typed(std::vector<detail::Pending>& group,
     detail::settle(*group[std::size_t(i)].state, std::move(res));
   }
 }
-
-void GemmService::execute_coalesced_i8(std::vector<detail::Pending>& group,
-                                       int shard_id) {
-  // Mirror of execute_coalesced_typed with the int8 call shape: fp32
-  // scalars and C, one QuantParams for the whole merged batch
-  // (coalesce_match required every member's to be equal).
-  const GemmRequest& head = group.front().req;
-  const index_t members = index_t(group.size());
-  std::vector<const std::int8_t*> ap(static_cast<std::size_t>(members));
-  std::vector<const std::int8_t*> bp(static_cast<std::size_t>(members));
-  std::vector<float*> cp(static_cast<std::size_t>(members));
-  for (index_t i = 0; i < members; ++i) {
-    const GemmRequest& r = group[std::size_t(i)].req;
-    ap[std::size_t(i)] = static_cast<const std::int8_t*>(r.a);
-    bp[std::size_t(i)] = static_cast<const std::int8_t*>(r.b);
-    cp[std::size_t(i)] = static_cast<float*>(r.c);
-  }
-  BatchOptions bopts;
-  bopts.base = head.opts;
-  bopts.schedule = BatchSchedule::kInter;
-  const BatchReport rep =
-      head.ft ? ft_gemm_i8_batched(head.layout, head.ta, head.tb, head.m,
-                                   head.n, head.k, float(head.alpha),
-                                   ap.data(), head.lda, bp.data(), head.ldb,
-                                   float(head.beta), cp.data(), head.ldc,
-                                   members, head.qp, bopts)
-              : gemm_i8_batched(head.layout, head.ta, head.tb, head.m, head.n,
-                                head.k, float(head.alpha), ap.data(),
-                                head.lda, bp.data(), head.ldb,
-                                float(head.beta), cp.data(), head.ldc,
-                                members, head.qp, bopts);
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    stats_.completed += std::uint64_t(members);
-    ++stats_.coalesced_batches;
-    stats_.coalesced_members += std::uint64_t(members);
-    stats_.errors_detected += rep.errors_detected;
-    stats_.errors_corrected += rep.errors_corrected;
-    stats_.dirty_results += std::uint64_t(rep.dirty_problems);
-    if (rep.invalid_args) stats_.dirty_results += std::uint64_t(members);
-  }
-  if (shard_id >= 0) {
-    auto& c = shards_[std::size_t(shard_id)]->counters;
-    c.coalesced_batches.fetch_add(1, std::memory_order_relaxed);
-    c.coalesced_members.fetch_add(std::uint64_t(members),
-                                  std::memory_order_relaxed);
-  }
-  const bool inlined = shard_id < 0;
-  for (index_t i = 0; i < members; ++i) {
-    GemmResult res;
-    res.status = RequestStatus::kDone;
-    res.coalesced = true;
-    res.inlined = inlined;
-    if (head.ft && std::size_t(i) < rep.per_problem.size()) {
-      res.report = rep.per_problem[std::size_t(i)];
-    }
-    res.report.invalid_args = rep.invalid_args;
-    detail::settle(*group[std::size_t(i)].state, std::move(res));
-  }
-}
-
-template void GemmService::execute_coalesced_typed<float, float>(
-    std::vector<detail::Pending>&, int);
-template void GemmService::execute_coalesced_typed<double, double>(
-    std::vector<detail::Pending>&, int);
-template void GemmService::execute_coalesced_typed<bf16_t, float>(
-    std::vector<detail::Pending>&, int);
-template void GemmService::execute_coalesced_typed<fp16_t, float>(
-    std::vector<detail::Pending>&, int);
 
 }  // namespace ftgemm::serve

@@ -85,9 +85,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 #include <vector>
 
+#include "core/checksum_domain.hpp"
 #include "core/gemm_batched.hpp"
 #include "core/options.hpp"
 #include "core/plan.hpp"
@@ -95,28 +95,29 @@
 
 namespace ftgemm::serve {
 
-/// Element type of a type-erased request.  kBf16/kF16 are the narrow-storage
-/// mixed-precision paths (core/gemm.hpp): A/B are bf16_t/fp16_t, C and the
-/// scalars are fp32, and all arithmetic — accumulation and checksums — runs
-/// in fp32.  Coalescing and stealing are precision-safe by construction:
-/// the group-merge predicate (serve/shard.hpp coalesce_match) requires
-/// member precisions to match, so mixed traffic shards and batches exactly
-/// like fp32 traffic without ever mixing element types in one batched call.
-/// kI8 is the quantized integer path (core/gemm_i8.hpp): A/B are s8, C and
-/// the scalars are fp32, arithmetic is exact int32/int64 — and the request
-/// carries its QuantParams, which coalesce_match additionally requires to be
-/// equal before merging two int8 requests into one batched call (the
-/// batched entry point takes one QuantParams for the whole batch).
-enum class Precision { kF32, kF64, kBf16, kF16, kI8 };
+/// Element type of a type-erased request: one tag per entry of the
+/// supported-precision list (core/checksum_domain.hpp).  Coalescing and
+/// stealing are precision-safe by construction: the group-merge predicate
+/// (serve/shard.hpp coalesce_match) requires member precisions to match, so
+/// mixed traffic shards and batches without ever mixing element types in
+/// one batched call, and it additionally requires two kI8 requests to carry
+/// equal QuantParams (a batched call takes one for the whole batch).
+using ftgemm::Precision;
 
-/// Precision tag for a storage element type (the request-builder mapping).
+/// Precision tag of a storage element type, read off the precision list:
+/// float, double, bf16_t, fp16_t and int8_t have one, and any other type
+/// is a compile error.
 template <typename T>
 inline constexpr Precision kPrecisionOf =
-    std::is_same_v<T, bf16_t>
-        ? Precision::kBf16
-        : (std::is_same_v<T, fp16_t> ? Precision::kF16
-                                     : (sizeof(T) == 8 ? Precision::kF64
-                                                       : Precision::kF32));
+    ftgemm::detail::EntryOf<T>::kPrecision;
+
+/// Scalar (alpha, beta) and C element type of requests whose A/B are S:
+/// the operands themselves for fp32/fp64, fp32 for the narrow and int8
+/// paths.  No type for an unsupported S, so the builders below are not
+/// viable for it.
+template <typename S>
+using RequestScalar =
+    ftgemm::detail::ScalarOf<S, typename ftgemm::detail::EntryOf<S>::Compute>;
 
 /// Admission-queue lane.  Higher lanes are always drained first; FIFO
 /// within a lane (per shard).
@@ -135,11 +136,11 @@ enum class RejectReason : std::uint8_t {
   kShuttingDown,     ///< service is stopping; no further admissions
 };
 
-/// One unit of work, covering every synchronous entry-point shape:
-/// fp32/fp64, FT or Ori, single (batch == 1) or strided-batched
-/// (batch > 1, with element strides between consecutive problems; stride 0
-/// broadcasts A/B).  Operand pointers are type-erased so one queue serves
-/// both precisions; build requests with the typed make_* helpers below.
+/// One unit of work, covering every synchronous entry-point shape: every
+/// precision, FT or Ori, single (batch == 1) or strided-batched (batch > 1,
+/// with element strides between consecutive problems; stride 0 broadcasts
+/// A/B).  Operand pointers are type-erased so one queue serves every
+/// precision; build requests with the typed make_* helpers below.
 /// `opts` is request-scoped: threads, runtime backend, ISA, tolerance,
 /// injector and correction log all apply to this request alone.
 struct GemmRequest {
@@ -149,7 +150,7 @@ struct GemmRequest {
   Trans ta = Trans::kNoTrans;
   Trans tb = Trans::kNoTrans;
   index_t m = 0, n = 0, k = 0;
-  double alpha = 1.0, beta = 0.0;  ///< cast to float for kF32 requests
+  double alpha = 1.0, beta = 0.0;  ///< cast to the precision's scalar type
   const void* a = nullptr;
   index_t lda = 0, stride_a = 0;
   const void* b = nullptr;
@@ -170,66 +171,18 @@ struct GemmRequest {
   int shard_hint = -1;
 };
 
-/// Typed builder for a single-problem request.
-template <typename T>
-GemmRequest make_gemm_request(bool ft, Layout layout, Trans ta, Trans tb,
-                              index_t m, index_t n, index_t k, T alpha,
-                              const T* a, index_t lda, const T* b, index_t ldb,
-                              T beta, T* c, index_t ldc,
-                              const Options& opts = {},
-                              Priority priority = Priority::kNormal) {
-  GemmRequest r;
-  r.precision = kPrecisionOf<T>;
-  r.ft = ft;
-  r.layout = layout;
-  r.ta = ta;
-  r.tb = tb;
-  r.m = m;
-  r.n = n;
-  r.k = k;
-  r.alpha = double(alpha);
-  r.beta = double(beta);
-  r.a = a;
-  r.lda = lda;
-  r.b = b;
-  r.ldb = ldb;
-  r.c = c;
-  r.ldc = ldc;
-  r.opts = opts;
-  r.priority = priority;
-  return r;
-}
+namespace detail {
 
-/// Typed builder for a strided-batched request (stride 0 broadcasts A/B).
-template <typename T>
-GemmRequest make_strided_batched_request(
-    bool ft, Layout layout, Trans ta, Trans tb, index_t m, index_t n,
-    index_t k, T alpha, const T* a, index_t lda, index_t stride_a, const T* b,
-    index_t ldb, index_t stride_b, T beta, T* c, index_t ldc,
-    index_t stride_c, index_t batch, const Options& opts = {},
-    Priority priority = Priority::kNormal) {
-  GemmRequest r = make_gemm_request<T>(ft, layout, ta, tb, m, n, k, alpha, a,
-                                       lda, b, ldb, beta, c, ldc, opts,
-                                       priority);
-  r.stride_a = stride_a;
-  r.stride_b = stride_b;
-  r.stride_c = stride_c;
-  r.batch = batch;
-  return r;
-}
-
-/// Typed builder for a mixed-precision single-problem request: narrow
-/// (bf16/fp16) A and B, fp32 scalars and C.  SFINAE-gated to the narrow
-/// storage types so uniform fp32/fp64 calls keep resolving to the builder
-/// above.
-template <typename S,
-          std::enable_if_t<is_narrow_storage_v<S>, int> = 0>
-GemmRequest make_gemm_request(bool ft, Layout layout, Trans ta, Trans tb,
-                              index_t m, index_t n, index_t k, float alpha,
-                              const S* a, index_t lda, const S* b, index_t ldb,
-                              float beta, float* c, index_t ldc,
-                              const Options& opts = {},
-                              Priority priority = Priority::kNormal) {
+/// The one builder body behind every make_* helper below.
+template <typename S>
+GemmRequest build_request(bool ft, Layout layout, Trans ta, Trans tb,
+                          index_t m, index_t n, index_t k,
+                          RequestScalar<S> alpha, const S* a, index_t lda,
+                          index_t stride_a, const S* b, index_t ldb,
+                          index_t stride_b, RequestScalar<S> beta,
+                          RequestScalar<S>* c, index_t ldc, index_t stride_c,
+                          index_t batch, const QuantParams& qp,
+                          const Options& opts, Priority priority) {
   GemmRequest r;
   r.precision = kPrecisionOf<S>;
   r.ft = ft;
@@ -243,66 +196,65 @@ GemmRequest make_gemm_request(bool ft, Layout layout, Trans ta, Trans tb,
   r.beta = double(beta);
   r.a = a;
   r.lda = lda;
+  r.stride_a = stride_a;
   r.b = b;
   r.ldb = ldb;
+  r.stride_b = stride_b;
   r.c = c;
   r.ldc = ldc;
+  r.stride_c = stride_c;
+  r.batch = batch;
   r.opts = opts;
+  r.qp = qp;
   r.priority = priority;
   return r;
 }
 
-/// Mixed-precision strided-batched builder (stride 0 broadcasts A/B).
-template <typename S,
-          std::enable_if_t<is_narrow_storage_v<S>, int> = 0>
+}  // namespace detail
+
+/// Typed builder for a single-problem request over any supported storage
+/// type S: fp32/fp64 (scalars and C of the same type), bf16_t/fp16_t
+/// (fp32 scalars and C), or int8_t (fp32 scalars and C, default
+/// QuantParams; make_gemm_request_i8 takes them explicitly).
+template <typename S>
+GemmRequest make_gemm_request(bool ft, Layout layout, Trans ta, Trans tb,
+                              index_t m, index_t n, index_t k,
+                              RequestScalar<S> alpha, const S* a, index_t lda,
+                              const S* b, index_t ldb, RequestScalar<S> beta,
+                              RequestScalar<S>* c, index_t ldc,
+                              const Options& opts = {},
+                              Priority priority = Priority::kNormal) {
+  return detail::build_request<S>(ft, layout, ta, tb, m, n, k, alpha, a, lda,
+                                  0, b, ldb, 0, beta, c, ldc, 0, 1, {}, opts,
+                                  priority);
+}
+
+/// Typed builder for a strided-batched request (stride 0 broadcasts A/B).
+template <typename S>
 GemmRequest make_strided_batched_request(
     bool ft, Layout layout, Trans ta, Trans tb, index_t m, index_t n,
-    index_t k, float alpha, const S* a, index_t lda, index_t stride_a,
-    const S* b, index_t ldb, index_t stride_b, float beta, float* c,
-    index_t ldc, index_t stride_c, index_t batch, const Options& opts = {},
+    index_t k, RequestScalar<S> alpha, const S* a, index_t lda,
+    index_t stride_a, const S* b, index_t ldb, index_t stride_b,
+    RequestScalar<S> beta, RequestScalar<S>* c, index_t ldc, index_t stride_c,
+    index_t batch, const Options& opts = {},
     Priority priority = Priority::kNormal) {
-  GemmRequest r = make_gemm_request<S>(ft, layout, ta, tb, m, n, k, alpha, a,
-                                       lda, b, ldb, beta, c, ldc, opts,
-                                       priority);
-  r.stride_a = stride_a;
-  r.stride_b = stride_b;
-  r.stride_c = stride_c;
-  r.batch = batch;
-  return r;
+  return detail::build_request<S>(ft, layout, ta, tb, m, n, k, alpha, a, lda,
+                                  stride_a, b, ldb, stride_b, beta, c, ldc,
+                                  stride_c, batch, {}, opts, priority);
 }
 
 /// Builder for a quantized int8 single-problem request: s8 A and B, fp32
-/// scalars and C, QuantParams riding along.  A dedicated name (not a
-/// make_gemm_request overload) because the int8 signature — float scalars
-/// with int8 operands — matches neither the uniform nor the narrow-storage
-/// template shape.
+/// scalars and C, QuantParams riding along (ahead of the Options, the
+/// int8 entry points' argument order).
 inline GemmRequest make_gemm_request_i8(
     bool ft, Layout layout, Trans ta, Trans tb, index_t m, index_t n,
     index_t k, float alpha, const std::int8_t* a, index_t lda,
     const std::int8_t* b, index_t ldb, float beta, float* c, index_t ldc,
     const QuantParams& qp = {}, const Options& opts = {},
     Priority priority = Priority::kNormal) {
-  GemmRequest r;
-  r.precision = Precision::kI8;
-  r.ft = ft;
-  r.layout = layout;
-  r.ta = ta;
-  r.tb = tb;
-  r.m = m;
-  r.n = n;
-  r.k = k;
-  r.alpha = double(alpha);
-  r.beta = double(beta);
-  r.a = a;
-  r.lda = lda;
-  r.b = b;
-  r.ldb = ldb;
-  r.c = c;
-  r.ldc = ldc;
-  r.opts = opts;
-  r.qp = qp;
-  r.priority = priority;
-  return r;
+  return detail::build_request<std::int8_t>(ft, layout, ta, tb, m, n, k,
+                                            alpha, a, lda, 0, b, ldb, 0, beta,
+                                            c, ldc, 0, 1, qp, opts, priority);
 }
 
 /// Quantized int8 strided-batched builder (stride 0 broadcasts A/B; one
@@ -314,14 +266,9 @@ inline GemmRequest make_strided_batched_request_i8(
     float beta, float* c, index_t ldc, index_t stride_c, index_t batch,
     const QuantParams& qp = {}, const Options& opts = {},
     Priority priority = Priority::kNormal) {
-  GemmRequest r = make_gemm_request_i8(ft, layout, ta, tb, m, n, k, alpha, a,
-                                       lda, b, ldb, beta, c, ldc, qp, opts,
-                                       priority);
-  r.stride_a = stride_a;
-  r.stride_b = stride_b;
-  r.stride_c = stride_c;
-  r.batch = batch;
-  return r;
+  return detail::build_request<std::int8_t>(
+      ft, layout, ta, tb, m, n, k, alpha, a, lda, stride_a, b, ldb, stride_b,
+      beta, c, ldc, stride_c, batch, qp, opts, priority);
 }
 
 /// Lifecycle of one submitted request.
@@ -557,11 +504,8 @@ class GemmService {
   /// shard_id < 0 = inline lane (executed on the submitting thread).
   void execute_group(std::vector<detail::Pending>& group, int shard_id);
   void execute_direct(detail::Pending& p, bool inlined);
-  template <typename S, typename C = S>
-  void execute_coalesced_typed(std::vector<detail::Pending>& group,
-                               int shard_id);
-  void execute_coalesced_i8(std::vector<detail::Pending>& group,
-                            int shard_id);
+  template <typename S, typename C>
+  void execute_coalesced(std::vector<detail::Pending>& group, int shard_id);
   void count_rejected(std::uint64_t n = 1);
   void count_cancelled(std::uint64_t n);
   void note_group_start();

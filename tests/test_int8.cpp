@@ -713,8 +713,8 @@ TEST(Int8Service, DirectAndCoalescedBitExact) {
   }
   {
     // A window of same-shape requests — six under qp, two under qp2.  The
-    // shard may merge the qp run into one batched call but must never
-    // merge across the qp boundary; every result is bit-exact either way.
+    // qp run merges into one batched call, never across the qp boundary,
+    // and every result is bit-exact.
     std::vector<Matrix<float>> cs;
     for (int r = 0; r < 8; ++r) cs.push_back(p.c.clone());
     std::vector<serve::GemmRequest> reqs;
@@ -725,15 +725,22 @@ TEST(Int8Service, DirectAndCoalescedBitExact) {
           cs[std::size_t(r)].data(), cs[std::size_t(r)].ld(),
           r < 6 ? qp : qp2));
     }
+    const serve::ServiceStats before = service.stats();
     std::vector<serve::GemmFuture> futs = service.submit_all(reqs);
     for (int r = 0; r < 8; ++r) {
       const serve::GemmResult res = futs[std::size_t(r)].wait();
       ASSERT_EQ(res.status, serve::RequestStatus::kDone) << r;
       EXPECT_TRUE(res.report.clean()) << r;
+      EXPECT_TRUE(res.coalesced) << r;
       expect_matrix_near(cs[std::size_t(r)], r < 6 ? sync_ft : sync_qp2, 0.0,
                          "window member " + std::to_string(r) +
                              seed_note(seed));
     }
+    // The idle service takes the window on the inline lane: one batched
+    // call per QuantParams run.
+    const serve::ServiceStats after = service.stats();
+    EXPECT_EQ(after.coalesced_batches - before.coalesced_batches, 2u);
+    EXPECT_EQ(after.coalesced_members - before.coalesced_members, 8u);
   }
   {
     // Strided-batched request routes direct.

@@ -420,59 +420,48 @@ TEST(PlanCacheTest, ClearProcessCachesRereadsEnvironment) {
   clear_process_caches();
 }
 
-TEST(PlanCacheTest, ClearProcessCachesAlsoDropsResidentOperands) {
-  // One clear covers both shared caches: the plans and the resident
-  // operand payloads encoded against them.
+/// A random n x n operand of storage type S.
+template <typename S>
+Matrix<S> random_square(index_t n, std::uint64_t seed) {
+  if constexpr (std::is_same_v<S, std::int8_t>) {
+    return testing::random_i8_matrix(n, n, seed);
+  } else {
+    Matrix<S> x(n, n);
+    x.fill_random(seed);
+    return x;
+  }
+}
+
+/// One clear covers both shared caches of storage type S: the plans and
+/// the resident operand payloads encoded against them.
+template <typename S>
+void expect_clear_drops_plans_and_operands() {
   clear_process_caches();
-  const index_t n = 48;
-  Matrix<double> a(n, n), b(n, n), c(n, n);
-  a.fill_random(11);
-  b.fill_random(12);
-  c.fill(0.0);
+  const GemmCase cs{48, 48, 48, Trans::kNoTrans, Trans::kNoTrans, 1.0, 0.0};
+  const Matrix<S> a = random_square<S>(cs.m, 11);
+  const Matrix<S> b = random_square<S>(cs.m, 12);
+  Matrix<OutT<S>> c(cs.m, cs.n);
+  c.fill(OutT<S>(0));
   Options opts;
   opts.resident_a = true;
-  const auto call = [&] {
-    return ft_dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n,
-                    n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n,
-                    opts);
-  };
+  const auto call = [&] { return run_precision<S>(true, cs, a, b, c, opts); };
+  auto& cache = process_context_cache<S, PlanComputeT<S>>();
   EXPECT_FALSE(call().resident_hit);
   EXPECT_TRUE(call().resident_hit);
-  EXPECT_GE(process_context_cache<double>().operands().stats().entries, 1u);
+  EXPECT_GE(cache.operands().stats().entries, 1u);
 
   clear_process_caches();
-  EXPECT_EQ(process_context_cache<double>().operands().stats().entries, 0u);
-  const std::uint64_t misses_before =
-      process_context_cache<double>().plan_misses();
+  EXPECT_EQ(cache.operands().stats().entries, 0u);
+  const std::uint64_t misses_before = cache.plan_misses();
   EXPECT_FALSE(call().resident_hit) << "cleared entry must re-encode";
-  EXPECT_GT(process_context_cache<double>().plan_misses(), misses_before)
+  EXPECT_GT(cache.plan_misses(), misses_before)
       << "cleared plan must rebuild too";
 }
 
-TEST(PlanCacheTest, DeprecatedClearAliasStillClears) {
-  // clear_thread_plan_cache() survives one release as an alias; it must
-  // keep the historical behavior (now routed to clear_process_caches).
-  const index_t n = 32;
-  Matrix<double> a(n, n), b(n, n), c(n, n);
-  a.fill_random(21);
-  b.fill_random(22);
-  c.fill(0.0);
-  Options opts;
-  opts.resident_a = true;
-  ft_dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
-           a.data(), n, b.data(), n, 0.0, c.data(), n, opts);
-  EXPECT_GE(process_context_cache<double>().operands().stats().entries, 1u);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  clear_thread_plan_cache();
-#pragma GCC diagnostic pop
-  EXPECT_EQ(process_context_cache<double>().operands().stats().entries, 0u);
-  const std::uint64_t misses_before =
-      process_context_cache<double>().plan_misses();
-  dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
-        a.data(), n, b.data(), n, 0.0, c.data(), n);
-  EXPECT_GT(process_context_cache<double>().plan_misses(), misses_before)
-      << "the alias must drop cached plans exactly like the new name";
+TEST(PlanCacheTest, ClearProcessCachesAlsoDropsResidentOperands) {
+  expect_clear_drops_plans_and_operands<double>();
+  expect_clear_drops_plans_and_operands<bf16_t>();
+  expect_clear_drops_plans_and_operands<std::int8_t>();
 }
 
 TEST(PlanFastPath, InjectedFaultsStillDetectedAndCorrected) {

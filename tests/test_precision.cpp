@@ -462,13 +462,15 @@ TEST(MixedRoutingBitIdentity, F16SyncEngineResidentService) {
   routing_bit_identity<fp16_t>();
 }
 
-/// Coalesced service route: a window of same-fingerprint bf16 requests must
-/// merge into one batched call and still deliver bit-identical results.
-TEST(MixedService, CoalescedWindowMatchesSyncBitForBit) {
+/// Coalesced service route: a window of same-fingerprint narrow-storage
+/// requests must merge into one batched call and still deliver
+/// bit-identical results.
+template <typename S>
+void coalesced_window_bit_identity() {
   const std::uint64_t seed = test_seed(2413);
   const GemmCase cs{24, 16, 20, Trans::kNoTrans, Trans::kNoTrans, 1.0, 0.0};
   constexpr int kWindow = 6;
-  std::vector<MixedProblem<bf16_t>> problems;
+  std::vector<MixedProblem<S>> problems;
   problems.reserve(kWindow);
   for (int i = 0; i < kWindow; ++i) problems.emplace_back(cs, seed + i);
 
@@ -477,7 +479,7 @@ TEST(MixedService, CoalescedWindowMatchesSyncBitForBit) {
     c_sync.push_back(problems[std::size_t(i)].c.clone());
     c_async.push_back(problems[std::size_t(i)].c.clone());
     const FtReport rep =
-        run_mixed_ft<bf16_t>(cs, problems[std::size_t(i)], c_sync.back(), {});
+        run_mixed_ft<S>(cs, problems[std::size_t(i)], c_sync.back(), {});
     EXPECT_TRUE(rep.clean()) << seed_note(seed);
   }
 
@@ -486,8 +488,8 @@ TEST(MixedService, CoalescedWindowMatchesSyncBitForBit) {
   serve::GemmService service(cfg);
   std::vector<serve::GemmRequest> reqs;
   for (int i = 0; i < kWindow; ++i) {
-    const MixedProblem<bf16_t>& p = problems[std::size_t(i)];
-    reqs.push_back(serve::make_gemm_request<bf16_t>(
+    const MixedProblem<S>& p = problems[std::size_t(i)];
+    reqs.push_back(serve::make_gemm_request<S>(
         /*ft=*/true, Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
         float(cs.alpha), p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
         float(cs.beta), c_async[std::size_t(i)].data(),
@@ -497,10 +499,22 @@ TEST(MixedService, CoalescedWindowMatchesSyncBitForBit) {
   for (int i = 0; i < kWindow; ++i) {
     const serve::GemmResult res = futures[std::size_t(i)].wait();
     EXPECT_TRUE(res.ok()) << "member " << i << seed_note(seed);
+    EXPECT_TRUE(res.coalesced) << "member " << i << seed_note(seed);
     expect_matrix_near(c_async[std::size_t(i)], c_sync[std::size_t(i)], 0.0,
                        "member " + std::to_string(i) + seed_note(seed));
   }
+  // The idle one-shard service takes the whole window on the inline lane
+  // as one batched call.
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.coalesced_batches, 1u) << seed_note(seed);
+  EXPECT_EQ(stats.coalesced_members, std::uint64_t(kWindow))
+      << seed_note(seed);
   service.shutdown();
+}
+
+TEST(MixedService, CoalescedWindowMatchesSyncBitForBit) {
+  coalesced_window_bit_identity<bf16_t>();
+  coalesced_window_bit_identity<fp16_t>();
 }
 
 /// Mixed requests never coalesce with fp32 requests of the same shape —

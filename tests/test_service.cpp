@@ -11,6 +11,8 @@
 #include <chrono>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/context.hpp"
@@ -35,6 +37,34 @@ using testing::Problem;
 using testing::expect_matrix_near;
 using testing::gemm_tolerance;
 using testing::reference_result;
+
+/// Whether make_gemm_request<S> is viable with Sc scalars and an Sc* C.
+template <typename S, typename Sc, typename = void>
+struct BuildsRequest : std::false_type {};
+template <typename S, typename Sc>
+struct BuildsRequest<
+    S, Sc,
+    std::void_t<decltype(make_gemm_request<S>(
+        true, Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, 1, 1, 1,
+        std::declval<Sc>(), std::declval<const S*>(), 1,
+        std::declval<const S*>(), 1, std::declval<Sc>(), std::declval<Sc*>(),
+        1))>> : std::true_type {};
+
+// The request builders exist exactly for the listed precisions, each with
+// its own scalar/C type.  An element type outside the list, or operands
+// paired with a C the service would read at another width (int8 or bf16
+// scalars and C, once tagged kF32 / kBf16 and read as 4-byte floats), must
+// not compile.
+static_assert(BuildsRequest<float, float>::value);
+static_assert(BuildsRequest<double, double>::value);
+static_assert(BuildsRequest<bf16_t, float>::value);
+static_assert(BuildsRequest<fp16_t, float>::value);
+static_assert(BuildsRequest<std::int8_t, float>::value);
+static_assert(!BuildsRequest<std::int32_t, std::int32_t>::value);
+static_assert(!BuildsRequest<std::int8_t, std::int8_t>::value);
+static_assert(!BuildsRequest<bf16_t, bf16_t>::value);
+static_assert(serve::kPrecisionOf<std::int8_t> == serve::Precision::kI8);
+static_assert(serve::kPrecisionOf<fp16_t> == serve::Precision::kF16);
 
 /// Synchronous oracle: the very entry point the service claims to match.
 template <typename T>
