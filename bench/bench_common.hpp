@@ -85,12 +85,8 @@ struct SquareWorkload {
   }
 };
 
-inline void print_header(const char* title, const char* figure,
-                         const std::vector<std::string>& columns) {
-  std::printf("# %s\n", title);
-  std::printf("# reproduces: %s\n", figure);
-  std::printf("# threads=%d reps=%d (paper: 20 reps, Xeon W-2255)\n",
-              bench_threads(), bench_reps());
+/// Machine and build context, as table comment lines.
+inline void print_provenance() {
   // Machine context, so a record from a 1-hardware-thread CI container is
   // self-describing next to one from real multi-core hardware (record.sh
   // lifts this line into the JSON env block).
@@ -106,6 +102,15 @@ inline void print_header(const char* title, const char* figure,
   // block).
   std::printf("# git_sha=%s isa_features=%s\n", FTGEMM_GIT_SHA,
               cpu_feature_string().c_str());
+}
+
+inline void print_header(const char* title, const char* figure,
+                         const std::vector<std::string>& columns) {
+  std::printf("# %s\n", title);
+  std::printf("# reproduces: %s\n", figure);
+  std::printf("# threads=%d reps=%d (paper: 20 reps, Xeon W-2255)\n",
+              bench_threads(), bench_reps());
+  print_provenance();
   std::printf("%-8s", "size");
   for (const std::string& c : columns) std::printf("%14s", c.c_str());
   std::printf("\n");

@@ -1,5 +1,5 @@
 // Serving-layer throughput: GemmService (bounded admission queue,
-// dispatcher, coalescing, bounded in-flight concurrency) vs the
+// dispatcher-run groups, coalescing, help-on-wait) vs the
 // synchronous-loop baseline (each client thread calls ft_dgemm directly),
 // at 1/2/4/8 concurrent clients.
 //
@@ -96,12 +96,11 @@ double run_async(std::vector<ClientWorkload>& clients, index_t calls,
                  std::atomic<int>& failures) {
   const int nclients = int(clients.size());
   serve::ServiceConfig cfg;
-  cfg.max_inflight = 1;  // bounded concurrency: the admission-control lever
   cfg.max_coalesce = 32;
   cfg.queue_capacity = std::size_t(nclients) * std::size_t(window) * 2;
   cfg.shards = shards;  // 0 = auto (env / hardware concurrency)
-  // Every client may ride the inline fast lane concurrently; the
-  // max_inflight bound still applies to queued (dispatcher) traffic.
+  // Every client may ride the inline fast lane concurrently; queued
+  // traffic runs one group per dispatcher plus one per waiting client.
   cfg.inline_inflight_limit = nclients;
   serve::GemmService service(cfg);
 
@@ -216,6 +215,7 @@ int main() {
               (long long)window, reps, runtime::hardware_concurrency());
   std::printf("# sharded_* series: explicit shard counts (inline lane on), "
               "loaded client counts only\n");
+  print_provenance();
   std::printf("%-16s%8s%14s%14s%13s\n", "series", "clients", "sync_rps",
               "async_rps", "ratio");
 

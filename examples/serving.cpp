@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
 
   std::printf("== FT-GEMM async serving demo ==\n");
   serve::ServiceConfig cfg;
-  cfg.max_inflight = 2;
   cfg.start_paused = true;  // stage the whole mix, then open the gate
+  cfg.shards = 1;  // priority order is a per-shard guarantee
   serve::GemmService service(cfg);
 
   // 1. A high-priority protected request (the latency-critical tenant).

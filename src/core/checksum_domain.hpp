@@ -96,6 +96,7 @@ struct MemberRanges {
 struct NoQuant {
   NoQuant() = default;
   explicit NoQuant(const QuantParams&) {}
+  [[nodiscard]] bool operator==(const NoQuant&) const { return true; }
 };
 
 template <typename S, typename C>

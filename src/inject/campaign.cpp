@@ -178,7 +178,6 @@ ServiceCampaignResult run_service_injection_campaign(
   // routing mix (direct injected requests amid coalesced clean traffic)
   // becomes a property of the workload, not of submission timing.
   serve::ServiceConfig scfg;
-  scfg.max_inflight = config.max_inflight;
   scfg.queue_capacity =
       std::max<std::size_t>(config.queue_capacity, std::size_t(requests));
   scfg.start_paused = true;

@@ -105,7 +105,6 @@ struct ServiceCampaignConfig {
   double magnitude = 2.0;    ///< injected delta scale
   std::uint64_t seed = 1234;
   int threads = 1;           ///< per-request worker cap
-  int max_inflight = 2;      ///< service concurrency
   std::size_t queue_capacity = 64;
 };
 

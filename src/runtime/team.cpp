@@ -31,12 +31,10 @@
 
 #include <omp.h>
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -110,29 +108,18 @@ class PoolBarrier final : public TeamBarrier {
   std::condition_variable cv_;
 };
 
-/// One run_team / run_team_async invocation (see file comment for the
-/// lifetime protocol).  Synchronous jobs have a leader (the calling thread
-/// participates as rank 0, holds one ref, and parks on done_cv); async jobs
-/// run every rank on pool workers and carry a completion hook instead,
-/// invoked by the last finishing worker.
+/// One run_team invocation (see file comment for the lifetime protocol):
+/// the calling thread participates as rank 0, holds one ref, and parks on
+/// done_cv until every worker has finished.
 struct TeamJob {
   TeamJob(int nt, TeamFnRef fn)
       : fn(fn), barrier(nt), nt(nt), refs(nt), active_workers(nt - 1) {}
-
-  TeamJob(int nt, TeamFnRef fn, CompletionRef done)
-      : fn(fn),
-        barrier(nt),
-        nt(nt),
-        refs(nt),
-        active_workers(nt),
-        completion(done) {}
 
   const TeamFnRef fn;
   PoolBarrier barrier;
   const int nt;
   std::atomic<int> refs;            ///< participants still holding it
   std::atomic<int> active_workers;  ///< workers not yet finished
-  std::optional<CompletionRef> completion;  ///< async jobs only
   std::mutex m;
   std::condition_variable done_cv;  ///< leader parks here past the spin
 };
@@ -192,39 +179,9 @@ class WorkerPool {
     drop_ref(job);
   }
 
-  /// Asynchronous lease: dispatch an nt-member team entirely onto pool
-  /// workers (tids 0..nt-1) and return immediately; the job's completion
-  /// hook fires on the last member out.  With may_spawn == false this is
-  /// the non-blocking try-lease — it succeeds only if nt + reserve workers
-  /// are parked right now (the `reserve` surplus stays parked for other
-  /// lessees; see team.hpp), and fails without side effects otherwise.
-  bool run_async(int nt, TeamFnRef fn, CompletionRef done, bool may_spawn,
-                 int reserve) {
-    TeamJob* job = new TeamJob(nt, fn, done);
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      if (!may_spawn && int(free_.size()) < nt + std::max(reserve, 0)) {
-        delete job;
-        return false;
-      }
-      for (int i = 0; i < nt; ++i) {
-        if (free_.empty()) spawn_locked();
-        WorkerSlot* slot = free_.back();
-        free_.pop_back();
-        assign(slot, job, i);
-      }
-    }
-    return true;
-  }
-
   [[nodiscard]] int worker_count() {
     std::lock_guard<std::mutex> lk(m_);
     return int(slots_.size());
-  }
-
-  [[nodiscard]] int idle_worker_count() {
-    std::lock_guard<std::mutex> lk(m_);
-    return int(free_.size());
   }
 
  private:
@@ -310,19 +267,13 @@ class WorkerPool {
         std::lock_guard<std::mutex> lk(m_);
         free_.push_back(slot);
       }
-      bool last = false;
       {
         std::lock_guard<std::mutex> lk(job->m);
         if (job->active_workers.fetch_sub(1, std::memory_order_acq_rel) ==
             1) {
-          last = true;
           job->done_cv.notify_one();
         }
       }
-      // Async jobs: the last member out invokes the completion hook.  Our
-      // still-held ref keeps the job alive across the read; the hook runs
-      // outside every pool lock, so it may itself dispatch new teams.
-      if (last && job->completion.has_value()) (*job->completion)();
       drop_ref(job);
     }
   }
@@ -384,20 +335,6 @@ void run_team(RuntimeBackend backend, int nt, TeamFnRef fn) {
   WorkerPool::instance().run(nt, fn);
 }
 
-void run_team_async(int nt, TeamFnRef fn, CompletionRef done) {
-  WorkerPool::instance().run_async(std::max(nt, 1), fn, done, true, 0);
-}
-
-bool try_run_team_async(int nt, TeamFnRef fn, CompletionRef done,
-                        int reserve) {
-  return WorkerPool::instance().run_async(std::max(nt, 1), fn, done, false,
-                                          reserve);
-}
-
 int pool_worker_count() { return WorkerPool::instance().worker_count(); }
-
-int pool_idle_worker_count() {
-  return WorkerPool::instance().idle_worker_count();
-}
 
 }  // namespace ftgemm::runtime

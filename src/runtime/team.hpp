@@ -123,62 +123,8 @@ class TeamFnRef {
 /// dispatched at most.  Returns after every member has finished.
 void run_team(RuntimeBackend backend, int nt, TeamFnRef fn);
 
-/// Non-owning reference to a completion hook for the asynchronous API —
-/// same contract as TeamFnRef: the referenced callable must outlive the
-/// invocation (it lives in the submitter's in-flight bookkeeping, which by
-/// construction survives until the completion has run).
-class CompletionRef {
- public:
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, CompletionRef>>>
-  CompletionRef(F& fn)  // NOLINT(google-explicit-constructor)
-      : obj_(const_cast<void*>(static_cast<const void*>(&fn))),
-        call_([](void* o) { (*static_cast<F*>(o))(); }) {}
-
-  void operator()() const { call_(obj_); }
-
- private:
-  void* obj_;
-  void (*call_)(void*);
-};
-
-/// Asynchronous team lease: run fn(member) on a team of nt *pool workers* —
-/// the calling thread does not participate and the call returns as soon as
-/// the workers are dispatched.  `done()` is invoked exactly once, on the
-/// last member to finish, after every member has returned (and after every
-/// worker is already back on the free list, so work launched from inside
-/// `done` never spawns spuriously).  Both referenced callables must stay
-/// alive until `done` has returned.  Pool-only by design: an OpenMP region
-/// is inherently synchronous with its opening thread.  Grows the pool on
-/// demand, like run_team.
-void run_team_async(int nt, TeamFnRef fn, CompletionRef done);
-
-/// Non-blocking variant of run_team_async: dispatches only if nt workers
-/// are parked on the free list *right now* — never spawns a thread, never
-/// waits.  Returns false without running anything when the lease cannot be
-/// satisfied; the caller decides whether to fall back to the growing
-/// variant, queue, or shed load.  This is the admission-control primitive
-/// the serving layer's dispatchers are built on.
-///
-/// `reserve` is the fairness hook for concurrent lessees (the sharded
-/// serving layer): the try-lease succeeds only when nt + reserve workers
-/// are parked, i.e. it leaves at least `reserve` workers on the free list
-/// for *other* submitters.  Without it, one hot shard's try-leases can
-/// drain the pool every time and permanently push its siblings onto the
-/// slower growing path; with reserve = (shards - 1) every shard's
-/// try-lease leaves one worker per sibling parked.  reserve = 0 is the
-/// original greedy behavior.
-bool try_run_team_async(int nt, TeamFnRef fn, CompletionRef done,
-                        int reserve = 0);
-
 /// Workers currently alive in the process-wide pool (diagnostics/tests).
 int pool_worker_count();
-
-/// Workers currently parked on the free list, i.e. the largest team
-/// try_run_team_async could lease this instant (diagnostics/tests; the
-/// value is stale the moment it is read).
-int pool_idle_worker_count();
 
 }  // namespace runtime
 }  // namespace ftgemm

@@ -7,22 +7,23 @@
 // Lifetime protocol of one request: enqueue() validates, resolves the plan
 // fingerprint, and either (a) executes inline on the calling thread when
 // the fast lane is open, or (b) reserves a slot in the home shard's
-// lock-free ring.  A dispatcher (the home shard's, or a stealing sibling)
-// claims it into a group and calls back into execute_group(), which runs
-// the synchronous entry points, updates counters, and settles every
-// future.  Futures are settled before the in-flight slot is released, so a
-// client observing its future done and immediately destroying the service
-// still blocks in ~GemmService until the completion has finished touching
-// service memory.
+// lock-free ring.  A consumer — the home shard's dispatcher, a stealing
+// sibling, or a client waiting on a request of that shard — claims it into
+// a group and calls back into execute_group(), which runs the synchronous
+// entry points, updates counters, and settles every future.  A client
+// observing its future done and immediately destroying the service still
+// blocks in ~GemmService until the consumer that settled it has left
+// (dispatchers are joined, helpers drained).
 //
 // Shutdown protocol (the subtle part of lock-free admission): the shared
-// stopping flag closes the door; every submitter passes through the
-// active_submitters_ window, and shutdown() waits for that window to drain
-// *before* arming stop_mode_ — so by the time a dispatcher runs its final
-// drain/cancel sweep, no producer can be mid-push and no request can be
-// admitted and never settled.  The flag and shutdown's mutex/cv live in a
-// shared detail::ShutdownSync block so a notifier that released one of
-// shutdown's waits can finish its notify after the service is destroyed.
+// stopping flag closes the door; every submitter and every helping waiter
+// passes through a ClientGate, and shutdown() waits for the gated count to
+// drain *before* arming stop_mode_ — so by the time a dispatcher runs its
+// final drain/cancel sweep, no producer can be mid-push, no helper can be
+// building or running a group, and no request can be admitted and never
+// settled.  The flag, the count and shutdown's mutex/cv live in a shared
+// detail::ShutdownSync block so a client that released shutdown's wait can
+// finish its notify after the service is destroyed.
 #include "serve/service.hpp"
 
 #include <algorithm>
@@ -44,6 +45,42 @@ namespace ftgemm::serve {
 // GemmFuture
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// RAII pass of a client thread into the service — a submitter (incl. its
+/// inline executions) or a waiter helping its shard: shutdown() waits for
+/// the count to drain before arming the dispatchers' stop mode, so a client
+/// that saw `stopping` clear can always finish its reservation + push or
+/// its group.
+struct ClientGate {
+  /// Owning copy: the decrement below may release shutdown()'s wait, after
+  /// which the service can be destroyed under us — everything this
+  /// destructor touches past that decrement must live in the shared block.
+  std::shared_ptr<detail::ShutdownSync> sync;
+
+  explicit ClientGate(std::shared_ptr<detail::ShutdownSync> s)
+      : sync(std::move(s)) {
+    sync->clients.fetch_add(1, std::memory_order_seq_cst);
+  }
+  ~ClientGate() {
+    // seq_cst load: if shutdown's predicate missed this decrement (slept
+    // on count == 1), its earlier stopping store is S-ordered before the
+    // decrement and must be visible here so the wake gets delivered.
+    if (sync->clients.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+        sync->stopping.load(std::memory_order_seq_cst)) {
+      { std::lock_guard<std::mutex> lk(sync->m); }
+      sync->cv.notify_all();
+    }
+  }
+  /// Re-read after entering (seq_cst, Dekker against shutdown's stopping
+  /// store then count read): false means shutdown will wait for us.
+  [[nodiscard]] bool stopping() const {
+    return sync->stopping.load(std::memory_order_seq_cst);
+  }
+};
+
+}  // namespace
+
 GemmResult GemmFuture::wait() const {
   if (!st_) {
     GemmResult res;
@@ -54,6 +91,16 @@ GemmResult GemmFuture::wait() const {
   // common case for a client draining a pipelined window newest-first.
   if (detail::is_settled(st_->status.load(std::memory_order_acquire))) {
     return st_->result;
+  }
+  if (st_->shard != nullptr) {
+    // Help: run the shard's next groups here instead of sleeping while the
+    // request is still queued.  The gate keeps the shard alive for every
+    // pass that starts before shutdown does.
+    const ClientGate gate(st_->sync);
+    while (!gate.stopping() &&
+           detail::status_of(*st_) == RequestStatus::kQueued &&
+           st_->shard->help(*st_)) {
+    }
   }
   std::unique_lock<std::mutex> lk(st_->m);
   st_->cv.wait(lk, [&] {
@@ -173,8 +220,8 @@ bool resolve_fast_path(const GemmRequest& r, PlanKey& key) {
 
 /// Synchronous execution of one request through the generic single and
 /// batched dispatch every public entry point forwards to — the direct and
-/// inline routes *are* the synchronous API (on a pool worker / the caller
-/// thread).  The request's QuantParams become the domain's per-call
+/// inline routes *are* the synchronous API (on whichever thread runs the
+/// group).  The request's QuantParams become the domain's per-call
 /// quantization (dropped by the float domains).
 template <typename S, typename C>
 GemmResult run_direct(const GemmRequest& r) {
@@ -212,32 +259,6 @@ GemmResult run_direct(const GemmRequest& r) {
   return res;
 }
 
-/// RAII pass through the admission window: shutdown() waits for this count
-/// to drain before arming the dispatchers' stop mode, so a producer that
-/// passed the stopping check can always finish its reservation + push.
-struct SubmitterGate {
-  std::atomic<int>& count;
-  /// Owning copy: the decrement below may release shutdown()'s wait, after
-  /// which the service can be destroyed under us — everything this
-  /// destructor touches past that decrement must live in the shared block.
-  std::shared_ptr<detail::ShutdownSync> sync;
-
-  SubmitterGate(std::atomic<int>& c, std::shared_ptr<detail::ShutdownSync> s)
-      : count(c), sync(std::move(s)) {
-    count.fetch_add(1, std::memory_order_seq_cst);
-  }
-  ~SubmitterGate() {
-    // seq_cst load: if shutdown's predicate missed this decrement (slept
-    // on count == 1), its earlier stopping store is S-ordered before the
-    // decrement and must be visible here so the wake gets delivered.
-    if (count.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-        sync->stopping.load(std::memory_order_seq_cst)) {
-      { std::lock_guard<std::mutex> lk(sync->m); }
-      sync->cv.notify_all();
-    }
-  }
-};
-
 /// Round-robin home-shard assignment: each submitting thread gets a stable
 /// index on first contact with any service, so one client's pipelined
 /// window lands on one shard (coalescing) while distinct clients spread
@@ -258,7 +279,6 @@ unsigned thread_home_index() {
 
 GemmService::GemmService(ServiceConfig config) : cfg_(config) {
   cfg_.queue_capacity = std::max<std::size_t>(cfg_.queue_capacity, 1);
-  cfg_.max_inflight = std::max(cfg_.max_inflight, 1);
   cfg_.max_coalesce = std::max<index_t>(cfg_.max_coalesce, 1);
   int shards = cfg_.shards;
   if (shards <= 0) {
@@ -268,10 +288,7 @@ GemmService::GemmService(ServiceConfig config) : cfg_(config) {
   }
   nshards_ = std::clamp(shards, 1, 64);
   cfg_.shards = nshards_;
-  lease_reserve_ = nshards_ - 1;
-  if (cfg_.inline_inflight_limit <= 0) {
-    cfg_.inline_inflight_limit = nshards_ * cfg_.max_inflight;
-  }
+  if (cfg_.inline_inflight_limit <= 0) cfg_.inline_inflight_limit = nshards_;
   paused_.store(cfg_.start_paused, std::memory_order_seq_cst);
   shards_.reserve(std::size_t(nshards_));
   for (int i = 0; i < nshards_; ++i) {
@@ -342,8 +359,8 @@ GemmFuture GemmService::enqueue(const GemmRequest& req, bool blocking) {
     count_rejected();
     return fut;
   }
-  SubmitterGate gate(active_submitters_, sync_);
-  if (sync_->stopping.load(std::memory_order_acquire)) {
+  const ClientGate gate(sync_);
+  if (gate.stopping()) {
     detail::reject_unpublished(*st, RejectReason::kShuttingDown);
     count_rejected();
     return fut;
@@ -386,8 +403,8 @@ std::vector<GemmFuture> GemmService::submit_all(
   std::vector<detail::Pending> ready;
   ready.reserve(reqs.size());
   std::uint64_t rejected = 0;
-  SubmitterGate gate(active_submitters_, sync_);
-  const bool stopping_now = sync_->stopping.load(std::memory_order_acquire);
+  const ClientGate gate(sync_);
+  const bool stopping_now = gate.stopping();
   for (const GemmRequest& r : reqs) {
     auto st = std::make_shared<detail::RequestState>();
     futures.push_back(GemmFuture(st));
@@ -468,26 +485,23 @@ void GemmService::shutdown(bool drain) {
   // and the park predicate wakes on any nonzero stop mode.
   if (drain) paused_.store(false, std::memory_order_seq_cst);
   // First wake: unblock space-waiting producers (they observe stopping
-  // and bow out through their gates).
+  // and bow out through their gates).  Helpers finish the group they are
+  // running and stop.
   for (auto& s : shards_) s->wake_all();
   {
     std::unique_lock<std::mutex> lk(sync_->m);
     sync_->cv.wait(lk, [&] {
-      return active_submitters_.load(std::memory_order_seq_cst) == 0;
+      return sync_->clients.load(std::memory_order_seq_cst) == 0;
     });
   }
-  // The admission window is drained: every accepted request is in a ring.
-  // Arm the dispatchers' final sweep and collect them.
+  // The admission window is drained: every accepted request is in a ring
+  // or settled, and only the dispatchers consume.  Arm their final sweep
+  // and collect them; their joins end the last in-flight group.
   stop_mode_.store(int(drain ? StopMode::kDrain : StopMode::kCancel),
                    std::memory_order_seq_cst);
   for (auto& s : shards_) s->wake_all();
   for (auto& s : shards_) s->join();
-  {
-    std::unique_lock<std::mutex> lk(sync_->m);
-    sync_->cv.wait(lk, [&] {
-      return inflight_.load(std::memory_order_seq_cst) == 0;
-    });
-  }
+  assert(inflight_.load(std::memory_order_seq_cst) == 0);
   shards_joined_ = true;
 }
 
@@ -513,15 +527,7 @@ void GemmService::note_group_start() {
 }
 
 void GemmService::note_group_end() {
-  // Copy the block before the decrement: reaching zero releases
-  // shutdown()'s final wait, after which ~GemmService can run — without
-  // the copy this thread's notify would broadcast on a destroyed cv (a
-  // pthread_cond_destroy race, TSan-visible on pool completions).
-  std::shared_ptr<detail::ShutdownSync> sync = sync_;
-  if (inflight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    { std::lock_guard<std::mutex> lk(sync->m); }
-    sync->cv.notify_all();
-  }
+  inflight_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 void GemmService::nudge_stealers(int home) {
@@ -563,6 +569,7 @@ ServiceStats GemmService::stats() const {
   for (const auto& s : shards_) {
     ShardStats ss = s->snapshot();
     submitted += ss.submitted;
+    out.helped += ss.helped;
     out.steals += ss.steals;
     out.stolen_requests += ss.stolen_requests;
     out.peak_queue_depth =
@@ -584,7 +591,7 @@ int GemmService::inflight() const {
 }
 
 // ---------------------------------------------------------------------------
-// Group execution (called from shard dispatchers, pool workers, and the
+// Group execution (called from shard dispatchers, helping waiters, and the
 // inline fast lane)
 // ---------------------------------------------------------------------------
 
@@ -666,10 +673,14 @@ void GemmService::execute_coalesced(std::vector<detail::Pending>& group,
   // Inter-batch by construction: every member's plan is fast-path (one
   // thread), so per-member execution inside the batched call is the same
   // one-member execute a synchronous call runs — the bit-identity contract.
-  // One QuantParams serves the whole merged batch (coalesce_match required
+  // threads = 1 runs the members one after another on this thread: the
+  // executing thread is one of many busy clients or dispatchers, and a
+  // fan-out team per group would only contend with them for cores.  One
+  // QuantParams serves the whole merged batch (coalesce_match required
   // every member's to be equal).
   BatchOptions bopts;
   bopts.base = head.opts;
+  bopts.base.threads = 1;
   bopts.schedule = BatchSchedule::kInter;
   const QuantOf<S, C> q(head.qp);
   const BatchReport rep =

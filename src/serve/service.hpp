@@ -1,5 +1,5 @@
-// Asynchronous GEMM serving front-end on the persistent team runtime —
-// sharded admission with a lock-free submit fast lane.
+// Asynchronous GEMM serving front-end — sharded admission with a
+// lock-free submit fast lane.
 //
 // Every entry point below PR 4 is synchronous: a caller blocks for the
 // whole GEMM, so admission control, queueing, prioritization, and
@@ -9,10 +9,14 @@
 //
 //   submit(GemmRequest) -> GemmFuture
 //
+//   Every admitted request runs on a thread that already exists and would
+//   otherwise sit idle: the submitting client, the client that waits for
+//   it, or its shard's dispatcher.  No request is handed to a pool worker.
+//
 //   - An *inline-execute fast lane*: when a request's resolved plan takes
 //     the small-GEMM fast path (a one-thread plan — the regime where a queue
 //     round-trip costs more than the GEMM itself) and the service is idle
-//     enough (home-shard queue empty, in-flight groups below a threshold),
+//     enough (home-shard queue empty, fewer groups in flight than shards),
 //     submit() executes the request synchronously on the calling thread —
 //     the identical code path a direct call runs, bit-identical, zero
 //     hand-offs.  submit_all() additionally merges a window of same-
@@ -24,10 +28,11 @@
 //   - N *shards* (ServiceConfig::shards; default: FTGEMM_SERVICE_SHARDS,
 //     else hardware concurrency), each owning a bounded *lock-free MPSC
 //     submit ring* per priority lane (serve/queue.hpp) and its own
-//     dispatcher thread leasing execution from the PR 4 worker pool.
-//     Client threads are round-robin affine to a home shard (overridable
-//     per request via GemmRequest::shard_hint), so a client's pipelined
-//     window lands on one shard and keeps its coalescing opportunity.
+//     dispatcher thread, which executes each group it builds or steals on
+//     itself, one group at a time.  Client threads are round-robin affine
+//     to a home shard (overridable per request via
+//     GemmRequest::shard_hint), so a client's pipelined window lands on
+//     one shard and keeps its coalescing opportunity.
 //     submit() applies per-shard backpressure (blocks while the shard is
 //     full); try_submit() sheds load instead, and its kRejected future now
 //     carries a RejectReason saying *which* resource was exhausted.
@@ -38,12 +43,19 @@
 //     same-fingerprint runs still merge into one batched call, still
 //     bit-identical).  serve/shard.hpp documents the steal protocol.
 //
+//   - *Help-on-wait*: GemmFuture::wait() on a still-queued request runs
+//     its shard's next group on the waiting thread, built exactly as the
+//     dispatcher builds one, until the request has left the queue; then it
+//     blocks.  A client that queued work thus executes it instead of
+//     sleeping while its dispatcher is busy.
+//
 //   - *Coalescing*: queued single-problem requests whose resolved plan
 //     takes the small-GEMM fast path (planner-pinned to one thread) and
 //     whose full plan fingerprint + scalars + leading dimensions match are
 //     merged into one batched call on the inter-batch scheduler — one plan
-//     fetch, one workspace-lease round-trip, and one dispatch for up to
-//     max_coalesce requests.  See the bit-identity note below.
+//     fetch and one workspace lease for up to max_coalesce requests, whose
+//     members run one after another on the executing thread.  See the
+//     bit-identity note below.
 //
 //   - *Cancellation* (GemmFuture::cancel — queued requests only),
 //     *completion callbacks* (GemmFuture::then), and per-service counters
@@ -52,18 +64,18 @@
 //     service executed.
 //
 // Bit-identity contract: for every routing decision the service can make —
-// inline fast lane, direct dispatch on any shard, coalesced on the owning
-// shard, coalesced after a steal — the delivered C (and FT detection
-// behavior) is bit-identical to the synchronous entry point called with
-// the same arguments and Options.  Inline and direct routes *are* the
-// synchronous entry points (on the caller thread / a pool worker).  The
-// coalesced route holds because coalescing is restricted to fast-path
-// plans: the planner pins those to one thread regardless of the requested
-// topology, and the batched inter-scheduler runs each member through the
-// identical one-thread plan (same blocking, same kernels, same summation
-// order) — the same one-member execute either way.  tests/test_service.cpp
-// asserts this differentially across shapes x backends x priorities x shard
-// counts.
+// inline fast lane, direct dispatch on any shard, run by a waiting client,
+// coalesced on the owning shard, coalesced after a steal — the delivered C
+// (and FT detection behavior) is bit-identical to the synchronous entry
+// point called with the same arguments and Options.  Inline and direct
+// routes *are* the synchronous entry points (on whichever thread runs the
+// group).  The coalesced route holds because coalescing is restricted to
+// fast-path plans: the planner pins those to one thread regardless of the
+// requested topology, and the batched inter-scheduler runs each member
+// through the identical one-thread plan (same blocking, same kernels, same
+// summation order) — the same one-member execute either way.
+// tests/test_service.cpp asserts this differentially across shapes x
+// backends x priorities x shard counts.
 //
 // Ordering: priority lanes drain highest-first and FIFO within a lane *per
 // shard*; once more than one shard (or the inline lane) is in play,
@@ -74,9 +86,11 @@
 //
 // Threading contract: GemmFuture is a value handle, safe to wait/cancel
 // from any thread.  then() continuations run on whichever thread settles
-// the request (the caller itself for inline routes, a service thread
-// otherwise) — keep them light, and do not block them on other futures of
-// the same service (in particular, do not call shutdown() from one).
+// the request: the submitting thread for inline routes, otherwise the
+// shard's dispatcher or any client thread blocked in wait() on a request
+// of the same shard — keep them light, and do not block them on other
+// futures of the same service (in particular, do not call shutdown() from
+// one).
 #pragma once
 
 #include <atomic>
@@ -100,8 +114,9 @@ namespace ftgemm::serve {
 /// stealing are precision-safe by construction: the group-merge predicate
 /// (serve/shard.hpp coalesce_match) requires member precisions to match, so
 /// mixed traffic shards and batches without ever mixing element types in
-/// one batched call, and it additionally requires two kI8 requests to carry
-/// equal QuantParams (a batched call takes one for the whole batch).
+/// one batched call, and it additionally requires equal per-call
+/// quantization as the precision's checksum domain reads it (a batched
+/// call takes one for the whole batch; the float domains have none).
 using ftgemm::Precision;
 
 /// Precision tag of a storage element type, read off the precision list:
@@ -274,9 +289,9 @@ inline GemmRequest make_strided_batched_request_i8(
 /// Lifecycle of one submitted request.
 enum class RequestStatus {
   kQueued,     ///< admitted, awaiting dispatch
-  kRunning,    ///< claimed — by a dispatcher for execution, or transiently
-               ///< by a winning cancel while it publishes (no longer
-               ///< cancellable either way)
+  kRunning,    ///< claimed — for execution (by a dispatcher or a waiting
+               ///< client), or transiently by a winning cancel while it
+               ///< publishes (no longer cancellable either way)
   kDone,       ///< executed; result fields are valid
   kCancelled,  ///< cancelled while queued; never executed, C untouched
   kRejected,   ///< refused at submit (see GemmResult::reject)
@@ -309,17 +324,22 @@ namespace detail {
 struct RequestState;
 struct Pending;
 
-/// Shutdown handshake block, held by shared_ptr: a late notifier — a pool
-/// completion in note_group_end, or a submitter gate bowing out — can
-/// still be between its releasing decrement (the one shutdown()'s wait is
-/// blocked on) and its notify when the waiter observes zero, returns, and
-/// the service is destroyed.  Each notifier copies the block before that
-/// decrement so the mutex/cv (and the stopping flag the gate re-reads
-/// afterwards) outlive the service for exactly that tail.
+/// Shutdown handshake block, held by shared_ptr (by the service, by every
+/// queued request's state, and by each client thread inside the service):
+/// a client leaving the service can still be between its releasing
+/// decrement (the one shutdown()'s wait is blocked on) and its notify when
+/// the waiter observes zero, returns, and the service is destroyed.  The
+/// block outlives the service for exactly that tail, and it is all a
+/// waiting thread touches before it knows the service is still running.
 struct ShutdownSync {
-  std::atomic<bool> stopping{false};  ///< admission gate
+  std::atomic<bool> stopping{false};  ///< admission and help gate
+  /// Client threads inside the service: submitters (incl. inline
+  /// executions) and waiters helping their shard.  shutdown() waits for
+  /// this to drain before arming the dispatchers' stop mode, so no request
+  /// can slip in behind, or be claimed during, their final queue sweep.
+  std::atomic<int> clients{0};
   std::mutex m;
-  std::condition_variable cv;  ///< submitter window / inflight drained
+  std::condition_variable cv;  ///< clients drained
 };
 }
 
@@ -335,13 +355,18 @@ class GemmFuture {
   [[nodiscard]] bool valid() const { return st_ != nullptr; }
 
   /// Block until the request settles (done/cancelled/rejected); returns the
-  /// result.  Returns immediately once settled.  By value on purpose: the
+  /// result.  Returns immediately once settled.  While the request is still
+  /// queued and the service is neither paused nor stopping, the calling
+  /// thread first runs its shard's next groups itself (possibly other
+  /// clients' requests, whose then() continuations then run here too)
+  /// until this request has left the queue.  By value on purpose: the
   /// idiomatic `service.submit(req).wait()` destroys the temporary future
   /// (and possibly the last reference to the shared state) as the full
   /// expression ends, so a reference would dangle.
   GemmResult wait() const;
 
-  /// Bounded wait; true when the request settled within the timeout.
+  /// Bounded wait; true when the request settled within the timeout.  Never
+  /// runs queued work, so the timeout bounds it.
   [[nodiscard]] bool wait_for(double seconds) const;
 
   /// True when the request has settled.
@@ -352,8 +377,8 @@ class GemmFuture {
 
   /// Cancel a still-queued request: it will never execute and its C is
   /// untouched.  Returns true when this call performed the cancellation;
-  /// false when the request already ran, settled, or was claimed by a
-  /// dispatcher.
+  /// false when the request already ran, settled, or was claimed for
+  /// execution.
   bool cancel();
 
   /// Attach a completion continuation, invoked exactly once with the final
@@ -369,9 +394,9 @@ class GemmFuture {
   std::shared_ptr<detail::RequestState> st_;
 };
 
-/// Service tuning knobs.  queue_capacity and max_inflight are *per shard*:
-/// a shard is a self-contained admission unit, and total service capacity
-/// scales with the shard count.
+/// Service tuning knobs.  queue_capacity is *per shard*: a shard is a
+/// self-contained admission unit, and total service capacity scales with
+/// the shard count.  Each shard's dispatcher runs one group at a time.
 struct ServiceConfig {
   /// Admission shards.  0 = auto: FTGEMM_SERVICE_SHARDS, else the
   /// machine's hardware concurrency.  Explicit config beats the env var.
@@ -379,10 +404,6 @@ struct ServiceConfig {
   /// Bounded per-shard admission queue: requests queued across the shard's
   /// priority lanes before submit() blocks / try_submit() rejects.
   std::size_t queue_capacity = 256;
-  /// Concurrent request groups in flight per shard (each in-flight group
-  /// leases one pool worker for its body; the GEMM inside opens its own
-  /// team per its plan).
-  int max_inflight = 2;
   /// Largest coalesced batch (members per merged batched call).
   index_t max_coalesce = 16;
   /// Merge same-fingerprint fast-path requests into batched calls.
@@ -390,11 +411,11 @@ struct ServiceConfig {
   /// Execute fast-path requests inline on the submitting thread when the
   /// service is idle enough (see inline_inflight_limit).
   bool inline_fast_lane = true;
-  /// Inline executes only while the number of dispatcher groups in flight
-  /// across all shards is below this.  0 = auto (shards * max_inflight):
-  /// inline until the service's dispatch capacity is saturated, then queue
-  /// so small requests coalesce behind the backlog instead of piling onto
-  /// a busy machine.
+  /// Inline executes only while the number of queued-route groups in
+  /// flight (dispatcher- or waiter-run) is below this.  0 = auto (shards):
+  /// inline while some dispatcher could be idle, then queue so small
+  /// requests coalesce behind the backlog instead of piling onto a busy
+  /// machine.
   int inline_inflight_limit = 0;
   /// Idle shards steal coalescable groups from loaded siblings.
   bool steal = true;
@@ -407,7 +428,8 @@ struct ServiceConfig {
 /// Per-shard monotonic counters (ServiceStats::shard).
 struct ShardStats {
   std::uint64_t submitted = 0;   ///< requests admitted to this shard's queue
-  std::uint64_t executed = 0;    ///< requests this shard's dispatcher ran
+  std::uint64_t executed = 0;    ///< requests run off this shard's queue
+  std::uint64_t helped = 0;      ///< of those, run by a waiting client
   std::uint64_t coalesced_batches = 0;  ///< merged calls it issued
   std::uint64_t coalesced_members = 0;  ///< requests folded into them
   std::uint64_t steals = 0;             ///< groups it stole from siblings
@@ -426,6 +448,7 @@ struct ServiceStats {
   std::uint64_t coalesced_batches = 0;  ///< merged batched calls issued
   std::uint64_t coalesced_members = 0;  ///< requests folded into them
   std::uint64_t inline_executed = 0;  ///< requests run on the caller thread
+  std::uint64_t helped = 0;  ///< queued requests run by a waiting client
   std::uint64_t steals = 0;           ///< groups stolen between shards
   std::uint64_t stolen_requests = 0;  ///< requests inside stolen groups
   std::int64_t errors_detected = 0;   ///< summed over all FT reports
@@ -442,7 +465,9 @@ struct ServiceStats {
   /// (FTGEMM_OPERAND_ECC) — corrections that did not need a re-encode heal.
   std::int64_t resident_ecc_corrected = 0;
   std::uint64_t peak_queue_depth = 0;  ///< max over shards
-  std::uint64_t peak_inflight = 0;     ///< dispatcher groups, all shards
+  /// Queued-route groups executing at once (dispatchers and helping
+  /// waiters), all shards.
+  std::uint64_t peak_inflight = 0;
   std::vector<ShardStats> shard;       ///< per-shard breakdown
 };
 
@@ -487,7 +512,8 @@ class GemmService {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;  ///< sum over shards
-  [[nodiscard]] int inflight() const;  ///< dispatcher groups, all shards
+  /// Queued-route groups executing now (dispatchers and helping waiters).
+  [[nodiscard]] int inflight() const;
   [[nodiscard]] int shards() const { return nshards_; }
 
  private:
@@ -501,7 +527,9 @@ class GemmService {
   ServiceShard& shard_for(const GemmRequest& req);
   bool inline_open(const ServiceShard& home) const;
   /// Run a claimed group (direct or coalesced) and settle every member;
-  /// shard_id < 0 = inline lane (executed on the submitting thread).
+  /// shard_id < 0 = inline lane (executed on the submitting thread),
+  /// otherwise the shard whose counters it is charged to: the running
+  /// dispatcher's (stolen groups included) or the helped shard's.
   void execute_group(std::vector<detail::Pending>& group, int shard_id);
   void execute_direct(detail::Pending& p, bool inlined);
   template <typename S, typename C>
@@ -518,20 +546,16 @@ class GemmService {
 
   ServiceConfig cfg_;
   int nshards_ = 1;
-  int lease_reserve_ = 0;  ///< runtime try-lease fairness (shards - 1)
   std::vector<std::unique_ptr<ServiceShard>> shards_;
 
-  /// stopping flag + the mutex/cv shutdown's waits and their notifiers
-  /// share; see detail::ShutdownSync for why it is shared, not a member.
+  /// stopping flag, client count, and the mutex/cv shutdown's wait and
+  /// its notifiers share; see detail::ShutdownSync for why it is shared,
+  /// not a member.
   std::shared_ptr<detail::ShutdownSync> sync_ =
       std::make_shared<detail::ShutdownSync>();
   std::atomic<int> stop_mode_{int(StopMode::kNone)};
   std::atomic<bool> paused_{false};
-  /// Submitters (incl. inline executions) currently inside admission;
-  /// shutdown waits for this to drain before arming the dispatchers' stop
-  /// mode, so no request can slip in behind a final queue sweep.
-  std::atomic<int> active_submitters_{0};
-  std::atomic<int> inflight_{0};  ///< dispatcher groups across shards
+  std::atomic<int> inflight_{0};  ///< queued-route groups across shards
 
   std::mutex shutdown_m_;
   bool shards_joined_ = false;

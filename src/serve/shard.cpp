@@ -1,23 +1,20 @@
 // ServiceShard implementation: lock-free admission, the per-shard
-// dispatcher, group building with the per-lane holdover slots, and stealing (see
-// serve/shard.hpp for the protocols and serve/service.hpp for the service
-// contracts).
+// dispatcher, group building with the per-lane holdover slots, stealing,
+// and helping (see serve/shard.hpp for the protocols and serve/service.hpp
+// for the service contracts).
 //
 // Lock order (never taken in reverse):
 //   pop_m_          — consumer-side group building (one shard's at a time:
 //                     a stealer takes a victim's pop_m_ while holding none
-//                     of its own);
+//                     of its own; no consumer holds it while executing);
 //   RequestState::m — per-request settle/claim/cancel transitions;
 //   m_              — park/space condition handshakes;
-//   sm_             — in-flight slot free list;
 //   stats_m_        — service counters (leaf).
 #include "serve/shard.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <utility>
-
-#include "runtime/team.hpp"
 
 namespace ftgemm::serve {
 
@@ -27,46 +24,12 @@ int lane_of(Priority p) { return std::clamp(int(p), 0, kPriorityLanes - 1); }
 
 }  // namespace
 
-/// Stable callable objects the runtime's non-owning TeamFnRef /
-/// CompletionRef can reference for the whole async dispatch.
-struct ServiceShard::InflightSlot {
-  explicit InflightSlot(ServiceShard* s) : shard(s) {}
-
-  ServiceShard* shard;
-  std::vector<detail::Pending> group;
-
-  struct BodyFn {
-    InflightSlot* slot;
-    void operator()(runtime::TeamMember&) const {
-      slot->shard->execute_slot(*slot);
-    }
-  };
-  struct DoneFn {
-    InflightSlot* slot;
-    void operator()() const { slot->shard->release_slot(*slot); }
-  };
-  BodyFn body{this};
-  DoneFn done{this};
-};
-
 ServiceShard::ServiceShard(GemmService* owner, int id, std::size_t capacity)
     : owner_(owner), id_(id), capacity_(std::max<std::size_t>(capacity, 1)) {
   lanes_.reserve(kPriorityLanes);
   for (int i = 0; i < kPriorityLanes; ++i) {
     lanes_.push_back(
         std::make_unique<detail::SubmitRing<detail::Pending>>(capacity_));
-  }
-  // max_inflight == 1 executes on the dispatcher thread (no slots, no pool
-  // round trip): a 1-wide shard would pay two context switches per group
-  // for nothing.
-  const int inflight = std::max(owner_->cfg_.max_inflight, 1);
-  if (inflight > 1) {
-    slots_.reserve(std::size_t(inflight));
-    free_slots_.reserve(std::size_t(inflight));
-    for (int i = 0; i < inflight; ++i) {
-      slots_.push_back(std::make_unique<InflightSlot>(this));
-      free_slots_.push_back(slots_.back().get());
-    }
   }
 }
 
@@ -95,6 +58,10 @@ ServiceShard::Admit ServiceShard::try_admit(detail::Pending& p) {
     }
   }
   const std::size_t depth = q + 1;
+  // What a waiter needs to help this shard (GemmFuture::wait), published
+  // with the entry.
+  p.state->shard = this;
+  p.state->sync = owner_->sync_;
   const bool pushed = lanes_[lane_of(p.req.priority)]->push(std::move(p));
   assert(pushed);
   (void)pushed;
@@ -238,6 +205,26 @@ bool ServiceShard::steal_group(std::vector<detail::Pending>& out,
   return !out.empty();
 }
 
+bool ServiceShard::help(detail::RequestState& own) {
+  if (owner_->paused_.load(std::memory_order_acquire)) return false;
+  std::vector<detail::Pending> group;
+  std::uint64_t cancelled = 0;
+  {
+    std::lock_guard<std::mutex> lk(pop_m_);
+    // Every claim of a queued entry happens under pop_m_, so a request
+    // still kQueued here is still in the rings or a holdover: the group
+    // below is the one ahead of it or contains it.
+    if (detail::status_of(own) != RequestStatus::kQueued) return false;
+    build_group_locked(group, cancelled);
+  }
+  if (cancelled > 0) owner_->count_cancelled(cancelled);
+  if (group.empty()) return false;
+  const std::size_t n = group.size();
+  run(group);
+  counters.helped.fetch_add(n, std::memory_order_relaxed);
+  return true;
+}
+
 void ServiceShard::cancel_all() {
   std::uint64_t cancelled = 0;
   {
@@ -311,7 +298,7 @@ void ServiceShard::dispatcher_main() {
       }
     }
     if (group.empty()) continue;
-    execute(std::move(group));
+    run(group);
   }
 }
 
@@ -319,46 +306,9 @@ void ServiceShard::dispatcher_main() {
 // Execution
 // ---------------------------------------------------------------------------
 
-void ServiceShard::execute(std::vector<detail::Pending>&& group) {
-  if (slots_.empty()) {
-    // max_inflight == 1: one group at a time either way, so run it right
-    // here on the dispatcher thread.
-    std::vector<detail::Pending> g = std::move(group);
-    owner_->note_group_start();
-    owner_->execute_group(g, id_);
-    owner_->note_group_end();
-    return;
-  }
-  InflightSlot* slot = nullptr;
-  {
-    std::unique_lock<std::mutex> lk(sm_);
-    scv_.wait(lk, [&] { return !free_slots_.empty(); });
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
+void ServiceShard::run(std::vector<detail::Pending>& group) {
   owner_->note_group_start();
-  slot->group = std::move(group);
-  // Lease execution from the pool: the non-blocking try-lease first (a
-  // parked worker picks the job up with no spawn), leaving lease_reserve_
-  // workers parked for sibling shards; the growing lease as the fallback
-  // so progress is never gated on pool capacity.
-  if (!runtime::try_run_team_async(1, slot->body, slot->done,
-                                   owner_->lease_reserve_)) {
-    runtime::run_team_async(1, slot->body, slot->done);
-  }
-}
-
-void ServiceShard::execute_slot(InflightSlot& slot) {
-  owner_->execute_group(slot.group, id_);
-}
-
-void ServiceShard::release_slot(InflightSlot& slot) {
-  slot.group.clear();
-  {
-    std::lock_guard<std::mutex> lk(sm_);
-    free_slots_.push_back(&slot);
-  }
-  scv_.notify_all();
+  owner_->execute_group(group, id_);
   owner_->note_group_end();
 }
 
@@ -366,6 +316,7 @@ ShardStats ServiceShard::snapshot() const {
   ShardStats s;
   s.submitted = counters.submitted.load(std::memory_order_relaxed);
   s.executed = counters.executed.load(std::memory_order_relaxed);
+  s.helped = counters.helped.load(std::memory_order_relaxed);
   s.coalesced_batches =
       counters.coalesced_batches.load(std::memory_order_relaxed);
   s.coalesced_members =

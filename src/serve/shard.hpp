@@ -1,5 +1,6 @@
 // One admission shard of the GemmService: a bounded lock-free submit ring
-// per priority lane, plus the dispatcher thread that drains them.
+// per priority lane, plus the dispatcher thread that drains them and runs
+// each group it builds on itself.
 //
 // The serving layer splits into N of these so that (a) producers on
 // different client threads never contend on one queue lock — admission is
@@ -10,12 +11,14 @@
 // lands contiguously in one shard's rings and keeps its coalescing
 // opportunity.
 //
-// Consumer side: the owning dispatcher and any *stealing* sibling
-// dispatcher serialize on `pop_m_` — a consumer-only mutex producers never
-// touch.  Serializing consumers buys two properties cheaply: a coalescable
-// same-fingerprint run is always popped atomically as ONE group (never
-// split between the owner and a thief, so stolen traffic coalesces exactly
-// like owned traffic), and one `holdover_` slot *per priority lane* is
+// Consumer side: the owning dispatcher, any *stealing* sibling dispatcher,
+// and any *helping* waiter (a client blocked in GemmFuture::wait() on a
+// request still in this shard's queue) serialize on `pop_m_` — a
+// consumer-only mutex producers never touch.  Serializing consumers buys
+// two properties cheaply: a coalescable same-fingerprint run is always
+// popped atomically as ONE group (never split between the owner, a thief
+// or a helper, so stolen and helped traffic coalesces exactly like owned
+// traffic), and one `holdover_` slot *per priority lane* is
 // enough to hold the popped-but-mismatched entry a coalescing sweep can
 // end on (a ring, unlike the old deque, cannot skip an entry in place).
 // The slot must be per lane, not per shard: a sweep can park a mismatch
@@ -25,6 +28,14 @@
 // popped ring entry's own slot is provably empty, so a park can never
 // clobber (asserted in put_holdover).  Re-offering the holdover first
 // within its lane preserves per-lane FIFO; higher lanes still pre-empt it.
+//
+// Help protocol: a waiter whose request is still queued here takes pop_m_,
+// re-checks that the request is still queued (claims happen under pop_m_,
+// so the check is exact), builds the next group in priority order — its own
+// request or one ahead of it — and runs it on its own thread, repeating
+// until its request has left the queue.  It never helps while the service
+// is paused or stopping; GemmService::shutdown() waits for helpers to leave
+// before the final sweep.
 //
 // Steal protocol: an idle dispatcher (own rings empty, not paused, service
 // not draining) scans siblings for `queued() > 0` and pops a whole group
@@ -52,6 +63,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/checksum_domain.hpp"
 #include "core/plan.hpp"
 #include "serve/queue.hpp"
 #include "serve/service.hpp"
@@ -76,18 +88,28 @@ struct Pending {
 };
 
 /// Requests that may merge into one batched call: identical plan
-/// fingerprint, scalars, and leading dimensions (the batched entry point
-/// takes one set of each).  Shared by the dispatchers' group building and
-/// submit_all's inline window merging.
+/// fingerprint, scalars, leading dimensions and per-call quantization (the
+/// batched entry point takes one set of each).  Shared by group building
+/// and submit_all's inline window merging.
 inline bool coalesce_match(const GemmRequest& x, const PlanKey& xkey,
                            const Pending& y) {
   const GemmRequest& r = y.req;
-  return y.coalescible && x.precision == r.precision &&
-         x.layout == r.layout && x.alpha == r.alpha && x.beta == r.beta &&
-         x.lda == r.lda && x.ldb == r.ldb && x.ldc == r.ldc &&
-         xkey == y.key &&
-         // int8 batched calls take ONE QuantParams for every member.
-         (x.precision != Precision::kI8 || x.qp == r.qp);
+  if (!(y.coalescible && x.precision == r.precision &&
+        x.layout == r.layout && x.alpha == r.alpha && x.beta == r.beta &&
+        x.lda == r.lda && x.ldb == r.ldb && x.ldc == r.ldc &&
+        xkey == y.key)) {
+    return false;
+  }
+  // Compared as the precision's domain reads it: the float domains drop
+  // QuantParams (NoQuant is always equal), the exact domain keeps them.
+  bool same_quant = false;
+  ftgemm::detail::visit_precision(x.precision, [&](auto e) {
+    using E = decltype(e);
+    using Q = ftgemm::detail::QuantOf<typename E::Storage,
+                                      typename E::Compute>;
+    same_quant = Q(x.qp) == Q(r.qp);
+  });
+  return same_quant;
 }
 
 }  // namespace detail
@@ -138,10 +160,17 @@ class ServiceShard {
   /// on the way are added to `cancelled`.
   bool steal_group(std::vector<detail::Pending>& out, std::uint64_t& cancelled);
 
+  /// Run this shard's next group on the calling thread, a client waiting
+  /// for `own` (see the help protocol above).  False, running nothing,
+  /// when the service is paused, `own` has left the queue, or no group
+  /// could be built.
+  bool help(detail::RequestState& own);
+
   /// Per-shard counters (relaxed; snapshot via GemmService::stats).
   struct Counters {
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> executed{0};
+    std::atomic<std::uint64_t> helped{0};
     std::atomic<std::uint64_t> coalesced_batches{0};
     std::atomic<std::uint64_t> coalesced_members{0};
     std::atomic<std::uint64_t> steals{0};
@@ -154,8 +183,6 @@ class ServiceShard {
 
  private:
   friend class GemmService;
-
-  struct InflightSlot;
 
   void dispatcher_main();
   /// Build one claimable group: holdover first (within its lane), then the
@@ -171,11 +198,9 @@ class ServiceShard {
   void note_removed();
   /// Cancel-drain everything still queued (shutdown(drain=false)).
   void cancel_all();
-  /// Run a claimed group: bounded by max_inflight slots; max_inflight == 1
-  /// executes on the dispatcher thread itself (no pool round trip).
-  void execute(std::vector<detail::Pending>&& group);
-  void execute_slot(InflightSlot& slot);
-  void release_slot(InflightSlot& slot);
+  /// Run a claimed group on the calling thread (this shard's dispatcher
+  /// or a helping waiter), counted in the service's in-flight groups.
+  void run(std::vector<detail::Pending>& group);
 
   GemmService* owner_;
   int id_;
@@ -202,11 +227,6 @@ class ServiceShard {
   /// guarded by pop_m_ like the pops that fill and drain it.
   std::array<detail::Pending, kPriorityLanes> holdover_;
   std::array<bool, kPriorityLanes> has_holdover_{};
-
-  std::mutex sm_;  ///< in-flight slot free list
-  std::condition_variable scv_;
-  std::vector<std::unique_ptr<InflightSlot>> slots_;
-  std::vector<InflightSlot*> free_slots_;
 
   std::thread dispatcher_;
 };

@@ -1,12 +1,14 @@
 // Internal shared state behind GemmFuture, plus the settle/claim/cancel
 // transitions every serving unit (inline fast lane, shard dispatchers,
-// stealers, shutdown) arbitrates through.  Split out of service.cpp so the
-// shard unit can operate on requests without a circular include.
+// stealers, helping waiters, shutdown) arbitrates through.  Split out of
+// service.cpp so the shard unit can operate on requests without a circular
+// include.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -28,6 +30,11 @@ struct RequestState {
   std::condition_variable cv;
   GemmResult result;
   std::function<void(const GemmResult&)> continuation;
+  /// Set once, before a request enters a shard's queue (null otherwise):
+  /// the shard a waiting thread helps, and the service's shutdown block,
+  /// which tells the waiter whether that shard is still safe to touch.
+  ServiceShard* shard = nullptr;
+  std::shared_ptr<ShutdownSync> sync;
 };
 
 [[nodiscard]] inline bool is_settled(RequestStatus s) {
@@ -80,9 +87,9 @@ inline bool try_cancel(RequestState& st) {
   return true;
 }
 
-/// kQueued -> kRunning (a dispatcher's or stealer's claim); false when a
-/// racing cancel won.  Lock-free: the CAS is the arbiter against
-/// try_cancel.
+/// kQueued -> kRunning (a dispatcher's, stealer's or helping waiter's
+/// claim); false when a racing cancel won.  Lock-free: the CAS is the
+/// arbiter against try_cancel.
 inline bool try_claim(RequestState& st) {
   RequestStatus expect = RequestStatus::kQueued;
   return st.status.compare_exchange_strong(expect, RequestStatus::kRunning,

@@ -102,7 +102,6 @@ TEST(ServiceCampaign, TargetsInflightRequestsReliably) {
   config.inject_every = 3;
   config.errors_per_target = 4;
   config.seed = test_seed(config.seed);
-  config.max_inflight = 2;
   const ServiceCampaignResult r = run_service_injection_campaign(config);
   EXPECT_EQ(r.targeted_requests, 4) << seed_note(config.seed);
   EXPECT_GT(r.injected, 0u) << seed_note(config.seed);
@@ -118,7 +117,6 @@ TEST(ServiceCampaign, CleanTrafficStaysCleanAndCoalesces) {
   config.requests = 10;
   config.inject_every = 0;  // no faults anywhere
   config.seed = test_seed(config.seed);
-  config.max_inflight = 1;  // queue builds up => merged batches form
   const ServiceCampaignResult r = run_service_injection_campaign(config);
   EXPECT_EQ(r.injected, 0u) << seed_note(config.seed);
   EXPECT_EQ(r.detected, 0) << seed_note(config.seed);

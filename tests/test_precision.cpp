@@ -464,12 +464,13 @@ TEST(MixedRoutingBitIdentity, F16SyncEngineResidentService) {
 
 /// Coalesced service route: a window of same-fingerprint narrow-storage
 /// requests must merge into one batched call and still deliver
-/// bit-identical results.
+/// bit-identical results.  The last member carries QuantParams of its own:
+/// the float domains ignore them, so it must merge all the same.
 template <typename S>
 void coalesced_window_bit_identity() {
   const std::uint64_t seed = test_seed(2413);
   const GemmCase cs{24, 16, 20, Trans::kNoTrans, Trans::kNoTrans, 1.0, 0.0};
-  constexpr int kWindow = 6;
+  constexpr int kWindow = 7;
   std::vector<MixedProblem<S>> problems;
   problems.reserve(kWindow);
   for (int i = 0; i < kWindow; ++i) problems.emplace_back(cs, seed + i);
@@ -495,6 +496,7 @@ void coalesced_window_bit_identity() {
         float(cs.beta), c_async[std::size_t(i)].data(),
         c_async[std::size_t(i)].ld()));
   }
+  reqs.back().qp = QuantParams{0.5f, 2.0f, 3, -4};
   std::vector<serve::GemmFuture> futures = service.submit_all(reqs);
   for (int i = 0; i < kWindow; ++i) {
     const serve::GemmResult res = futures[std::size_t(i)].wait();

@@ -6,10 +6,8 @@
 #include <omp.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <vector>
 
 #include "core/gemm_batched.hpp"
@@ -189,119 +187,6 @@ TEST(PoolRuntime, WorkersPersistAndAreReusedAcrossRegions) {
   // workers instead of spawning.
   for (int i = 0; i < 16; ++i) runtime::run_team(RuntimeBackend::kPool, 3, noop);
   EXPECT_EQ(runtime::pool_worker_count(), after_first);
-}
-
-TEST(PoolRuntime, AsyncLeaseRunsEveryRankAndFiresCompletionOnce) {
-  // run_team_async: all nt ranks execute on pool workers, the calling
-  // thread returns immediately, and the completion hook fires exactly once
-  // after every member finished (the serving layer's dispatch primitive).
-  const int nt = 3;
-  std::atomic<int> ran{0};
-  std::atomic<int> completions{0};
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-
-  std::vector<int> rank_seen(std::size_t(nt), 0);
-  auto body = [&](runtime::TeamMember& tm) {
-    ASSERT_EQ(tm.nt(), nt);
-    ++rank_seen[std::size_t(tm.tid())];
-    ran.fetch_add(1);
-    tm.barrier();
-  };
-  auto completion = [&] {
-    completions.fetch_add(1);
-    std::lock_guard<std::mutex> lk(m);
-    done = true;
-    cv.notify_all();
-  };
-  runtime::run_team_async(nt, body, completion);
-  {
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return done; });
-  }
-  EXPECT_EQ(ran.load(), nt);
-  EXPECT_EQ(completions.load(), 1);
-  for (int r = 0; r < nt; ++r)
-    EXPECT_EQ(rank_seen[std::size_t(r)], 1) << "rank " << r;
-}
-
-TEST(PoolRuntime, TryLeaseFailsWithoutSideEffectsWhenWorkersAreBusy) {
-  // Park a known number of workers, then occupy all of them: the
-  // non-blocking try-lease must refuse (without spawning or running
-  // anything) while they are busy, and succeed again once they are free.
-  auto noop = [](runtime::TeamMember& tm) { tm.barrier(); };
-  runtime::run_team(RuntimeBackend::kPool, 3, noop);  // ensure >= 2 parked
-  const int workers = runtime::pool_worker_count();
-  ASSERT_GE(workers, 2);
-
-  std::mutex m;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<int> holders{0};
-  auto hold = [&](runtime::TeamMember&) {
-    holders.fetch_add(1);
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return release; });
-  };
-  std::atomic<bool> held_done{false};
-  auto held_completion = [&] { held_done.store(true); };
-  // Occupy every parked worker.
-  ASSERT_TRUE(runtime::try_run_team_async(
-      runtime::pool_idle_worker_count(), hold, held_completion));
-  while (holders.load() < workers) {
-  }
-  EXPECT_EQ(runtime::pool_idle_worker_count(), 0);
-
-  std::atomic<bool> stray_ran{false};
-  auto stray = [&](runtime::TeamMember&) { stray_ran.store(true); };
-  auto stray_done = [&] { stray_ran.store(true); };
-  EXPECT_FALSE(runtime::try_run_team_async(1, stray, stray_done))
-      << "try-lease must fail while every worker is leased";
-  EXPECT_EQ(runtime::pool_worker_count(), workers)
-      << "a failed try-lease must not spawn";
-  EXPECT_FALSE(stray_ran.load());
-
-  {
-    std::lock_guard<std::mutex> lk(m);
-    release = true;
-    cv.notify_all();
-  }
-  while (!held_done.load()) {
-  }
-  // All workers parked again: the try-lease succeeds now.
-  std::atomic<bool> late_done{false};
-  auto late_body = [](runtime::TeamMember&) {};
-  auto late_completion = [&] { late_done.store(true); };
-  ASSERT_TRUE(runtime::try_run_team_async(1, late_body, late_completion));
-  while (!late_done.load()) {
-  }
-}
-
-TEST(PoolRuntime, TryLeaseReserveKeepsHeadroomForSiblings) {
-  // The `reserve` overload refuses a lease that would leave fewer than
-  // `reserve` workers parked — the fairness hook the sharded service uses
-  // so one dispatcher cannot strip the pool bare under its siblings.
-  auto noop = [](runtime::TeamMember& tm) { tm.barrier(); };
-  runtime::run_team(RuntimeBackend::kPool, 3, noop);  // ensure >= 2 parked
-  const int idle = runtime::pool_idle_worker_count();
-  ASSERT_GE(idle, 2);
-
-  std::atomic<bool> ran{false};
-  auto body = [&](runtime::TeamMember&) { ran.store(true); };
-  std::atomic<bool> done{false};
-  auto completion = [&] { done.store(true); };
-
-  EXPECT_FALSE(runtime::try_run_team_async(idle, body, completion, 1))
-      << "a whole-pool lease with reserve=1 must refuse";
-  EXPECT_FALSE(ran.load());
-  EXPECT_EQ(runtime::pool_idle_worker_count(), idle)
-      << "a refused lease must not consume workers";
-
-  ASSERT_TRUE(runtime::try_run_team_async(idle, body, completion, 0));
-  while (!done.load()) {
-  }
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(PoolRuntime, NestedOpenMPRegionFallsBackToPool) {
