@@ -1,10 +1,11 @@
 // Memory-fault campaign sweep (DESIGN.md §12): detection / correction rates
 // per strike surface as the fault count and burstiness grow.
 //
-// Every cell runs `run_memory_campaign` over the default grid: surfaces
-// {resident, panel_a, panel_b, plan} x faults {1, 4} x burst {1, 3}, with
-// the resident surface swept both without ECC (re-encode heal) and with the
-// SEC-DED coded payload (in-place correction).  The table is counters, not
+// Every cell of `memory_fault_grid` runs through `run_campaign` on the sync
+// entry point: surfaces {resident, panel_a, panel_b, plan} x faults {1, 4}
+// x burst {1, 3}, with the resident surface swept both without ECC
+// (re-encode heal) and with the SEC-DED coded payload (in-place
+// correction).  The table is counters, not
 // wall time — the record is bit-reproducible under a fixed seed, and the
 // claims it backs are the acceptance claims: 100% detection of single-bit
 // strikes on every surface, and a `silent` column that is all zeros.
@@ -13,7 +14,7 @@
 //   FTGEMM_BENCH_CALLS    trials per campaign cell (default 20)
 //   FTGEMM_BENCH_THREADS  worker threads inside each GEMM (default 2)
 #include "bench_common.hpp"
-#include "inject/memory_campaign.hpp"
+#include "inject/campaign.hpp"
 
 int main() {
   using namespace ftgemm;
@@ -41,26 +42,24 @@ int main() {
               "detected", "ecc_fix", "heals", "planfix", "abft_det",
               "abft_fix", "masked", "silent", "det_rate");
 
-  std::vector<MemoryCampaignConfig> grid =
-      default_memory_campaign_grid(trials, seed);
-  for (MemoryCampaignConfig& cfg : grid) cfg.threads = threads;
-
-  const std::vector<MemoryCampaignResult> results =
-      run_memory_campaign_sweep(grid);
-  for (const MemoryCampaignResult& r : results) {
+  for (CampaignConfig cfg : memory_fault_grid(trials, seed)) {
+    cfg.threads = threads;
+    const CampaignResult r = run_campaign(cfg);
     std::printf("%-10s%8d%8d%6s%8d%10lld%10lld%10lld%8lld%8lld%10lld%9lld"
                 "%8lld%8lld%10.3f\n",
-                memory_surface_name(r.config.surface), r.config.faults,
-                r.config.burst, r.config.ecc ? "on" : "off", r.trials,
-                static_cast<long long>(r.injected_bits),
-                static_cast<long long>(r.detected_trials),
+                campaign_surface_name(cfg.surface), cfg.faults, cfg.burst,
+                cfg.ecc ? "on" : "off", cfg.trials,
+                static_cast<long long>(r.injected),
+                static_cast<long long>(r.detected),
                 static_cast<long long>(r.ecc_corrected),
                 static_cast<long long>(r.heals),
                 static_cast<long long>(r.plan_heals),
-                static_cast<long long>(r.abft_detected),
-                static_cast<long long>(r.abft_corrected),
-                static_cast<long long>(r.masked_trials),
-                static_cast<long long>(r.silent_trials), r.detection_rate());
+                static_cast<long long>(r.errors_detected),
+                static_cast<long long>(r.errors_corrected),
+                static_cast<long long>(r.masked),
+                static_cast<long long>(r.silent),
+                cfg.trials > 0 ? double(r.detected) / double(cfg.trials)
+                               : 0.0);
   }
   return 0;
 }

@@ -21,24 +21,25 @@ int main(int argc, char** argv) {
               "ft_dgemm_reliable\n",
               (long long)size, runs);
   std::printf("%-10s%12s%12s%12s%10s%10s%12s%12s\n", "errs/run", "injected",
-              "detected", "corrected", "retries", "dirty", "max_rel_er",
+              "detected", "corrected", "retries", "silent", "max_rel_er",
               "GFLOPS");
 
   bool all_reliable = true;
   for (const int errors : {0, 1, 5, 20, 50, 100}) {
     CampaignConfig config;
+    config.entry = CampaignEntry::kReliable;
     config.size = size;
-    config.runs = runs;
-    config.errors_per_run = errors;
+    config.trials = runs;
+    config.faults = errors;
     config.magnitude = 3.0;
     config.seed = 0xC0FFEE + std::uint64_t(errors);
-    config.use_reliable = true;
-    const CampaignResult r = run_injection_campaign(config);
+    config.threads = 1;
+    const CampaignResult r = run_campaign(config);
     all_reliable &= r.reliable();
-    std::printf("%-10d%12zu%12lld%12lld%10d%10d%12.1e%12.1f\n", errors,
-                r.injected, (long long)r.detected, (long long)r.corrected,
-                r.retries, r.wrong_result_runs, r.max_rel_error,
-                r.mean_gflops);
+    std::printf("%-10d%12lld%12lld%12lld%10lld%10lld%12.1e%12.1f\n", errors,
+                (long long)r.injected, (long long)r.errors_detected,
+                (long long)r.errors_corrected, (long long)r.retries,
+                (long long)r.silent, r.max_rel_error, r.mean_gflops);
     std::fflush(stdout);
   }
 

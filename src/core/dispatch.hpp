@@ -75,16 +75,16 @@ FtReport dispatch(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
     return rejected;
   }
   ContextCache<S, C>& cache = process_context_cache<S, C>();
-  const std::shared_ptr<const GemmPlan<S, C>> plan =
+  const GemmPlan<S, C> plan = private_plan(
       engine != nullptr
-          ? engine->plans().get_or_build(ta, tb, m, n, k, opts, FT)
-          : cache.plan(ta, tb, m, n, k, opts, FT);
+          ? *engine->plans().get_or_build(ta, tb, m, n, k, opts, FT)
+          : *cache.plan(ta, tb, m, n, k, opts, FT));
   const ResidentAcquisition<S, C> acq =
-      acquire_resident(opts, ta, m, n, k, alpha, a, lda, *plan);
+      acquire_resident(opts, ta, m, n, k, alpha, a, lda, plan);
   typename ContextCache<S, C>::Lease lease;
   if (engine == nullptr) lease = cache.lease();
   FtReport rep = execute<S, FT, C>(
-      *plan, alpha, a, lda, b, ldb, beta, c, ldc, opts.injector,
+      plan, alpha, a, lda, b, ldb, beta, c, ldc, opts.injector,
       opts.correction_log, engine != nullptr ? *engine : *lease,
       acq.payload.get(), opts.memory_injector, q);
   rep.resident_hit = acq.hit;
@@ -165,12 +165,12 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
   for (int i = 0; i < workers; ++i) leases.push_back(cache.lease());
 
   // Plan the batch's single shape once via the shared plan cache; every
-  // member executes the same frozen plan (inter-batch workers run the
+  // member executes the same private copy (inter-batch workers run the
   // serial driver, so the plan is built for one thread per problem).
   Options plan_opts = opts.base;
   plan_opts.threads = inter ? 1 : nt;
-  const std::shared_ptr<const GemmPlan<S, C>> plan =
-      cache.plan(ta, tb, m, n, k, plan_opts, FT);
+  const GemmPlan<S, C> plan =
+      private_plan(*cache.plan(ta, tb, m, n, k, plan_opts, FT));
 
   std::vector<FtReport> reports(static_cast<std::size_t>(batch));
 
@@ -192,18 +192,18 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
     if (gate_sinks && (injector != nullptr || log != nullptr))
       gate = std::unique_lock<std::mutex>(sink_gate);
     // Resident A (acquire is thread-safe; concurrent inter-batch workers
-    // over a stride-0 broadcast A race benignly — first fill wins, the rest
-    // hit).  The memory injector / verification run per-member, like the
-    // compute-domain injector.
+    // over a stride-0 broadcast A encode it once — the first miss fills,
+    // the rest wait for it and hit).  The memory injector / verification
+    // run per-member, like the compute-domain injector.
     ResidentAcquisition<S, C> acq;
     if (opts.base.resident_a && m > 0 && n > 0 && k > 0 &&
         alpha != ScalarOf<S, C>(0) && a[p] != nullptr) {
       acq = cache.operands().acquire(
           a[p], lda, ta == Trans::kTrans,
-          Domain<S, C>::resident_alpha(alpha), *plan,
+          Domain<S, C>::resident_alpha(alpha), plan,
           opts.base.memory_injector, opts.base.resident_verify);
     }
-    FtReport rep = execute<S, FT, C>(*plan, alpha, a[p], lda, b[p],
+    FtReport rep = execute<S, FT, C>(plan, alpha, a[p], lda, b[p],
                                              ldb, beta, c[p], ldc, injector,
                                              log, ctx, acq.payload.get(),
                                              opts.base.memory_injector, q);
@@ -229,7 +229,7 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
       run_one(p, ctx);
     }
   };
-  runtime::run_team(plan->runtime, workers, member_body);
+  runtime::run_team(plan.runtime, workers, member_body);
 
   for (const FtReport& r : reports) {
     if (r.resident_hit) ++report.resident_hits;

@@ -139,27 +139,23 @@ bool verify_payload(const ResidentAPayload<S, C>& pl) {
          std::memcmp(colchk, pl.colchk.data(), clen * sizeof(C)) == 0;
 }
 
-/// Encode one payload from the source operand: pack every rank-KC panel
-/// (bit-identical bytes to what the executor's cold pack_a_ft stores),
-/// reduce Ar in the cold path's per-thread partial order, and fill the
-/// integrity sums.
+/// Packed-panel storage of a shaped payload, in StorageT elements: exactly
+/// elems() on the float paths (the int8 specialization is below).
+template <typename S, typename C>
+std::size_t panel_storage(const ResidentAPayload<S, C>& pl) {
+  return pl.elems();
+}
+
+/// Encode one payload from the source operand into its shaped buffers: pack
+/// every rank-KC panel (bit-identical bytes to what the executor's cold
+/// pack_a_ft stores), reduce Ar in the cold path's per-thread partial
+/// order, and fill the integrity sums.
 template <typename S, typename C>
 void fill_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
-                  bool trans, C alpha, const GemmPlan<S, C>& plan) {
-  const index_t m = plan.key.m, k = plan.key.k;
-  pl.m = m;
-  pl.k = k;
-  pl.mr = plan.blocking.mr;
-  pl.kc = plan.blocking.kc;
-  pl.trans = trans;
-  pl.alpha = alpha;
-  pl.tiles = (m + pl.mr - 1) / pl.mr;
-  pl.panels.reset(pl.elems());
-  pl.ar.reset(std::size_t(k));
-  pl.rowchk.reset(std::size_t(pl.tiles * pl.mr));
-  pl.colchk.reset(std::size_t(k));
-
-  const OperandView<S> av{a, lda, trans};
+                  const GemmPlan<S, C>& plan) {
+  const index_t m = pl.m, k = pl.k;
+  const C alpha = pl.alpha;
+  const OperandView<S> av{a, lda, pl.trans};
   const PackSet<S, C>& pk = plan.kernels.pack;
 
   // Packed values are pure per-element (alpha * element, zero padding), so
@@ -246,40 +242,32 @@ void integrity_sums<std::int8_t, std::int32_t>(
   }
 }
 
+/// Byte-accurate int8 panel storage: every full panel occupies exactly
+/// tiles*mr*kc bytes (kc is a quad multiple, so panel_at's tiles*mr*p offset
+/// is exact), but a ragged last panel is quad-padded to
+/// tiles*mr*i8_kq(pinc)*4 — which exceeds the elems() = tiles*mr*k estimate
+/// the generic payload geometry assumes.  elems()/bytes() then understate
+/// slightly (harmless: injected flips stay inside elems() by the plan_flips
+/// contract, accounting is conservative); the allocation must not.
 template <>
-void fill_payload<std::int8_t, std::int32_t>(
-    ResidentAPayload<std::int8_t, std::int32_t>& pl, const std::int8_t* a,
-    index_t lda, bool trans, std::int32_t alpha,
-    const GemmPlan<std::int8_t, std::int32_t>& plan) {
-  const index_t m = plan.key.m, k = plan.key.k;
-  pl.m = m;
-  pl.k = k;
-  pl.mr = plan.blocking.mr;
-  pl.kc = plan.blocking.kc;
-  pl.trans = trans;
-  pl.alpha = alpha;  // always 1 on this path; scales live outside the cache
-  pl.tiles = (m + pl.mr - 1) / pl.mr;
-
-  // Byte-accurate panel storage: every full panel occupies exactly
-  // tiles*mr*kc bytes (kc is a quad multiple, so panel_at's tiles*mr*p
-  // offset is exact), but a ragged last panel is quad-padded to
-  // tiles*mr*i8_kq(pinc)*4 — which exceeds the elems() = tiles*mr*k
-  // estimate the generic payload geometry assumes.  elems()/bytes() then
-  // understate slightly (harmless: injected flips stay inside elems() by
-  // the plan_flips contract, accounting is conservative); the allocation
-  // must not.
+std::size_t panel_storage<std::int8_t, std::int32_t>(
+    const ResidentAPayload<std::int8_t, std::int32_t>& pl) {
   std::size_t panel_bytes = 0;
-  for (index_t p = 0; p < k; p += pl.kc) {
-    const index_t pinc = std::min(pl.kc, k - p);
+  for (index_t p = 0; p < pl.k; p += pl.kc) {
+    const index_t pinc = std::min(pl.kc, pl.k - p);
     panel_bytes +=
         std::size_t(pl.tiles) * std::size_t(i8_tile_bytes(pinc, pl.mr));
   }
-  pl.panels.reset(panel_bytes);
-  pl.ar.reset(std::size_t(k));
-  pl.rowchk.reset(std::size_t(pl.tiles * pl.mr));
-  pl.colchk.reset(std::size_t(k));
+  return panel_bytes;
+}
 
-  const OperandView<std::int8_t> av{a, lda, trans};
+template <>
+void fill_payload<std::int8_t, std::int32_t>(
+    ResidentAPayload<std::int8_t, std::int32_t>& pl, const std::int8_t* a,
+    index_t lda, const GemmPlan<std::int8_t, std::int32_t>& plan) {
+  // pl.alpha is always 1 on this path; the scales live outside the cache.
+  const index_t m = pl.m, k = pl.k;
+  const OperandView<std::int8_t> av{a, lda, pl.trans};
   const PackSet<std::int8_t, std::int32_t>& pk = plan.kernels.pack;
 
   for (index_t p = 0; p < k; p += pl.kc) {
@@ -297,16 +285,40 @@ void fill_payload<std::int8_t, std::int32_t>(
   integrity_sums(pl, pl.rowchk.data(), pl.colchk.data());
 }
 
-/// SEC-DED parity over the packed panel bytes (allocation-accurate: int8
-/// payloads cover the quad-padded tail too, since its bytes feed the
-/// kernels just like live ones).
+/// A payload for (trans, alpha, plan) with its geometry set and every
+/// buffer allocated — the SEC-DED parity too when `ecc` — so bytes() is
+/// final before a byte of it is encoded.
 template <typename S, typename C>
-void ecc_encode_payload(ResidentAPayload<S, C>& pl) {
-  const std::size_t nbytes = pl.panels.size() * sizeof(S);
-  pl.ecc.reset(secded::parity_bytes(nbytes));
-  secded::encode_buffer(
-      reinterpret_cast<const unsigned char*>(pl.panels.data()), nbytes,
-      pl.ecc.data());
+std::shared_ptr<ResidentAPayload<S, C>> shape_payload(
+    bool trans, C alpha, const GemmPlan<S, C>& plan, bool ecc) {
+  auto pl = std::make_shared<ResidentAPayload<S, C>>();
+  pl->m = plan.key.m;
+  pl->k = plan.key.k;
+  pl->mr = plan.blocking.mr;
+  pl->kc = plan.blocking.kc;
+  pl->trans = trans;
+  pl->alpha = alpha;
+  pl->tiles = (pl->m + pl->mr - 1) / pl->mr;
+  pl->panels.reset(panel_storage(*pl));
+  pl->ar.reset(std::size_t(pl->k));
+  pl->rowchk.reset(std::size_t(pl->tiles * pl->mr));
+  pl->colchk.reset(std::size_t(pl->k));
+  // Parity covers the whole allocation: int8 payloads include the
+  // quad-padded tail, since its bytes feed the kernels just like live ones.
+  if (ecc) pl->ecc.reset(secded::parity_bytes(pl->panels.size() * sizeof(S)));
+  return pl;
+}
+
+/// Fill a shaped payload from the source operand, SEC-DED parity included.
+template <typename S, typename C>
+void encode_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
+                    const GemmPlan<S, C>& plan) {
+  fill_payload(pl, a, lda, plan);
+  if (pl.ecc.size() > 0) {
+    secded::encode_buffer(
+        reinterpret_cast<const unsigned char*>(pl.panels.data()),
+        pl.panels.size() * sizeof(S), pl.ecc.data());
+  }
 }
 
 }  // namespace
@@ -354,56 +366,55 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
   const OperandKey key = make_operand_key(a, lda, trans, alpha, plan);
 
   std::shared_ptr<Slot> slot;
+  const auto take_hit = [&](typename std::list<Entry>::iterator entry) {
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, entry);
+    slot = entry->second;
+    out.hit = true;
+  };
   {
     std::lock_guard<std::mutex> lk(m_);
     const auto it = index_.find(key);
-    if (it != index_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      slot = it->second->second;
-      out.hit = true;
-    } else {
-      ++misses_;
-    }
+    if (it != index_.end()) take_hit(it->second);
   }
 
   if (!slot) {
-    // Miss: encode OUTSIDE the cache lock (O(m*k) work must not serialize
-    // unrelated submitters), then publish — first inserter wins a race.
-    auto payload = std::make_shared<Payload>();
-    fill_payload(*payload, a, lda, trans, alpha, plan);
-    if (ecc()) ecc_encode_payload(*payload);
-    slot = std::make_shared<Slot>();
-    slot->payload = payload;
-    slot->bytes = payload->bytes();
-    std::shared_ptr<Slot> adopted;
+    // Miss: publish the slot before encoding, holding its mutex, so every
+    // later acquirer of the key counts as a hit and waits below for this
+    // one encode instead of encoding the operand again.  The O(m*k) encode
+    // itself runs outside the cache lock (it must not serialize unrelated
+    // submitters), and the lock order stays slot, then cache.  The payload
+    // is shaped first: the eviction sweep reads Slot::bytes without the
+    // slot mutex.
+    auto payload = shape_payload(trans, alpha, plan, ecc());
+    auto fresh = std::make_shared<Slot>();
+    fresh->bytes = payload->bytes();
+    std::unique_lock<std::mutex> fresh_lk(fresh->m);
     {
       std::lock_guard<std::mutex> lk(m_);
       const auto it = index_.find(key);
       if (it != index_.end()) {
-        // A concurrent submitter published the same operand first; adopt
-        // its slot (both encodes are deterministic and equal), drop ours.
-        lru_.splice(lru_.begin(), lru_, it->second);
-        adopted = it->second->second;
+        take_hit(it->second);  // published since the lookup above
       } else {
-        lru_.emplace_front(key, slot);
+        ++misses_;
+        lru_.emplace_front(key, fresh);
         index_[key] = lru_.begin();
-        bytes_ += slot->bytes;
+        bytes_ += fresh->bytes;
         evict_to_caps_locked();
       }
     }
-    if (adopted) {
-      std::lock_guard<std::mutex> slot_lk(adopted->m);
-      out.payload = adopted->payload;
-    } else {
+    if (!slot) {
+      encode_payload(*payload, a, lda, plan);
+      fresh->payload = payload;
       out.payload = std::move(payload);
+      return out;
     }
-    return out;
   }
 
-  // Hit: inject planned memory faults, then (with ECC) syndrome-sweep, then
-  // CHECK_BEFORE-verify and heal.  Serialized per entry so an injected flip
-  // and a concurrent sweep never race on the payload bytes.
+  // Hit (after waiting out the encode when the slot is still being
+  // filled): inject planned memory faults, then (with ECC) syndrome-sweep,
+  // then CHECK_BEFORE-verify and heal.  Serialized per entry so an injected
+  // flip and a concurrent sweep never race on the payload bytes.
   std::lock_guard<std::mutex> slot_lk(slot->m);
   std::shared_ptr<const Payload> payload = slot->payload;
   if (mem_injector != nullptr && payload) {
@@ -454,9 +465,8 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
       // Memory fault detected: re-encode from the source and swap the
       // healed payload into the slot (self-healing).  The heal restores
       // the ECC protection the old payload carried.
-      auto fresh = std::make_shared<Payload>();
-      fill_payload(*fresh, a, lda, trans, alpha, plan);
-      if (payload->ecc.size() > 0) ecc_encode_payload(*fresh);
+      auto fresh = shape_payload(trans, alpha, plan, payload->ecc.size() > 0);
+      encode_payload(*fresh, a, lda, plan);
       slot->payload = fresh;
       payload = std::move(fresh);
       out.heals = 1;

@@ -215,10 +215,13 @@ class OperandCache {
   [[nodiscard]] std::size_t byte_capacity() const { return byte_capacity_; }
 
  private:
-  /// One published entry; `payload` is swappable under `m` (heals — the
-  /// replacement always has the same shape, so `bytes` is immutable and
-  /// readable without the slot mutex; the eviction sweep relies on that to
-  /// keep a single global lock order: slot mutex before cache mutex).
+  /// One published entry.  A miss publishes its slot before encoding and
+  /// holds `m` until `payload` is set, so concurrent acquirers of the key
+  /// wait for that one encode.  `payload` is swappable under `m` (heals —
+  /// the replacement always has the same shape, so `bytes`, set before
+  /// publication, is immutable and readable without the slot mutex; the
+  /// eviction sweep relies on that to keep a single global lock order: slot
+  /// mutex before cache mutex).
   struct Slot {
     std::mutex m;
     std::shared_ptr<const Payload> payload;

@@ -216,6 +216,21 @@ GemmPlan<S, C> build_plan(Trans ta, Trans tb, index_t m, index_t n, index_t k,
   return build_plan<S, C>(key);
 }
 
+/// The plan one call executes: a private copy of the cached plan, checked
+/// against its self-checksum and rebuilt from its key on a mismatch.  The
+/// cache checks a plan when it hands it out; the copy closes the window
+/// after that — a kPlan strike on the shared cached plan cannot reach a
+/// call already running (it executes its own verified copy), and one that
+/// lands between the cache's check and the copy is caught here.
+template <typename S, typename C>
+[[nodiscard]] GemmPlan<S, C> private_plan(const GemmPlan<S, C>& cached) {
+  GemmPlan<S, C> plan = cached;
+  if (plan.self_check != plan_self_check(plan)) {
+    plan = build_plan<S, C>(plan.key);
+  }
+  return plan;
+}
+
 /// Small LRU cache of immutable plans.  Not thread-safe: each cache lives in
 /// a thread-local or per-engine GemmContext / ContextCache, mirroring the
 /// workspace ownership model (no locks on the hot path).

@@ -1,225 +1,359 @@
 #include "inject/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
-#include "baseline/naive_gemm.hpp"
+#include "core/dispatch.hpp"
+#include "core/gemm.hpp"
+#include "inject/injectors.hpp"
 #include "serve/service.hpp"
+#include "util/env.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace ftgemm {
 
-CampaignResult run_injection_campaign(const CampaignConfig& config) {
-  CampaignResult result;
-  const index_t n = config.size;
+namespace {
 
-  Matrix<double> a(n, n), b(n, n), c(n, n), ref(n, n);
-  a.fill_random(config.seed);
-  b.fill_random(config.seed + 1);
-  ref.fill(0.0);
+struct Shape {
+  index_t m, n, k;
+};
 
-  Options clean_opts;
-  clean_opts.threads = config.threads;
-  GemmEngine<double> clean_engine(clean_opts);
-  clean_engine.gemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n,
-                    n, n, 1.0, a.data(), n, b.data(), n, 0.0, ref.data(), n);
+// Default shapes (CampaignConfig::size == 0): both exceed the fast-path flop
+// cutoff, so the general blocked path (cooperative packing, the tm.single B~
+// strike, per-thread A~) runs, and both are odd-sized, so partial register
+// tiles leave zero padding in the packed panels that the live-element
+// remapping must skip.
+constexpr Shape kF64Shape{96, 80, 320};
+constexpr Shape kI8Shape{128, 96, 384};
 
-  CountInjector injector(config.errors_per_run, config.seed + 7,
-                         config.magnitude);
-  Options opts;
-  opts.threads = config.threads;
-  opts.injector = &injector;
-  GemmEngine<double> engine(opts);
-
-  double gflops_sum = 0.0;
-  for (int run = 0; run < config.runs; ++run) {
-    c.fill(0.0);
-    WallTimer t;
-    FtReport rep;
-    if (config.use_reliable) {
-      rep = ft_dgemm_reliable(Layout::kColMajor, Trans::kNoTrans,
-                              Trans::kNoTrans, n, n, n, 1.0, a.data(), n,
-                              b.data(), n, 0.0, c.data(), n, opts);
-    } else {
-      rep = engine.ft_gemm(Layout::kColMajor, Trans::kNoTrans,
-                           Trans::kNoTrans, n, n, n, 1.0, a.data(), n,
-                           b.data(), n, 0.0, c.data(), n);
-    }
-    gflops_sum +=
-        gemm_gflops(double(n), double(n), double(n), t.seconds());
-
-    result.detected += rep.errors_detected;
-    result.corrected += rep.errors_corrected;
-    result.retries += rep.retries;
-    if (!rep.clean()) ++result.uncorrectable_runs;
-
-    const double err = max_rel_diff(c, ref);
-    result.max_rel_error = std::max(result.max_rel_error, err);
-    // A run is silently wrong only if the result is off AND the report
-    // claimed it was clean — flagged-dirty runs are the documented
-    // contract for pathological patterns (ft_dgemm_reliable retries them).
-    if (err > 1e-9 && rep.clean()) ++result.wrong_result_runs;
-  }
-  result.injected = injector.injected_count();
-  result.mean_gflops = gflops_sum / double(std::max(config.runs, 1));
-  return result;
+bool int8_surface(CampaignSurface s) {
+  return s == CampaignSurface::kPanelA || s == CampaignSurface::kPanelB;
 }
 
-BatchedCampaignResult run_batched_injection_campaign(
-    const BatchedCampaignConfig& config) {
-  BatchedCampaignResult result;
-  const index_t n = config.size;
-  const index_t batch = config.batch;
-  const index_t stride = n * n;
+MemorySurface memory_surface(CampaignSurface s) {
+  switch (s) {
+    case CampaignSurface::kPanelA: return MemorySurface::kPanelA;
+    case CampaignSurface::kPanelB: return MemorySurface::kPanelB;
+    case CampaignSurface::kPlan: return MemorySurface::kPlan;
+    default: return MemorySurface::kResidentPanel;
+  }
+}
 
-  // Strided batch storage: problem p lives at offset p * n^2.
-  Matrix<double> a(n, n * batch), b(n, n * batch), c(n, n * batch);
-  Matrix<double> ref(n, n * batch);
-  a.fill_random(config.seed);
-  b.fill_random(config.seed + 1);
+/// Nonzero operands: a corrupted packed element always perturbs the
+/// product, so a strike no defense catches shows in C (a zero operand could
+/// hide it and make "silent" undecidable).
+void fill(std::vector<double>& v, Xoshiro256& rng) {
+  for (double& x : v) x = 1.0 + double(rng.bounded(512)) / 64.0;
+}
+void fill(std::vector<std::int8_t>& v, Xoshiro256& rng) {
+  for (std::int8_t& x : v) x = std::int8_t(1 + rng.bounded(7));
+}
 
-  // Fault-free reference for every batch member.
-  ref.fill(0.0);
-  BatchOptions clean_opts;
-  clean_opts.base.threads = config.threads;
-  clean_opts.schedule = config.schedule;
-  gemm_strided_batched<double>(Layout::kColMajor, Trans::kNoTrans,
-                               Trans::kNoTrans, n, n, n, 1.0, a.data(), n,
-                               stride, b.data(), n, stride, 0.0, ref.data(),
-                               n, stride, batch, clean_opts);
+/// Worst element-wise relative difference; a NaN difference is infinite.
+template <typename T>
+double rel_error(const T* got, const T* want, std::size_t len) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const double x = double(got[i]), y = double(want[i]);
+    const double d =
+        std::abs(x - y) / std::max({std::abs(x), std::abs(y), 1.0});
+    if (!(d <= worst))
+      worst = std::isnan(d) ? std::numeric_limits<double>::infinity() : d;
+  }
+  return worst;
+}
 
-  CountInjector injector(config.errors_per_run, config.seed + 7,
-                         config.magnitude);
-  Xoshiro256 target_rng(config.seed + 99);
+/// The cell's one injector: CountInjector deltas on the compute surface,
+/// SurfaceBitFlipInjector flips on a memory surface, none when faults == 0.
+class Striker {
+ public:
+  explicit Striker(const CampaignConfig& cfg) {
+    if (cfg.faults <= 0) return;
+    if (cfg.surface == CampaignSurface::kCompute) {
+      deltas_.emplace(cfg.faults, cfg.seed + 7, cfg.magnitude);
+    } else {
+      flips_.emplace(memory_surface(cfg.surface), cfg.faults, cfg.burst,
+                     cfg.seed);
+    }
+  }
 
+  /// `opts` with the injector attached and armed for one trial.
+  Options arm(Options opts) {
+    if (deltas_) opts.injector = &*deltas_;
+    if (flips_) {
+      flips_->arm();
+      opts.memory_injector = &*flips_;
+    }
+    return opts;
+  }
+
+  [[nodiscard]] std::int64_t applied() const {
+    if (deltas_) return std::int64_t(deltas_->injected_count());
+    if (flips_) return std::int64_t(flips_->applied_count());
+    return 0;
+  }
+
+ private:
+  std::optional<CountInjector> deltas_;
+  std::optional<SurfaceBitFlipInjector> flips_;
+};
+
+struct UnitRun {
+  FtReport report;
+  bool coalesced = false;
+};
+
+/// Operands of every unit and the entry point that runs them.  Unit u owns
+/// the u-th m*k / k*n / m*n slice of A, B and C (the strides of a batched
+/// call, the private operands of a request).
+template <typename S, typename C>
+class Cell {
+ public:
+  using Scalar = detail::ScalarOf<S, C>;
+
+  Cell(const CampaignConfig& cfg, Shape shape)
+      : cfg_(cfg), s_(shape),
+        units_(cfg.entry == CampaignEntry::kBatched ||
+                       cfg.entry == CampaignEntry::kService
+                   ? cfg.units
+                   : 1),
+        a_(std::size_t(units_ * s_.m * s_.k)),
+        b_(std::size_t(units_ * s_.k * s_.n)) {
+    Xoshiro256 rng(cfg.seed ^ 0x9e3779b97f4a7c15ull);
+    fill(a_, rng);
+    fill(b_, rng);
+    base_.threads = cfg.threads;
+    base_.runtime = cfg.runtime;
+    base_.resident_a = cfg.surface == CampaignSurface::kResident;
+    if (cfg.entry == CampaignEntry::kService) {
+      // Staged while paused, then released: the routing mix (the targeted
+      // request direct, clean traffic coalesced around it) is a property
+      // of the workload, not of submission timing.
+      serve::ServiceConfig scfg;
+      scfg.start_paused = true;
+      scfg.queue_capacity = std::size_t(units_);
+      service_ = std::make_unique<serve::GemmService>(scfg);
+    }
+  }
+
+  [[nodiscard]] index_t units() const { return units_; }
+  [[nodiscard]] std::size_t unit_elems() const {
+    return std::size_t(s_.m * s_.n);
+  }
+  [[nodiscard]] const Options& base() const { return base_; }
+  [[nodiscard]] double gflops(double seconds) const {
+    return double(units_) * gemm_gflops(double(s_.m), double(s_.n),
+                                        double(s_.k), seconds);
+  }
+
+  /// Run every unit of one trial into `c`: unit `target` under `struck`,
+  /// the rest under base().
+  std::vector<UnitRun> run(std::vector<Scalar>& c, const Options& struck,
+                           index_t target) {
+    const index_t m = s_.m, n = s_.n, k = s_.k;
+    const Trans nt = Trans::kNoTrans;
+    std::fill(c.begin(), c.end(), Scalar(0));
+    std::vector<UnitRun> out(static_cast<std::size_t>(units_));
+    switch (cfg_.entry) {
+      case CampaignEntry::kSync:
+        out[0].report = detail::dispatch<S, true, C>(
+            Layout::kColMajor, nt, nt, m, n, k, Scalar(1), a_.data(), m,
+            b_.data(), k, Scalar(0), c.data(), m, struck);
+        break;
+      case CampaignEntry::kReliable:
+        if constexpr (std::is_same_v<S, double>) {
+          out[0].report = ft_dgemm_reliable(
+              Layout::kColMajor, nt, nt, m, n, k, 1.0, a_.data(), m,
+              b_.data(), k, 0.0, c.data(), m, struck);
+        }
+        break;
+      case CampaignEntry::kBatched: {
+        // The compute injector attaches to the target member only; a
+        // memory injector rides the whole call and strikes whichever
+        // member reaches its surface first.
+        BatchOptions bopts;
+        bopts.base = struck;
+        bopts.schedule = cfg_.schedule;
+        bopts.inject_problem = target;
+        BatchReport rep = detail::run_strided_batched<S, true, C>(
+            Layout::kColMajor, nt, nt, m, n, k, Scalar(1), a_.data(), m,
+            m * k, b_.data(), k, k * n, Scalar(0), c.data(), m, m * n,
+            units_, bopts);
+        for (std::size_t u = 0; u < out.size(); ++u)
+          out[u].report = rep.per_problem[u];
+        break;
+      }
+      case CampaignEntry::kService: {
+        std::vector<serve::GemmFuture> futures;
+        for (index_t u = 0; u < units_; ++u) {
+          futures.push_back(service_->submit(serve::make_gemm_request<S>(
+              true, Layout::kColMajor, nt, nt, m, n, k, Scalar(1),
+              a_.data() + u * m * k, m, b_.data() + u * k * n, k, Scalar(0),
+              c.data() + u * m * n, m, u == target ? struck : base_)));
+        }
+        service_->resume();
+        for (std::size_t u = 0; u < out.size(); ++u) {
+          const serve::GemmResult res = futures[u].wait();
+          out[u].report = res.report;
+          out[u].coalesced = res.coalesced;
+        }
+        service_->pause();
+        break;
+      }
+    }
+    return out;
+  }
+
+ private:
+  CampaignConfig cfg_;
+  Shape s_;
+  index_t units_;
+  std::vector<S> a_, b_;
+  Options base_;
+  std::unique_ptr<serve::GemmService> service_;
+};
+
+template <typename S, typename C>
+CampaignResult run_cell(const CampaignConfig& cfg, Shape shape) {
+  using Scalar = detail::ScalarOf<S, C>;
+  ContextCache<S, C>& cache = process_context_cache<S, C>();
+  cache.operands().set_ecc(cfg.ecc);
+  Cell<S, C> cell(cfg, shape);
+  const std::size_t len = cell.unit_elems();
+  std::vector<Scalar> ref(std::size_t(cell.units()) * len);
+  std::vector<Scalar> c(ref.size());
+
+  // The oracle: a fault-free run of the same entry point on the same
+  // operands.  It also builds the plan and encodes the resident payloads
+  // the trials then hit (the plan and resident strikes land on hits).
+  (void)cell.run(ref, cell.base(), 0);
+
+  Striker striker(cfg);
+  Xoshiro256 target_rng(cfg.seed + 99);
+  const bool bit_exact = cfg.surface != CampaignSurface::kCompute;
+  CampaignResult res;
   double gflops_sum = 0.0;
-  for (int run = 0; run < config.runs; ++run) {
-    c.fill(0.0);
+  for (int t = 0; t < cfg.trials; ++t) {
     const index_t target =
-        index_t(target_rng.bounded(std::uint64_t(std::max<index_t>(batch, 1))));
-    result.targets.push_back(target);
+        index_t(target_rng.bounded(std::uint64_t(cell.units())));
+    const std::uint64_t plan_heals_before = cache.plan_heals();
+    const WallTimer timer;
+    const std::vector<UnitRun> units =
+        cell.run(c, striker.arm(cell.base()), target);
+    gflops_sum += cell.gflops(timer.seconds());
+    const std::int64_t plan_heals =
+        std::int64_t(cache.plan_heals() - plan_heals_before);
+    res.plan_heals += plan_heals;
 
-    BatchOptions opts;
-    opts.base.threads = config.threads;
-    opts.base.injector = &injector;
-    opts.schedule = config.schedule;
-    opts.inject_problem = target;
+    bool detected = plan_heals > 0, flagged = false, silent = false;
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      const FtReport& rep = units[u].report;
+      const Scalar* got = c.data() + u * len;
+      const Scalar* want = ref.data() + u * len;
+      const double err = rel_error(got, want, len);
+      const bool wrong =
+          bit_exact ? std::memcmp(got, want, len * sizeof(Scalar)) != 0
+                    : !(err <= 1e-9);
+      res.max_rel_error = std::max(res.max_rel_error, err);
+      res.errors_detected += rep.errors_detected;
+      res.errors_corrected += rep.errors_corrected;
+      res.ecc_corrected += rep.resident_ecc_corrected;
+      res.heals += rep.resident_heals;
+      res.retries += rep.retries;
+      res.coalesced += units[u].coalesced ? 1 : 0;
+      detected = detected || rep.errors_detected > 0 ||
+                 rep.uncorrectable_panels > 0 || rep.resident_heals > 0 ||
+                 rep.resident_ecc_corrected > 0;
+      flagged = flagged || !rep.clean();
+      silent = silent || (rep.clean() && wrong);
+    }
+    if (silent) {
+      ++res.silent;
+    } else if (detected) {
+      ++res.detected;
+      if (flagged) ++res.flagged;
+    } else {
+      ++res.masked;
+    }
+  }
+  res.injected = striker.applied();
+  res.mean_gflops = gflops_sum / double(std::max(cfg.trials, 1));
+  cache.operands().set_ecc(env_long("FTGEMM_OPERAND_ECC", 0) != 0);
+  return res;
+}
 
-    WallTimer t;
-    const BatchReport rep = ft_gemm_strided_batched<double>(
-        Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
-        a.data(), n, stride, b.data(), n, stride, 0.0, c.data(), n, stride,
-        batch, opts);
-    gflops_sum += gemm_gflops(double(n) * double(batch), double(n), double(n),
-                              t.seconds());
+}  // namespace
 
-    result.detected += rep.errors_detected;
-    result.corrected += rep.errors_corrected;
-    result.faulty_problems += rep.faulty_problems;
-    result.dirty_problems += rep.dirty_problems;
+CampaignResult run_campaign(const CampaignConfig& config) {
+  if (config.entry == CampaignEntry::kReliable &&
+      int8_surface(config.surface)) {
+    throw std::invalid_argument(
+        "run_campaign: panel_a / panel_b run on int8, which has no reliable "
+        "entry point");
+  }
+  if (config.size < 0 || config.units < 1) {
+    throw std::invalid_argument(
+        "run_campaign: size must be >= 0 and units >= 1");
+  }
+  // Cells are independent experiments: none may inherit another's (or the
+  // host process's) cached plans or resident payloads.
+  clear_process_caches();
+  const auto shape = [&](Shape fallback) {
+    return config.size > 0 ? Shape{config.size, config.size, config.size}
+                           : fallback;
+  };
+  return int8_surface(config.surface)
+             ? run_cell<std::int8_t, std::int32_t>(config, shape(kI8Shape))
+             : run_cell<double, double>(config, shape(kF64Shape));
+}
 
-    // Verify every member against its reference; only members whose report
-    // claimed clean may count as silently wrong (same contract as the
-    // single-problem campaign).
-    bool silent_wrong = false;
-    for (index_t p = 0; p < batch; ++p) {
-      double worst = 0.0;
-      for (index_t j = 0; j < n; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          const double x = c(i, p * n + j), y = ref(i, p * n + j);
-          const double denom = std::max({std::abs(x), std::abs(y), 1.0});
-          worst = std::max(worst, std::abs(x - y) / denom);
+std::vector<CampaignConfig> memory_fault_grid(int trials,
+                                              std::uint64_t seed) {
+  std::vector<CampaignConfig> grid;
+  for (const CampaignSurface surface :
+       {CampaignSurface::kResident, CampaignSurface::kPanelA,
+        CampaignSurface::kPanelB, CampaignSurface::kPlan}) {
+    for (const int faults : {1, 4}) {
+      for (const int burst : {1, 3}) {
+        for (const bool ecc : {false, true}) {
+          if (ecc && surface != CampaignSurface::kResident) continue;
+          CampaignConfig cfg;
+          cfg.surface = surface;
+          cfg.faults = faults;
+          cfg.burst = burst;
+          cfg.trials = trials;
+          cfg.seed = seed;
+          cfg.ecc = ecc;
+          grid.push_back(cfg);
         }
       }
-      result.max_rel_error = std::max(result.max_rel_error, worst);
-      if (worst > 1e-9 && rep.per_problem[std::size_t(p)].clean())
-        silent_wrong = true;
     }
-    if (silent_wrong) ++result.wrong_result_runs;
   }
-  result.injected = injector.injected_count();
-  result.mean_gflops = gflops_sum / double(std::max(config.runs, 1));
-  return result;
+  return grid;
 }
 
-ServiceCampaignResult run_service_injection_campaign(
-    const ServiceCampaignConfig& config) {
-  ServiceCampaignResult result;
-  const index_t n = config.size;
-  const int requests = std::max(config.requests, 0);
-
-  // Private operands, reference, and (for targeted requests) injector per
-  // request: in-flight requests execute concurrently, and the injector
-  // protocol is per-call stateful.
-  std::vector<Matrix<double>> a, b, c, ref;
-  std::vector<std::unique_ptr<CountInjector>> injectors(
-      static_cast<std::size_t>(requests));
-  a.reserve(std::size_t(requests));
-  b.reserve(std::size_t(requests));
-  c.reserve(std::size_t(requests));
-  ref.reserve(std::size_t(requests));
-  for (int r = 0; r < requests; ++r) {
-    const std::uint64_t seed = config.seed + std::uint64_t(r) * 5;
-    a.emplace_back(n, n);
-    b.emplace_back(n, n);
-    c.emplace_back(n, n);
-    ref.emplace_back(n, n);
-    a.back().fill_random(seed);
-    b.back().fill_random(seed + 1);
-    c.back().fill(0.0);
-    ref.back().fill(0.0);
-    baseline::naive_dgemm(Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
-                          a.back().data(), n, b.back().data(), n, 0.0,
-                          ref.back().data(), n);
+const char* campaign_entry_name(CampaignEntry entry) {
+  switch (entry) {
+    case CampaignEntry::kSync: return "sync";
+    case CampaignEntry::kReliable: return "reliable";
+    case CampaignEntry::kBatched: return "batched";
+    case CampaignEntry::kService: return "service";
   }
+  return "unknown";
+}
 
-  // Stage the whole burst while paused, then release it: the campaign's
-  // routing mix (direct injected requests amid coalesced clean traffic)
-  // becomes a property of the workload, not of submission timing.
-  serve::ServiceConfig scfg;
-  scfg.queue_capacity =
-      std::max<std::size_t>(config.queue_capacity, std::size_t(requests));
-  scfg.start_paused = true;
-  serve::GemmService service(scfg);
-
-  std::vector<serve::GemmFuture> futures;
-  futures.reserve(std::size_t(requests));
-  for (int r = 0; r < requests; ++r) {
-    Options opts;
-    opts.threads = config.threads;
-    const bool targeted =
-        config.inject_every > 0 && r % config.inject_every == 0;
-    if (targeted) {
-      injectors[std::size_t(r)] = std::make_unique<CountInjector>(
-          config.errors_per_target, config.seed + 7 + std::uint64_t(r),
-          config.magnitude);
-      opts.injector = injectors[std::size_t(r)].get();
-      ++result.targeted_requests;
-    }
-    futures.push_back(service.submit(serve::make_gemm_request<double>(
-        /*ft=*/true, Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n,
-        n, n, 1.0, a[std::size_t(r)].data(), n, b[std::size_t(r)].data(), n,
-        0.0, c[std::size_t(r)].data(), n, opts)));
-  }
-  service.resume();
-
-  for (int r = 0; r < requests; ++r) {
-    const serve::GemmResult& res = futures[std::size_t(r)].wait();
-    result.detected += res.report.errors_detected;
-    result.corrected += res.report.errors_corrected;
-    if (res.coalesced) ++result.coalesced_requests;
-    if (!res.report.clean()) ++result.dirty_requests;
-    const double err = max_rel_diff(c[std::size_t(r)], ref[std::size_t(r)]);
-    result.max_rel_error = std::max(result.max_rel_error, err);
-    // Same silent-corruption contract as the other campaigns: only a wrong
-    // result under a clean report counts against reliability.
-    if (err > 1e-9 && res.report.clean()) ++result.wrong_result_requests;
-  }
-  for (const auto& inj : injectors) {
-    if (inj) result.injected += inj->injected_count();
-  }
-  return result;
+const char* campaign_surface_name(CampaignSurface surface) {
+  return surface == CampaignSurface::kCompute
+             ? "compute"
+             : memory_surface_name(memory_surface(surface));
 }
 
 }  // namespace ftgemm

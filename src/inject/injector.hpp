@@ -138,6 +138,17 @@ enum class MemorySurface {
   kPlan,           ///< cached GemmPlan blocking bytes
 };
 
+/// Surface tag for tables and logs.
+[[nodiscard]] inline const char* memory_surface_name(MemorySurface surface) {
+  switch (surface) {
+    case MemorySurface::kResidentPanel: return "resident";
+    case MemorySurface::kPanelA: return "panel_a";
+    case MemorySurface::kPanelB: return "panel_b";
+    case MemorySurface::kPlan: return "plan";
+  }
+  return "unknown";
+}
+
 /// Geometry of one strike opportunity, passed to plan_flips.  `elems` is the
 /// number of addressable elements on the surface and `elem_bits` the width
 /// of one element (64 for fp64, 32 for fp32, 8 for packed int8 bytes and

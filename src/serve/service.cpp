@@ -319,13 +319,16 @@ detail::Pending GemmService::make_pending(
   p.state = std::move(st);
   if (req.batch == 1) {
     p.inline_eligible = resolve_fast_path(req, p.key);
-    // resident_a / injector / correction_log requests route direct: the
-    // synchronous entry point resolves those per request (operand-cache
-    // verify/heal accounting, fault injection, logging), which coalesced
-    // members would not surface individually.  They may still run inline —
-    // the inline route *is* the synchronous entry point.
+    // resident_a / injector / memory_injector / correction_log requests
+    // route direct: the synchronous entry point resolves those per request
+    // (operand-cache verify/heal accounting, compute and memory fault
+    // injection, logging), which a coalesced batch — run under its head
+    // request's Options — would apply to the wrong member or not at all.
+    // They may still run inline — the inline route *is* the synchronous
+    // entry point.
     p.coalescible = p.inline_eligible && cfg_.coalesce &&
                     req.opts.injector == nullptr &&
+                    req.opts.memory_injector == nullptr &&
                     req.opts.correction_log == nullptr && !req.opts.resident_a;
   }
   return p;

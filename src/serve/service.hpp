@@ -157,7 +157,7 @@ enum class RejectReason : std::uint8_t {
 /// A/B).  Operand pointers are type-erased so one queue serves every
 /// precision; build requests with the typed make_* helpers below.
 /// `opts` is request-scoped: threads, runtime backend, ISA, tolerance,
-/// injector and correction log all apply to this request alone.
+/// injectors and correction log all apply to this request alone.
 struct GemmRequest {
   Precision precision = Precision::kF64;
   bool ft = true;

@@ -79,8 +79,8 @@ struct Pending {
   std::shared_ptr<RequestState> state;
   PlanKey key{};
   /// Resolved plan takes the fast path AND the request is mergeable into a
-  /// batched call (single problem, no injector/correction log/resident
-  /// operand — see GemmService::make_pending).
+  /// batched call (single problem, no injector/memory injector/correction
+  /// log/resident operand — see GemmService::make_pending).
   bool coalescible = false;
   /// Resolved plan takes the fast path (single problem): the inline
   /// fast lane may execute it on the submitting thread.

@@ -13,6 +13,7 @@
 
 #include "core/gemm_batched.hpp"
 #include "inject/campaign.hpp"
+#include "inject/injectors.hpp"
 #include "test_common.hpp"
 
 namespace ftgemm {
@@ -395,37 +396,35 @@ TEST(BatchedGemm, AutoStillSerializesSharedSinks) {
 TEST(BatchedCampaign, ForcedInterCampaignIsReliable) {
   // The serving-regime campaign under inter-batch scheduling: one random
   // target per run, concurrent untargeted members, protocol still exact.
-  BatchedCampaignConfig config;
+  CampaignConfig config;
+  config.entry = CampaignEntry::kBatched;
   config.size = 48;
-  config.batch = 8;
-  config.runs = 5;
-  config.errors_per_run = 2;
+  config.units = 8;
+  config.trials = 5;
+  config.faults = 2;
   config.seed = 77;
   config.schedule = BatchSchedule::kInter;
-  const BatchedCampaignResult res = run_batched_injection_campaign(config);
-  EXPECT_EQ(res.injected, std::size_t(config.runs * config.errors_per_run));
-  EXPECT_EQ(res.corrected, std::int64_t(config.runs * config.errors_per_run));
-  EXPECT_EQ(res.dirty_problems, 0);
+  const CampaignResult res = run_campaign(config);
+  EXPECT_EQ(res.injected, std::int64_t(config.trials * config.faults));
+  EXPECT_EQ(res.errors_corrected,
+            std::int64_t(config.trials * config.faults));
+  EXPECT_EQ(res.flagged, 0);
   EXPECT_TRUE(res.reliable());
 }
 
 TEST(BatchedCampaign, RandomTargetCampaignIsReliable) {
-  BatchedCampaignConfig config;
+  CampaignConfig config;
+  config.entry = CampaignEntry::kBatched;
   config.size = 64;
-  config.batch = 8;
-  config.runs = 6;
-  config.errors_per_run = 3;
+  config.units = 8;
+  config.trials = 6;
+  config.faults = 3;
   config.seed = 2024;
-  const BatchedCampaignResult res = run_batched_injection_campaign(config);
-
-  EXPECT_EQ(res.targets.size(), 6u);
-  for (const index_t t : res.targets) {
-    EXPECT_GE(t, 0);
-    EXPECT_LT(t, config.batch);
-  }
-  EXPECT_EQ(res.injected, std::size_t(config.runs * config.errors_per_run));
-  EXPECT_EQ(res.corrected, std::int64_t(config.runs * config.errors_per_run));
-  EXPECT_EQ(res.dirty_problems, 0);
+  const CampaignResult res = run_campaign(config);
+  EXPECT_EQ(res.injected, std::int64_t(config.trials * config.faults));
+  EXPECT_EQ(res.errors_corrected,
+            std::int64_t(config.trials * config.faults));
+  EXPECT_EQ(res.flagged, 0);
   EXPECT_TRUE(res.reliable());
   EXPECT_LE(res.max_rel_error, 1e-9);
 }

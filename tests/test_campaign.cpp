@@ -1,14 +1,19 @@
-// Tests for the injection-campaign drivers (the §3.2 methodology harness):
-// single-call, batched, and the async-service campaign.  Deterministic by
-// default: every campaign seed derives from FTGEMM_TEST_SEED (unset = the
-// historical fixed defaults), and failures print the seed to replay with.
-// The binary stays under the `slow` ctest label.
+// Tests for the fault-injection campaign runner (the §3.2 methodology
+// harness): one runner over entry point (sync, reliable, batched, service)
+// x strike surface (compute, resident, panel_a, panel_b, plan).
+// Deterministic by default: every campaign seed derives from
+// FTGEMM_TEST_SEED (unset = the historical fixed defaults), and failures
+// print the seed to replay with.  The binary stays under the `slow` ctest
+// label.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/gemm.hpp"
 #include "inject/campaign.hpp"
 #include "inject/injectors.hpp"
-#include "inject/memory_campaign.hpp"
 #include "test_common.hpp"
 
 namespace ftgemm {
@@ -20,112 +25,179 @@ using testing::test_seed;
 TEST(Campaign, TwentyErrorRegimeIsReliable) {
   CampaignConfig config;
   config.size = 192;
-  config.runs = 5;
-  config.errors_per_run = 20;
+  config.trials = 5;
+  config.faults = 20;
   config.seed = test_seed(77);
-  const CampaignResult r = run_injection_campaign(config);
-  EXPECT_EQ(r.injected, 100u) << seed_note(config.seed);
+  const CampaignResult r = run_campaign(config);
+  EXPECT_EQ(r.injected, 100) << seed_note(config.seed);
   EXPECT_TRUE(r.reliable())
       << "no silently wrong results, ever" << seed_note(config.seed);
-  EXPECT_GT(r.corrected, 0) << seed_note(config.seed);
+  EXPECT_GT(r.errors_corrected, 0) << seed_note(config.seed);
   EXPECT_GT(r.mean_gflops, 0.0);
 }
 
 TEST(Campaign, DeterministicUnderSeed) {
   CampaignConfig config;
   config.size = 96;
-  config.runs = 3;
-  config.errors_per_run = 5;
+  config.trials = 3;
+  config.faults = 5;
   config.seed = test_seed(99);
-  const CampaignResult a = run_injection_campaign(config);
-  const CampaignResult b = run_injection_campaign(config);
+  const CampaignResult a = run_campaign(config);
+  const CampaignResult b = run_campaign(config);
   EXPECT_EQ(a.injected, b.injected) << seed_note(config.seed);
-  EXPECT_EQ(a.detected, b.detected) << seed_note(config.seed);
-  EXPECT_EQ(a.corrected, b.corrected) << seed_note(config.seed);
-  EXPECT_EQ(a.uncorrectable_runs, b.uncorrectable_runs)
-      << seed_note(config.seed);
+  EXPECT_EQ(a.errors_detected, b.errors_detected) << seed_note(config.seed);
+  EXPECT_EQ(a.errors_corrected, b.errors_corrected) << seed_note(config.seed);
+  EXPECT_EQ(a.flagged, b.flagged) << seed_note(config.seed);
 }
 
 TEST(Campaign, ReliableModeRetriesDirtyRuns) {
   // High error density in a small matrix provokes occasional uncorrectable
-  // panels; reliable mode must keep wrong_result_runs at zero AND scrub
+  // panels; reliable mode must keep silent trials at zero AND scrub
   // uncorrectable runs via retry.
   CampaignConfig config;
+  config.entry = CampaignEntry::kReliable;
   config.size = 96;
-  config.runs = 8;
-  config.errors_per_run = 30;
+  config.trials = 8;
+  config.faults = 30;
   config.magnitude = 4.0;
   config.seed = test_seed(1);
-  config.use_reliable = true;
-  const CampaignResult r = run_injection_campaign(config);
+  const CampaignResult r = run_campaign(config);
   EXPECT_TRUE(r.reliable()) << seed_note(config.seed);
   // Every retry re-runs under a fresh 30-error schedule, so the injected
   // total is 240 plus 30 per retry.
-  EXPECT_EQ(r.injected, 240u + 30u * std::size_t(r.retries))
-      << seed_note(config.seed);
+  EXPECT_EQ(r.injected, 240 + 30 * r.retries) << seed_note(config.seed);
 }
 
 TEST(Campaign, ZeroErrorsMeansCleanBaseline) {
   CampaignConfig config;
   config.size = 64;
-  config.runs = 2;
-  config.errors_per_run = 0;
+  config.trials = 2;
+  config.faults = 0;
   config.seed = test_seed(config.seed);
-  const CampaignResult r = run_injection_campaign(config);
-  EXPECT_EQ(r.injected, 0u) << seed_note(config.seed);
-  EXPECT_EQ(r.detected, 0) << seed_note(config.seed);
-  EXPECT_EQ(r.uncorrectable_runs, 0) << seed_note(config.seed);
+  const CampaignResult r = run_campaign(config);
+  EXPECT_EQ(r.injected, 0) << seed_note(config.seed);
+  EXPECT_EQ(r.errors_detected, 0) << seed_note(config.seed);
+  EXPECT_EQ(r.flagged, 0) << seed_note(config.seed);
   EXPECT_LT(r.max_rel_error, 1e-12) << seed_note(config.seed);
 }
 
 TEST(Campaign, ParallelThreadsSupported) {
   CampaignConfig config;
   config.size = 128;
-  config.runs = 3;
-  config.errors_per_run = 10;
+  config.trials = 3;
+  config.faults = 10;
   config.threads = 4;
   config.seed = test_seed(5);
-  const CampaignResult r = run_injection_campaign(config);
+  const CampaignResult r = run_campaign(config);
   EXPECT_TRUE(r.reliable()) << seed_note(config.seed);
-  EXPECT_EQ(r.injected, 30u) << seed_note(config.seed);
+  EXPECT_EQ(r.injected, 30) << seed_note(config.seed);
+}
+
+TEST(Campaign, RejectsReliableOnInt8Surfaces) {
+  // The transient panels run on int8, which has no reliable entry point:
+  // those two cells are refused, not quietly run on another entry point.
+  for (const CampaignSurface surface :
+       {CampaignSurface::kPanelA, CampaignSurface::kPanelB}) {
+    CampaignConfig config;
+    config.entry = CampaignEntry::kReliable;
+    config.surface = surface;
+    EXPECT_THROW((void)run_campaign(config), std::invalid_argument)
+        << campaign_surface_name(surface);
+  }
 }
 
 TEST(ServiceCampaign, TargetsInflightRequestsReliably) {
-  // Faults striking requests in flight in the async serving layer: every
-  // third request carries its own injector (request-scoped Options), the
-  // rest stay eligible for coalesced routing around them.  The reliability
+  // Faults striking requests in flight in the async serving layer: one
+  // request per trial carries the injector (request-scoped Options), the
+  // rest stay eligible for coalesced routing around it.  The reliability
   // claim is unchanged one layer up: every fault corrected or flagged,
   // never silent.
-  ServiceCampaignConfig config;
+  CampaignConfig config;
+  config.entry = CampaignEntry::kService;
   config.size = 96;
-  config.requests = 12;
-  config.inject_every = 3;
-  config.errors_per_target = 4;
+  config.units = 3;
+  config.trials = 4;
+  config.faults = 4;
   config.seed = test_seed(config.seed);
-  const ServiceCampaignResult r = run_service_injection_campaign(config);
-  EXPECT_EQ(r.targeted_requests, 4) << seed_note(config.seed);
-  EXPECT_GT(r.injected, 0u) << seed_note(config.seed);
-  EXPECT_GT(r.detected, 0) << seed_note(config.seed);
+  const CampaignResult r = run_campaign(config);
+  EXPECT_EQ(r.injected, 16) << seed_note(config.seed);
+  EXPECT_GT(r.errors_detected, 0) << seed_note(config.seed);
   EXPECT_TRUE(r.reliable())
       << "a served request returned silently wrong data"
       << seed_note(config.seed);
 }
 
 TEST(ServiceCampaign, CleanTrafficStaysCleanAndCoalesces) {
-  ServiceCampaignConfig config;
+  CampaignConfig config;
+  config.entry = CampaignEntry::kService;
   config.size = 64;
-  config.requests = 10;
-  config.inject_every = 0;  // no faults anywhere
+  config.units = 10;
+  config.trials = 1;
+  config.faults = 0;  // no faults anywhere
   config.seed = test_seed(config.seed);
-  const ServiceCampaignResult r = run_service_injection_campaign(config);
-  EXPECT_EQ(r.injected, 0u) << seed_note(config.seed);
-  EXPECT_EQ(r.detected, 0) << seed_note(config.seed);
-  EXPECT_EQ(r.dirty_requests, 0) << seed_note(config.seed);
+  const CampaignResult r = run_campaign(config);
+  EXPECT_EQ(r.injected, 0) << seed_note(config.seed);
+  EXPECT_EQ(r.errors_detected, 0) << seed_note(config.seed);
+  EXPECT_EQ(r.flagged, 0) << seed_note(config.seed);
   EXPECT_TRUE(r.reliable()) << seed_note(config.seed);
   EXPECT_LT(r.max_rel_error, 1e-9) << seed_note(config.seed);
-  EXPECT_GT(r.coalesced_requests, 0)
+  EXPECT_GT(r.coalesced, 0)
       << "uninjected same-shape traffic should ride merged batches"
       << seed_note(config.seed);
+}
+
+std::string cell_note(const CampaignConfig& c) {
+  return std::string("  [cell entry=") + campaign_entry_name(c.entry) +
+         " surface=" + campaign_surface_name(c.surface) +
+         " faults=" + std::to_string(c.faults) +
+         " burst=" + std::to_string(c.burst) +
+         " ecc=" + (c.ecc ? "on" : "off") + "]";
+}
+
+// The whole grid: every valid entry x surface cell, one single-bit (or
+// single-delta) fault on one targeted unit per trial, so no strike dedupes
+// and the injector ground truth is exactly one fault per trial.  A fast-path
+// shape keeps service traffic coalescible, so the cells also prove that a
+// request carrying an injector of either kind leaves the merged batch and
+// runs its own strike.
+TEST(CampaignGrid, EveryEntrySurfaceCellIsNeverSilent) {
+  const std::uint64_t seed = test_seed(0x9a1d);
+  constexpr int kTrials = 3;
+  int cells = 0;
+  for (const CampaignEntry entry :
+       {CampaignEntry::kSync, CampaignEntry::kReliable,
+        CampaignEntry::kBatched, CampaignEntry::kService}) {
+    for (const CampaignSurface surface :
+         {CampaignSurface::kCompute, CampaignSurface::kResident,
+          CampaignSurface::kPanelA, CampaignSurface::kPanelB,
+          CampaignSurface::kPlan}) {
+      const bool int8 = surface == CampaignSurface::kPanelA ||
+                        surface == CampaignSurface::kPanelB;
+      if (entry == CampaignEntry::kReliable && int8) continue;
+      CampaignConfig cfg;
+      cfg.entry = entry;
+      cfg.surface = surface;
+      cfg.size = 48;
+      cfg.units = 3;
+      cfg.trials = kTrials;
+      cfg.faults = 1;
+      cfg.burst = 1;
+      cfg.threads = 1;
+      cfg.seed = seed;
+      const CampaignResult r = run_campaign(cfg);
+      ++cells;
+      EXPECT_EQ(r.silent, 0) << cell_note(cfg) << seed_note(seed);
+      EXPECT_EQ(r.injected, kTrials) << cell_note(cfg) << seed_note(seed);
+      EXPECT_EQ(r.detected + r.masked + r.silent, kTrials)
+          << cell_note(cfg) << seed_note(seed);
+      if (surface != CampaignSurface::kResident) {
+        // Exact defenses (int8 panel checksums, the plan self-checksum)
+        // and a delta far above tolerance: every trial detected.
+        EXPECT_EQ(r.detected, kTrials) << cell_note(cfg) << seed_note(seed);
+      }
+    }
+  }
+  EXPECT_EQ(cells, 18);
 }
 
 // Memory-domain campaign over the resident-operand cache: a serving loop
@@ -190,14 +262,6 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
       << seed_note(seed);
 }
 
-std::string cell_note(const MemoryCampaignResult& r) {
-  return std::string("  [cell surface=") +
-         memory_surface_name(r.config.surface) +
-         " faults=" + std::to_string(r.config.faults) +
-         " burst=" + std::to_string(r.config.burst) +
-         " ecc=" + (r.config.ecc ? "on" : "off") + "]";
-}
-
 // The acceptance sweep (DESIGN.md §12): every surface x fault count x
 // burstiness cell of the default grid, at a reduced trial count.  The hard
 // claims: every trial is detected or provably masked (result bit-identical
@@ -211,48 +275,45 @@ std::string cell_note(const MemoryCampaignResult& r) {
 TEST(MemoryFaultCampaign, SweepDetectsAllSingleBitStrikesAndIsNeverSilent) {
   const std::uint64_t seed = test_seed(0x5eed);
   constexpr int kTrials = 5;
-  const std::vector<MemoryCampaignResult> results =
-      run_memory_campaign_sweep(default_memory_campaign_grid(kTrials, seed));
+  const std::vector<CampaignConfig> grid = memory_fault_grid(kTrials, seed);
   // 4 surfaces x faults {1,4} x burst {1,3}, plus the 4 resident cells
   // duplicated with ECC on.
-  ASSERT_EQ(results.size(), 20u);
+  ASSERT_EQ(grid.size(), 20u);
 
-  for (const MemoryCampaignResult& r : results) {
-    EXPECT_EQ(r.trials, kTrials) << cell_note(r) << seed_note(seed);
-    EXPECT_GT(r.injected_bits, 0) << cell_note(r) << seed_note(seed);
+  for (const CampaignConfig& cfg : grid) {
+    const CampaignResult r = run_campaign(cfg);
+    EXPECT_GT(r.injected, 0) << cell_note(cfg) << seed_note(seed);
     // The invariant that defines the fault model: never silent, anywhere,
     // and every undetected trial is provably harmless.
-    EXPECT_EQ(r.silent_trials, 0) << cell_note(r) << seed_note(seed);
-    EXPECT_EQ(r.detected_trials + r.masked_trials, std::int64_t(r.trials))
-        << cell_note(r) << seed_note(seed);
+    EXPECT_EQ(r.silent, 0) << cell_note(cfg) << seed_note(seed);
+    EXPECT_EQ(r.detected + r.masked, std::int64_t(kTrials))
+        << cell_note(cfg) << seed_note(seed);
     const bool bit_exact_surface =
-        r.config.ecc || r.config.surface != MemorySurface::kResidentPanel;
+        cfg.ecc || cfg.surface != CampaignSurface::kResident;
     if (bit_exact_surface) {
-      EXPECT_EQ(r.masked_trials, 0) << cell_note(r) << seed_note(seed);
+      EXPECT_EQ(r.masked, 0) << cell_note(cfg) << seed_note(seed);
     }
-    if (r.config.faults == 1 && r.config.burst == 1) {
-      EXPECT_EQ(r.injected_bits, std::int64_t(kTrials))
-          << cell_note(r) << seed_note(seed);
+    if (cfg.faults == 1 && cfg.burst == 1) {
+      EXPECT_EQ(r.injected, std::int64_t(kTrials))
+          << cell_note(cfg) << seed_note(seed);
       if (bit_exact_surface) {
         // 100% detection of single-bit faults on every bit-exact surface.
-        EXPECT_EQ(r.detected_trials, r.trials)
-            << cell_note(r) << seed_note(seed);
-        EXPECT_EQ(r.detection_rate(), 1.0) << cell_note(r) << seed_note(seed);
+        EXPECT_EQ(r.detected, std::int64_t(kTrials))
+            << cell_note(cfg) << seed_note(seed);
       }
-      if (r.config.ecc) {
+      if (cfg.ecc) {
         // SEC-DED corrects every single strike in place: corrected bits
         // match the injector ground truth exactly, and the re-encode heal
         // path is never taken.
-        EXPECT_EQ(r.ecc_corrected, r.injected_bits)
-            << cell_note(r) << seed_note(seed);
-        EXPECT_EQ(r.heals, 0) << cell_note(r) << seed_note(seed);
-      } else if (r.config.surface == MemorySurface::kResidentPanel) {
+        EXPECT_EQ(r.ecc_corrected, r.injected)
+            << cell_note(cfg) << seed_note(seed);
+        EXPECT_EQ(r.heals, 0) << cell_note(cfg) << seed_note(seed);
+      } else if (cfg.surface == CampaignSurface::kResident) {
         // Every detected trial healed by re-encode, exactly once.
-        EXPECT_EQ(r.heals, r.detected_trials) << cell_note(r)
-                                              << seed_note(seed);
-      } else if (r.config.surface == MemorySurface::kPlan) {
+        EXPECT_EQ(r.heals, r.detected) << cell_note(cfg) << seed_note(seed);
+      } else if (cfg.surface == CampaignSurface::kPlan) {
         EXPECT_EQ(r.plan_heals, std::int64_t(kTrials))
-            << cell_note(r) << seed_note(seed);
+            << cell_note(cfg) << seed_note(seed);
       }
     }
   }
@@ -263,8 +324,8 @@ TEST(MemoryFaultCampaign, SweepDetectsAllSingleBitStrikesAndIsNeverSilent) {
 // placement (B~ strikes run under tm.single, A~ strikes are pinned to
 // member 0), so a campaign is a reproducible experiment everywhere.
 TEST(MemoryFaultCampaign, DeterministicAcrossRunsAndBackends) {
-  MemoryCampaignConfig cfg;
-  cfg.surface = MemorySurface::kPanelB;
+  CampaignConfig cfg;
+  cfg.surface = CampaignSurface::kPanelB;
   cfg.faults = 2;
   cfg.burst = 3;
   cfg.trials = 4;
@@ -272,30 +333,28 @@ TEST(MemoryFaultCampaign, DeterministicAcrossRunsAndBackends) {
   cfg.threads = 2;
   cfg.runtime = RuntimeBackend::kOpenMP;
 
-  const MemoryCampaignResult a = run_memory_campaign(cfg);
-  const MemoryCampaignResult b = run_memory_campaign(cfg);
-  MemoryCampaignConfig pool_cfg = cfg;
+  const CampaignResult a = run_campaign(cfg);
+  const CampaignResult b = run_campaign(cfg);
+  CampaignConfig pool_cfg = cfg;
   pool_cfg.runtime = RuntimeBackend::kPool;
-  const MemoryCampaignResult c = run_memory_campaign(pool_cfg);
+  const CampaignResult c = run_campaign(pool_cfg);
 
-  const auto expect_equal = [&](const MemoryCampaignResult& x,
-                                const MemoryCampaignResult& y,
-                                const char* what) {
-    EXPECT_EQ(x.injected_bits, y.injected_bits) << what << seed_note(cfg.seed);
-    EXPECT_EQ(x.detected_trials, y.detected_trials)
+  const auto expect_equal = [&](const CampaignResult& x,
+                                const CampaignResult& y, const char* what) {
+    EXPECT_EQ(x.injected, y.injected) << what << seed_note(cfg.seed);
+    EXPECT_EQ(x.detected, y.detected) << what << seed_note(cfg.seed);
+    EXPECT_EQ(x.errors_detected, y.errors_detected)
         << what << seed_note(cfg.seed);
-    EXPECT_EQ(x.abft_detected, y.abft_detected) << what << seed_note(cfg.seed);
-    EXPECT_EQ(x.abft_corrected, y.abft_corrected)
+    EXPECT_EQ(x.errors_corrected, y.errors_corrected)
         << what << seed_note(cfg.seed);
-    EXPECT_EQ(x.flagged_trials, y.flagged_trials)
-        << what << seed_note(cfg.seed);
-    EXPECT_EQ(x.masked_trials, y.masked_trials) << what << seed_note(cfg.seed);
-    EXPECT_EQ(x.silent_trials, y.silent_trials) << what << seed_note(cfg.seed);
+    EXPECT_EQ(x.flagged, y.flagged) << what << seed_note(cfg.seed);
+    EXPECT_EQ(x.masked, y.masked) << what << seed_note(cfg.seed);
+    EXPECT_EQ(x.silent, y.silent) << what << seed_note(cfg.seed);
   };
   expect_equal(a, b, "rerun, same backend");
   expect_equal(a, c, "openmp vs pool");
-  EXPECT_EQ(a.silent_trials, 0) << seed_note(cfg.seed);
-  EXPECT_GT(a.detected_trials, 0) << seed_note(cfg.seed);
+  EXPECT_EQ(a.silent, 0) << seed_note(cfg.seed);
+  EXPECT_GT(a.detected, 0) << seed_note(cfg.seed);
 }
 
 }  // namespace

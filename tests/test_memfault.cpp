@@ -12,7 +12,6 @@
 #include "core/gemm_i8.hpp"
 #include "core/secded.hpp"
 #include "inject/injectors.hpp"
-#include "inject/memory_campaign.hpp"
 #include "test_common.hpp"
 #include "util/env.hpp"
 

@@ -6,7 +6,9 @@
 //      cache hit is bit-identical to the cold (per-call pack+encode) path —
 //      on both the fast path and the general blocked path at 2 threads.
 //   2. LRU eviction and capacity/byte accounting on a standalone cache.
-//   3. Concurrent hit/miss traffic from 6 submitter threads.
+//   3. Concurrent hit/miss traffic from 6 submitter threads, and 8 threads
+//      released together on one cold weight (one encode, seven waiting
+//      hits).
 //   4. Negative keying cases: stale pointer, mutated (sampled) content,
 //      different alpha — all must miss, never alias; plus the documented
 //      fingerprint-collision contract for mutations the sampled grid
@@ -18,6 +20,7 @@
 //      the corruption is still not silent (compute-domain ABFT flags it).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -326,11 +329,54 @@ TEST(OperandCacheConcurrent, SixSubmitterThreads) {
   const OperandCacheStats after = cache.stats();
   const std::uint64_t calls = std::uint64_t(kThreads) * kIters;
   EXPECT_EQ(after.hits + after.misses - before.hits - before.misses, calls);
-  // 7 distinct operands; concurrent first touches may each encode (the
-  // race's losers adopt the winner's entry but still count as misses).
-  EXPECT_GE(after.misses - before.misses, 7u);
-  EXPECT_GE(after.hits - before.hits, calls - 2u * kThreads - 7u);
+  // 7 distinct operands, each encoded exactly once: concurrent first
+  // touches of the shared weight wait for one encode and count as hits.
+  EXPECT_EQ(after.misses - before.misses, 7u);
+  EXPECT_EQ(after.hits - before.hits, calls - 7u);
   EXPECT_EQ(after.heals - before.heals, 0u);
+}
+
+// Concurrent cold calls on one weight encode it once: the first miss
+// publishes its slot before encoding, and every other thread counts a hit
+// and waits on the slot for that encode instead of encoding the weight
+// again.
+TEST(OperandCacheConcurrent, ColdKeyEncodesOnceAcrossThreads) {
+  const std::uint64_t seed = test_seed(1318);
+  constexpr int kThreads = 8;
+  const GemmCase cs{256, 64, 256, Trans::kNoTrans, Trans::kNoTrans, 1.0, 0.0};
+  const Problem<double> p(cs, seed);
+  Options opts;
+  opts.threads = 1;
+  const GemmPlan<double> plan =
+      build_plan<double>(cs.ta, cs.tb, cs.m, cs.n, cs.k, opts, true);
+  OperandCache<double> cache(/*capacity=*/4, /*byte_capacity=*/1u << 30);
+
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<const void*> payloads(kThreads, nullptr);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      const ResidentAcquisition<double> acq = cache.acquire(
+          p.a.data(), p.a.ld(), false, 1.0, plan, nullptr, true);
+      payloads[std::size_t(t)] = acq.payload.get();
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go.store(true);
+  for (std::thread& w : workers) w.join();
+
+  const OperandCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u) << seed_note(seed);
+  EXPECT_EQ(stats.hits, std::uint64_t(kThreads - 1)) << seed_note(seed);
+  EXPECT_EQ(stats.heals, 0u) << seed_note(seed);
+  ASSERT_NE(payloads.front(), nullptr);
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(payloads[std::size_t(t)], payloads.front())
+        << "thread " << t << seed_note(seed);
+  }
 }
 
 // ---------------------------------------------------------------------------

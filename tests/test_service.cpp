@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -18,6 +19,8 @@
 
 #include "core/context.hpp"
 #include "core/gemm.hpp"
+#include "core/gemm_i8.hpp"
+#include "inject/injectors.hpp"
 #include "serve/service.hpp"
 #include "test_common.hpp"
 
@@ -1255,6 +1258,84 @@ TEST(ServiceResident, CoexistsWithCoalescedNonResidentTraffic) {
   EXPECT_EQ(stats.resident_misses, 1u);
   EXPECT_EQ(stats.resident_hits, std::uint64_t(kResident - 1));
   EXPECT_EQ(stats.resident_heals, 0);
+}
+
+// A request carrying a memory-fault injector runs its own strike.  A
+// coalesced batch runs under its head request's Options, so a merged
+// member's injector would never fire; like a request with an `injector`,
+// it routes direct — bit-identical to the synchronous call under an
+// identically seeded injector — while the clean requests staged ahead of
+// it still coalesce.
+TEST(ServiceInjection, MemoryInjectedRequestRoutesDirect) {
+  ServiceConfig cfg;
+  cfg.start_paused = true;
+  cfg.shards = 1;  // one dispatcher: the clean pair must merge
+  GemmService service(cfg);
+
+  constexpr index_t kM = 48, kN = 40, kK = 64;  // int8 fast path
+  constexpr int kRequests = 3;  // two clean requests, then the injected one
+  const std::uint64_t seed = testing::test_seed(42);
+  Options opts;
+  opts.threads = 1;
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<std::int8_t>> a(kRequests), b(kRequests);
+  std::vector<std::vector<float>> c(kRequests,
+                                    std::vector<float>(kM * kN, 0.0f));
+  for (int r = 0; r < kRequests; ++r) {
+    // Nonzero operands: any live-byte flip perturbs the exact checksums.
+    a[std::size_t(r)].resize(std::size_t(kM * kK));
+    b[std::size_t(r)].resize(std::size_t(kK * kN));
+    for (auto& x : a[std::size_t(r)]) x = std::int8_t(1 + rng.bounded(7));
+    for (auto& x : b[std::size_t(r)]) x = std::int8_t(1 + rng.bounded(7));
+  }
+
+  SurfaceBitFlipInjector sync_injector(MemorySurface::kPanelB, 1, 1, seed);
+  sync_injector.arm();
+  Options sync_opts = opts;
+  sync_opts.memory_injector = &sync_injector;
+  std::vector<float> c_sync(std::size_t(kM * kN), 0.0f);
+  const FtReport sync_rep = ft_gemm_i8(
+      Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, kM, kN, kK, 1.0f,
+      a.back().data(), kM, b.back().data(), kK, 0.0f, c_sync.data(), kM, {},
+      sync_opts);
+  ASSERT_EQ(sync_injector.applied_count(), 1u) << testing::seed_note(seed);
+  ASSERT_GT(sync_rep.errors_detected, 0) << testing::seed_note(seed);
+
+  SurfaceBitFlipInjector injector(MemorySurface::kPanelB, 1, 1, seed);
+  injector.arm();
+  Options struck = opts;
+  struck.memory_injector = &injector;
+  std::vector<GemmFuture> futures;
+  for (int r = 0; r < kRequests; ++r) {
+    futures.push_back(service.submit(serve::make_gemm_request_i8(
+        true, Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, kM, kN, kK,
+        1.0f, a[std::size_t(r)].data(), kM, b[std::size_t(r)].data(), kK,
+        0.0f, c[std::size_t(r)].data(), kM, {},
+        r == kRequests - 1 ? struck : opts)));
+  }
+  service.resume();
+  std::vector<GemmResult> results;
+  for (const GemmFuture& f : futures) results.push_back(f.wait());
+
+  for (int r = 0; r + 1 < kRequests; ++r) {
+    const GemmResult& res = results[std::size_t(r)];
+    ASSERT_EQ(res.status, RequestStatus::kDone) << "clean " << r;
+    EXPECT_TRUE(res.coalesced) << "clean " << r;
+    EXPECT_TRUE(res.ok()) << "clean " << r;
+  }
+  const GemmResult& res = results.back();
+  ASSERT_EQ(res.status, RequestStatus::kDone);
+  EXPECT_FALSE(res.coalesced);
+  EXPECT_EQ(injector.opportunities(), 1u) << testing::seed_note(seed);
+  EXPECT_EQ(injector.applied_count(), 1u) << testing::seed_note(seed);
+  EXPECT_EQ(std::memcmp(c.back().data(), c_sync.data(),
+                        c_sync.size() * sizeof(float)),
+            0)
+      << testing::seed_note(seed);
+  EXPECT_EQ(res.report.panels, sync_rep.panels);
+  EXPECT_EQ(res.report.errors_detected, sync_rep.errors_detected);
+  EXPECT_EQ(res.report.errors_corrected, sync_rep.errors_corrected);
+  EXPECT_EQ(res.report.uncorrectable_panels, sync_rep.uncorrectable_panels);
 }
 
 /// 8 concurrent clients hammering one service with mixed entry-point
