@@ -8,14 +8,18 @@
 // so the intersection of mismatching rows and columns locates it and the
 // difference corrects it — the classic ABFT argument (Huang & Abraham).
 //
-// Multi-error panels are resolved by a small assignment search: under the
-// hypothesis that each mismatching column contains exactly one error, each
-// column delta is an individual error value and must be attributable to a
-// row such that every row's mismatch equals the sum of its assigned column
-// deltas (and symmetrically with rows/columns swapped).  This covers single
-// errors, k errors in distinct rows/columns, and bursts sharing a row or a
-// column; truly ambiguous patterns are reported as uncorrectable so the
-// caller can re-run (see ft_gemm_reliable).
+// Checksums name *which* rows and columns are wrong, not which of their
+// crossings are.  Where the accumulator can be rebuilt from the operands
+// (int8, and float with beta = 0), the driver recomputes every crossing of
+// a mismatched row and column instead of inferring deltas
+// (core/driver.hpp).  Elsewhere (float with beta != 0, whose beta*C0 the
+// encode pass overwrote, and the unfused baseline) only two delta rules
+// run, both sound for up to two errors per panel: the mutual-unique peel
+// and a single-row or single-column line.  Every other pattern — equal
+// deltas on several lines among them — is reported as uncorrectable so the
+// caller can re-run (see ft_gemm_reliable).  Like the classic
+// single-error rule, a delta rule can still be misled by three or more
+// errors whose sums coincide exactly (docs/DESIGN.md §1).
 #pragma once
 
 #include <cmath>
@@ -68,12 +72,12 @@ struct SolveOutcome {
 /// of located errors.  `slack` absorbs floating-point noise when comparing
 /// sums of deltas.
 ///
-/// Strategy: (1) peel errors whose row and column deltas match each other
-/// uniquely — handles arbitrarily many scattered errors; (2) resolve the
-/// remaining burst clusters with a small assignment search under the
-/// "one error per column" / "one error per row" hypotheses.  Oversized
-/// mismatch lists or an exhausted search budget yield solved = false (the
-/// caller treats the panel as detected-but-uncorrectable).
+/// Two rules: (1) peel errors whose row and column deltas match each other
+/// uniquely — handles arbitrarily many scattered errors with distinct
+/// deltas; (2) whatever remains must lie on one row or one column whose
+/// delta is the sum of the crossing deltas.  Anything else, and oversized
+/// mismatch lists, yield solved = false (the caller treats the panel as
+/// detected-but-uncorrectable).
 SolveOutcome solve_error_assignment(const std::vector<Mismatch>& rows,
                                     const std::vector<Mismatch>& cols,
                                     double slack);

@@ -73,7 +73,9 @@ FtReport unfused(Trans ta, Trans tb, index_t m, index_t n, index_t k, T alpha,
           c, ldc, opts);
   }
 
-  // (6): reference checksums and verification.
+  // (6): reference checksums and verification.  The classic scheme has no
+  // recompute step (step (1) overwrote C0): only the delta rules of
+  // solve_error_assignment run, and anything they cannot pin is flagged.
   std::vector<T> ccref(static_cast<std::size_t>(m));
   std::vector<T> crref(static_cast<std::size_t>(n));
   encode_cc_standalone(c, ldc, m, n, ccref.data());

@@ -14,6 +14,9 @@
 //     - Checksums are compared against a ToleranceModel bound derived from
 //       amax(A), amax(B) and amax(C).  Each member records its amax partials
 //       and member 0 refreshes the bound once per panel.
+//     - A mismatch is repaired by recomputing the crossings from A and B
+//       when beta = 0, and by the delta rules of abft/verifier.hpp
+//       otherwise (beta*C0 is gone once the encode pass has run).
 //     - Ar is reduced from per-member partials, in member order.
 //     - Cr reference partials are lane-strided (cr_lanes slots per column).
 //
@@ -26,9 +29,10 @@
 //     - Packed panels stay 8-bit (biased u8 A~, s8 B~): the planner sizes
 //       the blocking for one-byte elements.
 //     - Checksums are int64 and compared at zero: integer sums are exact and
-//       order-independent, so the locator runs with zero slack and there is
-//       no ToleranceModel and no amax (docs/DESIGN.md §11); the planner's
-//       tolerance factor is exactly 0.
+//       order-independent, so there is no ToleranceModel and no amax
+//       (docs/DESIGN.md §11); the planner's tolerance factor is exactly 0.
+//     - cq starts at zero, so a mismatch is always repaired by recomputing
+//       the crossings from A and B, exactly.
 //     - The Ar encode writes disjoint K-slices directly: no partials.
 //     - The epilogue's zero-point vectors arow/bcol are accumulated by the
 //       packers (arow on the first pass over each (row, panel) region).
@@ -286,6 +290,25 @@ class FloatDomain {
 
   static void correct(C& value, double delta) { value -= C(delta); }
 
+  /// Whether the accumulator can be rebuilt from A and B: only at beta = 0,
+  /// because the encode pass overwrote beta*C0.
+  [[nodiscard]] bool rebuildable() const { return beta_ == C(0); }
+
+  /// Row i of the accumulator at columns `cols` over depth [0, kend),
+  /// recomputed from the operands as the packers read them: narrow storage
+  /// widened, alpha applied to A.  Differs from the kernels' values by
+  /// summation order only.
+  void recompute_row(const OperandView<S>& av, const OperandView<S>& bv,
+                     index_t i, const std::vector<index_t>& cols,
+                     index_t kend, std::vector<C>& out) const {
+    out.assign(cols.size(), C(0));
+    for (index_t p = 0; p < kend; ++p) {
+      const C a = alpha_ * C(av.at(i, p));
+      for (std::size_t c = 0; c < cols.size(); ++c)
+        out[c] += a * C(bv.at(p, cols[c]));
+    }
+  }
+
   /// C is the accumulator: nothing left to store.
   void store(const MemberRanges&, bool) {}
 
@@ -454,12 +477,18 @@ class ExactDomain {
     return diff != 0;
   }
 
-  /// Checksum deltas are at most ~2^31 * max(m, n): exact in the solver's
-  /// doubles, so the locator needs no slack.
-  [[nodiscard]] double slack(std::size_t) const { return 0.0; }
-
-  static void correct(C& value, double delta) {
-    value -= C(std::llround(delta));
+  /// Row i of cq at columns `cols` over depth [0, kend), recomputed from
+  /// the operands with A biased as the packer biases it: exact, so
+  /// bit-identical to the fault-free accumulator.
+  void recompute_row(const OperandView<S>& av, const OperandView<S>& bv,
+                     index_t i, const std::vector<index_t>& cols,
+                     index_t kend, std::vector<C>& out) const {
+    out.assign(cols.size(), 0);
+    for (index_t p = 0; p < kend; ++p) {
+      const C a = C(bias_i8(av.at(i, p)));
+      for (std::size_t c = 0; c < cols.size(); ++c)
+        out[c] += a * C(bv.at(p, cols[c]));
+    }
   }
 
   /// The write-back: undo the bias/zero-point shift and dequantize this

@@ -49,6 +49,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "abft/verifier.hpp"
@@ -104,17 +105,37 @@ inline void partition_units(index_t total, index_t unit, int parts, int idx,
   len = std::min(my_blocks * unit, total - off);
 }
 
-/// Locate/correct the errors behind the found checksum mismatches, then
-/// re-verify the touched rows and columns with exact sums over the
-/// accumulator and repeat if needed.  One round suffices for ordinary
-/// errors; corrections whose delta estimate was degraded by catastrophic
-/// rounding (an exponent bit flip dwarfing the entire row sum) converge in
-/// two.  A non-finite element never converges (NaN fails every tolerance
-/// test) and ends the panel uncorrectable.  Single-threaded: called from a
-/// team `single` section.  `rows`/`cols` are consumed as scratch.
-template <typename D, typename Ctx>
+/// Crossing budget of one panel's recompute: |R|·|C| <= m·n / 64 +
+/// max(m, n).  The recompute is scalar and single-threaded, so the share
+/// keeps its worst case near the cost of one re-execution, which is what a
+/// flagged panel costs under ft_*_reliable; the floor always admits one
+/// whole row or column (one struck operand element), which on a small C
+/// costs less than any re-execution.
+inline constexpr index_t kRecomputeShare = 64;
+
+/// Repair the errors behind one panel's checksum mismatches (R: rows, C:
+/// columns), then re-verify the touched rows and columns with exact sums
+/// over the accumulator.  Every wrong element lies where a row of R crosses
+/// a column of C.
+///
+///  - Rebuildable accumulator (int8's cq, float C at beta = 0): recompute
+///    every crossing from A and B over depth [0, kend) and re-verify once.
+///    A crossing the recompute moves beyond tolerance counts as one
+///    detected-and-corrected error.  An empty or over-budget cross, or a
+///    row or column that still mismatches, flags the panel.
+///  - Otherwise, the delta rules of solve_error_assignment, repeated while
+///    the re-verification finds more: an exponent-scale error dwarfing its
+///    row sum loses the original value to rounding in the first subtraction
+///    and converges in the second round.
+///
+/// A non-finite element that survives never passes re-verification (NaN
+/// fails every tolerance test) and ends the panel uncorrectable.
+/// Single-threaded: called from a team `single` section.  `rows`/`cols` are
+/// consumed as scratch.
+template <typename D, typename S, typename Ctx>
 inline void locate_correct_reverify(
     std::vector<Mismatch>& rows, std::vector<Mismatch>& cols, const D& dom,
+    const OperandView<S>& av, const OperandView<S>& bv, index_t kend,
     index_t m, index_t n, Ctx& ctx, int panel,
     std::vector<CorrectionRecord>* correction_log, std::int64_t& detected,
     std::int64_t& corrected, int& uncorrectable) {
@@ -122,32 +143,18 @@ inline void locate_correct_reverify(
   if (rows.empty() && cols.empty()) return;
   auto* acc = dom.acc();
   const index_t ld = dom.ldacc();
-  bool failed = false;
+  const auto flag = [&] {
+    detected += std::int64_t(std::max(rows.size(), cols.size()));
+    ++uncorrectable;
+  };
+  const auto record = [&](index_t i, index_t j, double delta, int round) {
+    if (correction_log != nullptr)
+      correction_log->push_back({panel, round, i, j, delta});
+  };
   std::vector<index_t> touched_rows, touched_cols;
-  constexpr int kMaxRounds = 4;
-  for (int round = 0;; ++round) {
-    const SolveOutcome outcome = solve_error_assignment(
-        rows, cols, dom.slack(rows.size() + cols.size()));
-    if (!outcome.solved) {
-      if (round == 0) {
-        detected += std::int64_t(std::max(rows.size(), cols.size()));
-      }
-      failed = true;
-      break;
-    }
-    for (const LocatedError& err : outcome.errors) {
-      dom.correct(acc[err.row + err.col * ld], err.delta);
-      touched_rows.push_back(err.row);
-      touched_cols.push_back(err.col);
-      if (correction_log != nullptr) {
-        correction_log->push_back({panel, round, err.row, err.col, err.delta});
-      }
-    }
-    if (round == 0) {
-      detected += std::int64_t(outcome.errors.size());
-      corrected += std::int64_t(outcome.errors.size());
-    }
-    // Exact re-verification of everything we touched.
+  // Exact re-verification of everything touched; `rows`/`cols` become what
+  // still mismatches.
+  const auto reverify = [&] {
     std::sort(touched_rows.begin(), touched_rows.end());
     touched_rows.erase(std::unique(touched_rows.begin(), touched_rows.end()),
                        touched_rows.end());
@@ -167,13 +174,65 @@ inline void locate_correct_reverify(
       for (index_t i = 0; i < m; ++i) sum += acc[i + j * ld];
       if (dom.mismatch(false, sum, ctx.cr()[j], d)) cols.push_back({j, d});
     }
-    if (rows.empty() && cols.empty()) break;  // converged
-    if (round + 1 >= kMaxRounds) {
-      failed = true;
-      break;
+    return rows.empty() && cols.empty();
+  };
+
+  // A private accumulator starts at zero, so it is always rebuildable.
+  if constexpr (!D::kPrivateAcc) {
+    if (!dom.rebuildable()) {
+      constexpr int kMaxRounds = 4;
+      for (int round = 0; round < kMaxRounds; ++round) {
+        const SolveOutcome outcome = solve_error_assignment(
+            rows, cols, dom.slack(rows.size() + cols.size()));
+        if (!outcome.solved) {
+          if (round == 0) {
+            flag();
+          } else {
+            ++uncorrectable;
+          }
+          return;
+        }
+        for (const LocatedError& err : outcome.errors) {
+          dom.correct(acc[err.row + err.col * ld], err.delta);
+          touched_rows.push_back(err.row);
+          touched_cols.push_back(err.col);
+          record(err.row, err.col, err.delta, round);
+        }
+        if (round == 0) {
+          detected += std::int64_t(outcome.errors.size());
+          corrected += std::int64_t(outcome.errors.size());
+        }
+        if (reverify()) return;
+      }
+      ++uncorrectable;
+      return;
     }
   }
-  if (failed) ++uncorrectable;
+
+  if (rows.empty() || cols.empty() ||
+      index_t(rows.size()) * index_t(cols.size()) >
+          m * n / kRecomputeShare + std::max(m, n)) {
+    flag();
+    return;
+  }
+  for (const Mismatch& r : rows) touched_rows.push_back(r.idx);
+  for (const Mismatch& c : cols) touched_cols.push_back(c.idx);
+  std::vector<std::remove_reference_t<decltype(*acc)>> fresh;
+  for (const index_t i : touched_rows) {
+    dom.recompute_row(av, bv, i, touched_cols, kend, fresh);
+    for (std::size_t c = 0; c < touched_cols.size(); ++c) {
+      auto& value = acc[i + touched_cols[c] * ld];
+      double delta = 0.0;
+      // The element-level analogue of a checksum mismatch.
+      if (dom.mismatch(true, value, fresh[c], delta)) {
+        record(i, touched_cols[c], delta, 0);
+        ++detected;
+        ++corrected;
+      }
+      value = fresh[c];
+    }
+  }
+  if (!reverify()) ++uncorrectable;
 }
 
 /// Apply the corruptions an injector planned for one macro block of the
@@ -413,9 +472,9 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
               cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
                           col_mm[std::size_t(t)].end());
             }
-            locate_correct_reverify(rows, cols, dom, m, n, ctx, panel,
-                                    correction_log, detected, corrected,
-                                    uncorrectable);
+            locate_correct_reverify(rows, cols, dom, av, bv, p + pinc, m, n,
+                                    ctx, panel, correction_log, detected,
+                                    corrected, uncorrectable);
             ++panels_run;
           });  // trailing team barrier
         }

@@ -16,7 +16,8 @@ using index_t = std::int64_t;
 /// One correction the verifier applied to C, with its provenance.
 struct CorrectionRecord {
   int panel = 0;        ///< rank-KC panel whose verification caught it
-  int round = 0;        ///< 0 = checksum delta, >0 = exact-recheck round
+  int round = 0;        ///< 0 = recompute or checksum delta; >0 = a later
+                        ///< round of the delta rules (core/driver.hpp)
   index_t i = 0;        ///< global row of the corrected element
   index_t j = 0;        ///< global column
   double delta = 0.0;   ///< perturbation removed from C(i, j)
@@ -48,9 +49,6 @@ struct Options {
   /// cooperative-packing machinery; results are bit-identical).  Disable to
   /// force the general blocked path, e.g. for A/B comparison.
   bool small_fast_path = true;
-  /// After correcting, recompute the affected row sums of C directly and
-  /// re-verify them against the predicted checksums (O(N) per error).
-  bool paranoid_recheck = false;
   /// Optional fault injector (§3.2).  Non-owning; may be null.
   FaultInjector* injector = nullptr;
   /// Optional sink for per-correction provenance (appended to; non-owning).

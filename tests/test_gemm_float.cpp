@@ -59,6 +59,8 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return GemmCase(info.param).name(); });
 
 TEST(Sgemm, FtCorrectsInjectedErrors) {
+  // beta = 0: five errors are beyond the delta rules, and the recompute
+  // rebuilds every crossing of a mismatched row and column.
   const index_t sz = 96;
   Matrix<float> a(sz, sz), b(sz, sz), c(sz, sz);
   a.fill_random(81);
@@ -66,14 +68,14 @@ TEST(Sgemm, FtCorrectsInjectedErrors) {
   c.fill_random(83);
   Matrix<float> ref = c.clone();
   naive_ref_gemm<float>(Trans::kNoTrans, Trans::kNoTrans, sz, sz, sz, 1.0f,
-                        a.data(), sz, b.data(), sz, 1.0f, ref.data(), sz);
+                        a.data(), sz, b.data(), sz, 0.0f, ref.data(), sz);
 
   CountInjector inj(5, 99, 2.0);
   Options opts;
   opts.injector = &inj;
   const FtReport rep = ft_sgemm(Layout::kColMajor, Trans::kNoTrans,
                                 Trans::kNoTrans, sz, sz, sz, 1.0f, a.data(),
-                                sz, b.data(), sz, 1.0f, c.data(), sz, opts);
+                                sz, b.data(), sz, 0.0f, c.data(), sz, opts);
   EXPECT_EQ(static_cast<std::size_t>(rep.errors_corrected), inj.injected_count());
   EXPECT_TRUE(rep.clean());
   expect_matrix_near(c, ref, gemm_tolerance<float>(sz), "corrected C");

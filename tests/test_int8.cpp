@@ -423,11 +423,13 @@ TEST(Int8Ft, DeterministicInjectionCorrectedExactly) {
 
 /// Paper-regime campaign: many random strikes per call, every one of them
 /// reversed to bit-exactness (integer ABFT has no rounding residue to
-/// hide behind).
+/// hide behind).  Magnitude 500 draws distinct deltas; magnitude 2.0 draws
+/// the integers 1..3, so equal deltas meet in one panel.
 TEST(Int8Ft, RandomInjectionCampaignBitExactWhenClean) {
   const std::uint64_t seed = test_seed(59);
   Xoshiro256 rng(seed);
-  for (int iter = 0; iter < 6; ++iter) {
+  for (int iter = 0; iter < 12; ++iter) {
+    const double magnitude = iter < 6 ? 500.0 : 2.0;
     const index_t m = 32 + index_t(rng.bounded(96));
     const index_t n = 32 + index_t(rng.bounded(96));
     const index_t k = 64 + index_t(rng.bounded(400));
@@ -437,7 +439,7 @@ TEST(Int8Ft, RandomInjectionCampaignBitExactWhenClean) {
     naive_ref_gemm_i8(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, m,
                       n, k, 0.5f, p.a.data(), p.a.ld(), p.b.data(),
                       p.b.ld(), 1.0f, want.data(), want.ld(), qp);
-    CountInjector inj(int(1 + rng.bounded(8)), rng.next(), 500.0);
+    CountInjector inj(int(1 + rng.bounded(8)), rng.next(), magnitude);
     Options opts;
     opts.injector = &inj;
     Matrix<float> got = p.c.clone();

@@ -317,7 +317,11 @@ struct MixedProblem {
 template <typename S>
 FtReport run_mixed_ft(const GemmCase& cs, const MixedProblem<S>& p,
                       Matrix<float>& c, const Options& opts = {}) {
-  if constexpr (std::is_same_v<S, bf16_t>) {
+  if constexpr (std::is_same_v<S, float>) {
+    return ft_sgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
+                    float(cs.alpha), p.a.data(), p.a.ld(), p.b.data(),
+                    p.b.ld(), float(cs.beta), c.data(), c.ld(), opts);
+  } else if constexpr (std::is_same_v<S, bf16_t>) {
     return ft_gemm_bf16(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
                         float(cs.alpha), p.a.data(), p.a.ld(), p.b.data(),
                         p.b.ld(), float(cs.beta), c.data(), c.ld(), opts);
@@ -593,8 +597,7 @@ void injection_parity_sweep() {
 
   // Random multi-fault runs: clean report implies oracle-accurate C.
   Xoshiro256 rng(seed ^ 0xF00D);
-  for (int iter = 0; iter < 4; ++iter) {
-    CountInjector inj(int(1 + rng.bounded(4)), rng.next(), 5.0);
+  const auto corrected_or_flagged = [&](FaultInjector& inj, int iter) {
     Options opts;
     opts.injector = &inj;
     Matrix<float> c = p.c.clone();
@@ -604,6 +607,15 @@ void injection_parity_sweep() {
       EXPECT_LE(err, std::max(gemm_tolerance<float>(cs.k), 1e-5))
           << cs << " iter=" << iter << seed_note(seed);
     }
+  };
+  for (int iter = 0; iter < 4; ++iter) {
+    CountInjector inj(int(1 + rng.bounded(4)), rng.next(), 5.0);
+    corrected_or_flagged(inj, iter);
+  }
+  // Four faults of magnitude 2 land several to a row or column of C.
+  for (int iter = 4; iter < 64; ++iter) {
+    CountInjector inj(4, rng.next(), 2.0);
+    corrected_or_flagged(inj, iter);
   }
 }
 
@@ -613,6 +625,10 @@ TEST(MixedInjectionParity, Bf16CorrectedOrFlagged) {
 
 TEST(MixedInjectionParity, F16CorrectedOrFlagged) {
   injection_parity_sweep<fp16_t>();
+}
+
+TEST(MixedInjectionParity, F32CorrectedOrFlagged) {
+  injection_parity_sweep<float>();
 }
 
 /// Batched mixed entry points agree with a loop of single calls.

@@ -1,4 +1,8 @@
-// Unit tests: mismatch scanning and the error-assignment solver.
+// Unit tests: mismatch scanning and the delta rules of the error solver
+// (the mutual-unique peel and the single-row / single-column line).  Every
+// pattern these rules cannot pin to one assignment must come back unsolved;
+// the executor-level table in test_injection.cpp covers what the driver
+// then does with it.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -86,7 +90,7 @@ TEST(Solver, TwoErrorsSharingAColumn) {
 
 TEST(Solver, MixedBurst) {
   // (2, 7)=+1, (2, 8)=+4, (5, 9)=-2: rows {2:+5, 5:-2}, cols {7:+1, 8:+4,
-  // 9:-2}; column-individual hypothesis must hold.
+  // 9:-2}; the peel takes (5, 9), leaving the line of row 2.
   const SolveOutcome o = solve_error_assignment(
       mm({{2, 5.0}, {5, -2.0}}), mm({{7, 1.0}, {8, 4.0}, {9, -2.0}}),
       kSlack);
@@ -108,25 +112,25 @@ TEST(Solver, InconsistentDeltasFail) {
 }
 
 TEST(Solver, AmbiguousCrossPatternFails) {
-  // Rows {+1, +1}, cols {+1, +1} is solvable (either pairing works).  But a
-  // genuinely contradictory sum pattern is not: rows {1, 2}, cols {2.5,
-  // 0.5}: col-individual needs a row summing to 2.5 from {2.5|0.5}, and
-  // row-individual needs cols summing from {1,2} — neither closes.
+  // Rows {1, 2}, cols {2.5, 0.5}: no row matches a column, and two rows and
+  // two columns remain, which is no line.
   const SolveOutcome o = solve_error_assignment(
       mm({{1, 1.0}, {2, 2.0}}), mm({{5, 2.5}, {6, 0.5}}), kSlack);
   EXPECT_FALSE(o.solved);
 }
 
-TEST(Solver, SymmetricPairingIsSolvable) {
+TEST(Solver, SymmetricPairingIsUnsolved) {
+  // Rows {+1, +1}, cols {+1, +1}: errors at (1, 5) and (2, 6) or at (1, 6)
+  // and (2, 5) give the same sums, and only one pairing is right.
   const SolveOutcome o = solve_error_assignment(
       mm({{1, 1.0}, {2, 1.0}}), mm({{5, 1.0}, {6, 1.0}}), kSlack);
-  EXPECT_TRUE(o.solved);
-  EXPECT_EQ(o.errors.size(), 2u);
+  EXPECT_FALSE(o.solved);
+  EXPECT_TRUE(o.errors.empty());
 }
 
-TEST(Solver, OversizedDfsRemainderBailsOut) {
+TEST(Solver, ManyEqualDeltasAreUnsolved) {
   // 30 rows/cols all carrying the SAME delta: nothing peels (no unique
-  // match) and the remainder exceeds the DFS bound -> refuse, don't blow up.
+  // match) and no line remains -> refuse, quickly.
   std::vector<Mismatch> rows, cols;
   for (int i = 0; i < 30; ++i) {
     rows.push_back({i, 1.0});
@@ -151,20 +155,13 @@ TEST(Solver, ManyDistinctErrorsStillSolve) {
 
 TEST(Solver, CoexistingRowAndColumnBursts) {
   // A row burst at (2, {7,8}) = {+1, +4} AND a column burst at ({5,6}, 9)
-  // = {-2, -3}: no single global hypothesis fits, but burst peeling
-  // resolves each cluster independently.
+  // = {-2, -3}: nothing peels and three rows and three columns remain,
+  // which is no line.  Four errors are beyond the delta rules; the
+  // executor recomputes this pattern (test_injection.cpp, CrossTable).
   const SolveOutcome o = solve_error_assignment(
       mm({{2, 5.0}, {5, -2.0}, {6, -3.0}}),
       mm({{7, 1.0}, {8, 4.0}, {9, -5.0}}), kSlack);
-  ASSERT_TRUE(o.solved);
-  ASSERT_EQ(o.errors.size(), 4u);
-  int row2 = 0, col9 = 0;
-  for (const LocatedError& e : o.errors) {
-    row2 += (e.row == 2);
-    col9 += (e.col == 9);
-  }
-  EXPECT_EQ(row2, 2) << "two errors in the row burst";
-  EXPECT_EQ(col9, 2) << "two errors in the column burst";
+  EXPECT_FALSE(o.solved);
 }
 
 TEST(Solver, BurstsPlusScatteredSingles) {
@@ -187,10 +184,9 @@ TEST(Solver, BurstsPlusScatteredSingles) {
   }
 }
 
-TEST(Solver, AmbiguousBurstSubsetLeftToDfs) {
-  // Row delta 3 could be {1,2} or {1.5,1.5}: two candidate subsets -> the
-  // burst peel must not guess; the DFS hypothesis stage still solves it
-  // (cols individual, all assigned to the single row).
+TEST(Solver, RowLineTakesEveryOpenColumn) {
+  // One row left: every open column holds one error on it, repeated deltas
+  // included, and the row delta must equal their sum.
   const SolveOutcome o = solve_error_assignment(
       mm({{3, 6.0}}), mm({{1, 1.0}, {2, 2.0}, {4, 1.5}, {5, 1.5}}), kSlack);
   ASSERT_TRUE(o.solved);
