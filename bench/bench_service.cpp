@@ -99,9 +99,6 @@ double run_async(std::vector<ClientWorkload>& clients, index_t calls,
   cfg.max_coalesce = 32;
   cfg.queue_capacity = std::size_t(nclients) * std::size_t(window) * 2;
   cfg.shards = shards;  // 0 = auto (env / hardware concurrency)
-  // Every client may ride the inline fast lane concurrently; queued
-  // traffic runs one group per dispatcher plus one per waiting client.
-  cfg.inline_inflight_limit = nclients;
   serve::GemmService service(cfg);
 
   WallTimer t;
@@ -141,7 +138,7 @@ double run_async(std::vector<ClientWorkload>& clients, index_t calls,
 
 /// Symmetric plan-cache warm-up.  The sync loop only ever exercises the
 /// direct-path plan, while the service routes windows through the batched
-/// coalescer (and the inline lane) — so without an explicit pre-warm the
+/// coalescer — so without an explicit pre-warm the
 /// async side pays the batched plan build + workspace growth inside its
 /// first timed window and the serial ratio under-reports steady state.
 /// Warm every route the timed loops can take before either side runs.
@@ -167,10 +164,13 @@ void prewarm(ClientWorkload& w, index_t window, int nt, int shards) {
   service.shutdown(true);
 }
 
-void run_series(const std::string& label, index_t size, index_t calls,
-                index_t window, int nt, int reps, int shards,
-                std::initializer_list<int> client_counts,
-                std::atomic<int>& failures) {
+/// Runs one series and returns its async/sync ratio per client count.
+std::vector<double> run_series(const std::string& label, index_t size,
+                               index_t calls, index_t window, int nt,
+                               int reps, int shards,
+                               std::initializer_list<int> client_counts,
+                               std::atomic<int>& failures) {
+  std::vector<double> ratios;
   for (const int nclients : client_counts) {
     std::vector<ClientWorkload> cw;
     cw.reserve(std::size_t(nclients));
@@ -187,10 +187,12 @@ void run_series(const std::string& label, index_t size, index_t calls,
     }
     const double s = compute_stats(sync_s).median;
     const double a = compute_stats(async_s).median;
+    ratios.push_back(s > 0 ? a / s : 0.0);
     std::printf("%-16s%8d%14.1f%14.1f%12.2fx\n", label.c_str(), nclients, s,
-                a, s > 0 ? a / s : 0.0);
+                a, ratios.back());
     std::fflush(stdout);
   }
+  return ratios;
 }
 
 }  // namespace
@@ -211,20 +213,22 @@ int main() {
               "(admission-control story);\n",
               (long long)small, (long long)big, team);
   std::printf("# window=%lld reps=%d hw_threads=%d — ratio = async/sync; "
-              "team ratio >= 1 at >= 4 clients is the claim\n",
+              "no ratio is claimed (summary after the rows)\n",
               (long long)window, reps, runtime::hardware_concurrency());
-  std::printf("# sharded_* series: explicit shard counts (inline lane on), "
-              "loaded client counts only\n");
+  std::printf("# sharded_* series: explicit shard counts, loaded client "
+              "counts only\n");
   print_provenance();
   std::printf("%-16s%8s%14s%14s%13s\n", "series", "clients", "sync_rps",
               "async_rps", "ratio");
 
   std::atomic<int> failures{0};
   const index_t team_window = std::max(window / 2, index_t(4));
-  run_series("serial_nt1", small, small_calls, window, 1, reps, 0,
-             {1, 2, 4, 8}, failures);
-  run_series("team_nt" + std::to_string(team), big, big_calls, team_window,
-             team, reps, 0, {1, 2, 4, 8}, failures);
+  const std::vector<double> serial = run_series(
+      "serial_nt1", small, small_calls, window, 1, reps, 0, {1, 2, 4, 8},
+      failures);
+  const std::vector<double> teams =
+      run_series("team_nt" + std::to_string(team), big, big_calls,
+                 team_window, team, reps, 0, {1, 2, 4, 8}, failures);
   // Shard-scaling sweep at loaded client counts: the sync baseline is the
   // same, so comparing async_rps across _s1/_s2/_s4 rows isolates sharding.
   for (const int s : {1, 2, 4}) {
@@ -235,6 +239,11 @@ int main() {
     run_series("sharded_team_s" + std::to_string(s), big, big_calls,
                team_window, team, reps, s, {4, 8}, failures);
   }
+  // What the rows show, stated from the rows themselves.
+  const auto [smin, smax] = std::minmax_element(serial.begin(), serial.end());
+  std::printf("# rows: serial_nt1 ratio %.2fx..%.2fx over 1-8 clients; "
+              "team_nt%d ratio %.2fx and %.2fx at 4 and 8 clients\n",
+              *smin, *smax, team, teams[2], teams[3]);
   if (failures.load() != 0) {
     std::printf("# VERIFICATION FAILURES: %d\n", failures.load());
     return 1;

@@ -73,48 +73,35 @@ OperandKey make_operand_key(const S* a, index_t lda, bool trans, C alpha,
   return key;
 }
 
-/// Integrity sums over the packed bytes in one FIXED scalar order (panels in
-/// k order, tiles inner) — recomputing them is deterministic, so the
-/// CHECK_BEFORE comparison below is a bit-exact memcmp, no tolerance model.
-/// The zero padding of the ragged edge tile participates: a flip landing in
-/// padding is caught too (it would feed the micro-kernels just the same).
+/// Integrity sums over the packed elements' raw bit patterns, added as
+/// wrapping unsigned integers: flipping bit b of one element moves its row
+/// and column sum by 2^b modulo 2^width, never by zero, so the bit-exact
+/// comparison below sees every single flip — including low mantissa bits a
+/// floating-point sum would round away.  Integer addition is associative,
+/// so any order the compiler vectorizes to gives the same sums.  The zero
+/// padding of the ragged edge tile participates: a flip landing in padding
+/// is caught too (it would feed the micro-kernels just the same).
 template <typename S, typename C>
-void integrity_sums(const ResidentAPayload<S, C>& pl, C* rowchk, C* colchk) {
-  std::fill(rowchk, rowchk + pl.tiles * pl.mr, C(0));
-  std::fill(colchk, colchk + pl.k, C(0));
+void integrity_sums(const ResidentAPayload<S, C>& pl,
+                    typename ResidentAPayload<S, C>::Sum* rowchk,
+                    typename ResidentAPayload<S, C>::Sum* colchk) {
+  using Sum = typename ResidentAPayload<S, C>::Sum;
+  std::fill(rowchk, rowchk + pl.tiles * pl.mr, Sum(0));
+  std::fill(colchk, colchk + pl.k, Sum(0));
   for (index_t p = 0; p < pl.k; p += pl.kc) {
     const index_t pinc = std::min(pl.kc, pl.k - p);
     const S* base = pl.panel_at(p);
     for (index_t q = 0; q < pl.tiles; ++q) {
       const S* tile = base + q * (pl.mr * pinc);
-      C* rc = rowchk + q * pl.mr;
-      // One pass per tile (this runs on every verified cache hit — the
-      // payload is read exactly once): unit-stride row accumulation the
-      // compiler can vectorize, and column sums in a fixed 4-lane-partial
-      // order.  Any deterministic order works — fill and verify share this
-      // one function, so the bit-exact comparison only needs
-      // self-consistency — and the lane split breaks the serial FP
-      // dependence chain a naive reduction would pin the loop on.
-      // Narrow storage widens each element once (C(col[ii])); for uniform
-      // payloads the conversion is the identity and the code is unchanged.
+      Sum* rc = rowchk + q * pl.mr;
       for (index_t kk = 0; kk < pinc; ++kk) {
         const S* col = tile + kk * pl.mr;
-        C s0 = C(0), s1 = C(0), s2 = C(0), s3 = C(0);
-        index_t ii = 0;
-        for (; ii + 4 <= pl.mr; ii += 4) {
-          rc[ii] += C(col[ii]);
-          rc[ii + 1] += C(col[ii + 1]);
-          rc[ii + 2] += C(col[ii + 2]);
-          rc[ii + 3] += C(col[ii + 3]);
-          s0 += C(col[ii]);
-          s1 += C(col[ii + 1]);
-          s2 += C(col[ii + 2]);
-          s3 += C(col[ii + 3]);
-        }
-        C s = (s0 + s1) + (s2 + s3);
-        for (; ii < pl.mr; ++ii) {
-          rc[ii] += C(col[ii]);
-          s += C(col[ii]);
+        Sum s = 0;
+        for (index_t ii = 0; ii < pl.mr; ++ii) {
+          StorageBits<S> bits;
+          std::memcpy(&bits, col + ii, sizeof(bits));
+          rc[ii] += Sum(bits);
+          s += Sum(bits);
         }
         colchk[p + kk] += s;
       }
@@ -128,15 +115,16 @@ void integrity_sums(const ResidentAPayload<S, C>& pl, C* rowchk, C* colchk) {
 /// loop must not pay a heap allocation per call.
 template <typename S, typename C>
 bool verify_payload(const ResidentAPayload<S, C>& pl) {
-  thread_local std::vector<C> scratch;
+  using Sum = typename ResidentAPayload<S, C>::Sum;
+  thread_local std::vector<Sum> scratch;
   const std::size_t rlen = std::size_t(pl.tiles * pl.mr);
   const std::size_t clen = std::size_t(pl.k);
   if (scratch.size() < rlen + clen) scratch.resize(rlen + clen);
-  C* rowchk = scratch.data();
-  C* colchk = scratch.data() + rlen;
+  Sum* rowchk = scratch.data();
+  Sum* colchk = scratch.data() + rlen;
   integrity_sums(pl, rowchk, colchk);
-  return std::memcmp(rowchk, pl.rowchk.data(), rlen * sizeof(C)) == 0 &&
-         std::memcmp(colchk, pl.colchk.data(), clen * sizeof(C)) == 0;
+  return std::memcmp(rowchk, pl.rowchk.data(), rlen * sizeof(Sum)) == 0 &&
+         std::memcmp(colchk, pl.colchk.data(), clen * sizeof(Sum)) == 0;
 }
 
 /// Packed-panel storage of a shaped payload, in StorageT elements: exactly

@@ -12,12 +12,14 @@
 //   - the operand row checksum Ar (reduced in the cold path's per-thread
 //     partial order, so the hit path is bit-identical at any thread count),
 //   - amax(|A|) for the tolerance model,
-//   - integrity row/column sums over the packed bytes themselves.
+//   - integrity row/column sums over the packed bytes themselves: exact
+//     integer sums of the packed elements' raw bit patterns (wrapping), so
+//     a flip of any single bit changes both sums.
 //
 // CHECK_BEFORE (after the MAGMA abft_dgemm idiom of persistent
 // dA_colchk/dA_rowchk buffers re-verified before consumption): every hit
-// recomputes the integrity sums in the same fixed scalar order they were
-// filled in and compares bit-exactly.  A mismatch means the resident bytes
+// recomputes the integrity sums and compares them bit-exactly with the
+// ones stored at fill time.  A mismatch means the resident bytes
 // were corrupted in memory — the cache re-encodes from the source operand
 // and swaps the healed payload in (self-healing), counting the heal in the
 // call's FtReport and the service's ServiceStats.  This extends the paper's
@@ -44,6 +46,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -121,11 +124,17 @@ struct ResidentAPayload {
   AlignedBuffer<StorageT> panels;
   AlignedBuffer<ComputeT> ar;  ///< operand row checksum, length k
   double amax_a = 0.0;
-  /// Integrity sums over the packed panels (fixed scalar order, accumulated
-  /// in ComputeT over the widened element values; see CHECK_BEFORE above):
+  /// Integrity sum word: int8's exact int32 totals (which double as the
+  /// executor's arow), else an unsigned integer as wide as ComputeT that
+  /// adds raw element bit patterns modulo 2^width.
+  using Sum = std::conditional_t<
+      std::is_integral_v<ComputeT>, ComputeT,
+      std::conditional_t<sizeof(ComputeT) == 8, std::uint64_t,
+                         std::uint32_t>>;
+  /// Integrity sums over the packed panels (see CHECK_BEFORE above):
   /// per-packed-row and per-depth totals.
-  AlignedBuffer<ComputeT> rowchk;  ///< length tiles*mr
-  AlignedBuffer<ComputeT> colchk;  ///< length k
+  AlignedBuffer<Sum> rowchk;  ///< length tiles*mr
+  AlignedBuffer<Sum> colchk;  ///< length k
   /// SEC-DED parity, one byte per 64-bit word of the packed panel bytes
   /// (core/secded.hpp); empty unless the cache had ECC enabled when this
   /// payload was encoded.  With ECC, a single flipped payload bit is
@@ -137,8 +146,8 @@ struct ResidentAPayload {
     return std::size_t(tiles * mr) * std::size_t(k);
   }
   [[nodiscard]] std::size_t bytes() const {
-    return elems() * sizeof(StorageT) +
-           (std::size_t(k) * 2 + std::size_t(tiles * mr)) * sizeof(ComputeT) +
+    return elems() * sizeof(StorageT) + std::size_t(k) * sizeof(ComputeT) +
+           (std::size_t(k) + std::size_t(tiles * mr)) * sizeof(Sum) +
            ecc.size();
   }
   /// Packed tiles of the rank-KC panel starting at k-offset p (the driver's

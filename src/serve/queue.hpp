@@ -1,10 +1,10 @@
 // Bounded lock-free submit ring — the serving layer's admission fast lane.
 //
 // One ring per priority lane per shard.  Producers are arbitrary client
-// threads inside submit()/try_submit()/submit_all(); the common-case
-// consumer is the owning shard's dispatcher, but a *stealing* sibling
-// dispatcher may also pop (see serve/shard.hpp), so the ring must be safe
-// for multiple consumers even though the steady state is MPSC.
+// threads inside submit()/try_submit()/submit_all(); the consumers are the
+// owning shard's dispatcher and any client helping it from
+// GemmFuture::wait() (see serve/shard.hpp).  They pop from different
+// threads, one at a time under the shard's pop mutex.
 //
 // The algorithm is Vyukov's bounded MPMC queue: every cell carries a
 // sequence counter whose distance from the producer/consumer cursor encodes
@@ -72,7 +72,7 @@ class SubmitRing {
     }
   }
 
-  /// Multi-consumer pop (owner dispatcher or a stealer); false when empty.
+  /// Multi-consumer pop (dispatcher or a helping waiter); false when empty.
   bool pop(T& out) {
     std::size_t pos = head_.load(std::memory_order_relaxed);
     for (;;) {

@@ -6,11 +6,11 @@
 //
 // Lifetime protocol of one request: enqueue() validates, resolves the plan
 // fingerprint, and either (a) executes inline on the calling thread when
-// the fast lane is open, or (b) reserves a slot in the home shard's
-// lock-free ring.  A consumer — the home shard's dispatcher, a stealing
-// sibling, or a client waiting on a request of that shard — claims it into
-// a group and calls back into execute_group(), which runs the synchronous
-// entry points, updates counters, and settles every future.  A client
+// the fast lane is open (submit() only), or (b) reserves a slot in the home
+// shard's lock-free ring.  A consumer — the home shard's dispatcher or a
+// client waiting on a request of that shard — claims it into a group and
+// calls back into execute_group(), which runs the synchronous entry
+// points, updates counters, and settles every future.  A client
 // observing its future done and immediately destroying the service still
 // blocks in ~GemmService until the consumer that settled it has left
 // (dispatchers are joined, helpers drained).
@@ -295,9 +295,6 @@ GemmService::GemmService(ServiceConfig config) : cfg_(config) {
     shards_.push_back(
         std::make_unique<ServiceShard>(this, i, cfg_.queue_capacity));
   }
-  // Start after every shard exists: a dispatcher may immediately scan the
-  // whole vector for steal victims.
-  for (auto& s : shards_) s->start();
 }
 
 GemmService::~GemmService() { shutdown(true); }
@@ -374,15 +371,14 @@ GemmFuture GemmService::enqueue(const GemmRequest& req, bool blocking) {
     // The future has not been returned yet, so the claim cannot race a
     // cancel; the gate keeps shutdown from completing under our feet.
     detail::try_claim(*p.state);
-    std::vector<detail::Pending> group;
-    group.push_back(std::move(p));
-    execute_group(group, /*shard_id=*/-1);
+    execute_direct(p, /*inlined=*/true);
     return fut;
   }
   const ServiceShard::Admit verdict =
       blocking ? home.admit_blocking(p) : home.try_admit(p);
   switch (verdict) {
     case ServiceShard::Admit::kOk:
+      home.wake();
       break;
     case ServiceShard::Admit::kStopping:
       detail::reject_unpublished(*p.state, RejectReason::kShuttingDown);
@@ -423,40 +419,22 @@ std::vector<GemmFuture> GemmService::submit_all(
     }
     ready.push_back(make_pending(r, std::move(st)));
   }
-  std::size_t i = 0;
-  while (i < ready.size()) {
-    ServiceShard& home = shard_for(ready[i].req);
-    if (ready[i].inline_eligible && inline_open(home)) {
-      // Inline window: a maximal run of same-fingerprint coalescible
-      // fast-path requests executes as ONE batched call on this thread —
-      // one plan fetch + workspace lease for the whole run, which is how
-      // pipelined small-GEMM windows beat a synchronous loop.
-      std::vector<detail::Pending> group;
-      group.push_back(std::move(ready[i]));
-      detail::try_claim(*group.front().state);
-      std::size_t j = i + 1;
-      if (group.front().coalescible) {
-        const GemmRequest head = group.front().req;
-        const PlanKey head_key = group.front().key;
-        while (j < ready.size() &&
-               index_t(group.size()) < cfg_.max_coalesce &&
-               detail::coalesce_match(head, head_key, ready[j])) {
-          detail::try_claim(*ready[j].state);
-          group.push_back(std::move(ready[j]));
-          ++j;
-        }
-      }
-      execute_group(group, /*shard_id=*/-1);
-      i = j;
-      continue;
-    }
-    if (home.admit_blocking(ready[i]) == ServiceShard::Admit::kStopping) {
-      detail::reject_unpublished(*ready[i].state,
-                                 RejectReason::kShuttingDown);
+  // Fill the rings, then wake: a parked dispatcher first sees the window
+  // whole, so its same-fingerprint runs coalesce as they would from a
+  // staged queue.  A shard that fills mid-window is woken before this
+  // thread blocks for space (admit_blocking).
+  std::vector<ServiceShard*> touched;
+  for (detail::Pending& p : ready) {
+    ServiceShard& home = shard_for(p.req);
+    if (home.admit_blocking(p) == ServiceShard::Admit::kStopping) {
+      detail::reject_unpublished(*p.state, RejectReason::kShuttingDown);
       ++rejected;
+    } else if (std::find(touched.begin(), touched.end(), &home) ==
+               touched.end()) {
+      touched.push_back(&home);
     }
-    ++i;
   }
+  for (ServiceShard* s : touched) s->wake();
   if (rejected > 0) count_rejected(rejected);
   return futures;
 }
@@ -471,9 +449,7 @@ void GemmService::pause() {
 
 void GemmService::resume() {
   paused_.store(false, std::memory_order_seq_cst);
-  // Nudge, not just wake: a shard with an empty queue of its own should
-  // take a steal pass over the staged siblings before parking again.
-  for (auto& s : shards_) s->nudge();
+  for (auto& s : shards_) s->wake_all();
 }
 
 void GemmService::shutdown(bool drain) {
@@ -533,34 +509,6 @@ void GemmService::note_group_end() {
   inflight_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
-void GemmService::nudge_stealers(int home) {
-  if (nshards_ <= 1 || !cfg_.steal) return;
-  for (int d = 1; d < nshards_; ++d) {
-    ServiceShard& s = *shards_[std::size_t((home + d) % nshards_)];
-    if (s.parked()) {
-      s.nudge();
-      return;
-    }
-  }
-}
-
-bool GemmService::steal_for(int thief, std::vector<detail::Pending>& group) {
-  if (nshards_ <= 1) return false;
-  for (int d = 1; d < nshards_; ++d) {
-    ServiceShard& victim = *shards_[std::size_t((thief + d) % nshards_)];
-    std::uint64_t cancelled = 0;
-    const bool got = victim.steal_group(group, cancelled);
-    if (cancelled > 0) count_cancelled(cancelled);
-    if (got) {
-      auto& c = shards_[std::size_t(thief)]->counters;
-      c.steals.fetch_add(1, std::memory_order_relaxed);
-      c.stolen_requests.fetch_add(group.size(), std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
 ServiceStats GemmService::stats() const {
   ServiceStats out;
   {
@@ -573,8 +521,6 @@ ServiceStats GemmService::stats() const {
     ShardStats ss = s->snapshot();
     submitted += ss.submitted;
     out.helped += ss.helped;
-    out.steals += ss.steals;
-    out.stolen_requests += ss.stolen_requests;
     out.peak_queue_depth =
         std::max(out.peak_queue_depth, ss.peak_queue_depth);
     out.shard.push_back(ss);
@@ -600,9 +546,8 @@ int GemmService::inflight() const {
 
 void GemmService::execute_group(std::vector<detail::Pending>& group,
                                 int shard_id) {
-  const bool inlined = shard_id < 0;
   if (group.size() == 1) {
-    execute_direct(group.front(), inlined);
+    execute_direct(group.front(), /*inlined=*/false);
   } else {
     visit_precision(group.front().req.precision, [&](auto e) {
       using E = decltype(e);
@@ -610,13 +555,8 @@ void GemmService::execute_group(std::vector<detail::Pending>& group,
                                                                   shard_id);
     });
   }
-  if (inlined) {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    stats_.inline_executed += std::uint64_t(group.size());
-  } else {
-    shards_[std::size_t(shard_id)]->counters.executed.fetch_add(
-        group.size(), std::memory_order_relaxed);
-  }
+  shards_[std::size_t(shard_id)]->counters.executed.fetch_add(
+      group.size(), std::memory_order_relaxed);
 }
 
 void GemmService::execute_direct(detail::Pending& p, bool inlined) {
@@ -629,6 +569,7 @@ void GemmService::execute_direct(detail::Pending& p, bool inlined) {
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     ++stats_.completed;
+    if (inlined) ++stats_.inline_executed;
     if (p.req.batch > 1) {
       ++stats_.batched_calls;
       stats_.errors_detected += res.batch.errors_detected;
@@ -707,18 +648,14 @@ void GemmService::execute_coalesced(std::vector<detail::Pending>& group,
     stats_.dirty_results += std::uint64_t(rep.dirty_problems);
     if (rep.invalid_args) stats_.dirty_results += std::uint64_t(members);
   }
-  if (shard_id >= 0) {
-    auto& c = shards_[std::size_t(shard_id)]->counters;
-    c.coalesced_batches.fetch_add(1, std::memory_order_relaxed);
-    c.coalesced_members.fetch_add(std::uint64_t(members),
-                                  std::memory_order_relaxed);
-  }
-  const bool inlined = shard_id < 0;
+  auto& c = shards_[std::size_t(shard_id)]->counters;
+  c.coalesced_batches.fetch_add(1, std::memory_order_relaxed);
+  c.coalesced_members.fetch_add(std::uint64_t(members),
+                                std::memory_order_relaxed);
   for (index_t i = 0; i < members; ++i) {
     GemmResult res;
     res.status = RequestStatus::kDone;
     res.coalesced = true;
-    res.inlined = inlined;
     if (head.ft && std::size_t(i) < rep.per_problem.size()) {
       res.report = rep.per_problem[std::size_t(i)];
     }

@@ -19,29 +19,21 @@
 //     enough (home-shard queue empty, fewer groups in flight than shards),
 //     submit() executes the request synchronously on the calling thread —
 //     the identical code path a direct call runs, bit-identical, zero
-//     hand-offs.  submit_all() additionally merges a window of same-
-//     fingerprint fast-path requests into ONE batched inter-scheduler call
-//     on the caller thread (one plan fetch + workspace lease for the whole
-//     window), which is how pipelined small-GEMM traffic beats a
-//     synchronous loop instead of paying a dispatcher tax.
+//     hand-offs.  submit_all() never runs a request on the calling thread:
+//     it queues the whole window, wakes each touched shard once, and
+//     returns; each request then settles as soon as its own group finishes.
 //
 //   - N *shards* (ServiceConfig::shards; default: FTGEMM_SERVICE_SHARDS,
 //     else hardware concurrency), each owning a bounded *lock-free MPSC
 //     submit ring* per priority lane (serve/queue.hpp) and its own
-//     dispatcher thread, which executes each group it builds or steals on
-//     itself, one group at a time.  Client threads are round-robin affine
-//     to a home shard (overridable per request via
-//     GemmRequest::shard_hint), so a client's pipelined window lands on
-//     one shard and keeps its coalescing opportunity.
-//     submit() applies per-shard backpressure (blocks while the shard is
-//     full); try_submit() sheds load instead, and its kRejected future now
-//     carries a RejectReason saying *which* resource was exhausted.
-//
-//   - *Work stealing*: an idle shard steals a whole coalescable group from
-//     a loaded sibling before parking, so skewed traffic neither idles
-//     shards nor loses cross-request batching to the sharding (stolen
-//     same-fingerprint runs still merge into one batched call, still
-//     bit-identical).  serve/shard.hpp documents the steal protocol.
+//     dispatcher thread, which executes each group it builds on itself,
+//     one group at a time.  Client threads are round-robin affine to a
+//     home shard (overridable per request via GemmRequest::shard_hint), so
+//     a client's pipelined window lands on one shard and keeps its
+//     coalescing opportunity.  submit() applies per-shard backpressure
+//     (blocks while the shard is full); try_submit() sheds load instead,
+//     and its kRejected future carries a RejectReason saying *which*
+//     resource was exhausted.
 //
 //   - *Help-on-wait*: GemmFuture::wait() on a still-queued request runs
 //     its shard's next group on the waiting thread, built exactly as the
@@ -59,13 +51,13 @@
 //
 //   - *Cancellation* (GemmFuture::cancel — queued requests only),
 //     *completion callbacks* (GemmFuture::then), and per-service counters
-//     (ServiceStats, now with per-shard + steal + inline breakdowns)
-//     aggregating FtReport/BatchReport outcomes across every request the
-//     service executed.
+//     (ServiceStats, with per-shard and inline breakdowns) aggregating
+//     FtReport/BatchReport outcomes across every request the service
+//     executed.
 //
 // Bit-identity contract: for every routing decision the service can make —
 // inline fast lane, direct dispatch on any shard, run by a waiting client,
-// coalesced on the owning shard, coalesced after a steal — the delivered C
+// coalesced by the dispatcher or by a waiting client — the delivered C
 // (and FT detection behavior) is bit-identical to the synchronous entry
 // point called with the same arguments and Options.  Inline and direct
 // routes *are* the synchronous entry points (on whichever thread runs the
@@ -86,9 +78,9 @@
 //
 // Threading contract: GemmFuture is a value handle, safe to wait/cancel
 // from any thread.  then() continuations run on whichever thread settles
-// the request: the submitting thread for inline routes, otherwise the
-// shard's dispatcher or any client thread blocked in wait() on a request
-// of the same shard — keep them light, and do not block them on other
+// the request: the submitting thread for submit()'s inline route, otherwise
+// the shard's dispatcher or any client thread blocked in wait() on a
+// request of the same shard — keep them light, and do not block them on other
 // futures of the same service (in particular, do not call shutdown() from
 // one).
 #pragma once
@@ -110,9 +102,9 @@
 namespace ftgemm::serve {
 
 /// Element type of a type-erased request: one tag per entry of the
-/// supported-precision list (core/checksum_domain.hpp).  Coalescing and
-/// stealing are precision-safe by construction: the group-merge predicate
-/// (serve/shard.hpp coalesce_match) requires member precisions to match, so
+/// supported-precision list (core/checksum_domain.hpp).  Coalescing is
+/// precision-safe by construction: the group-merge predicate
+/// (serve/shard.cpp coalesce_match) requires member precisions to match, so
 /// mixed traffic shards and batches without ever mixing element types in
 /// one batched call, and it additionally requires equal per-call
 /// quantization as the precision's checksum domain reads it (a batched
@@ -181,8 +173,7 @@ struct GemmRequest {
   Priority priority = Priority::kNormal;
   /// Pin this request to shard `shard_hint % shards` instead of the
   /// submitting thread's round-robin home shard.  < 0 (default) = auto.
-  /// Client-side partitioning knob; also what the steal tests use to
-  /// stage a deliberately loaded shard.
+  /// Client-side partitioning knob.
   int shard_hint = -1;
 };
 
@@ -408,8 +399,8 @@ struct ServiceConfig {
   index_t max_coalesce = 16;
   /// Merge same-fingerprint fast-path requests into batched calls.
   bool coalesce = true;
-  /// Execute fast-path requests inline on the submitting thread when the
-  /// service is idle enough (see inline_inflight_limit).
+  /// Execute fast-path submit() requests inline on the submitting thread
+  /// when the service is idle enough (see inline_inflight_limit).
   bool inline_fast_lane = true;
   /// Inline executes only while the number of queued-route groups in
   /// flight (dispatcher- or waiter-run) is below this.  0 = auto (shards):
@@ -417,8 +408,6 @@ struct ServiceConfig {
   /// requests coalesce behind the backlog instead of piling onto a busy
   /// machine.
   int inline_inflight_limit = 0;
-  /// Idle shards steal coalescable groups from loaded siblings.
-  bool steal = true;
   /// Start with dispatch paused (tests: lets a caller stage queues
   /// deterministically, then resume()).  Pausing also disables the inline
   /// fast lane, so staged requests queue in submission order.
@@ -432,8 +421,6 @@ struct ShardStats {
   std::uint64_t helped = 0;      ///< of those, run by a waiting client
   std::uint64_t coalesced_batches = 0;  ///< merged calls it issued
   std::uint64_t coalesced_members = 0;  ///< requests folded into them
-  std::uint64_t steals = 0;             ///< groups it stole from siblings
-  std::uint64_t stolen_requests = 0;    ///< requests inside those groups
   std::uint64_t peak_queue_depth = 0;   ///< this shard's admission peak
 };
 
@@ -449,8 +436,9 @@ struct ServiceStats {
   std::uint64_t coalesced_members = 0;  ///< requests folded into them
   std::uint64_t inline_executed = 0;  ///< requests run on the caller thread
   std::uint64_t helped = 0;  ///< queued requests run by a waiting client
-  std::uint64_t steals = 0;           ///< groups stolen between shards
-  std::uint64_t stolen_requests = 0;  ///< requests inside stolen groups
+  /// Always 0: shards do not take work from one another.  Kept while the
+  /// benchmark suite still reports it as serve.steals.
+  std::uint64_t steals = 0;
   std::int64_t errors_detected = 0;   ///< summed over all FT reports
   std::int64_t errors_corrected = 0;  ///< summed over all FT reports
   std::uint64_t dirty_results = 0;    ///< requests whose result was not clean
@@ -490,13 +478,14 @@ class GemmService {
   /// resource was exhausted) instead of blocking.
   GemmFuture try_submit(const GemmRequest& req);
 
-  /// Bulk admission: admit a window of requests in one pass (per-request
-  /// futures, index-aligned with the input).  Blocks for space like
-  /// submit(); invalid members
-  /// reject individually without poisoning the rest.  Maximal runs of
-  /// same-fingerprint fast-path requests execute as ONE coalesced batched
-  /// call inline on the calling thread when the fast lane is open — the
-  /// natural client shape for pipelined serving traffic.
+  /// Bulk admission: queue a window of requests in one pass and return
+  /// their futures (index-aligned with the input) without running any of
+  /// them.  Every request enters its home shard's rings before any
+  /// dispatcher is woken, so a same-fingerprint run stays whole and
+  /// coalesces into one batched call; each touched shard is woken once.
+  /// Blocks for space like submit(); invalid members reject individually
+  /// without poisoning the rest.  Waiting on a future runs the window
+  /// (help-on-wait) beside the dispatcher.
   std::vector<GemmFuture> submit_all(const std::vector<GemmRequest>& reqs);
 
   /// Suspend / resume dispatch on every shard (admission stays open while
@@ -526,11 +515,11 @@ class GemmService {
                                std::shared_ptr<detail::RequestState> st);
   ServiceShard& shard_for(const GemmRequest& req);
   bool inline_open(const ServiceShard& home) const;
-  /// Run a claimed group (direct or coalesced) and settle every member;
-  /// shard_id < 0 = inline lane (executed on the submitting thread),
-  /// otherwise the shard whose counters it is charged to: the running
-  /// dispatcher's (stolen groups included) or the helped shard's.
+  /// Run a claimed group (direct or coalesced) off shard `shard_id`'s
+  /// queue and settle every member, charging the shard's counters.
   void execute_group(std::vector<detail::Pending>& group, int shard_id);
+  /// Run one claimed request and settle it; `inlined` = submit()'s inline
+  /// lane on the submitting thread.
   void execute_direct(detail::Pending& p, bool inlined);
   template <typename S, typename C>
   void execute_coalesced(std::vector<detail::Pending>& group, int shard_id);
@@ -538,11 +527,6 @@ class GemmService {
   void count_cancelled(std::uint64_t n);
   void note_group_start();
   void note_group_end();
-  /// Wake one parked sibling of `home` to go stealing (no-op when none is
-  /// parked).
-  void nudge_stealers(int home);
-  /// Called by an idle shard: scan siblings for a stealable group.
-  bool steal_for(int thief, std::vector<detail::Pending>& group);
 
   ServiceConfig cfg_;
   int nshards_ = 1;

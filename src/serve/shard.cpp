@@ -1,12 +1,12 @@
 // ServiceShard implementation: lock-free admission, the per-shard
-// dispatcher, group building with the per-lane holdover slots, stealing,
-// and helping (see serve/shard.hpp for the protocols and serve/service.hpp
-// for the service contracts).
+// dispatcher, group building with the per-lane holdover slots, and helping
+// (see serve/shard.hpp for the protocols and serve/service.hpp for the
+// service contracts).
 //
 // Lock order (never taken in reverse):
-//   pop_m_          — consumer-side group building (one shard's at a time:
-//                     a stealer takes a victim's pop_m_ while holding none
-//                     of its own; no consumer holds it while executing);
+//   pop_m_          — consumer-side group building (the dispatcher's or a
+//                     helping waiter's; no consumer holds it while
+//                     executing);
 //   RequestState::m — per-request settle/claim/cancel transitions;
 //   m_              — park/space condition handshakes;
 //   stats_m_        — service counters (leaf).
@@ -16,11 +16,37 @@
 #include <cassert>
 #include <utility>
 
+#include "core/checksum_domain.hpp"
+
 namespace ftgemm::serve {
 
 namespace {
 
 int lane_of(Priority p) { return std::clamp(int(p), 0, kPriorityLanes - 1); }
+
+/// Requests that may merge into one batched call: identical plan
+/// fingerprint, scalars, leading dimensions and per-call quantization (the
+/// batched entry point takes one set of each).
+bool coalesce_match(const GemmRequest& x, const PlanKey& xkey,
+                    const detail::Pending& y) {
+  const GemmRequest& r = y.req;
+  if (!(y.coalescible && x.precision == r.precision &&
+        x.layout == r.layout && x.alpha == r.alpha && x.beta == r.beta &&
+        x.lda == r.lda && x.ldb == r.ldb && x.ldc == r.ldc &&
+        xkey == y.key)) {
+    return false;
+  }
+  // Compared as the precision's domain reads it: the float domains drop
+  // QuantParams (NoQuant is always equal), the exact domain keeps them.
+  bool same_quant = false;
+  ftgemm::detail::visit_precision(x.precision, [&](auto e) {
+    using E = decltype(e);
+    using Q = ftgemm::detail::QuantOf<typename E::Storage,
+                                      typename E::Compute>;
+    same_quant = Q(x.qp) == Q(r.qp);
+  });
+  return same_quant;
+}
 
 }  // namespace
 
@@ -31,13 +57,10 @@ ServiceShard::ServiceShard(GemmService* owner, int id, std::size_t capacity)
     lanes_.push_back(
         std::make_unique<detail::SubmitRing<detail::Pending>>(capacity_));
   }
+  dispatcher_ = std::thread([this] { dispatcher_main(); });
 }
 
 ServiceShard::~ServiceShard() { join(); }
-
-void ServiceShard::start() {
-  dispatcher_ = std::thread([this] { dispatcher_main(); });
-}
 
 void ServiceShard::join() {
   if (dispatcher_.joinable()) dispatcher_.join();
@@ -71,19 +94,6 @@ ServiceShard::Admit ServiceShard::try_admit(detail::Pending& p) {
          !counters.peak_queue_depth.compare_exchange_weak(
              peak, depth, std::memory_order_relaxed)) {
   }
-  // Dekker store-load: our queued_ bump (seq_cst) vs the dispatcher's
-  // parked_ raise + predicate re-check under m_.  Either the dispatcher's
-  // predicate sees the bump, or we see parked_ == true and deliver the
-  // wake through the mutex; the empty critical section orders the notify
-  // after the dispatcher has atomically blocked.
-  if (parked_.load(std::memory_order_seq_cst)) {
-    { std::lock_guard<std::mutex> lk(m_); }
-    cv_.notify_one();
-  } else if (owner_->cfg_.steal && depth > 1) {
-    // Dispatcher busy and a backlog is forming: invite a parked sibling to
-    // steal instead of letting the work queue behind one executor.
-    owner_->nudge_stealers(id_);
-  }
   return Admit::kOk;
 }
 
@@ -91,6 +101,9 @@ ServiceShard::Admit ServiceShard::admit_blocking(detail::Pending& p) {
   for (;;) {
     const Admit a = try_admit(p);
     if (a != Admit::kFull) return a;
+    // The window this push belongs to may not have woken the dispatcher
+    // yet; parked, it would never free the space waited for below.
+    wake();
     std::unique_lock<std::mutex> lk(m_);
     space_waiters_.fetch_add(1, std::memory_order_seq_cst);
     space_cv_.wait(lk, [&] {
@@ -104,10 +117,16 @@ ServiceShard::Admit ServiceShard::admit_blocking(detail::Pending& p) {
   }
 }
 
-void ServiceShard::nudge() {
-  nudged_.store(true, std::memory_order_seq_cst);
-  { std::lock_guard<std::mutex> lk(m_); }
-  cv_.notify_one();
+void ServiceShard::wake() {
+  // Dekker store-load: the producer's queued_ bumps (seq_cst) vs the
+  // dispatcher's parked_ raise + predicate re-check under m_.  Either the
+  // dispatcher's predicate sees the bumps, or we see parked_ == true and
+  // deliver the wake through the mutex; the empty critical section orders
+  // the notify after the dispatcher has atomically blocked.
+  if (parked_.load(std::memory_order_seq_cst)) {
+    { std::lock_guard<std::mutex> lk(m_); }
+    cv_.notify_one();
+  }
 }
 
 void ServiceShard::wake_all() {
@@ -117,7 +136,7 @@ void ServiceShard::wake_all() {
 }
 
 // ---------------------------------------------------------------------------
-// Group building (consumer side — pop_m_ serializes owner vs stealers)
+// Group building (consumer side — pop_m_ serializes dispatcher vs helpers)
 // ---------------------------------------------------------------------------
 
 void ServiceShard::note_removed() {
@@ -179,7 +198,7 @@ void ServiceShard::build_group_locked(std::vector<detail::Pending>& group,
   while (index_t(group.size()) < max_c) {
     detail::Pending p;
     if (!take_next(p)) return;
-    if (!detail::coalesce_match(head, head_key, p)) {
+    if (!coalesce_match(head, head_key, p)) {
       // A ring cannot skip an entry in place; park the mismatch in its
       // lane's holdover slot and stop the run.
       put_holdover(std::move(p));
@@ -191,18 +210,6 @@ void ServiceShard::build_group_locked(std::vector<detail::Pending>& group,
       ++cancelled;
     }
   }
-}
-
-bool ServiceShard::steal_group(std::vector<detail::Pending>& out,
-                               std::uint64_t& cancelled) {
-  if (queued_.load(std::memory_order_seq_cst) == 0) return false;
-  // Blocking lock on purpose: pop_m_ is only ever held for group building
-  // (popping, never executing), so the wait is short and a thief that saw
-  // a backlog reliably gets a group instead of spuriously failing and
-  // parking while the victim stays loaded.
-  std::lock_guard<std::mutex> lk(pop_m_);
-  build_group_locked(out, cancelled);
-  return !out.empty();
 }
 
 bool ServiceShard::help(detail::RequestState& own) {
@@ -265,40 +272,32 @@ void ServiceShard::dispatcher_main() {
       build_group_locked(group, cancelled);
     }
     if (cancelled > 0) owner_->count_cancelled(cancelled);
-    if (group.empty()) {
-      if (draining) {
-        // Admission is closed (shutdown drained the submitter window
-        // before arming drain mode), so a nonzero count can only be a
-        // stealable holdover race or a last reserved push landing.
-        if (queued_.load(std::memory_order_seq_cst) == 0) return;
-        std::this_thread::yield();
-        continue;
-      }
-      if (!paused && owner_->cfg_.steal &&
-          owner_->steal_for(id_, group)) {
-        // fall through and execute the stolen group
-      } else if (!paused &&
-                 queued_.load(std::memory_order_seq_cst) > 0) {
-        // A producer holds a reservation but has not finished its push;
-        // it is wait-free, so spin-yield rather than park.
-        std::this_thread::yield();
-        continue;
-      } else {
-        std::unique_lock<std::mutex> lk(m_);
-        parked_.store(true, std::memory_order_seq_cst);
-        cv_.wait(lk, [&] {
-          return owner_->stop_mode_.load(std::memory_order_acquire) != 0 ||
-                 nudged_.load(std::memory_order_seq_cst) ||
-                 (!owner_->paused_.load(std::memory_order_acquire) &&
-                  queued_.load(std::memory_order_seq_cst) > 0);
-        });
-        parked_.store(false, std::memory_order_seq_cst);
-        nudged_.store(false, std::memory_order_seq_cst);
-        continue;
-      }
+    if (!group.empty()) {
+      run(group);
+      continue;
     }
-    if (group.empty()) continue;
-    run(group);
+    if (draining) {
+      // Admission is closed (shutdown drained the submitter window before
+      // arming drain mode), so a nonzero count can only be a last reserved
+      // push landing.
+      if (queued_.load(std::memory_order_seq_cst) == 0) return;
+      std::this_thread::yield();
+      continue;
+    }
+    if (!paused && queued_.load(std::memory_order_seq_cst) > 0) {
+      // A producer holds a reservation but has not finished its push; it
+      // is wait-free, so spin-yield rather than park.
+      std::this_thread::yield();
+      continue;
+    }
+    std::unique_lock<std::mutex> lk(m_);
+    parked_.store(true, std::memory_order_seq_cst);
+    cv_.wait(lk, [&] {
+      return owner_->stop_mode_.load(std::memory_order_acquire) != 0 ||
+             (!owner_->paused_.load(std::memory_order_acquire) &&
+              queued_.load(std::memory_order_seq_cst) > 0);
+    });
+    parked_.store(false, std::memory_order_seq_cst);
   }
 }
 
@@ -321,9 +320,6 @@ ShardStats ServiceShard::snapshot() const {
       counters.coalesced_batches.load(std::memory_order_relaxed);
   s.coalesced_members =
       counters.coalesced_members.load(std::memory_order_relaxed);
-  s.steals = counters.steals.load(std::memory_order_relaxed);
-  s.stolen_requests =
-      counters.stolen_requests.load(std::memory_order_relaxed);
   s.peak_queue_depth =
       counters.peak_queue_depth.load(std::memory_order_relaxed);
   return s;

@@ -11,23 +11,23 @@
 // lands contiguously in one shard's rings and keeps its coalescing
 // opportunity.
 //
-// Consumer side: the owning dispatcher, any *stealing* sibling dispatcher,
-// and any *helping* waiter (a client blocked in GemmFuture::wait() on a
-// request still in this shard's queue) serialize on `pop_m_` — a
-// consumer-only mutex producers never touch.  Serializing consumers buys
-// two properties cheaply: a coalescable same-fingerprint run is always
-// popped atomically as ONE group (never split between the owner, a thief
-// or a helper, so stolen and helped traffic coalesces exactly like owned
-// traffic), and one `holdover_` slot *per priority lane* is
-// enough to hold the popped-but-mismatched entry a coalescing sweep can
-// end on (a ring, unlike the old deque, cannot skip an entry in place).
-// The slot must be per lane, not per shard: a sweep can park a mismatch
-// from a higher lane while a lower lane's holdover is still waiting, and a
-// single slot would overwrite — and thereby lose — the parked request.
-// Because take_next re-offers a lane's holdover before that lane's ring, a
-// popped ring entry's own slot is provably empty, so a park can never
-// clobber (asserted in put_holdover).  Re-offering the holdover first
-// within its lane preserves per-lane FIFO; higher lanes still pre-empt it.
+// Consumer side: the owning dispatcher and any *helping* waiter (a client
+// blocked in GemmFuture::wait() on a request still in this shard's queue)
+// serialize on `pop_m_` — a consumer-only mutex producers never touch.
+// Serializing consumers buys two properties cheaply: a coalescable
+// same-fingerprint run is always popped atomically as ONE group (never
+// split between the dispatcher and a helper, so helped traffic coalesces
+// exactly like dispatched traffic), and one `holdover_` slot *per priority
+// lane* is enough to hold the popped-but-mismatched entry a coalescing
+// sweep can end on (a ring, unlike the old deque, cannot skip an entry in
+// place).  The slot must be per lane, not per shard: a sweep can park a
+// mismatch from a higher lane while a lower lane's holdover is still
+// waiting, and a single slot would overwrite — and thereby lose — the
+// parked request.  Because take_next re-offers a lane's holdover before
+// that lane's ring, a popped ring entry's own slot is provably empty, so a
+// park can never clobber (asserted in put_holdover).  Re-offering the
+// holdover first within its lane preserves per-lane FIFO; higher lanes
+// still pre-empt it.
 //
 // Help protocol: a waiter whose request is still queued here takes pop_m_,
 // re-checks that the request is still queued (claims happen under pop_m_,
@@ -37,21 +37,13 @@
 // is paused or stopping; GemmService::shutdown() waits for helpers to leave
 // before the final sweep.
 //
-// Steal protocol: an idle dispatcher (own rings empty, not paused, service
-// not draining) scans siblings for `queued() > 0` and pops a whole group
-// off the first loaded victim, taking that victim's pop_m_ (held only for
-// popping, never across execution, so the wait is short and bounded).  The
-// victim's producers are unaffected (they never take pop_m_); the victim's
-// dispatcher is by definition busy executing, or it would be popping
-// itself.  Producers nudge one parked sibling when their home shard's
-// backlog grows while its dispatcher is busy, so steals happen on demand
-// rather than by polling.
-//
-// Park/wake: the dispatcher parks on `cv_` with `parked_` raised; a
-// producer that observes `parked_` (seq_cst, Dekker-style against the
-// dispatcher's predicate re-check under the mutex) takes the shard mutex
-// empty and notifies.  The common-case push — dispatcher running — stays
-// lock-free end to end.
+// Park/wake: the dispatcher parks on `cv_` with `parked_` raised.  A
+// producer pushes first and calls wake() after: wake() observes `parked_`
+// (seq_cst, Dekker-style against the dispatcher's predicate re-check under
+// the mutex), takes the shard mutex empty and notifies.  submit_all pushes
+// its whole window before it wakes anyone, so a parked dispatcher first
+// sees the window whole.  The common-case push — dispatcher running —
+// stays lock-free end to end.
 #pragma once
 
 #include <array>
@@ -63,7 +55,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/checksum_domain.hpp"
 #include "core/plan.hpp"
 #include "serve/queue.hpp"
 #include "serve/service.hpp"
@@ -82,83 +73,49 @@ struct Pending {
   /// batched call (single problem, no injector/memory injector/correction
   /// log/resident operand — see GemmService::make_pending).
   bool coalescible = false;
-  /// Resolved plan takes the fast path (single problem): the inline
-  /// fast lane may execute it on the submitting thread.
+  /// Resolved plan takes the fast path (single problem): submit()'s
+  /// inline fast lane may execute it on the submitting thread.
   bool inline_eligible = false;
 };
-
-/// Requests that may merge into one batched call: identical plan
-/// fingerprint, scalars, leading dimensions and per-call quantization (the
-/// batched entry point takes one set of each).  Shared by group building
-/// and submit_all's inline window merging.
-inline bool coalesce_match(const GemmRequest& x, const PlanKey& xkey,
-                           const Pending& y) {
-  const GemmRequest& r = y.req;
-  if (!(y.coalescible && x.precision == r.precision &&
-        x.layout == r.layout && x.alpha == r.alpha && x.beta == r.beta &&
-        x.lda == r.lda && x.ldb == r.ldb && x.ldc == r.ldc &&
-        xkey == y.key)) {
-    return false;
-  }
-  // Compared as the precision's domain reads it: the float domains drop
-  // QuantParams (NoQuant is always equal), the exact domain keeps them.
-  bool same_quant = false;
-  ftgemm::detail::visit_precision(x.precision, [&](auto e) {
-    using E = decltype(e);
-    using Q = ftgemm::detail::QuantOf<typename E::Storage,
-                                      typename E::Compute>;
-    same_quant = Q(x.qp) == Q(r.qp);
-  });
-  return same_quant;
-}
 
 }  // namespace detail
 
 class ServiceShard {
  public:
+  /// Builds the rings and spawns the dispatcher.
   ServiceShard(GemmService* owner, int id, std::size_t capacity);
   ~ServiceShard();
 
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  /// Spawn the dispatcher (separate from construction so every shard
-  /// exists before any dispatcher can go stealing across the vector).
-  void start();
   void join();
 
   enum class Admit { kOk, kFull, kStopping };
 
-  /// Lock-free admission: reserve a queue slot (CAS on queued_), push to
-  /// the request's priority ring, wake the dispatcher if parked.  kFull
-  /// when the shard is at capacity; `p` is consumed only on kOk.
+  /// Lock-free admission: reserve a queue slot (CAS on queued_) and push
+  /// to the request's priority ring.  kFull when the shard is at capacity;
+  /// `p` is consumed only on kOk.  Wakes nobody: the producer calls wake()
+  /// once its requests are in.
   Admit try_admit(detail::Pending& p);
 
-  /// Blocking admission: waits for queue space (backpressure); kStopping
-  /// when the service began shutdown while waiting.
+  /// Blocking admission: waits for queue space (backpressure), waking the
+  /// dispatcher first so a window still being admitted cannot wait on a
+  /// parked one; kStopping when the service began shutdown while waiting.
   Admit admit_blocking(detail::Pending& p);
+
+  /// Wake the dispatcher if it is parked: the producer's half of the
+  /// parked_/queued_ handshake, called after its pushes.
+  void wake();
+
+  /// Wake dispatcher and any space-waiting producers (shutdown/resume).
+  void wake_all();
 
   /// Requests admitted and not yet claimed into a group (approximate
   /// between quiescent points, like any concurrent counter).
   [[nodiscard]] std::size_t queued() const {
     return queued_.load(std::memory_order_seq_cst);
   }
-
-  [[nodiscard]] bool parked() const {
-    return parked_.load(std::memory_order_seq_cst);
-  }
-
-  /// Wake the dispatcher to go stealing (sets the nudge latch so the park
-  /// predicate passes even with an empty own queue).
-  void nudge();
-
-  /// Wake dispatcher and any space-waiting producers (shutdown/resume).
-  void wake_all();
-
-  /// Pop one group from this shard's rings on behalf of a sibling
-  /// dispatcher; false when the shard is empty.  Cancelled entries drained
-  /// on the way are added to `cancelled`.
-  bool steal_group(std::vector<detail::Pending>& out, std::uint64_t& cancelled);
 
   /// Run this shard's next group on the calling thread, a client waiting
   /// for `own` (see the help protocol above).  False, running nothing,
@@ -173,8 +130,6 @@ class ServiceShard {
     std::atomic<std::uint64_t> helped{0};
     std::atomic<std::uint64_t> coalesced_batches{0};
     std::atomic<std::uint64_t> coalesced_members{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> stolen_requests{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};
   };
   Counters counters;
@@ -213,7 +168,6 @@ class ServiceShard {
   /// Admission reservations: entries in the rings plus the holdover slot.
   std::atomic<std::size_t> queued_{0};
   std::atomic<bool> parked_{false};
-  std::atomic<bool> nudged_{false};
   std::atomic<int> space_waiters_{0};
 
   std::mutex m_;  ///< park/space condition handshakes (producers take it
@@ -221,7 +175,7 @@ class ServiceShard {
   std::condition_variable cv_;        ///< dispatcher park
   std::condition_variable space_cv_;  ///< blocked producers
 
-  std::mutex pop_m_;  ///< consumer-side: owner dispatcher vs stealers
+  std::mutex pop_m_;  ///< consumer-side: dispatcher vs helping waiters
   /// One parked popped-but-mismatched entry per priority lane (see the
   /// file comment for why a single shared slot would lose requests);
   /// guarded by pop_m_ like the pops that fill and drain it.

@@ -1,6 +1,6 @@
 // Internal shared state behind GemmFuture, plus the settle/claim/cancel
 // transitions every serving unit (inline fast lane, shard dispatchers,
-// stealers, helping waiters, shutdown) arbitrates through.  Split out of
+// helping waiters, shutdown) arbitrates through.  Split out of
 // service.cpp so the shard unit can operate on requests without a circular
 // include.
 #pragma once
@@ -87,8 +87,8 @@ inline bool try_cancel(RequestState& st) {
   return true;
 }
 
-/// kQueued -> kRunning (a dispatcher's, stealer's or helping waiter's
-/// claim); false when a racing cancel won.  Lock-free: the CAS is the
+/// kQueued -> kRunning (a dispatcher's or helping waiter's claim); false
+/// when a racing cancel won.  Lock-free: the CAS is the
 /// arbiter against try_cancel.
 inline bool try_claim(RequestState& st) {
   RequestStatus expect = RequestStatus::kQueued;

@@ -738,8 +738,8 @@ TEST(Int8Service, DirectAndCoalescedBitExact) {
                          "window member " + std::to_string(r) +
                              seed_note(seed));
     }
-    // The idle service takes the window on the inline lane: one batched
-    // call per QuantParams run.
+    // submit_all queues the window before it wakes the dispatcher: one
+    // batched call per QuantParams run.
     const serve::ServiceStats after = service.stats();
     EXPECT_EQ(after.coalesced_batches - before.coalesced_batches, 2u);
     EXPECT_EQ(after.coalesced_members - before.coalesced_members, 8u);

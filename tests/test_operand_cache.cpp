@@ -18,11 +18,16 @@
 //      re-encoding from the source, and the delivered C matches
 //      naive_ref_gemm / the cold path bit-for-bit.  Without verification,
 //      the corruption is still not silent (compute-domain ABFT flags it).
+//      A sweep over every bit of sampled fp64/fp32/bf16 panel elements
+//      finds no flip the integrity sums miss.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "arch/cpu_features.hpp"
@@ -576,6 +581,122 @@ TEST(OperandCacheFaults, VerifyOffIsNotSilent) {
            "ABFT, never silent"
         << seed_note(seed);
   }
+}
+
+/// Flips bit `bit` of packed element `elem` of the resident panels on each
+/// hit (nothing past the payload's end) and records the payload size.
+class OneBitFlip final : public MemoryFaultInjector {
+ public:
+  OneBitFlip(std::size_t elem, int bit) : elem_(elem), bit_(bit) {}
+
+  void plan_flips(const MemoryStrikeContext& ctx,
+                  std::vector<PanelFlip>& out) override {
+    if (ctx.surface != MemorySurface::kResidentPanel) return;
+    elems_ = ctx.elems;
+    if (elem_ < ctx.elems) out.push_back({elem_, bit_});
+  }
+
+  [[nodiscard]] std::size_t elems() const { return elems_; }
+
+ private:
+  std::size_t elem_;
+  int bit_;
+  std::size_t elems_ = 0;
+};
+
+/// C element type of the FT entry point for storage type S.
+template <typename S>
+using SweepC = std::conditional_t<std::is_same_v<S, bf16_t>, float, S>;
+
+template <typename S>
+FtReport resident_ft(const Matrix<S>& a, const Matrix<S>& b,
+                     Matrix<SweepC<S>>& c, const Options& opts) {
+  const index_t m = c.rows(), n = c.cols(), k = a.cols();
+  const auto nt = Trans::kNoTrans;
+  if constexpr (std::is_same_v<S, double>) {
+    return ft_dgemm(Layout::kColMajor, nt, nt, m, n, k, 1.0, a.data(),
+                    a.ld(), b.data(), b.ld(), 0.0, c.data(), c.ld(), opts);
+  } else if constexpr (std::is_same_v<S, float>) {
+    return ft_sgemm(Layout::kColMajor, nt, nt, m, n, k, 1.0f, a.data(),
+                    a.ld(), b.data(), b.ld(), 0.0f, c.data(), c.ld(), opts);
+  } else {
+    return ft_gemm_bf16(Layout::kColMajor, nt, nt, m, n, k, 1.0f, a.data(),
+                        a.ld(), b.data(), b.ld(), 0.0f, c.data(), c.ld(),
+                        opts);
+  }
+}
+
+/// Strike every bit of every 37th packed element of a resident 48^3 A on a
+/// hit, ECC off, one flip per call.  Operands are nonzero (1..9, as in the
+/// fault campaign), so every flip of a live element changes C.  No call may
+/// come back clean over a C that differs from the fault-free one, and every
+/// flip must be caught by the integrity re-verify: low mantissa bits are
+/// what a floating-point integrity sum rounds away.
+template <typename S>
+void resident_bit_sweep(std::uint64_t seed) {
+  using C = SweepC<S>;
+  constexpr index_t kN = 48;
+  auto& operands = process_context_cache<S, C>().operands();
+  operands.clear();
+  operands.set_ecc(false);
+  Matrix<S> a(kN, kN), b(kN, kN);
+  a.fill_random(seed, S(1.0f), S(9.0f));
+  b.fill_random(seed + 1, S(1.0f), S(9.0f));
+  Options opts;
+  opts.threads = 1;
+  opts.resident_a = true;
+  Matrix<C> want(kN, kN);
+  want.fill(C(0));
+  resident_ft<S>(a, b, want, opts);  // miss: encodes the payload
+
+  OneBitFlip probe(std::numeric_limits<std::size_t>::max(), 0);
+  opts.memory_injector = &probe;
+  Matrix<C> c = want.clone();
+  ASSERT_TRUE(resident_ft<S>(a, b, c, opts).resident_hit) << seed_note(seed);
+  ASSERT_GT(probe.elems(), 0u);
+
+  int strikes = 0, healed = 0, silent = 0;
+  const std::size_t bytes = std::size_t(want.ld() * want.cols()) * sizeof(C);
+  for (std::size_t e = 0; e < probe.elems(); e += 37) {
+    for (int bit = 0; bit < int(8 * sizeof(S)); ++bit) {
+      OneBitFlip flip(e, bit);
+      opts.memory_injector = &flip;
+      c.fill(C(0));
+      const FtReport rep = resident_ft<S>(a, b, c, opts);
+      ++strikes;
+      healed += rep.resident_heals;
+      const bool wrong = std::memcmp(c.data(), want.data(), bytes) != 0;
+      if (rep.clean() && wrong) {
+        ++silent;
+        ADD_FAILURE() << "silent flip: element " << e << " bit " << bit
+                      << seed_note(seed);
+      }
+      if (rep.resident_heals == 0) {
+        // The flip is still resident: start the next strike from a fresh
+        // encode.
+        operands.clear();
+        opts.memory_injector = nullptr;
+        resident_ft<S>(a, b, c, opts);
+      }
+    }
+  }
+  EXPECT_EQ(silent, 0) << seed_note(seed);
+  EXPECT_EQ(healed, strikes) << "flips the integrity sums missed"
+                             << seed_note(seed);
+  operands.set_ecc(env_long("FTGEMM_OPERAND_ECC", 0) != 0);
+  operands.clear();
+}
+
+TEST(OperandCacheFaults, EveryBitOfSampledResidentF64ElementsIsCaught) {
+  resident_bit_sweep<double>(test_seed(1320));
+}
+
+TEST(OperandCacheFaults, EveryBitOfSampledResidentF32ElementsIsCaught) {
+  resident_bit_sweep<float>(test_seed(1321));
+}
+
+TEST(OperandCacheFaults, EveryBitOfSampledResidentBf16ElementsIsCaught) {
+  resident_bit_sweep<bf16_t>(test_seed(1322));
 }
 
 // ---------------------------------------------------------------------------

@@ -509,8 +509,8 @@ void coalesced_window_bit_identity() {
     expect_matrix_near(c_async[std::size_t(i)], c_sync[std::size_t(i)], 0.0,
                        "member " + std::to_string(i) + seed_note(seed));
   }
-  // The idle one-shard service takes the whole window on the inline lane
-  // as one batched call.
+  // submit_all queues the whole window before it wakes the dispatcher, so
+  // whoever runs it (dispatcher or waiter) takes it as one batched call.
   const serve::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.coalesced_batches, 1u) << seed_note(seed);
   EXPECT_EQ(stats.coalesced_members, std::uint64_t(kWindow))

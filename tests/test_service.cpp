@@ -253,7 +253,6 @@ TEST(ServiceLifecycle, PriorityLanesDrainHighestFirst) {
   cfg.start_paused = true;
   cfg.coalesce = false;  // keep one completion per request, in lane order
   cfg.shards = 1;        // lane order is a per-shard guarantee
-  cfg.steal = false;
   GemmService service(cfg);
 
   const GemmCase cs{32, 32, 32};
@@ -308,7 +307,6 @@ TEST(ServiceLifecycle, HoldoverSurvivesHigherLaneMismatchSweep) {
   ServiceConfig cfg;
   cfg.start_paused = true;
   cfg.shards = 1;
-  cfg.steal = false;
   cfg.inline_fast_lane = false;  // the high-lane pair below must queue
   GemmService service(cfg);
 
@@ -809,15 +807,23 @@ TEST(ServiceInline, ClosedWhilePausedSoStagedOrderHolds) {
   EXPECT_EQ(service.stats().inline_executed, 0u);
 }
 
-/// submit_all on an idle service merges a same-fingerprint window into ONE
-/// batched call executed on the calling thread: the pipelined-client shape
-/// that motivates the fast lane.
-TEST(ServiceInline, SubmitAllMergesTheWindowIntoOneInlineBatch) {
+/// submit_all queues the window and returns at once; the waiting client
+/// (or the dispatcher) then runs it, and each request settles as soon as
+/// its own group finishes.  The dispatcher is held and the inline lane
+/// would be open (inflight 1 < limit 2), so nothing but the window's own
+/// waiter can run it.
+TEST(ServiceSubmitAll, QueuesTheWindowAndSettlesEachGroupAsItFinishes) {
   ServiceConfig cfg;
-  cfg.shards = 2;
+  cfg.shards = 1;
   cfg.max_coalesce = 16;
+  cfg.inline_inflight_limit = 2;
+  cfg.start_paused = true;
   GemmService service(cfg);
+  DispatcherBlocker blocker;
+  blocker.hold(service);
 
+  // (a) + (b): a same-fingerprint window comes back unsettled, and wait()
+  // on its first member runs it as one helped, coalesced batch.
   const GemmCase cs{48, 40, 64, Trans::kNoTrans, Trans::kTrans, 1.25, -0.5};
   Options opts;
   opts.threads = 3;
@@ -841,18 +847,68 @@ TEST(ServiceInline, SubmitAllMergesTheWindowIntoOneInlineBatch) {
   std::vector<GemmFuture> futures = service.submit_all(reqs);
   ASSERT_EQ(futures.size(), std::size_t(kRequests));
   for (int r = 0; r < kRequests; ++r) {
+    EXPECT_FALSE(futures[std::size_t(r)].settled())
+        << "request " << r << " settled inside submit_all";
+  }
+  futures.front().wait();
+  const auto helped = service.stats();
+  for (int r = 0; r < kRequests; ++r) {
     const GemmResult res = futures[std::size_t(r)].wait();
     ASSERT_EQ(res.status, RequestStatus::kDone) << "request " << r;
-    EXPECT_TRUE(res.inlined) << "request " << r;
+    EXPECT_FALSE(res.inlined) << "request " << r;
     EXPECT_TRUE(res.coalesced) << "request " << r;
     expect_matrix_near(c_async[std::size_t(r)], c_sync[std::size_t(r)], 0.0,
-                       "inline window member " + std::to_string(r));
+                       "window member " + std::to_string(r));
   }
+  EXPECT_EQ(helped.helped, std::uint64_t(kRequests));
+  EXPECT_EQ(helped.coalesced_batches, 1u);
+  EXPECT_EQ(helped.coalesced_members, std::uint64_t(kRequests));
+  EXPECT_EQ(helped.inline_executed, 0u);
+
+  // (c): a window of members that cannot coalesce (distinct shapes) runs
+  // one group at a time, so member 0 settles, and fires its continuation,
+  // while the last member is still queued behind the held dispatcher.
+  const GemmCase shapes[] = {{48, 40, 64}, {40, 48, 56}, {32, 56, 48}};
+  std::vector<Problem<double>> sp;
+  std::vector<Matrix<double>> s_sync, s_async;
+  std::vector<serve::GemmRequest> window;
+  for (int r = 0; r < 3; ++r) {
+    const GemmCase& sc = shapes[r];
+    sp.emplace_back(sc, std::uint64_t(800 + r));
+    s_sync.push_back(sp.back().c.clone());
+    s_async.push_back(sp.back().c.clone());
+  }
+  for (int r = 0; r < 3; ++r) {
+    const GemmCase& sc = shapes[r];
+    const Problem<double>& p = sp[std::size_t(r)];
+    run_sync<double>(sc, true, p, s_sync[std::size_t(r)], {});
+    window.push_back(make_gemm_request<double>(
+        true, Layout::kColMajor, sc.ta, sc.tb, sc.m, sc.n, sc.k, sc.alpha,
+        p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), sc.beta,
+        s_async[std::size_t(r)].data(), s_async[std::size_t(r)].ld()));
+  }
+  std::vector<GemmFuture> staged = service.submit_all(window);
+  std::atomic<int> last_status{-1};
+  staged.front().then([&](const GemmResult&) {
+    last_status.store(int(staged.back().status()));
+  });
+  staged.front().wait();
+  EXPECT_EQ(last_status.load(), int(RequestStatus::kQueued))
+      << "member 0 must settle while the last member is still queued";
+  EXPECT_EQ(staged.back().status(), RequestStatus::kQueued);
+
+  blocker.release();
+  for (int r = 0; r < 3; ++r) {
+    const GemmResult res = staged[std::size_t(r)].wait();
+    ASSERT_EQ(res.status, RequestStatus::kDone) << "member " << r;
+    EXPECT_FALSE(res.coalesced) << "member " << r;
+    expect_matrix_near(s_async[std::size_t(r)], s_sync[std::size_t(r)], 0.0,
+                       "distinct member " + std::to_string(r));
+  }
+  service.shutdown(true);
   const auto stats = service.stats();
-  EXPECT_EQ(stats.inline_executed, std::uint64_t(kRequests));
-  EXPECT_EQ(stats.coalesced_batches, 1u);
-  EXPECT_EQ(stats.coalesced_members, std::uint64_t(kRequests));
-  EXPECT_EQ(stats.completed, std::uint64_t(kRequests));
+  EXPECT_EQ(stats.completed, std::uint64_t(1 + kRequests + 3));
+  EXPECT_EQ(stats.inline_executed, 0u);
 }
 
 /// The sharding must be invisible in results: every shard count and every
@@ -863,7 +919,7 @@ TEST(ShardedDifferential, BitIdenticalAcrossShardCountsAndHints) {
     clear_process_caches();
     ServiceConfig cfg;
     cfg.shards = shards;
-    cfg.inline_fast_lane = false;  // force the ring/dispatcher/steal path
+    cfg.inline_fast_lane = false;  // force the ring/dispatcher path
     GemmService service(cfg);
     ASSERT_EQ(service.shards(), shards);
 
@@ -926,100 +982,6 @@ TEST(ShardedDifferential, BitIdenticalAcrossShardCountsAndHints) {
     EXPECT_EQ(stats.rejected + stats.cancelled, 0u);
     EXPECT_EQ(stats.inline_executed, 0u);
   }
-}
-
-/// Work stealing must preserve both batching and bits: a loaded shard's
-/// coalescable run is stolen as a WHOLE group, merges into one batched
-/// call on the thief, and every result equals its synchronous twin.
-TEST(WorkStealing, StolenGroupsStayCoalescedAndBitIdentical) {
-  clear_process_caches();
-  ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.start_paused = true;  // stage everything on shard 0, then release
-  cfg.max_coalesce = 16;
-  GemmService service(cfg);
-
-  Options opts;
-  opts.threads = 1;
-  // Two heavyweights at kHigh keep whichever dispatcher grabs one busy for
-  // tens of milliseconds — longer than a scheduler timeslice even on a
-  // single hardware thread — so the idle shard is guaranteed CPU for a
-  // steal pass while shard 0's queue is still loaded.
-  const GemmCase heavy{512, 512, 512};
-  const GemmCase small{48, 40, 64};
-  const int kSmall = 6;
-
-  std::vector<Problem<double>> hp;
-  std::vector<Matrix<double>> h_sync, h_async;
-  for (int r = 0; r < 2; ++r) {
-    hp.emplace_back(heavy, std::uint64_t(50 + r));
-    h_sync.push_back(hp.back().c.clone());
-    h_async.push_back(hp.back().c.clone());
-    run_sync<double>(heavy, true, hp.back(), h_sync[std::size_t(r)], opts);
-  }
-  std::vector<Problem<double>> sp;
-  std::vector<Matrix<double>> s_sync, s_async;
-  for (int r = 0; r < kSmall; ++r) {
-    sp.emplace_back(small, std::uint64_t(150 + r));
-    s_sync.push_back(sp.back().c.clone());
-    s_async.push_back(sp.back().c.clone());
-    run_sync<double>(small, true, sp.back(), s_sync[std::size_t(r)], opts);
-  }
-
-  std::vector<GemmFuture> heavy_futs, small_futs;
-  for (int r = 0; r < 2; ++r) {
-    auto req = make_gemm_request<double>(
-        true, Layout::kColMajor, heavy.ta, heavy.tb, heavy.m, heavy.n,
-        heavy.k, heavy.alpha, hp[std::size_t(r)].a.data(),
-        hp[std::size_t(r)].a.ld(), hp[std::size_t(r)].b.data(),
-        hp[std::size_t(r)].b.ld(), heavy.beta, h_async[std::size_t(r)].data(),
-        h_async[std::size_t(r)].ld(), opts, Priority::kHigh);
-    req.shard_hint = 0;
-    heavy_futs.push_back(service.submit(req));
-  }
-  for (int r = 0; r < kSmall; ++r) {
-    auto req = make_gemm_request<double>(
-        true, Layout::kColMajor, small.ta, small.tb, small.m, small.n,
-        small.k, small.alpha, sp[std::size_t(r)].a.data(),
-        sp[std::size_t(r)].a.ld(), sp[std::size_t(r)].b.data(),
-        sp[std::size_t(r)].b.ld(), small.beta, s_async[std::size_t(r)].data(),
-        s_async[std::size_t(r)].ld(), opts, Priority::kNormal);
-    req.shard_hint = 0;
-    small_futs.push_back(service.submit(req));
-  }
-  EXPECT_EQ(service.queue_depth(), std::size_t(2 + kSmall));
-  service.resume();
-
-  for (int r = 0; r < 2; ++r) {
-    const GemmResult res = heavy_futs[std::size_t(r)].wait();
-    ASSERT_EQ(res.status, RequestStatus::kDone) << "heavy " << r;
-    EXPECT_FALSE(res.coalesced);
-    expect_matrix_near(h_async[std::size_t(r)], h_sync[std::size_t(r)], 0.0,
-                       "heavy " + std::to_string(r));
-  }
-  for (int r = 0; r < kSmall; ++r) {
-    const GemmResult res = small_futs[std::size_t(r)].wait();
-    ASSERT_EQ(res.status, RequestStatus::kDone) << "small " << r;
-    EXPECT_TRUE(res.coalesced)
-        << "small " << r << " must ride the merged batch even if stolen";
-    expect_matrix_near(s_async[std::size_t(r)], s_sync[std::size_t(r)], 0.0,
-                       "small " + std::to_string(r));
-  }
-
-  service.shutdown(true);
-  const auto stats = service.stats();
-  EXPECT_GE(stats.steals, 1u) << "the idle shard must have stolen work";
-  EXPECT_GE(stats.stolen_requests, 1u);
-  EXPECT_EQ(stats.coalesced_batches, 1u)
-      << "the run must merge exactly once, owner or thief alike";
-  EXPECT_EQ(stats.coalesced_members, std::uint64_t(kSmall));
-  EXPECT_EQ(stats.completed, std::uint64_t(2 + kSmall));
-  // Every steal the service counted is attributed to a shard; shard 0's
-  // traffic was the only stealable backlog.
-  std::uint64_t shard_steals = 0;
-  for (const auto& ss : stats.shard) shard_steals += ss.steals;
-  EXPECT_EQ(shard_steals, stats.steals);
-  EXPECT_EQ(stats.shard[0].submitted, std::uint64_t(2 + kSmall));
 }
 
 TEST(ServiceErrors, InvalidRequestsAreRejectedAtTheDoor) {
@@ -1472,7 +1434,7 @@ TEST(ServiceSoak, EightClientsMixedTrafficAllVerified) {
   run_soak(cfg);
 }
 
-TEST(ServiceSoak, EightClientsFourShardsWithStealing) {
+TEST(ServiceSoak, EightClientsFourShards) {
   ServiceConfig cfg;
   cfg.shards = 4;
   run_soak(cfg);
@@ -1480,7 +1442,7 @@ TEST(ServiceSoak, EightClientsFourShardsWithStealing) {
 
 TEST(ServiceSoak, EightClientsFourShardsQueuedOnly) {
   // Same traffic with the inline fast lane closed: everything rides the
-  // rings, then the dispatchers, the steal path, or a helping waiter.
+  // rings, then the dispatchers or a helping waiter.
   ServiceConfig cfg;
   cfg.shards = 4;
   cfg.inline_fast_lane = false;
