@@ -295,6 +295,7 @@ GemmService::GemmService(ServiceConfig config) : cfg_(config) {
     shards_.push_back(
         std::make_unique<ServiceShard>(this, i, cfg_.queue_capacity));
   }
+  for (auto& s : shards_) s->start();
 }
 
 GemmService::~GemmService() { shutdown(true); }

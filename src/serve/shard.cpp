@@ -57,10 +57,13 @@ ServiceShard::ServiceShard(GemmService* owner, int id, std::size_t capacity)
     lanes_.push_back(
         std::make_unique<detail::SubmitRing<detail::Pending>>(capacity_));
   }
-  dispatcher_ = std::thread([this] { dispatcher_main(); });
 }
 
 ServiceShard::~ServiceShard() { join(); }
+
+void ServiceShard::start() {
+  dispatcher_ = std::thread([this] { dispatcher_main(); });
+}
 
 void ServiceShard::join() {
   if (dispatcher_.joinable()) dispatcher_.join();

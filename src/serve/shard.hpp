@@ -82,13 +82,17 @@ struct Pending {
 
 class ServiceShard {
  public:
-  /// Builds the rings and spawns the dispatcher.
   ServiceShard(GemmService* owner, int id, std::size_t capacity);
   ~ServiceShard();
 
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
+  /// Spawn the dispatcher.  Separate from construction so that every shard
+  /// has allocated its rings before any dispatcher runs: a shard
+  /// constructor that throws leaves no running dispatcher for the unwind
+  /// to join (it would park forever, as nothing arms its stop mode).
+  void start();
   void join();
 
   enum class Admit { kOk, kFull, kStopping };
