@@ -6,6 +6,13 @@
 // count is 1 and absolute scaling is not observable, but the code path, the
 // Bc reduction and the parallel verification are all exercised, and the
 // FT-vs-Ori overhead column is the paper's headline claim (1.79%).
+//
+// Each rep times blocked, Ori and FT once each, in an order that rotates
+// from rep to rep, so the three series share the machine's state.  The
+// GFLOPS columns are medians over reps; ft_ovr_% is the median over reps of
+// the per-rep overhead 100 * (1 - t_ori / t_ft), not a ratio of medians.
+#include <functional>
+
 #include "bench_common.hpp"
 
 using namespace ftgemm;
@@ -23,24 +30,47 @@ int main() {
 
   for (const index_t n : square_sizes(256)) {
     SquareWorkload<double> w(n);
+    const std::function<void()> series[] = {
+        [&] {
+          baseline::blocked_dgemm(Trans::kNoTrans, Trans::kNoTrans, n, n, n,
+                                  1.0, w.a.data(), n, w.b.data(), n, 0.0,
+                                  w.c.data(), n);
+        },
+        [&] {
+          engine.gemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n,
+                      n, n, 1.0, w.a.data(), n, w.b.data(), n, 0.0,
+                      w.c.data(), n);
+        },
+        [&] {
+          engine.ft_gemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans,
+                         n, n, n, 1.0, w.a.data(), n, w.b.data(), n, 0.0,
+                         w.c.data(), n);
+        },
+    };
+    constexpr int kSeries = 3;
+    constexpr int kOri = 1, kFt = 2;
+    for (const auto& fn : series) fn();  // warm-up (workspaces, plans)
 
-    const double blocked = median_gflops(n, n, n, reps, [&] {
-      baseline::blocked_dgemm(Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
-                              w.a.data(), n, w.b.data(), n, 0.0, w.c.data(),
-                              n);
-    });
-    const double ori = median_gflops(n, n, n, reps, [&] {
-      engine.gemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n,
-                  n, 1.0, w.a.data(), n, w.b.data(), n, 0.0, w.c.data(), n);
-    });
-    const double ft = median_gflops(n, n, n, reps, [&] {
-      engine.ft_gemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n,
-                     n, n, 1.0, w.a.data(), n, w.b.data(), n, 0.0,
-                     w.c.data(), n);
-    });
-    const double overhead = ori > 0.0 ? 100.0 * (ori - ft) / ori : 0.0;
+    std::vector<double> gflops[kSeries], overhead;
+    for (int r = 0; r < reps; ++r) {
+      double secs[kSeries];
+      for (int s = 0; s < kSeries; ++s) {
+        const int idx = (r + s) % kSeries;
+        const WallTimer t;
+        series[idx]();
+        secs[idx] = t.seconds();
+      }
+      for (int s = 0; s < kSeries; ++s) {
+        gflops[s].push_back(
+            gemm_gflops(double(n), double(n), double(n), secs[s]));
+      }
+      overhead.push_back(100.0 * (1.0 - secs[kOri] / secs[kFt]));
+    }
     std::printf("%-8lld%14.2f%14.2f%14.2f%14.2f\n",
-                static_cast<long long>(n), blocked, ori, ft, overhead);
+                static_cast<long long>(n), compute_stats(gflops[0]).median,
+                compute_stats(gflops[kOri]).median,
+                compute_stats(gflops[kFt]).median,
+                compute_stats(overhead).median);
     std::fflush(stdout);
   }
   return 0;

@@ -147,8 +147,7 @@ void BM_reduce_bc(benchmark::State& state) {
   std::vector<double> bc(static_cast<std::size_t>(kc));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        reduce_bc_from_panel(packed.data(), kc, n, nr, 0, kc, bc.data(),
-                             0.0));
+        reduce_bc_from_panel(packed.data(), kc, n, nr, bc.data(), 0.0));
   }
   state.SetBytesProcessed(int64_t(state.iterations()) * kc * n * 8);
 }

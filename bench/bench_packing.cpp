@@ -110,10 +110,10 @@ int main() {
   {
     const double r_bytes = double(kc) * double(nc) * sizeof(double);
     const double sr = median_gbs(r_bytes, reps, [&] {
-      scalar.reduce_bc(btilde.data(), kc, nc, nr, 0, kc, bc.data(), 0.0);
+      scalar.reduce_bc(btilde.data(), kc, nc, nr, bc.data(), 0.0);
     });
     const double vr = median_gbs(r_bytes, reps, [&] {
-      simd.reduce_bc(btilde.data(), kc, nc, nr, 0, kc, bc.data(), 0.0);
+      simd.reduce_bc(btilde.data(), kc, nc, nr, bc.data(), 0.0);
     });
     print_row("reduce_bc", "-", sr, vr);
   }

@@ -13,7 +13,7 @@
 //       storage is widened on pack).
 //     - Checksums are compared against a ToleranceModel bound derived from
 //       amax(A), amax(B) and amax(C).  Each member records its amax partials
-//       and member 0 refreshes the bound once per panel.
+//       and derives the bound from all of them once per panel.
 //     - A mismatch is repaired by recomputing the crossings from A and B
 //       when beta = 0, and by the delta rules of abft/verifier.hpp
 //       otherwise (beta*C0 is gone once the encode pass has run).
@@ -30,7 +30,8 @@
 //       the blocking for one-byte elements.
 //     - Checksums are int64 and compared at zero: integer sums are exact and
 //       order-independent, so there is no ToleranceModel and no amax
-//       (docs/DESIGN.md §11); the planner's tolerance factor is exactly 0.
+//       (docs/DESIGN.md §11); the planner's tolerance factor is exactly 0,
+//       and the per-panel tolerance is the empty NoTolerance.
 //     - cq starts at zero, so a mismatch is always repaired by recomputing
 //       the crossings from A and B, exactly.
 //     - The Ar encode writes disjoint K-slices directly: no partials.
@@ -39,10 +40,11 @@
 //
 // Both domains share the executor's thread topology, barrier structure and
 // summation order, so results do not depend on the team backend or on the
-// fast-path decision.  Three plumbing facts are also domain-owned so the
-// entry points stay generic: the row-major swap of per-call quantization
-// parameters, the accepted depth, and the alpha a resident payload is keyed
-// under.
+// fast-path decision.  Both reduce a Bc partial per member from the B~
+// columns it packed; the executor sums the partials in rank order.  Three
+// plumbing facts are also domain-owned so the entry points stay generic:
+// the row-major swap of per-call quantization parameters, the accepted
+// depth, and the alpha a resident payload is keyed under.
 //
 // The bottom of this file lists the supported precisions once, as
 // (Precision, StorageT, ComputeT) entries; the serving layer and the
@@ -103,6 +105,9 @@ struct NoQuant {
   [[nodiscard]] bool operator==(const NoQuant&) const { return true; }
 };
 
+/// Per-panel verification threshold of the exact domain: none.
+struct NoTolerance {};
+
 template <typename S, typename C>
 class FloatDomain {
  public:
@@ -112,6 +117,7 @@ class FloatDomain {
   using PackedB = C;  ///< packed B~ element
   using Ref = C;      ///< checksum element
   using Sum = C;      ///< operand checksum (Ar, Bc) element
+  using Tol = ToleranceModel<C>;  ///< one panel's verification thresholds
   /// C itself accumulates: no private accumulator, no zero-point vectors.
   static constexpr bool kPrivateAcc = false;
   /// Ar is reduced from per-member partials.
@@ -207,13 +213,13 @@ class FloatDomain {
     }
   }
 
-  /// Bc ("an extra stage of reduction operation among threads", §2.3) for
-  /// depth rows [kk0, kk0+kklen) of the freshly packed B~, folding amax(B).
-  void reduce_bc(int tid, index_t klen, index_t nlen, index_t kk0,
-                 index_t kklen) {
+  /// This member's Bc partial ("an extra stage of reduction operation
+  /// among threads", §2.3) over the `nlen` B~ columns it just packed at
+  /// `packed`, folding amax(B).
+  void reduce_bc(int tid, index_t klen, index_t nlen, const C* packed) {
     double& amax_b = amax_[std::size_t(tid) * 3 + 1];
-    amax_b = ks_.pack.reduce_bc(ctx_.btilde(), klen, nlen, plan_.blocking.nr,
-                                kk0, kklen, ctx_.bc(), amax_b);
+    amax_b = ks_.pack.reduce_bc(packed, klen, nlen, plan_.blocking.nr,
+                                ctx_.bc_part(tid), amax_b);
   }
 
   /// Produce the A~ slab of rows [i0, i0+ilen) x depth [k0, k0+klen) the
@@ -238,54 +244,54 @@ class FloatDomain {
         ks_.pack.widen_a(slab, ilen, klen, mr, alpha_, dst);
       }
       if constexpr (FT) {
-        ks_.pack.encode_cc(panel, av.trans, ilen, klen, mr, ctx_.bc(),
+        ks_.pack.encode_cc(panel, av.trans, ilen, klen, mr, ctx_.bc(tid),
                            ctx_.cc() + i0);
       }
       return panel;
     }
     if constexpr (FT) {
-      ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, alpha_, dst, ctx_.bc(),
-                         ctx_.cc() + i0);
+      ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, alpha_, dst,
+                         ctx_.bc(tid), ctx_.cc() + i0);
     } else {
       ks_.pack.pack_a(av, i0, k0, ilen, klen, mr, alpha_, dst);
     }
     return dst;
   }
 
-  /// Refresh the verification thresholds: amax(B) now covers every panel
+  /// This panel's verification thresholds, which every member derives from
+  /// the amax partials of all `nt` members: amax(B) now covers every panel
   /// streamed so far, i.e. exactly the contributions the checksums hold.
-  void refresh_tolerance(runtime::TeamMember& tm) {
-    tm.single([&] {
-      double amax_a = 0.0, amax_b = 0.0, amax_c = 0.0;
-      for (int t = 0; t < tm.nt(); ++t) {
-        amax_a = std::max(amax_a, amax_[std::size_t(t) * 3]);
-        amax_b = std::max(amax_b, amax_[std::size_t(t) * 3 + 1]);
-        amax_c = std::max(amax_c, amax_[std::size_t(t) * 3 + 2]);
-      }
-      tol_ = ToleranceModel<C>::compute(plan_.key.m, plan_.key.n,
-                                        plan_.key.k, amax_a, amax_b, amax_c,
-                                        double(alpha_), double(beta_),
-                                        plan_.tol_factor);
-    });  // trailing team barrier
+  [[nodiscard]] Tol tolerance(int nt) const {
+    double amax_a = 0.0, amax_b = 0.0, amax_c = 0.0;
+    for (int t = 0; t < nt; ++t) {
+      amax_a = std::max(amax_a, amax_[std::size_t(t) * 3]);
+      amax_b = std::max(amax_b, amax_[std::size_t(t) * 3 + 1]);
+      amax_c = std::max(amax_c, amax_[std::size_t(t) * 3 + 2]);
+    }
+    return Tol::compute(plan_.key.m, plan_.key.n, plan_.key.k, amax_a,
+                        amax_b, amax_c, double(alpha_), double(beta_),
+                        plan_.tol_factor);
   }
 
   /// Append the entries of a checksum pair that disagree beyond tolerance
   /// (`rows`: Cc entries, else Cr entries).
-  void scan(bool rows, const C* predicted, const C* reference, index_t count,
-            index_t base, std::vector<Mismatch>& out) const {
-    find_mismatches(predicted, reference, count, tau(rows), base, out);
+  static void scan(const Tol& tol, bool rows, const C* predicted,
+                   const C* reference, index_t count, index_t base,
+                   std::vector<Mismatch>& out) {
+    find_mismatches(predicted, reference, count, tau(tol, rows), base, out);
   }
 
   /// Re-verification of one exact sum against its prediction; `d` is the
   /// residual the locator consumes.  NaN-sound (see outside_tolerance).
-  bool mismatch(bool rows, C sum, C predicted, double& d) const {
+  static bool mismatch(const Tol& tol, bool rows, C sum, C predicted,
+                       double& d) {
     d = double(sum) - double(predicted);
-    return outside_tolerance(d, tau(rows));
+    return outside_tolerance(d, tau(tol, rows));
   }
 
   /// Locator slack for a round with `count` open mismatches.
-  [[nodiscard]] double slack(std::size_t count) const {
-    return std::max(tol_.cc_tau, tol_.cr_tau) * double(2 + count);
+  [[nodiscard]] static double slack(const Tol& tol, std::size_t count) {
+    return std::max(tol.cc_tau, tol.cr_tau) * double(2 + count);
   }
 
   static void correct(C& value, double delta) { value -= C(delta); }
@@ -313,8 +319,8 @@ class FloatDomain {
   void store(const MemberRanges&, bool) {}
 
  private:
-  [[nodiscard]] double tau(bool rows) const {
-    return rows ? tol_.cc_tau : tol_.cr_tau;
+  [[nodiscard]] static double tau(const Tol& tol, bool rows) {
+    return rows ? tol.cc_tau : tol.cr_tau;
   }
 
   const GemmPlan<S, C>& plan_;
@@ -326,7 +332,6 @@ class FloatDomain {
   const ResidentAPayload<S, C>* ra_;
   /// Per-member (amax A, amax B, amax C) partials, shared by the team.
   std::vector<double> amax_;
-  ToleranceModel<C> tol_{};
 };
 
 /// Templated like FloatDomain only so it names the workspace lazily; the
@@ -340,6 +345,7 @@ class ExactDomain {
   using PackedB = std::int8_t;   ///< s8 B~
   using Ref = std::int64_t;      ///< predicted/reference checksums
   using Sum = std::int32_t;      ///< Ar, Bc and the zero-point vectors
+  using Tol = NoTolerance;       ///< exact sums compare at zero
   /// The biased product accumulates in the private int32 buffer cq; the
   /// epilogue's zero-point vectors arow/bcol ride along.
   static constexpr bool kPrivateAcc = true;
@@ -426,10 +432,10 @@ class ExactDomain {
     }
   }
 
-  void reduce_bc(int, index_t klen, index_t nlen, index_t kk0,
-                 index_t kklen) {
-    ks_.pack.reduce_bc(ctx_.btilde(), klen, nlen, plan_.blocking.nr, kk0,
-                       kklen, ctx_.bc());
+  /// This member's Bc partial over the `nlen` B~ columns it just packed.
+  void reduce_bc(int tid, index_t klen, index_t nlen, const PackedB* packed) {
+    ks_.pack.reduce_bc(packed, klen, nlen, plan_.blocking.nr,
+                       ctx_.bc_part(tid));
   }
 
   /// A resident slab already holds the biased u8 bytes and is consumed
@@ -445,14 +451,15 @@ class ExactDomain {
           reinterpret_cast<const PackedA*>(ra_->panel_at(k0)) +
           (i0 / mr) * i8_tile_bytes(klen, mr);
       if constexpr (FT) {
-        ks_.pack.encode_cc(slab, ilen, klen, mr, ctx_.bc(), ctx_.cc() + i0);
+        ks_.pack.encode_cc(slab, ilen, klen, mr, ctx_.bc(tid),
+                           ctx_.cc() + i0);
       }
       return slab;
     }
     PackedA* dst = ctx_.atilde(tid);
     Sum* arow = first_pass ? ctx_.arow() : nullptr;
     if constexpr (FT) {
-      ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, dst, arow, ctx_.bc(),
+      ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, dst, arow, ctx_.bc(tid),
                          ctx_.cc());
     } else {
       ks_.pack.pack_a(av, i0, k0, ilen, klen, mr, dst, arow);
@@ -460,18 +467,19 @@ class ExactDomain {
     return dst;
   }
 
-  /// Exact checksums: there is no threshold to refresh.
-  void refresh_tolerance(runtime::TeamMember&) {}
+  /// Exact checksums: there is no threshold to derive.
+  [[nodiscard]] static Tol tolerance(int) { return {}; }
 
-  void scan(bool, const Ref* predicted, const Ref* reference, index_t count,
-            index_t base, std::vector<Mismatch>& out) const {
+  static void scan(const Tol&, bool, const Ref* predicted,
+                   const Ref* reference, index_t count, index_t base,
+                   std::vector<Mismatch>& out) {
     for (index_t i = 0; i < count; ++i) {
       const Ref d = reference[i] - predicted[i];
       if (d != 0) out.push_back({base + i, double(d)});
     }
   }
 
-  bool mismatch(bool, Ref sum, Ref predicted, double& d) const {
+  static bool mismatch(const Tol&, bool, Ref sum, Ref predicted, double& d) {
     const Ref diff = sum - predicted;
     d = double(diff);
     return diff != 0;

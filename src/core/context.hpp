@@ -8,7 +8,8 @@
 //   - cc/cr:   predicted checksums of C (maintained via checksum math),
 //   - ccref/crref: reference checksums accumulated from computed C values,
 //   - ar, bc:  operand checksums, with per-thread partials for the
-//     reductions the parallel algorithm requires.
+//     reductions the parallel algorithm requires; every member also keeps
+//     its own copy of the reduced Bc.
 //
 // One workspace serves every precision: the checksum domain
 // (core/checksum_domain.hpp) names each buffer's element type and which
@@ -36,10 +37,11 @@
 namespace ftgemm {
 
 /// Element counts of every workspace buffer of one problem, before
-/// cache-line padding.  Per-member buffers (atilde, crref_part, ar_part)
+/// cache-line padding.  Per-member buffers (atilde, crref_part, ar_part, bc)
 /// count one member; cc and cr each come with an equally sized reference
-/// (ccref, crref).  A buffer the domain does not use counts zero.  The one
-/// sizing behind GemmContext::ensure and GemmPlan::workspace_bytes.
+/// (ccref, crref), and bc with an equally sized partial (bc_part).  A
+/// buffer the domain does not use counts zero.  The one sizing behind
+/// GemmContext::ensure and GemmPlan::workspace_bytes.
 template <typename S, typename C = S>
 struct WorkspaceSizes {
   using D = detail::Domain<S, C>;
@@ -80,7 +82,7 @@ struct WorkspaceSizes {
            btilde * sizeof(typename D::PackedB) + cq * sizeof(C) +
            (arow + bcol) * sizeof(typename D::Sum) +
            (2 * cc + 2 * cr + crref_part * nt) * sizeof(typename D::Ref) +
-           (ar + ar_part * nt + bc) * sizeof(typename D::Sum);
+           (ar + ar_part * nt + 2 * bc * nt) * sizeof(typename D::Sum);
   }
 };
 
@@ -118,7 +120,8 @@ class GemmContext {
     ar_.ensure(sz.ar);
     ar_stride_ = pad<Sum>(sz.ar_part);
     ar_part_.ensure(ar_stride_ * nt);
-    bc_.ensure(sz.bc);
+    bc_stride_ = pad<Sum>(sz.bc);
+    bc_.ensure(2 * bc_stride_ * nt);
   }
 
   /// Size all buffers for the problem a GemmPlan was built for.
@@ -148,7 +151,13 @@ class GemmContext {
   [[nodiscard]] Sum* ar_part(int tid) {
     return ar_part_.data() + ar_stride_ * std::size_t(tid);
   }
-  [[nodiscard]] Sum* bc() { return bc_.data(); }
+  /// A member's copy of the reduced panel checksum Bc, and the partial it
+  /// reduces from the B~ columns it packed (adjacent cache-line-padded
+  /// slots, so no two members' writes share a line).
+  [[nodiscard]] Sum* bc(int tid) {
+    return bc_.data() + 2 * bc_stride_ * std::size_t(tid);
+  }
+  [[nodiscard]] Sum* bc_part(int tid) { return bc(tid) + bc_stride_; }
 
   /// Plans this workspace's owner has built, so repeated calls of one shape
   /// skip re-planning entirely (LRU, see core/plan.hpp).
@@ -172,6 +181,7 @@ class GemmContext {
   std::size_t atilde_stride_ = 0;
   std::size_t crref_stride_ = 0;
   std::size_t ar_stride_ = 0;
+  std::size_t bc_stride_ = 0;
   PlanCache<StorageT, ComputeT> plans_;
 };
 

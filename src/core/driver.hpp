@@ -27,8 +27,10 @@
 // Thread topology (§2.3): the thread team (runtime/team.hpp — persistent
 // worker pool or OpenMP region, frozen into the plan) partitions C along the
 // M-dimension; B~ is one buffer shared by all members and packed
-// cooperatively along the N-dimension (with a cross-thread reduction for the
-// panel checksum Bc); each member packs its own private A~.  The executor is
+// cooperatively along the N-dimension; each member reduces a partial panel
+// checksum Bc from the B~ columns it packed, and sums the partials of all
+// members in rank order into its own copy (the cross-thread reduction of
+// §2.3).  Each member packs its own private A~.  The executor is
 // runtime-agnostic: it sees only TeamMember's tid/nt/barrier/single, and a
 // member's rank fully determines its partition and reduction position, so
 // results are bit-identical across backends at equal nt.  Running with
@@ -44,7 +46,10 @@
 // Verification happens once per rank-KC panel ("p-loop: verify" in Fig. 1):
 // every element of C is updated exactly once per panel, so the reference
 // checksums accumulated inside the micro-kernels equal full row/column sums
-// of the current C, directly comparable with the predicted checksums.
+// of the current C, directly comparable with the predicted checksums.  A
+// clean FT panel costs three team barriers (B~ packed, B~ consumed, checksums
+// scanned) against Ori's two; only a panel with a mismatch adds the locate
+// section's barrier.
 #pragma once
 
 #include <algorithm>
@@ -135,8 +140,9 @@ inline constexpr index_t kRecomputeShare = 64;
 template <typename D, typename S, typename Ctx>
 inline void locate_correct_reverify(
     std::vector<Mismatch>& rows, std::vector<Mismatch>& cols, const D& dom,
-    const OperandView<S>& av, const OperandView<S>& bv, index_t kend,
-    index_t m, index_t n, Ctx& ctx, int panel,
+    const typename D::Tol& tol, const OperandView<S>& av,
+    const OperandView<S>& bv, index_t kend, index_t m, index_t n, Ctx& ctx,
+    int panel,
     std::vector<CorrectionRecord>* correction_log, std::int64_t& detected,
     std::int64_t& corrected, int& uncorrectable) {
   using Ref = typename D::Ref;
@@ -167,12 +173,14 @@ inline void locate_correct_reverify(
     for (const index_t i : touched_rows) {
       Ref sum = Ref(0);
       for (index_t j = 0; j < n; ++j) sum += acc[i + j * ld];
-      if (dom.mismatch(true, sum, ctx.cc()[i], d)) rows.push_back({i, d});
+      if (dom.mismatch(tol, true, sum, ctx.cc()[i], d))
+        rows.push_back({i, d});
     }
     for (const index_t j : touched_cols) {
       Ref sum = Ref(0);
       for (index_t i = 0; i < m; ++i) sum += acc[i + j * ld];
-      if (dom.mismatch(false, sum, ctx.cr()[j], d)) cols.push_back({j, d});
+      if (dom.mismatch(tol, false, sum, ctx.cr()[j], d))
+        cols.push_back({j, d});
     }
     return rows.empty() && cols.empty();
   };
@@ -183,7 +191,7 @@ inline void locate_correct_reverify(
       constexpr int kMaxRounds = 4;
       for (int round = 0; round < kMaxRounds; ++round) {
         const SolveOutcome outcome = solve_error_assignment(
-            rows, cols, dom.slack(rows.size() + cols.size()));
+            rows, cols, dom.slack(tol, rows.size() + cols.size()));
         if (!outcome.solved) {
           if (round == 0) {
             flag();
@@ -224,7 +232,7 @@ inline void locate_correct_reverify(
       auto& value = acc[i + touched_cols[c] * ld];
       double delta = 0.0;
       // The element-level analogue of a checksum mismatch.
-      if (dom.mismatch(true, value, fresh[c], delta)) {
+      if (dom.mismatch(tol, true, value, fresh[c], delta)) {
         record(i, touched_cols[c], delta, 0);
         ++detected;
         ++corrected;
@@ -329,7 +337,6 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
   std::int64_t detected = 0;
   std::int64_t corrected = 0;
   int uncorrectable = 0;
-  int panels_run = 0;
 
   const auto team_body = [&](runtime::TeamMember& tm) {
     const int tid = tm.tid();
@@ -365,29 +372,33 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
           const index_t jinc = std::min(bp.nc, n - jc);
 
           // Cooperative packing of B~ along N (unit NR so panel boundaries
-          // land on micro-panel boundaries).
+          // land on micro-panel boundaries).  In FT the packer also reduces
+          // its Bc partial from its chunk while the chunk is cache-hot; a
+          // member with no columns contributes a zero partial.
           index_t js = 0, jlen = 0;
           partition_units(jinc, bp.nr, nt, tid, js, jlen);
+          auto* chunk = ctx.btilde() +
+                        (js / bp.nr) * packed_tile_elems<KS>(pinc, bp.nr);
           if (jlen > 0) {
-            const index_t tile = packed_tile_elems<KS>(pinc, bp.nr);
-            dom.template pack_b<FT>(bv, p, jc + js, pinc, jlen,
-                                    ctx.btilde() + (js / bp.nr) * tile);
+            dom.template pack_b<FT>(bv, p, jc + js, pinc, jlen, chunk);
           }
+          if constexpr (FT) dom.reduce_bc(tid, pinc, jlen, chunk);
           tm.barrier();
           if constexpr (FT) {
-            // Bc from the freshly packed, cache-resident B~, each member
-            // deriving its K-slice.
-            index_t kks = 0, kklen = 0;
-            partition_units(pinc, 1, nt, tid, kks, kklen);
-            if (kklen > 0) dom.reduce_bc(tid, pinc, jinc, kks, kklen);
-            tm.barrier();
+            // This member's copy of Bc: the partials summed in rank order.
+            auto* bc = ctx.bc(tid);
+            std::copy(ctx.bc_part(0), ctx.bc_part(0) + pinc, bc);
+            for (int t = 1; t < nt; ++t) {
+              const auto* part = ctx.bc_part(t);
+              for (index_t kk = 0; kk < pinc; ++kk) bc[kk] += part[kk];
+            }
           }
 
           // Transient B~ strike: one member mutates the shared panel after
-          // every checksum predicted from it (Cr at pack, Bc at reduce) and
-          // before any macro kernel consumes it.  mem_injector is uniform
-          // across the team, so every member takes the single's implicit
-          // trailing barrier.
+          // every checksum predicted from it (Cr and the Bc partials, both
+          // at pack) and before any macro kernel consumes it.  mem_injector
+          // is uniform across the team, so every member takes the single's
+          // implicit trailing barrier.
           if (mem_injector != nullptr) {
             tm.single([&] {
               strike_transient_panel(
@@ -441,9 +452,11 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
         }
 
         if constexpr (FT) {
-          dom.refresh_tolerance(tm);
-          // Reduce per-member Cr references, then scan for mismatches in
-          // parallel (rows over the M-partition, columns over N).
+          // Verify: each member derives the tolerance, reduces its range of
+          // the per-member Cr references and scans its rows (M-partition)
+          // and columns (N-partition), then one barrier publishes every
+          // member's mismatch lists.
+          const auto tol = dom.tolerance(nt);
           for (index_t j = r.js; j < r.js + r.jlen; ++j) {
             Ref sum = Ref(0);
             for (int t = 0; t < nt; ++t) {
@@ -452,42 +465,51 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
             }
             ctx.crref()[j] = sum;
           }
-          row_mm[std::size_t(tid)].clear();
-          col_mm[std::size_t(tid)].clear();
+          auto& my_rows = row_mm[std::size_t(tid)];
+          auto& my_cols = col_mm[std::size_t(tid)];
+          my_rows.clear();
+          my_cols.clear();
           if (r.mlen > 0) {
-            dom.scan(true, ctx.cc() + r.ms, ctx.ccref() + r.ms, r.mlen, r.ms,
-                     row_mm[std::size_t(tid)]);
+            dom.scan(tol, true, ctx.cc() + r.ms, ctx.ccref() + r.ms, r.mlen,
+                     r.ms, my_rows);
           }
-          tm.barrier();
           if (r.jlen > 0) {
-            dom.scan(false, ctx.cr() + r.js, ctx.crref() + r.js, r.jlen,
-                     r.js, col_mm[std::size_t(tid)]);
+            dom.scan(tol, false, ctx.cr() + r.js, ctx.crref() + r.js, r.jlen,
+                     r.js, my_cols);
           }
           tm.barrier();
-          tm.single([&] {
-            std::vector<Mismatch> rows, cols;
-            for (int t = 0; t < nt; ++t) {
-              rows.insert(rows.end(), row_mm[std::size_t(t)].begin(),
-                          row_mm[std::size_t(t)].end());
-              cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
-                          col_mm[std::size_t(t)].end());
-            }
-            locate_correct_reverify(rows, cols, dom, av, bv, p + pinc, m, n,
-                                    ctx, panel, correction_log, detected,
-                                    corrected, uncorrectable);
-            ++panels_run;
-          });  // trailing team barrier
+          // Every member reads the same lists here (none is written again
+          // before the next panel's B~ barrier), so all take the same branch.
+          const auto any_mismatch = [](const auto& lists) {
+            return std::any_of(lists.begin(), lists.end(),
+                               [](const auto& l) { return !l.empty(); });
+          };
+          if (any_mismatch(row_mm) || any_mismatch(col_mm)) {
+            tm.single([&] {
+              std::vector<Mismatch> rows, cols;
+              for (int t = 0; t < nt; ++t) {
+                rows.insert(rows.end(), row_mm[std::size_t(t)].begin(),
+                            row_mm[std::size_t(t)].end());
+                cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
+                            col_mm[std::size_t(t)].end());
+              }
+              locate_correct_reverify(rows, cols, dom, tol, av, bv, p + pinc,
+                                      m, n, ctx, panel, correction_log,
+                                      detected, corrected, uncorrectable);
+            });  // trailing team barrier
+          }
         }
       }
     }
 
-    // Every member arrives here synchronized (the last B~ chunk's barrier),
-    // so the accumulator is final; a degenerate call computed nothing.
+    // Every member arrives here synchronized (the last B~ chunk's barrier,
+    // in FT the verify barrier or the locate section's), so the accumulator
+    // is final; a degenerate call computed nothing.
     dom.store(r, degenerate);
   };
   runtime::run_team(plan.runtime, nt, team_body);
 
-  report.panels = FT ? panels_run : int(degenerate ? 0 : plan.num_panels);
+  report.panels = degenerate ? 0 : int(plan.num_panels);
   report.errors_detected = detected;
   report.errors_corrected = corrected;
   report.uncorrectable_panels = uncorrectable;

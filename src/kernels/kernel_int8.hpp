@@ -116,11 +116,10 @@ struct PackSet<std::int8_t, std::int32_t> {
                     std::int8_t* dst, std::int32_t* bcol,
                     const std::int32_t* ar, std::int64_t* cr) = nullptr;
   /// Derive the panel checksum Bc from a packed panel: bc[kk] = sum over
-  /// all nlen columns of s8(kk, j), for depth rows [kk0, kk0+kklen)
-  /// (assigning, not accumulating — mirrors the float reduce_bc contract).
+  /// all nlen columns of s8(kk, j), for every depth kk < klen (assigning,
+  /// not accumulating — mirrors the float reduce_bc contract).
   void (*reduce_bc)(const std::int8_t* b_packed, index_t klen, index_t nlen,
-                    index_t nr, index_t kk0, index_t kklen,
-                    std::int32_t* bc) = nullptr;
+                    index_t nr, std::int32_t* bc) = nullptr;
   /// Biased column sums of op(A): ar[kk] += sum_i u8(i, kk) over rows
   /// [i0, i0+ilen), depths [k0, k0+klen) — the predicted-Cr operand
   /// checksum (ar[0] = depth k0; caller zeroes its slice first).

@@ -183,10 +183,10 @@ void pack_b_ft_i8(const OperandView<std::int8_t>& b, index_t k0, index_t j0,
 // Panel checksum Bc from the packed panel (padding columns are zero bytes,
 // so summing the full NR width of every tile is exact).
 void reduce_bc_i8(const std::int8_t* b_packed, index_t klen, index_t nlen,
-                  index_t nr, index_t kk0, index_t kklen, std::int32_t* bc) {
+                  index_t nr, std::int32_t* bc) {
   const index_t kq = i8_kq(klen);
   const index_t tile_bytes = kq * kI8KQuad * nr;
-  for (index_t kk = kk0; kk < kk0 + kklen; ++kk) {
+  for (index_t kk = 0; kk < klen; ++kk) {
     const index_t q = kk / kI8KQuad;
     const index_t t = kk % kI8KQuad;
     std::int32_t sum = 0;

@@ -112,10 +112,12 @@ using PackBFtFn = void (*)(const OperandView<StorageT>& b, index_t k0,
                            index_t j0, index_t klen, index_t nlen, index_t nr,
                            ComputeT* dst, const ComputeT* ar, ComputeT* cr);
 
+/// Panel checksum of a packed B~ chunk: bc[kk] = sum over its nlen columns
+/// for every depth kk < klen (assigned, so nlen = 0 writes zeros), with the
+/// running amax of |B~| folded in; returns max(amax_in, that amax).
 template <typename T>
 using ReduceBcFn = double (*)(const T* b_packed, index_t klen, index_t nlen,
-                              index_t nr, index_t kk0, index_t kklen, T* bc,
-                              double amax_in);
+                              index_t nr, T* bc, double amax_in);
 
 template <typename T>
 using ScaleEncodeCFn = double (*)(T* c, index_t ldc, index_t i0, index_t ilen,

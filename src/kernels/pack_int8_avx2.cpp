@@ -194,38 +194,21 @@ void encode_ar_i8_avx2(const OperandView<std::int8_t>& a, index_t i0,
 // Panel checksum Bc from the packed panel, NR = 16 tiles: one quad of a
 // tile is 64 contiguous bytes (16 columns x 4 depths); biased u16 lane
 // sums keep each depth's bytes in lane (index mod 4), folded and un-biased
-// once per quad.  Partition edges that split a quad (and non-16 NR shapes)
-// fall back to the portable per-depth loop.
+// once per quad.  The depth padding of a ragged last quad is zero bytes,
+// so it un-biases to zero and only its live depths are stored.  Non-16 NR
+// shapes fall back to the portable per-depth loop.
 void reduce_bc_i8_avx2(const std::int8_t* b_packed, index_t klen,
-                       index_t nlen, index_t nr, index_t kk0, index_t kklen,
-                       std::int32_t* bc) {
+                       index_t nlen, index_t nr, std::int32_t* bc) {
   if (nr != 16) {
-    portable().reduce_bc(b_packed, klen, nlen, nr, kk0, kklen, bc);
+    portable().reduce_bc(b_packed, klen, nlen, nr, bc);
     return;
   }
   const index_t kq = i8_kq(klen);
   const index_t tile_bytes = kq * kI8KQuad * nr;
   const index_t ntiles = (nlen + nr - 1) / nr;
-  const auto scalar_one = [&](index_t kk) {
-    const index_t q = kk / kI8KQuad;
-    const index_t t = kk % kI8KQuad;
-    std::int32_t sum = 0;
-    for (index_t jt = 0; jt < nlen; jt += nr) {
-      const std::int8_t* quad =
-          b_packed + (jt / nr) * tile_bytes + q * (nr * kI8KQuad);
-      for (index_t j = 0; j < nr; ++j) {
-        sum += std::int32_t(quad[j * kI8KQuad + t]);
-      }
-    }
-    bc[kk] = sum;
-  };
-  index_t kk = kk0;
-  const index_t kk_end = kk0 + kklen;
-  for (; kk < kk_end && kk % kI8KQuad != 0; ++kk) scalar_one(kk);
   const __m256i bias = _mm256_set1_epi8(char(0x80));
   const __m256i zero = _mm256_setzero_si256();
-  for (; kk + kI8KQuad <= kk_end; kk += kI8KQuad) {
-    const index_t q = kk / kI8KQuad;
+  for (index_t q = 0; q < kq; ++q) {
     // u16 lane budget: each accumulator lane absorbs 2 bytes per tile
     // (one per 128-bit half), so flush to i32 every 64 tiles.
     std::int64_t sums[kI8KQuad] = {0, 0, 0, 0};
@@ -255,11 +238,11 @@ void reduce_bc_i8_avx2(const std::int8_t* b_packed, index_t klen,
     // Un-bias: padding bytes are zero (net zero after correction), so the
     // correction counts every packed position: nr per tile per depth.
     const std::int64_t corr = 128 * std::int64_t(ntiles) * nr;
-    for (index_t t = 0; t < kI8KQuad; ++t) {
-      bc[kk + t] = std::int32_t(sums[t] - corr);
+    const index_t live = std::min(kI8KQuad, klen - q * kI8KQuad);
+    for (index_t t = 0; t < live; ++t) {
+      bc[q * kI8KQuad + t] = std::int32_t(sums[t] - corr);
     }
   }
-  for (; kk < kk_end; ++kk) scalar_one(kk);
 }
 
 }  // namespace

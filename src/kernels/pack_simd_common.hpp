@@ -549,35 +549,55 @@ void pack_b_panel_transcopy(const typename TR::T* base, index_t ld,
   }
 }
 
+/// Vectors per reduce_bc_simd register block; wider NR tiles fall back to
+/// the scalar path.
+constexpr index_t kBcBlockVecs = 4;
+
 /// Bc[kk] = sum_j panel(kk, j) over all sub-panels + fused amax of |B~|.
+/// A register block holds as many whole packed rows as fit kBcBlockVecs
+/// vectors; the sub-panels are summed into it element-wise and each block
+/// is row-reduced once, so a chunk of q sub-panels costs q vector adds per
+/// block instead of one horizontal sum per packed row of every sub-panel.
 template <class TR>
 double reduce_bc_simd(const typename TR::T* __restrict__ b_packed,
-                      index_t klen, index_t nlen, index_t nr, index_t kk0,
-                      index_t kklen, typename TR::T* __restrict__ bc,
-                      double amax_in) {
+                      index_t klen, index_t nlen, index_t nr,
+                      typename TR::T* __restrict__ bc, double amax_in) {
+  using T = typename TR::T;
   using Vec = typename TR::Vec;
   constexpr index_t W = TR::W;
   const index_t panels = (nlen + nr - 1) / nr;
-  const index_t groups = nr / W;
-  const index_t rem = nr - groups * W;
+  const index_t tile = nr * klen;
+  const index_t block_rows = kBcBlockVecs * W / nr;
   Vec amaxv = TR::zero();
-  for (index_t kk = kk0; kk < kk0 + kklen; ++kk) bc[kk] = typename TR::T(0);
-  for (index_t q = 0; q < panels; ++q) {
-    const typename TR::T* __restrict__ panel = b_packed + q * (nr * klen);
-    for (index_t kk = kk0; kk < kk0 + kklen; ++kk) {
-      const typename TR::T* __restrict__ row = panel + kk * nr;
-      Vec s = TR::zero();
-      for (index_t g = 0; g < groups; ++g) {
-        const Vec v = TR::loadu(row + g * W);
-        s = TR::add(s, v);
-        amaxv = TR::max(amaxv, TR::abs(v));
+  alignas(64) T lanes[kBcBlockVecs * W];
+  for (index_t k0 = 0; k0 < klen; k0 += block_rows) {
+    const index_t rows = std::min(block_rows, klen - k0);
+    const index_t full = rows * nr / W;
+    const index_t rem = rows * nr - full * W;
+    Vec acc[kBcBlockVecs];
+    for (index_t v = 0; v < kBcBlockVecs; ++v) acc[v] = TR::zero();
+    Vec tail = TR::zero();
+    const T* __restrict__ src = b_packed + k0 * nr;
+    for (index_t q = 0; q < panels; ++q, src += tile) {
+      for (index_t v = 0; v < kBcBlockVecs; ++v) {
+        if (v < full) {
+          const Vec x = TR::loadu(src + v * W);
+          acc[v] = TR::add(acc[v], x);
+          amaxv = TR::max(amaxv, TR::abs(x));
+        }
       }
       if (rem) {
-        const Vec v = TR::maskload(row + groups * W, rem);
-        s = TR::add(s, v);
-        amaxv = TR::max(amaxv, TR::abs(v));
+        const Vec x = TR::maskload(src + full * W, rem);
+        tail = TR::add(tail, x);
+        amaxv = TR::max(amaxv, TR::abs(x));
       }
-      bc[kk] += TR::hsum(s);
+    }
+    for (index_t v = 0; v < full; ++v) TR::storeu(lanes + v * W, acc[v]);
+    if (rem) TR::storeu(lanes + full * W, tail);
+    for (index_t r = 0; r < rows; ++r) {
+      T sum = T(0);
+      for (index_t jj = 0; jj < nr; ++jj) sum += lanes[r * nr + jj];
+      bc[k0 + r] = sum;
     }
   }
   return std::max(amax_in, double(TR::hmax(amaxv)));
@@ -872,14 +892,13 @@ void encode_cc_disp(const typename TR::T* packed, bool trans, index_t mlen,
 
 template <class TR>
 double reduce_bc_disp(const typename TR::T* b_packed, index_t klen,
-                      index_t nlen, index_t nr, index_t kk0, index_t kklen,
-                      typename TR::T* bc, double amax_in) {
-  if (nr > kMaxGroups * TR::W) {
+                      index_t nlen, index_t nr, typename TR::T* bc,
+                      double amax_in) {
+  if (nr > kBcBlockVecs * TR::W) {
     return scalar_pack<typename TR::T>().reduce_bc(b_packed, klen, nlen, nr,
-                                                   kk0, kklen, bc, amax_in);
+                                                   bc, amax_in);
   }
-  return reduce_bc_simd<TR>(b_packed, klen, nlen, nr, kk0, kklen, bc,
-                            amax_in);
+  return reduce_bc_simd<TR>(b_packed, klen, nlen, nr, bc, amax_in);
 }
 
 /// Assemble the PackSet for one traits class.  The encode sweeps need no

@@ -170,11 +170,10 @@ void pack_b(const OperandView<S>& b, index_t k0, index_t j0, index_t klen,
 /// re-used", §2.3).  `ar` points at the alpha-scaled A row-checksum entries
 /// for depth k0; `cr` points at the checksum entries for column j0.
 ///
-/// The panel checksum Bc = B_p·e is *not* accumulated here: the packed panel
-/// is L2/L3-resident by construction, so the driver derives Bc from B~
-/// during the cross-thread reduction stage at cache speed (see
-/// reduce_bc_from_panel), keeping this inner loop at two streams and fully
-/// vectorizable.
+/// The panel checksum Bc = B_p·e is *not* accumulated here: the member that
+/// packed a chunk reduces its Bc partial from the packed sub-panels right
+/// after, while they are still cache-hot (see reduce_bc_from_panel),
+/// keeping this inner loop at two streams and fully vectorizable.
 template <typename S, typename C = S>
 void pack_b_ft(const OperandView<S>& b, index_t k0, index_t j0, index_t klen,
                index_t nlen, index_t nr, C* __restrict__ dst,
@@ -236,25 +235,25 @@ void encode_cc_from_panel(const T* __restrict__ packed, bool /*trans*/,
   }
 }
 
-/// Derive the panel column checksum Bc[kk] = sum_j B_p(kk, j) for
-/// kk in [kk0, kk0+kklen) from the packed (zero-padded) panel itself, and
-/// fold the running amax of |B| (needed by the tolerance model) into the
-/// same cache-speed sweep.  `b_packed` covers `nlen` columns in NR-wide
-/// sub-panels of depth `klen`.  Returns max(amax_in, amax of the slice).
+/// Derive the panel column checksum Bc[kk] = sum_j B_p(kk, j) for every
+/// depth kk < klen from the packed (zero-padded) panel itself, and fold the
+/// running amax of |B| (needed by the tolerance model) into the same
+/// cache-speed sweep.  `b_packed` covers `nlen` columns in NR-wide
+/// sub-panels of depth `klen`; nlen = 0 assigns zeros.  Returns
+/// max(amax_in, amax of the panel).
 template <typename T>
 double reduce_bc_from_panel(const T* __restrict__ b_packed, index_t klen,
-                            index_t nlen, index_t nr, index_t kk0,
-                            index_t kklen, T* __restrict__ bc,
+                            index_t nlen, index_t nr, T* __restrict__ bc,
                             double amax_in) {
   const index_t panels = (nlen + nr - 1) / nr;
   // amax lanes wrap modulo the block so any nr is in bounds (regression:
   // indexing by jj < nr overran the stack for nr > kPackAccLanes); max is
   // order-independent, so wrapping does not change the result.
   T amax_lane[kPackAccLanes] = {};
-  for (index_t kk = kk0; kk < kk0 + kklen; ++kk) bc[kk] = T(0);
+  for (index_t kk = 0; kk < klen; ++kk) bc[kk] = T(0);
   for (index_t q = 0; q < panels; ++q) {
     const T* __restrict__ panel = b_packed + q * (nr * klen);
-    for (index_t kk = kk0; kk < kk0 + kklen; ++kk) {
+    for (index_t kk = 0; kk < klen; ++kk) {
       const T* __restrict__ row = panel + kk * nr;
       T sum = T(0);
       for (index_t jj = 0; jj < nr; ++jj) {

@@ -205,7 +205,9 @@ TEST(CampaignGrid, EveryEntrySurfaceCellIsNeverSilent) {
 // The CHECK_BEFORE re-verification must detect each strike, heal it by
 // re-encoding from the source weight, and every round's result must match
 // the naive reference — never a silently wrong answer, exactly like the
-// compute-domain campaigns above.
+// compute-domain campaigns above.  Under FTGEMM_OPERAND_ECC=1 the SEC-DED
+// sweep corrects every flip in place before the re-verification, so the
+// flips show up as ECC corrections and nothing is left to heal.
 TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
   clear_process_caches();
   const std::uint64_t seed = test_seed(2026);
@@ -239,6 +241,7 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
                                 /*every=*/3);
   opts.memory_injector = &injector;
   std::int64_t heals = 0;
+  std::int64_t ecc_corrected = 0;
   for (int round = 0; round < kRounds; ++round) {
     c = p.c.clone();
     rep = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
@@ -247,6 +250,7 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
     ASSERT_TRUE(rep.resident_hit) << "round " << round << seed_note(seed);
     EXPECT_TRUE(rep.clean()) << "round " << round << seed_note(seed);
     heals += rep.resident_heals;
+    ecc_corrected += rep.resident_ecc_corrected;
     // Healed-or-clean, the delivered result is the cold result, bit for
     // bit — and therefore within the standard tolerance of the oracle.
     testing::expect_matrix_near(c, c_cold, 0.0,
@@ -255,8 +259,15 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
   testing::expect_matrix_near(c, ref, testing::gemm_tolerance<double>(cs.k),
                               "final round vs naive_ref_gemm");
 
-  // Strikes land on hits 0, 3, ..., 27: ten corrupted rounds, each healed.
-  EXPECT_EQ(heals, kRounds / 3) << seed_note(seed);
+  // Strikes land on hits 0, 3, ..., 27: ten corrupted rounds, each healed
+  // (or, with ECC on, every flip corrected in place).
+  if (env_long("FTGEMM_OPERAND_ECC", 0) != 0) {
+    EXPECT_EQ(ecc_corrected, std::int64_t(kRounds / 3) * kFlipsPerStrike)
+        << seed_note(seed);
+    EXPECT_EQ(heals, 0) << seed_note(seed);
+  } else {
+    EXPECT_EQ(heals, kRounds / 3) << seed_note(seed);
+  }
   EXPECT_EQ(injector.applied_count(),
             std::size_t(kRounds / 3) * kFlipsPerStrike)
       << seed_note(seed);

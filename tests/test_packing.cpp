@@ -10,6 +10,7 @@
 
 #include "abft/checksum.hpp"
 #include "arch/cpu_features.hpp"
+#include "kernels/kernel_int8.hpp"
 #include "kernels/packing.hpp"
 #include "util/matrix.hpp"
 
@@ -181,8 +182,7 @@ TEST(ReduceBc, MatchesDirectRowSumsAndTracksAmax) {
 
   std::vector<double> bc(static_cast<std::size_t>(klen), -1.0);
   const double amax =
-      reduce_bc_from_panel(packed.data(), klen, nlen, nr, 0, klen, bc.data(),
-                           0.5);
+      reduce_bc_from_panel(packed.data(), klen, nlen, nr, bc.data(), 0.5);
 
   double amax_want = 0.5;
   for (index_t kk = 0; kk < klen; ++kk) {
@@ -194,20 +194,6 @@ TEST(ReduceBc, MatchesDirectRowSumsAndTracksAmax) {
     EXPECT_NEAR(bc[std::size_t(kk)], want, 1e-12 * std::max(1.0, std::abs(want)));
   }
   EXPECT_DOUBLE_EQ(amax, amax_want);
-}
-
-TEST(ReduceBc, PartialKRangeOnlyTouchesItsSlice) {
-  const index_t nr = 8, klen = 16, nlen = 16;
-  std::vector<double> packed(static_cast<std::size_t>(2 * nr * klen), 1.0);
-  std::vector<double> bc(static_cast<std::size_t>(klen), -9.0);
-  reduce_bc_from_panel(packed.data(), klen, nlen, nr, 4, 8, bc.data(), 0.0);
-  for (index_t kk = 0; kk < klen; ++kk) {
-    if (kk >= 4 && kk < 12) {
-      EXPECT_DOUBLE_EQ(bc[std::size_t(kk)], double(nlen));
-    } else {
-      EXPECT_DOUBLE_EQ(bc[std::size_t(kk)], -9.0) << "outside slice";
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -229,8 +215,7 @@ TEST(WideTileRegression, ReduceBcHandlesNrBeyondAccumulatorBlock) {
 
   std::vector<double> bc(static_cast<std::size_t>(klen));
   const double amax =
-      reduce_bc_from_panel(packed.data(), klen, nlen, nr, 0, klen, bc.data(),
-                           0.0);
+      reduce_bc_from_panel(packed.data(), klen, nlen, nr, bc.data(), 0.0);
 
   double amax_want = 0.0;
   for (index_t kk = 0; kk < klen; ++kk) {
@@ -317,11 +302,13 @@ void run_dispatch_sweep(Isa isa) {
   Matrix<T> src(200, 200);
   src.fill_random(37);
 
-  const index_t klens[] = {1, 3, 7, 8, 64};
+  // 13 and 37 leave a ragged last register block in reduce_bc for every
+  // tier's NR; 16 x 2*NR is two whole sub-panels.
+  const index_t klens[] = {1, 3, 7, 8, 13, 16, 37, 64};
   const index_t mlens[] = {1,      mr - 1, mr,         mr + 1,
                            3 * mr, 5 * mr - 3};
-  const index_t nlens[] = {1,      nr - 1, nr,         nr + 1,
-                           4 * nr, 6 * nr - 3};
+  const index_t nlens[] = {1,          nr - 1, nr,     nr + 1,     2 * nr,
+                           3 * nr - 1, 4 * nr, 6 * nr - 3};
 
   for (const bool trans : {false, true}) {
     const OperandView<T> view{src.data(), src.ld(), trans};
@@ -379,14 +366,22 @@ void run_dispatch_sweep(Isa isa) {
         EXPECT_EQ(want, got) << "pack_b_ft panel must be bit-identical";
         expect_near_vec(cr_got, cr_want, "cr");
 
-        std::vector<T> bc_want(static_cast<std::size_t>(klen)), bc_got(static_cast<std::size_t>(klen));
+        std::vector<T> bc_want(static_cast<std::size_t>(klen), T(-9)),
+            bc_got(static_cast<std::size_t>(klen), T(-7));
         const double amax_want = ref.reduce_bc(want.data(), klen, nlen, nr,
-                                               0, klen, bc_want.data(), 0.25);
-        const double amax_got = simd.reduce_bc(got.data(), klen, nlen, nr, 0,
-                                               klen, bc_got.data(), 0.25);
+                                               bc_want.data(), 0.25);
+        const double amax_got = simd.reduce_bc(got.data(), klen, nlen, nr,
+                                               bc_got.data(), 0.25);
         expect_near_vec(bc_got, bc_want, "bc");
         EXPECT_DOUBLE_EQ(amax_got, amax_want) << "amax is order-independent";
       }
+
+      // A member that packed no columns contributes a zero Bc partial.
+      std::vector<T> bc_empty(static_cast<std::size_t>(klen), T(-9));
+      EXPECT_DOUBLE_EQ(
+          simd.reduce_bc(src.data(), klen, 0, nr, bc_empty.data(), 0.25),
+          0.25);
+      EXPECT_EQ(bc_empty, std::vector<T>(std::size_t(klen), T(0)));
     }
   }
 
@@ -451,6 +446,41 @@ TEST(PackDispatch, F64MatchesScalarOracleAcrossIsas) {
 
 TEST(PackDispatch, F32MatchesScalarOracleAcrossIsas) {
   for (const Isa isa : executable_isas()) run_dispatch_sweep<float>(isa);
+}
+
+TEST(PackDispatch, I8ReduceBcMatchesScalarAcrossIsas) {
+  // Integer sums are exact: every tier's Bc must equal the portable one,
+  // including ragged depth quads and a chunk with no columns.
+  using KS8 = KernelSet<std::int8_t, std::int32_t>;
+  Matrix<std::int8_t> src(80, 80);
+  src.fill_random(43, std::int8_t(-128), std::int8_t(127));
+  const OperandView<std::int8_t> view{src.data(), src.ld(), false};
+  const PackSet<std::int8_t, std::int32_t> ref =
+      get_pack_set<std::int8_t, std::int32_t>(Isa::kScalar);
+  for (const Isa isa : executable_isas()) {
+    const KS8 ks = get_kernel_set<std::int8_t, std::int32_t>(isa);
+    const index_t nr = ks.nr;
+    for (const index_t klen : {index_t(1), index_t(4), index_t(7),
+                               index_t(17), index_t(64)}) {
+      for (const index_t nlen : {index_t(0), index_t(1), nr - 1, nr,
+                                 2 * nr + 3}) {
+        SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                     " klen=" + std::to_string(klen) +
+                     " nlen=" + std::to_string(nlen));
+        const index_t tiles = std::max<index_t>((nlen + nr - 1) / nr, 1);
+        std::vector<std::int8_t> packed(
+            std::size_t(tiles * i8_tile_bytes(klen, nr)), 0);
+        ref.pack_b(view, 1, 2, klen, nlen, nr, packed.data(), nullptr);
+        std::vector<std::int32_t> want(std::size_t(klen), 0);
+        for (index_t kk = 0; kk < klen; ++kk)
+          for (index_t j = 0; j < nlen; ++j)
+            want[std::size_t(kk)] += src(1 + kk, 2 + j);
+        std::vector<std::int32_t> got(std::size_t(klen), -9);
+        ks.pack.reduce_bc(packed.data(), klen, nlen, nr, got.data());
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
 }
 
 TEST(PackDispatch, KernelSetCarriesMatchingPackSet) {

@@ -4,6 +4,11 @@
 // threads oversubscribe, which still exercises every synchronization path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/gemm_i8.hpp"
+#include "core/plan.hpp"
 #include "inject/injectors.hpp"
 #include "test_common.hpp"
 
@@ -142,6 +147,102 @@ TEST(ParallelFt, MoreThreadsThanRowTiles) {
                                 c.ld(), opts);
   EXPECT_TRUE(rep.clean());
   expect_matrix_near(c, ref, gemm_tolerance<double>(cs.k), "idle threads");
+}
+
+/// General path at 4 threads with n = 3*NR of the call's plan: the B~
+/// chunk partition leaves one member without columns, so it contributes a
+/// zero Bc partial on every tier.  k = 3*512 + 17 runs at least three KC
+/// panels on every tier (the planner clamps KC to at most 512).  Errors
+/// struck into panel 1 only must be corrected there, every one of them,
+/// and C must be bit-identical to the same call on one thread.  `call`
+/// runs the precision's FT entry point with (m, n, k, opts, c) at beta = 0.
+template <typename S, typename C, typename Out, typename Call>
+void expect_panel_one_corrected_with_empty_chunk(double delta, Call&& call) {
+  const auto options = [](int threads) {
+    Options o;
+    o.threads = threads;
+    o.small_fast_path = false;
+    return o;
+  };
+  const index_t nr = build_plan<S, C>(Trans::kNoTrans, Trans::kNoTrans, 64,
+                                      64, 64, options(4), true)
+                         .blocking.nr;
+  const index_t m = 200, n = 3 * nr, k = 3 * 512 + 17;
+  std::vector<Matrix<Out>> out;
+  for (const int threads : {4, 1}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Options opts = options(threads);
+    const GemmPlan<S, C> plan = build_plan<S, C>(
+        Trans::kNoTrans, Trans::kNoTrans, m, n, k, opts, true);
+    ASSERT_EQ(plan.blocking.nr, nr);
+    ASSERT_EQ(plan.threads, threads);
+    ASSERT_GE(plan.num_panels, 3);
+    DeterministicInjector inj({
+        {InjectionKind::kAddDelta, 1, 3, 1, delta, 0},
+        {InjectionKind::kAddDelta, 1, m / 2, nr + 2, -delta, 0},
+        {InjectionKind::kAddDelta, 1, m - 2, n - 1, 2.0 * delta, 0},
+    });
+    std::vector<CorrectionRecord> log;
+    opts.injector = &inj;
+    opts.correction_log = &log;
+    Matrix<Out> c(m, n);
+    c.fill_random(99);
+    const FtReport rep = call(m, n, k, opts, c);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.panels, plan.num_panels);
+    EXPECT_EQ(inj.injected_count(), 3u);
+    EXPECT_EQ(static_cast<std::size_t>(rep.errors_corrected),
+              inj.injected_count());
+    EXPECT_FALSE(log.empty());
+    for (const CorrectionRecord& r : log) EXPECT_EQ(r.panel, 1);
+    out.push_back(std::move(c));
+  }
+  expect_matrix_near(out[0], out[1], 0.0, "4 threads vs 1");
+}
+
+TEST(ParallelFt, EmptyBChunkMemberPanelOneF64) {
+  expect_panel_one_corrected_with_empty_chunk<double, double, double>(
+      2.0, [](index_t m, index_t n, index_t k, const Options& opts,
+              Matrix<double>& c) {
+        Matrix<double> a(m, k), b(k, n);
+        a.fill_random(11);
+        b.fill_random(12);
+        return ft_dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans,
+                        m, n, k, 1.0, a.data(), a.ld(), b.data(), b.ld(), 0.0,
+                        c.data(), c.ld(), opts);
+      });
+}
+
+TEST(ParallelFt, EmptyBChunkMemberPanelOneBf16) {
+  expect_panel_one_corrected_with_empty_chunk<bf16_t, float, float>(
+      64.0, [](index_t m, index_t n, index_t k, const Options& opts,
+               Matrix<float>& c) {
+        Matrix<float> a32(m, k), b32(k, n);
+        a32.fill_random(13);
+        b32.fill_random(14);
+        Matrix<bf16_t> a(m, k), b(k, n);
+        for (index_t j = 0; j < k; ++j)
+          for (index_t i = 0; i < m; ++i) a(i, j) = bf16_t(a32(i, j));
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < k; ++i) b(i, j) = bf16_t(b32(i, j));
+        return ft_gemm_bf16(Layout::kColMajor, Trans::kNoTrans,
+                            Trans::kNoTrans, m, n, k, 1.0f, a.data(), a.ld(),
+                            b.data(), b.ld(), 0.0f, c.data(), c.ld(), opts);
+      });
+}
+
+TEST(ParallelFt, EmptyBChunkMemberPanelOneI8) {
+  expect_panel_one_corrected_with_empty_chunk<std::int8_t, std::int32_t,
+                                              float>(
+      500.0, [](index_t m, index_t n, index_t k, const Options& opts,
+                Matrix<float>& c) {
+        const Matrix<std::int8_t> a = testing::random_i8_matrix(m, k, 15);
+        const Matrix<std::int8_t> b = testing::random_i8_matrix(k, n, 16);
+        const QuantParams qp{0.125f, 0.25f, 3, -5};
+        return ft_gemm_i8(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans,
+                          m, n, k, 1.0f, a.data(), a.ld(), b.data(), b.ld(),
+                          0.0f, c.data(), c.ld(), qp, opts);
+      });
 }
 
 }  // namespace
