@@ -449,16 +449,15 @@ TEST(PackDispatch, F32MatchesScalarOracleAcrossIsas) {
 }
 
 TEST(PackDispatch, I8ReduceBcMatchesScalarAcrossIsas) {
-  // Integer sums are exact: every tier's Bc must equal the portable one,
-  // including ragged depth quads and a chunk with no columns.
-  using KS8 = KernelSet<std::int8_t, std::int32_t>;
+  // Integer sums are exact: every tier's Bc must equal the column sums of
+  // the operand, including ragged depth quads and a chunk with no columns.
   Matrix<std::int8_t> src(80, 80);
   src.fill_random(43, std::int8_t(-128), std::int8_t(127));
   const OperandView<std::int8_t> view{src.data(), src.ld(), false};
   const PackSet<std::int8_t, std::int32_t> ref =
       get_pack_set<std::int8_t, std::int32_t>(Isa::kScalar);
   for (const Isa isa : executable_isas()) {
-    const KS8 ks = get_kernel_set<std::int8_t, std::int32_t>(isa);
+    const auto ks = get_kernel_set<std::int8_t, std::int32_t>(isa);
     const index_t nr = ks.nr;
     for (const index_t klen : {index_t(1), index_t(4), index_t(7),
                                index_t(17), index_t(64)}) {
