@@ -7,10 +7,14 @@
 // Bc reduction and the parallel verification are all exercised, and the
 // FT-vs-Ori overhead column is the paper's headline claim (1.79%).
 //
-// Each rep times blocked, Ori and FT once each, in an order that rotates
-// from rep to rep, so the three series share the machine's state.  The
-// GFLOPS columns are medians over reps; ft_ovr_% is the median over reps of
-// the per-rep overhead 100 * (1 - t_ori / t_ft), not a ratio of medians.
+// Each rep times blocked, Ori and FT once each, back to back, so the three
+// series share the machine's state; Ori and FT swap places every rep.
+// Blocked runs first and is serial, long enough for an idle team to go to
+// sleep, so an empty team region wakes the team, untimed, before Ori and
+// FT: otherwise whichever follows blocked also pays for the wake-up, which
+// at 256^2 is a tenth of the call.  The GFLOPS columns are medians over
+// reps; ft_ovr_% is the median over reps of the per-rep overhead
+// 100 * (1 - t_ori / t_ft), not a ratio of medians.
 #include <functional>
 
 #include "bench_common.hpp"
@@ -27,6 +31,8 @@ int main() {
   Options opts;
   opts.threads = threads;
   GemmEngine<double> engine(opts);
+  const RuntimeBackend backend = runtime::resolve_backend(opts.runtime);
+  const auto idle = [](runtime::TeamMember&) {};
 
   for (const index_t n : square_sizes(256)) {
     SquareWorkload<double> w(n);
@@ -53,9 +59,11 @@ int main() {
 
     std::vector<double> gflops[kSeries], overhead;
     for (int r = 0; r < reps; ++r) {
+      const int order[kSeries] = {0, r % 2 == 0 ? kOri : kFt,
+                                  r % 2 == 0 ? kFt : kOri};
       double secs[kSeries];
-      for (int s = 0; s < kSeries; ++s) {
-        const int idx = (r + s) % kSeries;
+      for (const int idx : order) {
+        if (idx == order[1]) runtime::run_team(backend, threads, idle);
         const WallTimer t;
         series[idx]();
         secs[idx] = t.seconds();
