@@ -14,6 +14,8 @@
 
 #include <omp.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -70,6 +72,17 @@ double median_gflops(index_t m, index_t n, index_t k, int reps, Fn&& fn) {
   return compute_stats(samples).median;
 }
 
+/// Whether an injected FT call ended clean with C equal to the fault-free
+/// reference to rounding; adds the call's corrections to `corrected`.
+inline bool injected_call_verified(const FtReport& rep,
+                                   const Matrix<double>& c,
+                                   const Matrix<double>& ref,
+                                   std::int64_t& corrected) {
+  corrected += rep.errors_corrected;
+  return rep.clean() &&
+         max_rel_diff(c, ref) < 1e-10 * std::sqrt(double(c.rows()));
+}
+
 /// One benchmark workload: square operands, C overwritten every run
 /// (beta = 0 keeps runs independent so repetitions are comparable).
 template <typename T>
@@ -104,12 +117,13 @@ inline void print_provenance() {
               cpu_feature_string().c_str());
 }
 
-inline void print_header(const char* title, const char* figure,
+/// Table header; `threads` is the team size the harness runs its calls at.
+inline void print_header(const char* title, const char* figure, int threads,
                          const std::vector<std::string>& columns) {
   std::printf("# %s\n", title);
   std::printf("# reproduces: %s\n", figure);
   std::printf("# threads=%d reps=%d (paper: 20 reps, Xeon W-2255)\n",
-              bench_threads(), bench_reps());
+              threads, bench_reps());
   print_provenance();
   std::printf("%-8s", "size");
   for (const std::string& c : columns) std::printf("%14s", c.c_str());

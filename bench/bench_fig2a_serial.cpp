@@ -15,7 +15,7 @@ using namespace ftgemm::bench;
 
 int main() {
   const int reps = bench_reps();
-  print_header("serial DGEMM, GFLOPS (median)", "Fig 2(a)",
+  print_header("serial DGEMM, GFLOPS (median)", "Fig 2(a)", 1,
                {"naive", "blocked", "unfused_ft", "ori", "ft",
                 "ft_ovr_%"});
 

@@ -25,7 +25,7 @@ using namespace ftgemm::bench;
 int main() {
   const int reps = bench_reps();
   const int threads = bench_threads();
-  print_header("parallel DGEMM, GFLOPS (median)", "Fig 2(b)",
+  print_header("parallel DGEMM, GFLOPS (median)", "Fig 2(b)", threads,
                {"blocked", "ori", "ft", "ft_ovr_%"});
 
   Options opts;

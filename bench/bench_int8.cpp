@@ -55,7 +55,7 @@ int main() {
   print_header(
       "int8 storage + integer checksums vs fp32: serial square GEMM "
       "(median GFLOPS)",
-      "DESIGN.md section 11 (int8 quantization; bytes-per-GFLOP basis)",
+      "DESIGN.md section 11 (int8 quantization; bytes-per-GFLOP basis)", 1,
       {"f32_GF", "i8_GF", "i8ft_GF", "eff_bw", "ft_ovh_%", "falsepos"});
 
   GemmEngine<float> f32_engine;

@@ -12,7 +12,7 @@ using namespace ftgemm::bench;
 int main() {
   const int reps = bench_reps();
   print_header("ABFT overhead over Ori, percent (median GFLOPS basis)",
-               "section 2.2 (15% -> ~3% claim)",
+               "section 2.2 (15% -> ~3% claim)", 1,
                {"ori_GF", "fused_GF", "fused_%", "unfused_GF", "unfused_%"});
 
   GemmEngine<double> engine;

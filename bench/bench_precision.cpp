@@ -98,7 +98,7 @@ int main() {
 
   print_header(
       "bf16/fp16 storage vs fp32: serial square GEMM (median GFLOPS)",
-      "DESIGN.md section 10 (mixed precision; bytes-per-GFLOP basis)",
+      "DESIGN.md section 10 (mixed precision; bytes-per-GFLOP basis)", 1,
       {"f32_GF", "bf16_GF", "bf16ft_GF", "f16ft_GF", "eff_bw", "ft_ovh_%"});
 
   GemmEngine<float> f32_engine;

@@ -12,7 +12,7 @@ using namespace ftgemm::bench;
 int main() {
   const int reps = bench_reps();
   print_header("serial SGEMM, GFLOPS (median)", "Fig 2(a), f32 extension",
-               {"blocked", "ori", "ft", "ft_ovr_%"});
+               1, {"blocked", "ori", "ft", "ft_ovr_%"});
 
   GemmEngine<float> engine;
   engine.options().threads = 1;

@@ -48,8 +48,11 @@
 // checksums accumulated inside the micro-kernels equal full row/column sums
 // of the current C, directly comparable with the predicted checksums.  A
 // clean FT panel costs three team barriers (B~ packed, B~ consumed, checksums
-// scanned) against Ori's two; only a panel with a mismatch adds the locate
-// section's barrier.
+// scanned) against Ori's two.  Only a panel with a mismatch adds the
+// repair's barriers: one after rank 0 merges the mismatch lists, and three
+// more when the team recomputes the crossings: after it recomputes them and
+// re-sums their rows, after it re-sums their columns, and after rank 0
+// appends the records.
 #pragma once
 
 #include <algorithm>
@@ -111,52 +114,51 @@ inline void partition_units(index_t total, index_t unit, int parts, int idx,
 }
 
 /// Crossing budget of one panel's recompute: |R|·|C| <= m·n / 64 +
-/// max(m, n).  The recompute is scalar and single-threaded, so the share
-/// keeps its worst case near the cost of one re-execution, which is what a
-/// flagged panel costs under ft_*_reliable; the floor always admits one
-/// whole row or column (one struck operand element), which on a small C
-/// costs less than any re-execution.
+/// max(m, n).  A crossing costs kend strided multiply-adds, each tens of
+/// times dearer than one of the micro-kernels', and the team shares the
+/// crossings as it shares a re-execution; the share keeps the worst case
+/// near the cost of one re-execution, which is what a flagged panel costs
+/// under ft_*_reliable.  The floor always admits one whole row or column
+/// (one struck operand element), which on a small C costs less than any
+/// re-execution.
 inline constexpr index_t kRecomputeShare = 64;
 
-/// Repair the errors behind one panel's checksum mismatches (R: rows, C:
-/// columns), then re-verify the touched rows and columns with exact sums
-/// over the accumulator.  Every wrong element lies where a row of R crosses
-/// a column of C.
-///
-///  - Rebuildable accumulator (int8's cq, float C at beta = 0): recompute
-///    every crossing from A and B over depth [0, kend) and re-verify once.
-///    A crossing the recompute moves beyond tolerance counts as one
-///    detected-and-corrected error.  An empty or over-budget cross, or a
-///    row or column that still mismatches, flags the panel.
-///  - Otherwise, the delta rules of solve_error_assignment, repeated while
-///    the re-verification finds more: an exponent-scale error dwarfing its
-///    row sum loses the original value to rounding in the first subtraction
-///    and converges in the second round.
-///
-/// A non-finite element that survives never passes re-verification (NaN
-/// fails every tolerance test) and ends the panel uncorrectable.
-/// Single-threaded: called from a team `single` section.  `rows`/`cols` are
-/// consumed as scratch.
-template <typename D, typename S, typename Ctx>
+/// Team-shared state of one call's panel repairs.  Rank 0 publishes the
+/// crossing lines in the repair's first `single`; each member then writes
+/// only its own slot, which rank 0 reads behind a barrier.
+struct PanelRepair {
+  /// One member's share; padded so members never write one cache line.
+  struct alignas(64) Slot {
+    std::vector<CorrectionRecord> log;  ///< in (row, column) order
+    std::int64_t fixed = 0;  ///< crossings the recompute moved
+    bool mismatch = false;   ///< a re-summed row or column still mismatches
+  };
+  std::vector<index_t> rows, cols;  ///< ascending crossing lines
+  bool recompute = false;           ///< this panel's crossings are rebuilt
+  std::vector<Slot> slots;          ///< one per member
+
+  explicit PanelRepair(int nt) : slots(std::size_t(nt)) {}
+};
+
+/// Repair a panel whose accumulator cannot be rebuilt (float C at beta != 0:
+/// the encode pass overwrote beta*C0) with the delta rules of
+/// solve_error_assignment, then re-verify the touched rows and columns
+/// (R: rows, C: columns) with exact sums over the accumulator.  The rules
+/// repeat while the re-verification finds more: an exponent-scale error
+/// dwarfing its row sum loses the original value to rounding in the first
+/// subtraction and converges in the second round.  A non-finite element
+/// that survives never passes re-verification (NaN fails every tolerance
+/// test) and ends the panel uncorrectable.  Single-threaded: called from a
+/// team `single` section.  `rows`/`cols` are consumed as scratch.
+template <typename D, typename Ctx>
 inline void locate_correct_reverify(
     std::vector<Mismatch>& rows, std::vector<Mismatch>& cols, const D& dom,
-    const typename D::Tol& tol, const OperandView<S>& av,
-    const OperandView<S>& bv, index_t kend, index_t m, index_t n, Ctx& ctx,
-    int panel,
+    const typename D::Tol& tol, index_t m, index_t n, Ctx& ctx, int panel,
     std::vector<CorrectionRecord>* correction_log, std::int64_t& detected,
     std::int64_t& corrected, int& uncorrectable) {
   using Ref = typename D::Ref;
-  if (rows.empty() && cols.empty()) return;
   auto* acc = dom.acc();
   const index_t ld = dom.ldacc();
-  const auto flag = [&] {
-    detected += std::int64_t(std::max(rows.size(), cols.size()));
-    ++uncorrectable;
-  };
-  const auto record = [&](index_t i, index_t j, double delta, int round) {
-    if (correction_log != nullptr)
-      correction_log->push_back({panel, round, i, j, delta});
-  };
   std::vector<index_t> touched_rows, touched_cols;
   // Exact re-verification of everything touched; `rows`/`cols` become what
   // still mismatches.
@@ -185,62 +187,104 @@ inline void locate_correct_reverify(
     return rows.empty() && cols.empty();
   };
 
-  // A private accumulator starts at zero, so it is always rebuildable.
-  if constexpr (!D::kPrivateAcc) {
-    if (!dom.rebuildable()) {
-      constexpr int kMaxRounds = 4;
-      for (int round = 0; round < kMaxRounds; ++round) {
-        const SolveOutcome outcome = solve_error_assignment(
-            rows, cols, dom.slack(tol, rows.size() + cols.size()));
-        if (!outcome.solved) {
-          if (round == 0) {
-            flag();
-          } else {
-            ++uncorrectable;
-          }
-          return;
-        }
-        for (const LocatedError& err : outcome.errors) {
-          dom.correct(acc[err.row + err.col * ld], err.delta);
-          touched_rows.push_back(err.row);
-          touched_cols.push_back(err.col);
-          record(err.row, err.col, err.delta, round);
-        }
-        if (round == 0) {
-          detected += std::int64_t(outcome.errors.size());
-          corrected += std::int64_t(outcome.errors.size());
-        }
-        if (reverify()) return;
-      }
+  constexpr int kMaxRounds = 4;
+  for (int round = 0; round < kMaxRounds; ++round) {
+    const SolveOutcome outcome = solve_error_assignment(
+        rows, cols, dom.slack(tol, rows.size() + cols.size()));
+    if (!outcome.solved) {
+      if (round == 0)
+        detected += std::int64_t(std::max(rows.size(), cols.size()));
       ++uncorrectable;
       return;
     }
+    for (const LocatedError& err : outcome.errors) {
+      dom.correct(acc[err.row + err.col * ld], err.delta);
+      touched_rows.push_back(err.row);
+      touched_cols.push_back(err.col);
+      if (correction_log != nullptr)
+        correction_log->push_back({panel, round, err.row, err.col, err.delta});
+    }
+    if (round == 0) {
+      detected += std::int64_t(outcome.errors.size());
+      corrected += std::int64_t(outcome.errors.size());
+    }
+    if (reverify()) return;
   }
+  ++uncorrectable;
+}
 
-  if (rows.empty() || cols.empty() ||
-      index_t(rows.size()) * index_t(cols.size()) >
-          m * n / kRecomputeShare + std::max(m, n)) {
-    flag();
-    return;
-  }
-  for (const Mismatch& r : rows) touched_rows.push_back(r.idx);
-  for (const Mismatch& c : cols) touched_cols.push_back(c.idx);
+/// The team phase of a rebuildable panel's repair: recompute every crossing
+/// of `rep.rows` x `rep.cols` from A and B over depth [0, kend), since every
+/// wrong element lies where a mismatched row crosses a mismatched column,
+/// then re-verify those rows and columns with exact sums over the
+/// accumulator.
+/// Each member takes a contiguous share of the rows, at most
+/// ceil(|R| / nt), and owns every crossing in them, so it re-sums its rows
+/// at once; after one barrier the members share the column sums.
+/// recompute_row keeps each element's depth order, so the repaired
+/// accumulator does not depend on nt.  A crossing the recompute moves
+/// beyond tolerance counts as one detected-and-corrected error; a row or
+/// column that still mismatches flags the panel.  The row shares ascend
+/// with rank, so rank 0 appends the records in (row, column) order.
+template <typename D, typename S, typename Ctx>
+inline void recompute_crossings(
+    runtime::TeamMember& tm, PanelRepair& rep, const D& dom,
+    const typename D::Tol& tol, const OperandView<S>& av,
+    const OperandView<S>& bv, index_t kend, index_t m, index_t n, Ctx& ctx,
+    int panel, std::vector<CorrectionRecord>* correction_log,
+    std::int64_t& detected, std::int64_t& corrected, int& uncorrectable) {
+  using Ref = typename D::Ref;
+  auto* acc = dom.acc();
+  const index_t ld = dom.ldacc();
+  PanelRepair::Slot& mine = rep.slots[std::size_t(tm.tid())];
+  mine.log.clear();
+  mine.fixed = 0;
+  mine.mismatch = false;
   std::vector<std::remove_reference_t<decltype(*acc)>> fresh;
-  for (const index_t i : touched_rows) {
-    dom.recompute_row(av, bv, i, touched_cols, kend, fresh);
-    for (std::size_t c = 0; c < touched_cols.size(); ++c) {
-      auto& value = acc[i + touched_cols[c] * ld];
+  double d = 0.0;
+  index_t first = 0, count = 0;
+  partition_units(index_t(rep.rows.size()), 1, tm.nt(), tm.tid(), first,
+                  count);
+  for (index_t x = first; x < first + count; ++x) {
+    const index_t i = rep.rows[std::size_t(x)];
+    dom.recompute_row(av, bv, i, rep.cols, kend, fresh);
+    for (std::size_t c = 0; c < rep.cols.size(); ++c) {
+      auto& value = acc[i + rep.cols[c] * ld];
       double delta = 0.0;
       // The element-level analogue of a checksum mismatch.
       if (dom.mismatch(tol, true, value, fresh[c], delta)) {
-        record(i, touched_cols[c], delta, 0);
-        ++detected;
-        ++corrected;
+        if (correction_log != nullptr)
+          mine.log.push_back({panel, 0, i, rep.cols[c], delta});
+        ++mine.fixed;
       }
       value = fresh[c];
     }
+    Ref sum = Ref(0);
+    for (index_t j = 0; j < n; ++j) sum += acc[i + j * ld];
+    if (dom.mismatch(tol, true, sum, ctx.cc()[i], d)) mine.mismatch = true;
   }
-  if (!reverify()) ++uncorrectable;
+  tm.barrier();
+  partition_units(index_t(rep.cols.size()), 1, tm.nt(), tm.tid(), first,
+                  count);
+  for (index_t x = first; x < first + count; ++x) {
+    const index_t j = rep.cols[std::size_t(x)];
+    Ref sum = Ref(0);
+    for (index_t i = 0; i < m; ++i) sum += acc[i + j * ld];
+    if (dom.mismatch(tol, false, sum, ctx.cr()[j], d)) mine.mismatch = true;
+  }
+  tm.barrier();
+  tm.single([&] {
+    bool unverified = false;
+    for (const PanelRepair::Slot& s : rep.slots) {
+      if (correction_log != nullptr)
+        correction_log->insert(correction_log->end(), s.log.begin(),
+                               s.log.end());
+      detected += s.fixed;
+      corrected += s.fixed;
+      unverified = unverified || s.mismatch;
+    }
+    if (unverified) ++uncorrectable;
+  });
 }
 
 /// Apply the corruptions an injector planned for one macro block of the
@@ -334,6 +378,7 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
   Domain<S, C> dom(plan, ctx, alpha, beta, c, ldc, ra, quant);
   std::vector<std::vector<Mismatch>> row_mm(FT ? std::size_t(nt) : 0);
   std::vector<std::vector<Mismatch>> col_mm(FT ? std::size_t(nt) : 0);
+  PanelRepair repair(FT ? nt : 0);
   std::int64_t detected = 0;
   std::int64_t corrected = 0;
   int uncorrectable = 0;
@@ -485,6 +530,9 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
                                [](const auto& l) { return !l.empty(); });
           };
           if (any_mismatch(row_mm) || any_mismatch(col_mm)) {
+            // Rank 0 merges the lists (each ascends, as do the members'
+            // ranges) and either settles the panel itself or publishes its
+            // crossing lines to the team.
             tm.single([&] {
               std::vector<Mismatch> rows, cols;
               for (int t = 0; t < nt; ++t) {
@@ -493,18 +541,42 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
                 cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
                             col_mm[std::size_t(t)].end());
               }
-              locate_correct_reverify(rows, cols, dom, tol, av, bv, p + pinc,
-                                      m, n, ctx, panel, correction_log,
-                                      detected, corrected, uncorrectable);
+              repair.recompute = false;
+              // A private accumulator starts at zero: always rebuildable.
+              if constexpr (!Domain<S, C>::kPrivateAcc) {
+                if (!dom.rebuildable()) {
+                  locate_correct_reverify(rows, cols, dom, tol, m, n, ctx,
+                                          panel, correction_log, detected,
+                                          corrected, uncorrectable);
+                  return;
+                }
+              }
+              if (rows.empty() || cols.empty() ||
+                  index_t(rows.size()) * index_t(cols.size()) >
+                      m * n / kRecomputeShare + std::max(m, n)) {
+                detected += std::int64_t(std::max(rows.size(), cols.size()));
+                ++uncorrectable;
+                return;
+              }
+              repair.rows.clear();
+              repair.cols.clear();
+              for (const Mismatch& mm : rows) repair.rows.push_back(mm.idx);
+              for (const Mismatch& mm : cols) repair.cols.push_back(mm.idx);
+              repair.recompute = true;
             });  // trailing team barrier
+            if (repair.recompute) {
+              recompute_crossings(tm, repair, dom, tol, av, bv, p + pinc, m,
+                                  n, ctx, panel, correction_log, detected,
+                                  corrected, uncorrectable);
+            }
           }
         }
       }
     }
 
     // Every member arrives here synchronized (the last B~ chunk's barrier,
-    // in FT the verify barrier or the locate section's), so the accumulator
-    // is final; a degenerate call computed nothing.
+    // in FT the verify barrier or the repair's last), so the accumulator is
+    // final; a degenerate call computed nothing.
     dom.store(r, degenerate);
   };
   runtime::run_team(plan.runtime, nt, team_body);

@@ -33,15 +33,20 @@ FtReport reliable_impl(Layout layout, Trans ta, Trans tb, index_t m,
       return rejected;
     }
   }
-  // Snapshot C so an uncorrectable panel can be rolled back.  The copy
-  // respects the caller's layout: for row-major, "columns" below are the
-  // caller's rows, but the (ldc, minor=n/m) traversal is the same.
+  // Snapshot C so an uncorrectable panel can be rolled back.  At beta = 0
+  // the call never reads C (the encode pass writes zeros), so a retry needs
+  // nothing restored and no snapshot is taken.  The copy respects the
+  // caller's layout: for row-major, "columns" below are the caller's rows,
+  // but the (ldc, minor=n/m) traversal is the same.
   const index_t minor = layout == Layout::kColMajor ? m : n;
   const index_t major = layout == Layout::kColMajor ? n : m;
+  const bool restore = beta != C(0);
   std::vector<C> snapshot;
-  snapshot.reserve(static_cast<std::size_t>(minor * major));
-  for (index_t j = 0; j < major; ++j)
-    snapshot.insert(snapshot.end(), c + j * ldc, c + j * ldc + minor);
+  if (restore) {
+    snapshot.reserve(static_cast<std::size_t>(minor * major));
+    for (index_t j = 0; j < major; ++j)
+      snapshot.insert(snapshot.end(), c + j * ldc, c + j * ldc + minor);
+  }
 
   FtReport total;
   for (int attempt = 0;; ++attempt) {
@@ -58,9 +63,11 @@ FtReport reliable_impl(Layout layout, Trans ta, Trans tb, index_t m,
       return total;
     }
     // Roll back and retry.
-    for (index_t j = 0; j < major; ++j) {
-      const C* src = snapshot.data() + j * minor;
-      std::copy(src, src + minor, c + j * ldc);
+    if (restore) {
+      for (index_t j = 0; j < major; ++j) {
+        const C* src = snapshot.data() + j * minor;
+        std::copy(src, src + minor, c + j * ldc);
+      }
     }
   }
 }

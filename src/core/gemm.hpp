@@ -13,10 +13,12 @@
 // with op in {identity, transpose}, arbitrary leading dimensions, and both
 // row-major and column-major layouts.
 //
-// The *_reliable variants snapshot C, run the FT kernel, and transparently
-// re-execute on the (rare) panels the locator cannot disambiguate — giving
-// an unconditional correct-result guarantee under any error pattern the
-// checksums can detect.
+// The *_reliable variants run the FT kernel and transparently re-execute on
+// the (rare) panels the locator cannot disambiguate — giving an
+// unconditional correct-result guarantee under any error pattern the
+// checksums can detect.  At beta != 0 they snapshot C first and restore it
+// before each re-execution; at beta = 0 the call never reads C, so they
+// re-execute over it as it stands.
 //
 // GemmEngine<T> offers the same operations with workspace *and plan* reuse
 // across calls (steady-state allocation-free, re-planning-free via the
@@ -65,9 +67,11 @@ FtReport ft_sgemm(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
                   index_t ldc, const Options& opts = {});
 
 /// ft_dgemm with an unconditional result guarantee: if a panel reports an
-/// uncorrectable mismatch, C is restored from a snapshot and the call is
-/// re-executed (up to max_retries times).  The returned report aggregates
-/// all attempts; report.retries counts re-executions.
+/// uncorrectable mismatch, the call is re-executed (up to max_retries
+/// times), with C first restored from a snapshot taken on entry when
+/// beta != 0 (at beta = 0 C is never read, and no snapshot is taken).  The
+/// returned report aggregates all attempts; report.retries counts
+/// re-executions.
 FtReport ft_dgemm_reliable(Layout layout, Trans ta, Trans tb, index_t m,
                            index_t n, index_t k, double alpha, const double* a,
                            index_t lda, const double* b, index_t ldb,
@@ -103,7 +107,7 @@ FtReport ft_gemm_bf16(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
                       const bf16_t* b, index_t ldb, float beta, float* c,
                       index_t ldc, const Options& opts = {});
 
-/// ft_gemm_bf16 with the snapshot/retry guarantee of ft_sgemm_reliable.
+/// ft_gemm_bf16 with the retry guarantee of ft_dgemm_reliable.
 FtReport ft_gemm_bf16_reliable(Layout layout, Trans ta, Trans tb, index_t m,
                                index_t n, index_t k, float alpha,
                                const bf16_t* a, index_t lda, const bf16_t* b,

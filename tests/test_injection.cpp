@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -623,32 +624,24 @@ TEST(ReliableWrapper, RetriesUncorrectablePattern) {
   EXPECT_FALSE(rep.clean());
 }
 
-TEST(ReliableWrapper, OneTransientFaultHealsOnRetry) {
-  // An injector that only corrupts the first call: the retry is clean and
-  // the final result exact.
-  class OneShotInjector final : public FaultInjector {
-   public:
-    void plan_block(const BlockContext& ctx,
-                    std::vector<InjectionRecord>& out) override {
-      if (fired_ || ctx.panel != 0) return;
-      // Cancelling pair within one block -> uncorrectable on first attempt.
-      if (ctx.i0 <= 9 && 9 < ctx.i0 + ctx.mlen && ctx.j0 <= 10 &&
-          30 < ctx.j0 + ctx.nlen) {
-        out.push_back({InjectionKind::kAddDelta, 0, 9, 10, 5.0, 0});
-        out.push_back({InjectionKind::kAddDelta, 0, 9, 30, -5.0, 0});
-        fired_ = true;
-      }
-    }
-
-   private:
-    bool fired_ = false;
-  };
-
-  const GemmCase cs{64, 64, 64};
+/// ft_dgemm_reliable on 64^3, C random or (`nan_c`) all NaN, under a
+/// cancelling pair that strikes the first call only: the pair leaves row
+/// 9's sum intact, so the first attempt flags its panel on either repair
+/// path, the retry runs clean, and C must be the fault-free result.  At
+/// beta != 0 that holds only if the retry starts from the caller's C, not
+/// from the flagged attempt's.
+void expect_transient_fault_heals(double beta, bool nan_c) {
+  GemmCase cs{64, 64, 64};
+  cs.beta = beta;
   Problem<double> p(cs);
+  if (nan_c) p.c.fill(std::numeric_limits<double>::quiet_NaN());
   const Matrix<double> ref = reference_result(cs, p);
   Matrix<double> c = p.c.clone();
-  OneShotInjector inj;
+  DeterministicInjector pair({
+      {InjectionKind::kAddDelta, 0, 9, 10, 5.0, 0},
+      {InjectionKind::kAddDelta, 0, 9, 30, -5.0, 0},
+  });
+  FirstCallOnly inj(pair);
   Options opts;
   opts.injector = &inj;
   const FtReport rep = ft_dgemm_reliable(Layout::kColMajor, cs.ta, cs.tb,
@@ -658,7 +651,21 @@ TEST(ReliableWrapper, OneTransientFaultHealsOnRetry) {
                                          opts, 2);
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.retries, 1);
+  EXPECT_TRUE(all_finite(c));
   EXPECT_LE(max_rel_diff(c, ref), gemm_tolerance<double>(cs.k));
+}
+
+TEST(ReliableWrapper, OneTransientFaultHealsOnRetry) {
+  expect_transient_fault_heals(0.0, false);
+}
+
+TEST(ReliableWrapper, OneTransientFaultHealsOnRetryAtBetaOne) {
+  expect_transient_fault_heals(1.0, false);
+}
+
+TEST(ReliableWrapper, BetaZeroRetryOverNanFilledC) {
+  // At beta = 0 no snapshot is taken: the retry writes over C as it stands.
+  expect_transient_fault_heals(0.0, true);
 }
 
 TEST(InjectionLog, RecordsGroundTruthPositionsAndDeltas) {
