@@ -202,8 +202,8 @@ void expect_panel_one_corrected_with_empty_chunk(double delta, Call&& call) {
   expect_matrix_near(out[0], out[1], 0.0, "4 threads vs 1");
 }
 
-/// Each precision's FT entry point at beta = 0 on fixed random operands,
-/// as (m, n, k, opts, c): the `call` of the helpers above and below.
+/// Each precision's FT entry point at beta = 0 on fixed random operands:
+/// the `call(m, n, k, opts, c)` the panel-1 helpers take.
 FtReport ft_f64(index_t m, index_t n, index_t k, const Options& opts,
                 Matrix<double>& c) {
   Matrix<double> a(m, k), b(k, n);
