@@ -59,7 +59,7 @@ int main() {
     std::int64_t corrected = 0;
     bool verified = true;
     std::vector<double> samples;
-    for (int r = -1; r < reps; ++r) {  // r = -1: warm-up, checked, untimed
+    for (int r = -1; r < reps; ++r) {  // r = -1: warm-up, checked, unsampled
       const WallTimer t;
       const FtReport rep = ft_engine.ft_gemm(
           Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
