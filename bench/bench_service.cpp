@@ -36,7 +36,9 @@
 // Per-client operands are private; each client spot-verifies its last
 // window against the oracle so the harness cannot quietly serve garbage.
 // Series are interleaved (async, sync, async, ...) per rep; medians over
-// FTGEMM_BENCH_REPS are reported.
+// FTGEMM_BENCH_REPS are reported.  helped_pct is who ran the queued
+// requests: the share a waiting client ran itself (ServiceStats::helped
+// over queued completions), the dispatchers having run the rest.
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -93,9 +95,16 @@ double run_sync(std::vector<ClientWorkload>& clients, index_t calls,
   return double(nclients) * double(calls) / t.seconds();
 }
 
-double run_async(std::vector<ClientWorkload>& clients, index_t calls,
-                 index_t window, int nt, int shards,
-                 std::atomic<int>& failures) {
+struct AsyncRun {
+  double rps = 0;
+  /// Share of the queued requests that their own waiting client ran
+  /// (help-on-wait); the dispatchers ran the rest.
+  double helped_pct = 0;
+};
+
+AsyncRun run_async(std::vector<ClientWorkload>& clients, index_t calls,
+                   index_t window, int nt, int shards,
+                   std::atomic<int>& failures) {
   const int nclients = int(clients.size());
   serve::ServiceConfig cfg;
   cfg.max_coalesce = 32;
@@ -133,9 +142,13 @@ double run_async(std::vector<ClientWorkload>& clients, index_t calls,
     });
   }
   for (auto& th : threads) th.join();
-  const double rps = double(nclients) * double(calls) / t.seconds();
+  AsyncRun run;
+  run.rps = double(nclients) * double(calls) / t.seconds();
+  const serve::ServiceStats st = service.stats();
+  const std::uint64_t queued = st.completed - st.inline_executed;
+  if (queued > 0) run.helped_pct = 100.0 * double(st.helped) / double(queued);
   service.shutdown(true);
-  return rps;
+  return run;
 }
 
 /// Symmetric plan-cache warm-up.  The sync loop only ever exercises the
@@ -166,13 +179,19 @@ void prewarm(ClientWorkload& w, index_t window, int nt, int shards) {
   service.shutdown(true);
 }
 
-/// Runs one series and returns its async/sync ratio per client count.
-std::vector<double> run_series(const std::string& label, index_t size,
-                               index_t calls, index_t window, int nt,
-                               int reps, int shards,
-                               std::initializer_list<int> client_counts,
-                               std::atomic<int>& failures) {
-  std::vector<double> ratios;
+/// One row's medians over reps.
+struct Point {
+  double ratio = 0;  ///< async/sync
+  double helped_pct = 0;
+};
+
+/// Runs one series and returns its row per client count.
+std::vector<Point> run_series(const std::string& label, index_t size,
+                              index_t calls, index_t window, int nt, int reps,
+                              int shards,
+                              std::initializer_list<int> client_counts,
+                              std::atomic<int>& failures) {
+  std::vector<Point> rows;
   for (const int nclients : client_counts) {
     std::vector<ClientWorkload> cw;
     cw.reserve(std::size_t(nclients));
@@ -182,19 +201,21 @@ std::vector<double> run_series(const std::string& label, index_t size,
     prewarm(cw[0], window, nt, shards);
     run_async(cw, calls, window, nt, shards, failures);  // warm-up both sides
     run_sync(cw, calls, window, nt, failures);
-    std::vector<double> sync_s, async_s;
+    std::vector<double> sync_s, async_s, helped_s;
     for (int r = 0; r < reps; ++r) {
-      async_s.push_back(run_async(cw, calls, window, nt, shards, failures));
+      const AsyncRun run = run_async(cw, calls, window, nt, shards, failures);
+      async_s.push_back(run.rps);
+      helped_s.push_back(run.helped_pct);
       sync_s.push_back(run_sync(cw, calls, window, nt, failures));
     }
     const double s = compute_stats(sync_s).median;
     const double a = compute_stats(async_s).median;
-    ratios.push_back(s > 0 ? a / s : 0.0);
-    std::printf("%-16s%8d%14.1f%14.1f%12.2fx\n", label.c_str(), nclients, s,
-                a, ratios.back());
+    rows.push_back({s > 0 ? a / s : 0.0, compute_stats(helped_s).median});
+    std::printf("%-16s%8d%14.1f%14.1f%12.2fx%12.1f\n", label.c_str(),
+                nclients, s, a, rows.back().ratio, rows.back().helped_pct);
     std::fflush(stdout);
   }
-  return ratios;
+  return rows;
 }
 
 }  // namespace
@@ -220,15 +241,15 @@ int main() {
   std::printf("# sharded_* series: explicit shard counts, loaded client "
               "counts only\n");
   print_provenance();
-  std::printf("%-16s%8s%14s%14s%13s\n", "series", "clients", "sync_rps",
-              "async_rps", "ratio");
+  std::printf("%-16s%8s%14s%14s%13s%12s\n", "series", "clients",
+              "sync_rps", "async_rps", "ratio", "helped_pct");
 
   std::atomic<int> failures{0};
   const index_t team_window = std::max(window / 2, index_t(4));
-  const std::vector<double> serial = run_series(
+  const std::vector<Point> serial = run_series(
       "serial_nt1", small, small_calls, window, 1, reps, 0, {1, 2, 4, 8},
       failures);
-  const std::vector<double> teams =
+  const std::vector<Point> teams =
       run_series("team_nt" + std::to_string(team), big, big_calls,
                  team_window, team, reps, 0, {1, 2, 4, 8}, failures);
   // Shard-scaling sweep at loaded client counts: the sync baseline is the
@@ -242,10 +263,14 @@ int main() {
                team_window, team, reps, s, {4, 8}, failures);
   }
   // What the rows show, stated from the rows themselves.
-  const auto [smin, smax] = std::minmax_element(serial.begin(), serial.end());
+  const auto [smin, smax] = std::minmax_element(
+      serial.begin(), serial.end(),
+      [](const Point& x, const Point& y) { return x.ratio < y.ratio; });
   std::printf("# rows: serial_nt1 ratio %.2fx..%.2fx over 1-8 clients; "
-              "team_nt%d ratio %.2fx and %.2fx at 4 and 8 clients\n",
-              *smin, *smax, team, teams[2], teams[3]);
+              "team_nt%d ratio %.2fx and %.2fx, helped_pct %.1f and %.1f, "
+              "at 4 and 8 clients\n",
+              smin->ratio, smax->ratio, team, teams[2].ratio, teams[3].ratio,
+              teams[2].helped_pct, teams[3].helped_pct);
   if (failures.load() != 0) {
     std::printf("# VERIFICATION FAILURES: %d\n", failures.load());
     return 1;

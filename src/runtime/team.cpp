@@ -228,6 +228,11 @@ class WorkerPool {
 
   void worker_main(WorkerSlot* slot, int index) {
 #if defined(__linux__)
+    // A new thread copies its spawner's scheduling class; the first thread
+    // to lease a worker must not set the class of every later caller's
+    // teams (a batch-class shard dispatcher, an idle-class caller).
+    const sched_param normal{};
+    pthread_setschedparam(pthread_self(), SCHED_OTHER, &normal);
     if (pin_ && ncpu_ > 0) {
       cpu_set_t set;
       CPU_ZERO(&set);

@@ -18,6 +18,11 @@
 
 #include "core/checksum_domain.hpp"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace ftgemm::serve {
 
 namespace {
@@ -258,6 +263,15 @@ void ServiceShard::cancel_all() {
 // ---------------------------------------------------------------------------
 
 void ServiceShard::dispatcher_main() {
+#if defined(__linux__)
+  // Batch class for the dispatcher's whole life: Linux never lets a woken
+  // batch-class thread preempt the running one, so submit_all's wake no
+  // longer takes the core from the client about to run its own window.
+  // The dispatcher still gets its fair share at the next tick and an idle
+  // core at once.  If the call fails, it keeps the class it started with.
+  const sched_param param{};
+  pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
+#endif
   std::vector<detail::Pending> group;
   for (;;) {
     group.clear();

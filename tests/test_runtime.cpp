@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/gemm_batched.hpp"
@@ -16,6 +17,11 @@
 #include "runtime/team.hpp"
 #include "runtime/topology.hpp"
 #include "test_common.hpp"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace ftgemm {
 namespace {
@@ -188,6 +194,34 @@ TEST(PoolRuntime, WorkersPersistAndAreReusedAcrossRegions) {
   for (int i = 0; i < 16; ++i) runtime::run_team(RuntimeBackend::kPool, 3, noop);
   EXPECT_EQ(runtime::pool_worker_count(), after_first);
 }
+
+#if defined(__linux__)
+/// Pool workers run in the normal class whoever spawns them.  A new thread
+/// copies its spawner's scheduling class by default, so without the reset
+/// the first caller to lease a worker (a batch-class shard dispatcher, an
+/// idle-class thread) would set the class of every later caller's teams.
+TEST(PoolRuntime, SpawnedWorkersKeepTheNormalClass) {
+  // One more worker than the pool has, so at least one gets spawned here.
+  const int nt = runtime::pool_worker_count() + 2;
+  std::vector<int> policy(std::size_t(nt), -1);
+  bool switched = false;
+  std::thread caller([&] {
+    const sched_param param{};
+    switched = pthread_setschedparam(pthread_self(), SCHED_BATCH, &param) == 0;
+    if (!switched) return;
+    auto record = [&](runtime::TeamMember& tm) {
+      policy[std::size_t(tm.tid())] = sched_getscheduler(0);
+    };
+    runtime::run_team(RuntimeBackend::kPool, nt, record);
+  });
+  caller.join();
+  ASSERT_TRUE(switched) << "could not switch the caller to SCHED_BATCH";
+  EXPECT_EQ(policy[0], SCHED_BATCH) << "rank 0 is the calling thread";
+  for (int r = 1; r < nt; ++r) {
+    EXPECT_EQ(policy[std::size_t(r)], SCHED_OTHER) << "rank " << r;
+  }
+}
+#endif
 
 TEST(PoolRuntime, NestedOpenMPRegionFallsBackToPool) {
   // A nested `#pragma omp parallel` delivers a one-member team by default,

@@ -24,6 +24,10 @@
 #include "serve/service.hpp"
 #include "test_common.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace ftgemm {
 namespace {
 
@@ -910,6 +914,94 @@ TEST(ServiceSubmitAll, QueuesTheWindowAndSettlesEachGroupAsItFinishes) {
   EXPECT_EQ(stats.completed, std::uint64_t(1 + kRequests + 3));
   EXPECT_EQ(stats.inline_executed, 0u);
 }
+
+#if defined(__linux__)
+/// The dispatcher runs in the batch class, so its wake cannot preempt a
+/// client that is about to run its own window, and it stays the backstop
+/// for callers that never wait: a window whose futures are only given
+/// then() continuations still runs to the end, on the dispatcher.  The
+/// class is the dispatcher's alone: a request a waiter runs settles on the
+/// waiter's thread, in its own class.
+TEST(ServiceDispatcher, BatchClassBackstopForCallersThatNeverWait) {
+  // Everything the continuations touch outlives the service, so an early
+  // failure cannot leave them writing to a dead frame during shutdown.
+  std::atomic<int> settled{0};
+  int policy[3] = {-1, -1, -1};
+  RequestStatus status[3] = {};
+  int waiter_policy = -1;
+  // Distinct shapes: three groups, no coalescing.
+  const GemmCase shapes[] = {{48, 40, 64}, {40, 48, 56}, {32, 56, 48}};
+  std::vector<Problem<double>> problems;
+  std::vector<Matrix<double>> c_sync, c_async;
+  std::vector<serve::GemmRequest> window;
+  for (int r = 0; r < 3; ++r) {
+    problems.emplace_back(shapes[r], std::uint64_t(600 + r));
+    c_sync.push_back(problems.back().c.clone());
+    c_async.push_back(problems.back().c.clone());
+  }
+  for (int r = 0; r < 3; ++r) {
+    const GemmCase& cs = shapes[r];
+    const Problem<double>& p = problems[std::size_t(r)];
+    run_sync<double>(cs, true, p, c_sync[std::size_t(r)], {});
+    window.push_back(make_gemm_request<double>(
+        true, Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
+        p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), cs.beta,
+        c_async[std::size_t(r)].data(), c_async[std::size_t(r)].ld()));
+  }
+  Matrix<double> c_helped = problems[0].c.clone();
+
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.inline_fast_lane = false;
+  cfg.start_paused = true;  // the continuations attach before anything runs
+  GemmService service(cfg);
+  std::vector<GemmFuture> futures = service.submit_all(window);
+  for (int r = 0; r < 3; ++r) {
+    futures[std::size_t(r)].then([&, r](const GemmResult& res) {
+      policy[r] = sched_getscheduler(0);
+      status[r] = res.status;
+      settled.fetch_add(1);
+    });
+  }
+  service.resume();
+  // Never wait() and never poll a future: only the dispatcher can run
+  // the window.  Bounded, so a lost backstop fails instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (settled.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(settled.load(), 3) << "the dispatcher left the window queued";
+  EXPECT_EQ(service.stats().helped, 0u);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(status[r], RequestStatus::kDone) << "member " << r;
+    EXPECT_EQ(policy[r], SCHED_BATCH)
+        << "member " << r << " settled outside the batch-class dispatcher";
+    expect_matrix_near(c_async[std::size_t(r)], c_sync[std::size_t(r)], 0.0,
+                       "dispatcher-run member " + std::to_string(r));
+  }
+
+  // A waiter runs its own request while the dispatcher is held, and its
+  // continuation fires on the waiter's thread.
+  service.pause();
+  DispatcherBlocker blocker;
+  blocker.hold(service);
+  const GemmCase& cs = shapes[0];
+  const Problem<double>& p = problems[0];
+  GemmFuture fut = service.submit(make_gemm_request<double>(
+      true, Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
+      p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), cs.beta, c_helped.data(),
+      c_helped.ld()));
+  fut.then([&](const GemmResult&) { waiter_policy = sched_getscheduler(0); });
+  const GemmResult res = fut.wait();
+  blocker.release();
+  EXPECT_EQ(res.status, RequestStatus::kDone);
+  EXPECT_EQ(service.stats().helped, 1u);
+  EXPECT_EQ(waiter_policy, SCHED_OTHER);
+  expect_matrix_near(c_helped, c_sync[0], 0.0, "helped request");
+  service.shutdown(true);
+}
+#endif
 
 /// The sharding must be invisible in results: every shard count and every
 /// shard_hint routing delivers the synchronous bits, including resident-A
