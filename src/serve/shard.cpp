@@ -264,11 +264,9 @@ void ServiceShard::cancel_all() {
 
 void ServiceShard::dispatcher_main() {
 #if defined(__linux__)
-  // Batch class for the dispatcher's whole life: Linux never lets a woken
-  // batch-class thread preempt the running one, so submit_all's wake no
-  // longer takes the core from the client about to run its own window.
-  // The dispatcher still gets its fair share at the next tick and an idle
-  // core at once.  If the call fails, it keeps the class it started with.
+  // Batch class for life: a woken batch-class thread never preempts the
+  // running one, so submit_all's wake leaves the core to the client about
+  // to run its own window.  If the call fails, the class stays as it was.
   const sched_param param{};
   pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
 #endif
