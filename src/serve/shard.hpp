@@ -43,7 +43,9 @@
 // the mutex), takes the shard mutex empty and notifies.  submit_all pushes
 // its whole window before it wakes anyone, so a parked dispatcher first
 // sees the window whole.  The common-case push — dispatcher running —
-// stays lock-free end to end.
+// stays lock-free end to end.  On Linux the dispatcher runs in the
+// SCHED_BATCH class, so the wake never preempts the producer, which is
+// usually about to run that window itself in wait().
 #pragma once
 
 #include <array>
