@@ -37,6 +37,8 @@
 //     - The Ar encode writes disjoint K-slices directly: no partials.
 //     - The epilogue's zero-point vectors arow/bcol are accumulated by the
 //       packers (arow on the first pass over each (row, panel) region).
+//     - Cc is encoded from the packed A~ slab after pack_a, on cold calls
+//       and resident hits alike; Cr is fused into pack_b over op(B).
 //
 // Both domains share the executor's thread topology, barrier structure and
 // summation order, so results do not depend on the team backend or on the
@@ -438,33 +440,28 @@ class ExactDomain {
                        ctx_.bc_part(tid));
   }
 
-  /// A resident slab already holds the biased u8 bytes and is consumed
-  /// zero-copy.  arow must see each (row, panel) region exactly once, so
-  /// only the first pass (jc == 0) accumulates it: A~ is repacked with
-  /// identical bytes for every later jc block.
+  /// Produce the A~ slab of rows [i0, i0+ilen) x depth [k0, k0+klen): a
+  /// resident slab already holds the biased u8 bytes and is consumed
+  /// zero-copy; otherwise pack_a writes it, and arow sees each (row, panel)
+  /// region exactly once, so only the first pass (jc == 0) accumulates it
+  /// (A~ is repacked with identical bytes for every later jc block).  In FT,
+  /// Cc is then encoded from the slab the kernels read, on both routes.
   template <bool FT>
   const PackedA* pack_a(const OperandView<S>& av, index_t i0, index_t k0,
                         index_t ilen, index_t klen, bool first_pass, int tid) {
     const index_t mr = plan_.blocking.mr;
+    const PackedA* slab = ctx_.atilde(tid);
     if (ra_ != nullptr) {
-      const PackedA* slab =
-          reinterpret_cast<const PackedA*>(ra_->panel_at(k0)) +
-          (i0 / mr) * i8_tile_bytes(klen, mr);
-      if constexpr (FT) {
-        ks_.pack.encode_cc(slab, ilen, klen, mr, ctx_.bc(tid),
-                           ctx_.cc() + i0);
-      }
-      return slab;
-    }
-    PackedA* dst = ctx_.atilde(tid);
-    Sum* arow = first_pass ? ctx_.arow() : nullptr;
-    if constexpr (FT) {
-      ks_.pack.pack_a_ft(av, i0, k0, ilen, klen, mr, dst, arow, ctx_.bc(tid),
-                         ctx_.cc());
+      slab = reinterpret_cast<const PackedA*>(ra_->panel_at(k0)) +
+             (i0 / mr) * i8_tile_bytes(klen, mr);
     } else {
-      ks_.pack.pack_a(av, i0, k0, ilen, klen, mr, dst, arow);
+      ks_.pack.pack_a(av, i0, k0, ilen, klen, mr, ctx_.atilde(tid),
+                      first_pass ? ctx_.arow() : nullptr);
     }
-    return dst;
+    if constexpr (FT) {
+      ks_.pack.encode_cc(slab, ilen, klen, mr, ctx_.bc(tid), ctx_.cc() + i0);
+    }
+    return slab;
   }
 
   /// Exact checksums: there is no threshold to derive.

@@ -37,6 +37,9 @@
 // operand checksums (Ar/Bc).  Integer sums are exact and order-independent,
 // so — unlike the float kernels — the FT epilogue may reduce the finished
 // register tile directly (no lane-partial mirroring needed; cr_lanes = 1).
+// Cc is encoded from the packed A~ slab right after pack_a (cold calls and
+// resident hits alike), Cr from op(B) inside pack_b_ft, so every panel keeps
+// one prediction that does not read the packed bytes.
 #pragma once
 
 #include "kernels/int8_types.hpp"
@@ -82,9 +85,10 @@ using I8MicroKernelFt = void (*)(index_t kc, const std::uint8_t* a,
 /// Pack/encode family of the int8 path (full specialization — see the file
 /// header for why the generic members don't fit).  The reference members
 /// are portable scalar implementations in the flag-free
-/// kernel_int8_scalar.cpp; pack_int8_avx2.cpp swaps in AVX2 FT checksum
-/// passes over the same shared packed layout (bit-identical output), and
-/// the layout itself makes every member correct for every kernel ISA.
+/// kernel_int8_scalar.cpp; pack_int8_avx2.cpp and kernel_int8_avx512.cpp
+/// swap in SIMD checksum passes over the same shared packed layout
+/// (bit-identical output), and the layout itself makes every member correct
+/// for every kernel ISA.
 template <>
 struct PackSet<std::int8_t, std::int32_t> {
   /// Pack op(A) rows [m0, m0+mlen) x depth [k0, k0+klen) into MR-tall
@@ -95,12 +99,6 @@ struct PackSet<std::int8_t, std::int32_t> {
   void (*pack_a)(const OperandView<std::int8_t>& a, index_t m0, index_t k0,
                  index_t mlen, index_t klen, index_t mr, std::uint8_t* dst,
                  std::int32_t* arow) = nullptr;
-  /// pack_a fused with the predicted-Cc update cc[m0+i] += sum_kk
-  /// u8(i, kk) * bc[kk] (int64; bc is panel-local, bc[0] = depth k0).
-  void (*pack_a_ft)(const OperandView<std::int8_t>& a, index_t m0,
-                    index_t k0, index_t mlen, index_t klen, index_t mr,
-                    std::uint8_t* dst, std::int32_t* arow,
-                    const std::int32_t* bc, std::int64_t* cc) = nullptr;
   /// Pack op(B) depth [k0, k0+klen) x cols [j0, j0+nlen) into NR-wide s8
   /// quad tiles (zero-padded).  When `bcol` is non-null, accumulates the
   /// per-column depth sums bcol[j0+j] += sum_kk s8(kk, j) — the epilogue's
@@ -126,9 +124,9 @@ struct PackSet<std::int8_t, std::int32_t> {
   void (*encode_ar)(const OperandView<std::int8_t>& a, index_t i0,
                     index_t ilen, index_t k0, index_t klen,
                     std::int32_t* ar) = nullptr;
-  /// Replay pack_a_ft's fused Cc update from an already-packed (resident)
-  /// panel: cc[i] += sum_kk u8(i, kk) * bc[kk].  Padding bytes are zero, so
-  /// replaying over the padded tile is exact.
+  /// Predicted-Cc update from a packed A~ slab (just packed, or resident):
+  /// cc[i] += sum_kk u8(i, kk) * bc[kk] (int64; bc is panel-local).
+  /// Padding bytes are zero, so sweeping the padded tile is exact.
   void (*encode_cc)(const std::uint8_t* packed, index_t mlen, index_t klen,
                     index_t mr, const std::int32_t* bc,
                     std::int64_t* cc) = nullptr;
@@ -160,7 +158,7 @@ KernelSet<std::int8_t, std::int32_t> scalar_kernels_i8();
 KernelSet<std::int8_t, std::int32_t> avx2_kernels_i8();
 KernelSet<std::int8_t, std::int32_t> avx512_kernels_i8();
 PackSet<std::int8_t, std::int32_t> scalar_pack_i8();
-/// scalar_pack_i8 with the FT checksum passes (pack_a_ft / pack_b_ft /
+/// scalar_pack_i8 with the FT checksum passes (encode_cc / pack_b_ft /
 /// encode_ar / reduce_bc) replaced by AVX2 sweeps — identical packed bytes
 /// and bit-identical checksums (exact integer sums are order-independent);
 /// see pack_int8_avx2.cpp.  Only reachable through the AVX2/AVX-512 kernel

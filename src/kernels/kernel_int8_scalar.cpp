@@ -4,11 +4,11 @@
 // routines here are the fallback executed on machines without AVX2, so they
 // must never contain AVX encodings.  The packers here are the reference
 // implementations of the single shared packed byte layout (see
-// kernels/kernel_int8.hpp); pack_int8_avx2.cpp accelerates the FT checksum
-// passes but delegates every byte movement back here, so switching kernels
-// via FTGEMM_FORCE_ISA never changes a packed byte, a checksum, or a
-// result: the whole path is exact integer arithmetic, bit-identical across
-// ISAs by construction.
+// kernels/kernel_int8.hpp); pack_int8_avx2.cpp and kernel_int8_avx512.cpp
+// accelerate the FT checksum passes but delegate every byte movement back
+// here, so switching kernels via FTGEMM_FORCE_ISA never changes a packed
+// byte, a checksum, or a result: the whole path is exact integer
+// arithmetic, bit-identical across ISAs by construction.
 //
 // This TU also owns the int8 get_kernel_set/get_pack_set dispatch: the
 // generic dispatcher in kernel_scalar.cpp routes mixed pairs through the
@@ -83,12 +83,11 @@ void kernel_i8_scalar_ft(index_t kc, const std::uint8_t* a,
 // ---------------------------------------------------------------------------
 
 // Pack op(A) into MR-tall biased-u8 quad tiles; optional fused arow
-// (epilogue row sums) and cc (predicted column checksum, needs bc).
-template <bool FT>
-void pack_a_i8_impl(const OperandView<std::int8_t>& a, index_t m0, index_t k0,
-                    index_t mlen, index_t klen, index_t mr, std::uint8_t* dst,
-                    std::int32_t* arow, const std::int32_t* bc,
-                    std::int64_t* cc) {
+// (epilogue row sums).  The predicted Cc is encoded from the packed tiles
+// afterwards (encode_cc), on cold calls and resident hits alike.
+void pack_a_i8(const OperandView<std::int8_t>& a, index_t m0, index_t k0,
+               index_t mlen, index_t klen, index_t mr, std::uint8_t* dst,
+               std::int32_t* arow) {
   const index_t kq = i8_kq(klen);
   for (index_t it = 0; it < mlen; it += mr) {
     const index_t rows = mlen - it < mr ? mlen - it : mr;
@@ -97,38 +96,19 @@ void pack_a_i8_impl(const OperandView<std::int8_t>& a, index_t m0, index_t k0,
       std::uint8_t* quad = tile + q * (mr * kI8KQuad);
       for (index_t i = 0; i < mr; ++i) {
         std::int32_t rsum = 0;
-        std::int64_t csum = 0;
         for (index_t t = 0; t < kI8KQuad; ++t) {
           const index_t kk = q * kI8KQuad + t;
           std::uint8_t v = 0;
           if (i < rows && kk < klen) {
             v = bias_i8(a.at(m0 + it + i, k0 + kk));
             rsum += std::int32_t(v);
-            if constexpr (FT) csum += std::int64_t(v) * std::int64_t(bc[kk]);
           }
           quad[i * kI8KQuad + t] = v;
         }
-        if (i < rows) {
-          if (arow != nullptr) arow[m0 + it + i] += rsum;
-          if constexpr (FT) cc[m0 + it + i] += csum;
-        }
+        if (i < rows && arow != nullptr) arow[m0 + it + i] += rsum;
       }
     }
   }
-}
-
-void pack_a_i8(const OperandView<std::int8_t>& a, index_t m0, index_t k0,
-               index_t mlen, index_t klen, index_t mr, std::uint8_t* dst,
-               std::int32_t* arow) {
-  pack_a_i8_impl<false>(a, m0, k0, mlen, klen, mr, dst, arow, nullptr,
-                        nullptr);
-}
-
-void pack_a_ft_i8(const OperandView<std::int8_t>& a, index_t m0, index_t k0,
-                  index_t mlen, index_t klen, index_t mr, std::uint8_t* dst,
-                  std::int32_t* arow, const std::int32_t* bc,
-                  std::int64_t* cc) {
-  pack_a_i8_impl<true>(a, m0, k0, mlen, klen, mr, dst, arow, bc, cc);
 }
 
 // Pack op(B) into NR-wide s8 quad tiles; optional fused bcol (epilogue
@@ -213,7 +193,7 @@ void encode_ar_i8(const OperandView<std::int8_t>& a, index_t i0, index_t ilen,
   }
 }
 
-// Replay of pack_a_ft's fused Cc update from a resident packed panel.
+// Predicted-Cc update from a packed A~ slab.
 void encode_cc_i8(const std::uint8_t* packed, index_t mlen, index_t klen,
                   index_t mr, const std::int32_t* bc, std::int64_t* cc) {
   const index_t kq = i8_kq(klen);
@@ -239,7 +219,6 @@ void encode_cc_i8(const std::uint8_t* packed, index_t mlen, index_t klen,
 PackSet<std::int8_t, std::int32_t> scalar_pack_i8() {
   PackSet<std::int8_t, std::int32_t> p;
   p.pack_a = &pack_a_i8;
-  p.pack_a_ft = &pack_a_ft_i8;
   p.pack_b = &pack_b_i8;
   p.pack_b_ft = &pack_b_ft_i8;
   p.reduce_bc = &reduce_bc_i8;

@@ -1,15 +1,11 @@
 // AVX2 accelerations of the int8 FT pack/encode family.
 //
-// The int8 FT overhead is not in the micro-kernels (the VNNI FT epilogue is
-// amortized over the whole KC loop) — it is in the checksum arithmetic the
-// portable packers fuse per byte: an int64 multiply-accumulate against
-// bc/ar for every packed element, behind per-byte padding branches.  This
-// TU keeps the byte layout EXACTLY as the portable packers produce it (it
-// delegates the byte movement to kernel_int8_scalar.cpp) and replaces only
-// the checksum passes with vectorized sweeps over the original operands:
+// This TU keeps the byte layout EXACTLY as the portable packers produce it
+// (it delegates the byte movement to kernel_int8_scalar.cpp) and replaces
+// only the checksum passes with vectorized sweeps:
 //
-//   pack_a_ft : cc[i] += sum_kk u8(i,kk)*bc[kk]   — columns of op(A) are
-//               contiguous in i (no-trans), so 8 rows advance per step
+//   encode_cc : cc[i] += sum_kk u8(i,kk)*bc[kk]   — over the packed A~ slab
+//               (4-row tiles: one 16-byte quad holds 4 rows x 4 depths)
 //   pack_b_ft : cr[j] += sum_kk ar[kk]*s8(kk,j)   — columns of op(B) are
 //               contiguous in kk (no-trans), a vector dot per column
 //   encode_ar : ar[kk] += sum_i u8(i,kk)          — VPSADBW column sums
@@ -18,12 +14,14 @@
 // Every quantity is an integer and integer addition is associative, so the
 // vector passes are bit-identical to the scalar ones by construction — the
 // FTGEMM_FORCE_ISA=scalar CI leg and Int8Gemm.ForcedScalarIsaBitIdentical*
-// assert exactly that.  Transposed views (and oversized checksum
-// magnitudes, see the mullo headroom guards) delegate to the portable
-// implementations wholesale.
+// assert exactly that.  Other tile heights, transposed views and oversized
+// checksum magnitudes (see the mullo headroom guards) delegate to the
+// portable implementations wholesale.  The VNNI tier (kernel_int8_avx512.cpp)
+// replaces encode_cc and pack_b_ft again with vpdpbusd digit sweeps.
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 #include "kernels/microkernel.hpp"
@@ -37,12 +35,11 @@ const PackSet<std::int8_t, std::int32_t>& portable() {
   return p;
 }
 
-std::int32_t max_abs_i32(const std::int32_t* v, index_t n) {
-  std::int32_t m = 0;
-  for (index_t i = 0; i < n; ++i) {
-    const std::int32_t a = v[i] < 0 ? -v[i] : v[i];
-    m = std::max(m, a);
-  }
+/// Largest |v[i]|, in int64 so that INT32_MIN has a magnitude.
+std::int64_t max_abs_i32(const std::int32_t* v, index_t n) {
+  std::int64_t m = 0;
+  for (index_t i = 0; i < n; ++i)
+    m = std::max(m, std::abs(std::int64_t(v[i])));
   return m;
 }
 
@@ -54,63 +51,66 @@ std::int64_t hsum_epi64(__m256i v) {
   return _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1);
 }
 
-// pack_a fused with the predicted-Cc update, vectorized over the rows of
-// op(A).  Bytes + arow come from the portable pack_a (identical layout by
-// construction); the cc matvec runs 8 rows per step with i32 partial
-// products widened to i64 every W depth steps (W sized so W * 255 * max|bc|
-// stays under 2^30 — and |bc| itself must leave mullo headroom: |bc| <
-// 2^22 keeps even a W = 1 partial inside i32, else delegate).
-void pack_a_ft_i8_avx2(const OperandView<std::int8_t>& a, index_t m0,
-                       index_t k0, index_t mlen, index_t klen, index_t mr,
-                       std::uint8_t* dst, std::int32_t* arow,
-                       const std::int32_t* bc, std::int64_t* cc) {
-  const std::int32_t bmax = max_abs_i32(bc, klen);
-  if (a.trans || bmax >= (1 << 22)) {
-    portable().pack_a_ft(a, m0, k0, mlen, klen, mr, dst, arow, bc, cc);
+// Predicted-Cc update over the packed 4-row A~ tiles: each 16-byte quad is
+// rows 0..3 x depths 0..3, widened to two 8 x i32 vectors and multiplied by
+// the quad's bc values.  i32 partial products are widened to i64 every W
+// quads (W sized so W * 255 * max|bc| stays under 2^30 — and |bc| itself
+// must leave mullo headroom: |bc| < 2^22 keeps even a W = 1 partial inside
+// i32, else delegate).
+void encode_cc_i8_avx2(const std::uint8_t* packed, index_t mlen,
+                       index_t klen, index_t mr, const std::int32_t* bc,
+                       std::int64_t* cc) {
+  constexpr index_t kRows = 4;
+  const std::int64_t bmax = max_abs_i32(bc, klen);
+  if (mr != kRows || bmax >= (1 << 22)) {
+    portable().encode_cc(packed, mlen, klen, mr, bc, cc);
     return;
   }
-  portable().pack_a(a, m0, k0, mlen, klen, mr, dst, arow);
   if (bmax == 0) return;  // every product is zero
   const index_t W =
-      std::max<index_t>(1, (index_t(1) << 30) / (255 * index_t(bmax)));
-  const __m128i bias = _mm_set1_epi8(char(0x80));
-  const index_t i_full = mlen - mlen % 8;
-  for (index_t i = 0; i < i_full; i += 8) {
-    const std::int8_t* col0 = a.data + (m0 + i) + k0 * a.ld;
-    __m256i acc_lo = _mm256_setzero_si256();
-    __m256i acc_hi = _mm256_setzero_si256();
-    index_t kk = 0;
-    while (kk < klen) {
-      const index_t end = std::min(klen, kk + W);
-      __m256i acc32 = _mm256_setzero_si256();
-      for (; kk < end; ++kk) {
-        __m128i v8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(col0 + kk * a.ld));
-        v8 = _mm_xor_si128(v8, bias);
-        const __m256i prod = _mm256_mullo_epi32(
-            _mm256_cvtepu8_epi32(v8), _mm256_set1_epi32(bc[kk]));
-        acc32 = _mm256_add_epi32(acc32, prod);
+      std::max<index_t>(1, (index_t(1) << 30) / (255 * bmax));
+  const index_t kq = i8_kq(klen);
+  const index_t kq_full = klen / kI8KQuad;
+  // The depth padding of a ragged last quad multiplies zero bytes; a zeroed
+  // copy of its bc values keeps the load inside bc.
+  alignas(16) std::int32_t tail[kI8KQuad] = {0, 0, 0, 0};
+  for (index_t kk = kq_full * kI8KQuad; kk < klen; ++kk)
+    tail[kk - kq_full * kI8KQuad] = bc[kk];
+  const index_t tile_bytes = kq * kI8KQuad * kRows;
+  for (index_t it = 0; it < mlen; it += kRows) {
+    const std::uint8_t* tile = packed + (it / kRows) * tile_bytes;
+    __m256i r01[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    __m256i r23[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    index_t q = 0;
+    while (q < kq) {
+      const index_t end = std::min(kq, q + W);
+      __m256i acc01 = _mm256_setzero_si256();  // rows 0, 1 x depths 0..3
+      __m256i acc23 = _mm256_setzero_si256();  // rows 2, 3
+      for (; q < end; ++q) {
+        const std::int32_t* bq = q < kq_full ? bc + q * kI8KQuad : tail;
+        const __m256i b4 = _mm256_broadcastsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bq)));
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(tile + q * (kRows * kI8KQuad)));
+        acc01 = _mm256_add_epi32(
+            acc01, _mm256_mullo_epi32(_mm256_cvtepu8_epi32(v), b4));
+        acc23 = _mm256_add_epi32(
+            acc23, _mm256_mullo_epi32(
+                       _mm256_cvtepu8_epi32(_mm_srli_si128(v, 8)), b4));
       }
-      acc_lo = _mm256_add_epi64(
-          acc_lo, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc32)));
-      acc_hi = _mm256_add_epi64(
-          acc_hi, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc32, 1)));
+      r01[0] = _mm256_add_epi64(
+          r01[0], _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc01)));
+      r01[1] = _mm256_add_epi64(
+          r01[1], _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc01, 1)));
+      r23[0] = _mm256_add_epi64(
+          r23[0], _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc23)));
+      r23[1] = _mm256_add_epi64(
+          r23[1], _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc23, 1)));
     }
-    alignas(32) std::int64_t lo[4], hi[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lo), acc_lo);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(hi), acc_hi);
-    for (int r = 0; r < 4; ++r) {
-      cc[m0 + i + r] += lo[r];
-      cc[m0 + i + 4 + r] += hi[r];
-    }
-  }
-  for (index_t i = i_full; i < mlen; ++i) {
-    std::int64_t csum = 0;
-    for (index_t kk = 0; kk < klen; ++kk) {
-      csum += std::int64_t(bias_i8(a.at(m0 + i, k0 + kk))) *
-              std::int64_t(bc[kk]);
-    }
-    cc[m0 + i] += csum;
+    const std::int64_t rows[kRows] = {hsum_epi64(r01[0]), hsum_epi64(r01[1]),
+                                      hsum_epi64(r23[0]), hsum_epi64(r23[1])};
+    const index_t live = std::min(kRows, mlen - it);
+    for (index_t i = 0; i < live; ++i) cc[it + i] += rows[i];
   }
 }
 
@@ -122,7 +122,7 @@ void pack_b_ft_i8_avx2(const OperandView<std::int8_t>& b, index_t k0,
                        index_t j0, index_t klen, index_t nlen, index_t nr,
                        std::int8_t* dst, std::int32_t* bcol,
                        const std::int32_t* ar, std::int64_t* cr) {
-  const std::int32_t amax = max_abs_i32(ar, klen);
+  const std::int64_t amax = max_abs_i32(ar, klen);
   if (b.trans || amax >= (1 << 22)) {
     portable().pack_b_ft(b, k0, j0, klen, nlen, nr, dst, bcol, ar, cr);
     return;
@@ -130,7 +130,7 @@ void pack_b_ft_i8_avx2(const OperandView<std::int8_t>& b, index_t k0,
   portable().pack_b(b, k0, j0, klen, nlen, nr, dst, bcol);
   if (amax == 0) return;
   const index_t W =
-      std::max<index_t>(1, (index_t(1) << 30) / (128 * index_t(amax)));
+      std::max<index_t>(1, (index_t(1) << 30) / (128 * amax));
   const index_t k_full = klen - klen % 8;
   for (index_t j = 0; j < nlen; ++j) {
     const std::int8_t* col = b.data + k0 + (j0 + j) * b.ld;
@@ -249,7 +249,7 @@ void reduce_bc_i8_avx2(const std::int8_t* b_packed, index_t klen,
 
 PackSet<std::int8_t, std::int32_t> avx2_pack_i8() {
   PackSet<std::int8_t, std::int32_t> p = scalar_pack_i8();
-  p.pack_a_ft = &pack_a_ft_i8_avx2;
+  p.encode_cc = &encode_cc_i8_avx2;
   p.pack_b_ft = &pack_b_ft_i8_avx2;
   p.encode_ar = &encode_ar_i8_avx2;
   p.reduce_bc = &reduce_bc_i8_avx2;

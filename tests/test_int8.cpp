@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/cpu_features.hpp"
 #include "core/gemm_i8.hpp"
 #include "inject/injectors.hpp"
 #include "serve/service.hpp"
@@ -82,6 +83,73 @@ void check_case(index_t m, index_t n, index_t k, Trans ta, Trans tb,
   EXPECT_EQ(rep.errors_corrected, 0) << label;
   if (k > 0 && alpha != 0.0f && m > 0 && n > 0) {
     EXPECT_GE(rep.panels, 1) << label;
+  }
+}
+
+/// Every executable int8 FT micro-kernel on a tile that starts near
+/// INT32_MIN/INT32_MAX: C must get the exact update, cr_ref/cc_ref must
+/// gain the exact int64 column/row sums of the updated tile (16 values near
+/// the int32 limits overflow any int32 sum), and exactly nr cr_ref slots
+/// and mr cc_ref slots may be written — the canaries just past them, and
+/// the rows of C between mr and ldc, stay untouched.
+TEST(Int8Kernel, FtReferencesExactNearInt32Limits) {
+  std::vector<Isa> isas{Isa::kScalar};
+  if (cpu_features().has_avx2_kernel_support()) isas.push_back(Isa::kAvx2);
+  if (cpu_features().has_avx512_kernel_support()) isas.push_back(Isa::kAvx512);
+  constexpr std::int64_t kCanary = 0x5A5A5A5A5A5A5A5A;
+  for (const Isa isa : isas) {
+    const auto ks = get_kernel_set<std::int8_t, std::int32_t>(isa);
+    const index_t mr = ks.mr, nr = ks.nr, ldc = mr + 3;
+    for (const index_t kc : {index_t(1), index_t(61), index_t(256)}) {
+      SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                   " kc=" + std::to_string(kc));
+      Xoshiro256 rng(std::uint64_t(kc) * 977 + std::uint64_t(mr));
+      // Packed tiles with zero depth padding, as the packers leave them.
+      std::vector<std::uint8_t> a(std::size_t(i8_tile_bytes(kc, mr)), 0);
+      std::vector<std::int8_t> b(std::size_t(i8_tile_bytes(kc, nr)), 0);
+      for (index_t kk = 0; kk < kc; ++kk) {
+        const index_t q = kk / kI8KQuad, t = kk % kI8KQuad;
+        for (index_t i = 0; i < mr; ++i)
+          a[std::size_t((q * mr + i) * kI8KQuad + t)] =
+              std::uint8_t(rng.bounded(256));
+        for (index_t j = 0; j < nr; ++j)
+          b[std::size_t((q * nr + j) * kI8KQuad + t)] =
+              std::int8_t(std::int32_t(rng.bounded(256)) - 128);
+      }
+      // |update| <= 32640 * kc, so the updated tile stays inside int32.
+      const std::int64_t margin = 32640 * std::int64_t(kc) + 1000;
+      std::vector<std::int32_t> c(std::size_t(ldc * nr));
+      for (std::size_t e = 0; e < c.size(); ++e) {
+        const std::int64_t off = margin + std::int64_t(rng.bounded(1000));
+        c[e] = std::int32_t(e % 3 == 0 ? std::int64_t(INT32_MIN) + off
+                                       : std::int64_t(INT32_MAX) - off);
+      }
+      std::vector<std::int32_t> want_c = c;
+      std::vector<std::int64_t> want_cr(std::size_t(nr) + 1, kCanary);
+      std::vector<std::int64_t> want_cc(std::size_t(mr) + 1, kCanary);
+      for (index_t j = 0; j < nr; ++j) want_cr[std::size_t(j)] = 3 * j - 40;
+      for (index_t i = 0; i < mr; ++i) want_cc[std::size_t(i)] = 17 - 5 * i;
+      std::vector<std::int64_t> cr = want_cr, cc = want_cc;
+      for (index_t j = 0; j < nr; ++j) {
+        for (index_t i = 0; i < mr; ++i) {
+          std::int64_t v = want_c[std::size_t(i + j * ldc)];
+          for (index_t kk = 0; kk < kc; ++kk) {
+            const index_t q = kk / kI8KQuad, t = kk % kI8KQuad;
+            v += std::int64_t(a[std::size_t((q * mr + i) * kI8KQuad + t)]) *
+                 std::int64_t(b[std::size_t((q * nr + j) * kI8KQuad + t)]);
+          }
+          ASSERT_GE(v, INT32_MIN);
+          ASSERT_LE(v, INT32_MAX);
+          want_c[std::size_t(i + j * ldc)] = std::int32_t(v);
+          want_cr[std::size_t(j)] += v;
+          want_cc[std::size_t(i)] += v;
+        }
+      }
+      ks.ft(kc, a.data(), b.data(), c.data(), ldc, cr.data(), cc.data());
+      EXPECT_EQ(c, want_c);
+      EXPECT_EQ(cr, want_cr) << "cr_ref[nr] is a canary";
+      EXPECT_EQ(cc, want_cc) << "cc_ref[mr] is a canary";
+    }
   }
 }
 

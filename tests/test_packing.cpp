@@ -5,6 +5,8 @@
 // docs/DESIGN.md "SIMD packing & checksum engine").
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "kernels/kernel_int8.hpp"
 #include "kernels/packing.hpp"
 #include "util/matrix.hpp"
+#include "util/rng.hpp"
 
 namespace ftgemm {
 namespace {
@@ -477,6 +480,122 @@ TEST(PackDispatch, I8ReduceBcMatchesScalarAcrossIsas) {
         std::vector<std::int32_t> got(std::size_t(klen), -9);
         ks.pack.reduce_bc(packed.data(), klen, nlen, nr, got.data());
         EXPECT_EQ(got, want);
+      }
+    }
+  }
+}
+
+/// Checksum operands at every base-256 digit boundary the SIMD passes
+/// split on, plus the largest values four signed digits cover and the
+/// first that does not (the portable fallback).
+std::vector<std::int32_t> i8_digit_boundaries() {
+  return {0,          127,        -127,       128,        -128,
+          1 << 15,    -(1 << 15), (1 << 23) - 1, -((1 << 23) - 1),
+          1 << 23,    -(1 << 23), 2139062143, 2139062144,
+          std::numeric_limits<std::int32_t>::max(),
+          std::numeric_limits<std::int32_t>::min()};
+}
+
+/// Checksum operand vectors of depth klen: random magnitudes, then every
+/// boundary value alone and interleaved with small values (so each vector's
+/// largest magnitude is the boundary value itself).
+std::vector<std::vector<std::int32_t>> i8_checksum_vectors(
+    index_t klen, std::uint64_t seed) {
+  std::vector<std::vector<std::int32_t>> out;
+  Xoshiro256 rng(seed);
+  std::vector<std::int32_t> random(static_cast<std::size_t>(klen));
+  for (auto& v : random) v = std::int32_t(rng.bounded(200001)) - 100000;
+  out.push_back(random);
+  for (const std::int32_t b : i8_digit_boundaries()) {
+    out.emplace_back(static_cast<std::size_t>(klen), b);
+    std::vector<std::int32_t> mixed(static_cast<std::size_t>(klen));
+    for (index_t kk = 0; kk < klen; ++kk)
+      mixed[std::size_t(kk)] = kk % 2 == 0 ? b : std::int32_t(kk % 3) - 1;
+    out.push_back(mixed);
+  }
+  return out;
+}
+
+// Every tier's Cc (from the packed A~) and Cr (fused into pack_b_ft over
+// op(B), both transposes) must equal a direct int64 sum over the operand,
+// on ragged tiles and depths and at every digit boundary of Bc/Ar.
+TEST(PackDispatch, I8EncodeCcAndPackBFtMatchDirectSumsAcrossIsas) {
+  Matrix<std::int8_t> src(300, 300);
+  src.fill_random(47, std::int8_t(-128), std::int8_t(127));
+  const PackSet<std::int8_t, std::int32_t> ref =
+      get_pack_set<std::int8_t, std::int32_t>(Isa::kScalar);
+  const index_t m0 = 5, k0 = 3, j0 = 2;
+  for (const Isa isa : executable_isas()) {
+    const auto ks = get_kernel_set<std::int8_t, std::int32_t>(isa);
+    const index_t mr = ks.mr, nr = ks.nr;
+    for (const index_t klen : {index_t(1), index_t(3), index_t(4),
+                               index_t(17), index_t(64), index_t(257)}) {
+      const auto sums = i8_checksum_vectors(klen, std::uint64_t(klen));
+      // ---- encode_cc over a packed A~ slab ----
+      const OperandView<std::int8_t> av{src.data(), src.ld(), false};
+      for (const index_t mlen : {index_t(1), mr - 1, mr, 2 * mr + 3}) {
+        if (mlen <= 0) continue;
+        const index_t tiles = (mlen + mr - 1) / mr;
+        std::vector<std::uint8_t> packed(
+            std::size_t(tiles * i8_tile_bytes(klen, mr)), 0xEE);
+        ks.pack.pack_a(av, m0, k0, mlen, klen, mr, packed.data(), nullptr);
+        for (std::size_t v = 0; v < sums.size(); ++v) {
+          SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                       " mlen=" + std::to_string(mlen) +
+                       " klen=" + std::to_string(klen) +
+                       " bc vector " + std::to_string(v));
+          const std::vector<std::int32_t>& bc = sums[v];
+          std::vector<std::int64_t> want(std::size_t(mlen) + 1), got;
+          for (index_t i = 0; i <= mlen; ++i)
+            want[std::size_t(i)] = 7 * i - 3;
+          got = want;
+          for (index_t i = 0; i < mlen; ++i)
+            for (index_t kk = 0; kk < klen; ++kk)
+              want[std::size_t(i)] +=
+                  std::int64_t(bias_i8(src(m0 + i, k0 + kk))) *
+                  std::int64_t(bc[std::size_t(kk)]);
+          ks.pack.encode_cc(packed.data(), mlen, klen, mr, bc.data(),
+                            got.data());
+          EXPECT_EQ(got, want) << "the slot past mlen is a canary";
+        }
+      }
+      // ---- pack_b_ft: bytes, bcol and Cr over op(B) ----
+      for (const bool trans : {false, true}) {
+        const OperandView<std::int8_t> bv{src.data(), src.ld(), trans};
+        for (const index_t nlen : {index_t(1), nr - 1, nr, 2 * nr + 3}) {
+          if (nlen <= 0) continue;
+          const index_t tiles = (nlen + nr - 1) / nr;
+          const std::size_t bytes =
+              std::size_t(tiles * i8_tile_bytes(klen, nr));
+          std::vector<std::int8_t> want_b(bytes, 0x11);
+          std::vector<std::int32_t> want_bcol(std::size_t(j0 + nlen), 4);
+          ref.pack_b(bv, k0, j0, klen, nlen, nr, want_b.data(),
+                     want_bcol.data());
+          for (std::size_t v = 0; v < sums.size(); ++v) {
+            SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                         " trans=" + std::to_string(trans) +
+                         " nlen=" + std::to_string(nlen) +
+                         " klen=" + std::to_string(klen) +
+                         " ar vector " + std::to_string(v));
+            const std::vector<std::int32_t>& ar = sums[v];
+            std::vector<std::int64_t> want(std::size_t(j0 + nlen) + 1), got;
+            for (std::size_t j = 0; j < want.size(); ++j)
+              want[j] = 5 - 11 * std::int64_t(j);
+            got = want;
+            for (index_t j = 0; j < nlen; ++j)
+              for (index_t kk = 0; kk < klen; ++kk)
+                want[std::size_t(j0 + j)] +=
+                    std::int64_t(ar[std::size_t(kk)]) *
+                    std::int64_t(bv.at(k0 + kk, j0 + j));
+            std::vector<std::int8_t> got_b(bytes, 0x22);
+            std::vector<std::int32_t> got_bcol(std::size_t(j0 + nlen), 4);
+            ks.pack.pack_b_ft(bv, k0, j0, klen, nlen, nr, got_b.data(),
+                              got_bcol.data(), ar.data(), got.data());
+            EXPECT_EQ(got, want) << "the slot past j0+nlen is a canary";
+            EXPECT_EQ(got_b, want_b) << "pack_b_ft bytes must equal pack_b";
+            EXPECT_EQ(got_bcol, want_bcol);
+          }
+        }
       }
     }
   }
