@@ -9,17 +9,16 @@
 // difference corrects it — the classic ABFT argument (Huang & Abraham).
 //
 // Checksums name *which* rows and columns are wrong, not which of their
-// crossings are.  Where the accumulator can be rebuilt from the operands
-// (int8, and float with beta = 0), the driver recomputes every crossing of
-// a mismatched row and column instead of inferring deltas
-// (core/driver.hpp).  Elsewhere (float with beta != 0, whose beta*C0 the
-// encode pass overwrote, and the unfused baseline) only two delta rules
-// run, both sound for up to two errors per panel: the mutual-unique peel
-// and a single-row or single-column line.  Every other pattern — equal
-// deltas on several lines among them — is reported as uncorrectable so the
-// caller can re-run (see ft_gemm_reliable).  Like the classic
+// crossings are.  The fused executor therefore infers no deltas: at every
+// precision and beta it recomputes every crossing of a mismatched row and
+// column from the operands (core/driver.hpp).  The error-assignment solver
+// below serves only the unfused baseline (baseline/unfused_abft.cpp),
+// whose first pass overwrote C0.  It runs two delta rules, both sound for
+// up to two errors: the mutual-unique peel and a single-row or
+// single-column line.  Every other pattern — equal deltas on several lines
+// among them — is reported as uncorrectable.  Like the classic
 // single-error rule, a delta rule can still be misled by three or more
-// errors whose sums coincide exactly (docs/DESIGN.md §1).
+// errors whose sums coincide exactly.
 #pragma once
 
 #include <cmath>

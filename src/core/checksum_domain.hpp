@@ -14,9 +14,9 @@
 //     - Checksums are compared against a ToleranceModel bound derived from
 //       amax(A), amax(B) and amax(C).  Each member records its amax partials
 //       and derives the bound from all of them once per panel.
-//     - A mismatch is repaired by recomputing the crossings from A and B
-//       when beta = 0, and by the delta rules of abft/verifier.hpp
-//       otherwise (beta*C0 is gone once the encode pass has run).
+//     - A mismatch is repaired by recomputing the crossings from A and B,
+//       starting from beta*C0: at beta != 0 the FT encode keeps a copy of
+//       it before the kernels accumulate onto C.
 //     - Ar is reduced from per-member partials, in member order.
 //     - Cr reference partials are lane-strided (cr_lanes slots per column).
 //
@@ -142,13 +142,18 @@ class FloatDomain {
               const Quant&)
       : plan_(plan), ks_(plan.kernels), ctx_(ctx), alpha_(alpha),
         beta_(beta), c_(c), ldc_(ldc), ra_(ra),
+        seed_(plan.key.ft && beta != C(0) && alpha != C(0) && !plan.k_zero
+                  ? ctx.seed(std::size_t(plan.key.m) *
+                             std::size_t(plan.key.n))
+                  : nullptr),
         amax_(plan.key.ft ? std::size_t(plan.threads) * 3 : 0, 0.0) {}
 
   /// The buffer the macro kernels accumulate into.
   [[nodiscard]] C* acc() const { return c_; }
   [[nodiscard]] index_t ldacc() const { return ldc_; }
 
-  /// Encode phase: C = beta*C fused with Cc/Cr encoding; Ar; amax.
+  /// Encode phase: C = beta*C fused with Cc/Cr encoding, then a copy of
+  /// this member's rows of beta*C0 where the repair needs one; Ar; amax.
   template <bool FT>
   void encode(runtime::TeamMember& tm, const MemberRanges& r,
               const OperandView<S>& av, bool /*degenerate*/) {
@@ -168,6 +173,12 @@ class FloatDomain {
     if (r.mlen > 0) {
       amax_c = ks_.pack.scale_encode_c(c_, ldc_, r.ms, r.mlen, n, beta_,
                                        ctx_.cc(), ctx_.crref_part(tid));
+      if (seed_ != nullptr) {
+        const index_t m = plan_.key.m;
+        for (index_t j = 0; j < n; ++j)
+          std::copy(c_ + r.ms + j * ldc_, c_ + r.ms + r.mlen + j * ldc_,
+                    seed_ + r.ms + j * m);
+      }
       if (ra_ == nullptr) {
         amax_a = ks_.pack.encode_ar(av, r.ms, r.mlen, k, alpha_,
                                     ctx_.ar_part(tid));
@@ -284,32 +295,27 @@ class FloatDomain {
   }
 
   /// Re-verification of one exact sum against its prediction; `d` is the
-  /// residual the locator consumes.  NaN-sound (see outside_tolerance).
+  /// residual, the delta a correction record logs.  NaN-sound (see
+  /// outside_tolerance).
   static bool mismatch(const Tol& tol, bool rows, C sum, C predicted,
                        double& d) {
     d = double(sum) - double(predicted);
     return outside_tolerance(d, tau(tol, rows));
   }
 
-  /// Locator slack for a round with `count` open mismatches.
-  [[nodiscard]] static double slack(const Tol& tol, std::size_t count) {
-    return std::max(tol.cc_tau, tol.cr_tau) * double(2 + count);
-  }
-
-  static void correct(C& value, double delta) { value -= C(delta); }
-
-  /// Whether the accumulator can be rebuilt from A and B: only at beta = 0,
-  /// because the encode pass overwrote beta*C0.
-  [[nodiscard]] bool rebuildable() const { return beta_ == C(0); }
-
   /// Row i of the accumulator at columns `cols` over depth [0, kend),
-  /// recomputed from the operands as the packers read them: narrow storage
-  /// widened, alpha applied to A.  Differs from the kernels' values by
-  /// summation order only.
+  /// recomputed from the operands as the packers read them (narrow storage
+  /// widened, alpha applied to A) onto the starting value the kernels
+  /// accumulated onto: the kept beta*C0, or zero at beta = 0.  Differs from
+  /// the kernels' values by summation order only.
   void recompute_row(const OperandView<S>& av, const OperandView<S>& bv,
                      index_t i, const std::vector<index_t>& cols,
                      index_t kend, std::vector<C>& out) const {
     out.assign(cols.size(), C(0));
+    if (seed_ != nullptr) {
+      for (std::size_t c = 0; c < cols.size(); ++c)
+        out[c] = seed_[i + cols[c] * plan_.key.m];
+    }
     for (index_t p = 0; p < kend; ++p) {
       const C a = alpha_ * C(av.at(i, p));
       for (std::size_t c = 0; c < cols.size(); ++c)
@@ -332,6 +338,9 @@ class FloatDomain {
   C* c_;
   index_t ldc_;
   const ResidentAPayload<S, C>* ra_;
+  /// beta*C0 (leading dimension m) on FT calls at beta != 0 that compute;
+  /// null otherwise.
+  C* seed_;
   /// Per-member (amax A, amax B, amax C) partials, shared by the team.
   std::vector<double> amax_;
 };

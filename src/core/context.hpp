@@ -136,6 +136,13 @@ class GemmContext {
   [[nodiscard]] PackedB* btilde() { return btilde_.data(); }
   /// Private accumulator and zero-point vectors (kPrivateAcc domains).
   [[nodiscard]] ComputeT* cq() { return cq_.data(); }
+  /// The m*n starting value beta*C0 (leading dimension m) a float FT call
+  /// at beta != 0 keeps for its repair.  Sized here rather than by ensure:
+  /// it depends on beta, which no plan covers.  Grow-only.
+  [[nodiscard]] ComputeT* seed(std::size_t elems) {
+    seed_.ensure(elems);
+    return seed_.data();
+  }
   [[nodiscard]] Sum* arow() { return arow_.data(); }
   [[nodiscard]] Sum* bcol() { return bcol_.data(); }
 
@@ -174,7 +181,7 @@ class GemmContext {
 
   AlignedBuffer<PackedA> atilde_;
   AlignedBuffer<PackedB> btilde_;
-  AlignedBuffer<ComputeT> cq_;
+  AlignedBuffer<ComputeT> cq_, seed_;
   AlignedBuffer<Sum> arow_, bcol_;
   AlignedBuffer<Ref> cc_, cr_, ccref_, crref_, crref_part_;
   AlignedBuffer<Sum> ar_, ar_part_, bc_;

@@ -47,12 +47,15 @@
 // every element of C is updated exactly once per panel, so the reference
 // checksums accumulated inside the micro-kernels equal full row/column sums
 // of the current C, directly comparable with the predicted checksums.  A
-// clean FT panel costs three team barriers (B~ packed, B~ consumed, checksums
-// scanned) against Ori's two.  Only a panel with a mismatch adds the
-// repair's barriers: one after rank 0 merges the mismatch lists, and three
-// more when the team recomputes the crossings: after it recomputes them and
-// re-sums their rows, after it re-sums their columns, and after rank 0
-// appends the records.
+// panel with a mismatch is repaired one way at every precision and beta:
+// the team recomputes every crossing of its mismatched rows and columns
+// from the accumulator's starting value (zero, or the beta*C0 the domain
+// kept) and A and B.  A clean FT panel costs three team barriers (B~
+// packed, B~ consumed, checksums scanned) against Ori's two.  Only a panel
+// with a mismatch adds the repair's barriers: one after rank 0 merges the
+// mismatch lists, and three more when the team recomputes the crossings:
+// after it recomputes them and re-sums their rows, after it re-sums their
+// columns, and after rank 0 appends the records.
 #pragma once
 
 #include <algorithm>
@@ -140,84 +143,11 @@ struct PanelRepair {
   explicit PanelRepair(int nt) : slots(std::size_t(nt)) {}
 };
 
-/// Repair a panel whose accumulator cannot be rebuilt (float C at beta != 0:
-/// the encode pass overwrote beta*C0) with the delta rules of
-/// solve_error_assignment, then re-verify the touched rows and columns
-/// (R: rows, C: columns) with exact sums over the accumulator.  The rules
-/// repeat while the re-verification finds more: an exponent-scale error
-/// dwarfing its row sum loses the original value to rounding in the first
-/// subtraction and converges in the second round.  A non-finite element
-/// that survives never passes re-verification (NaN fails every tolerance
-/// test) and ends the panel uncorrectable.  Single-threaded: called from a
-/// team `single` section.  `rows`/`cols` are consumed as scratch.
-template <typename D, typename Ctx>
-inline void locate_correct_reverify(
-    std::vector<Mismatch>& rows, std::vector<Mismatch>& cols, const D& dom,
-    const typename D::Tol& tol, index_t m, index_t n, Ctx& ctx, int panel,
-    std::vector<CorrectionRecord>* correction_log, std::int64_t& detected,
-    std::int64_t& corrected, int& uncorrectable) {
-  using Ref = typename D::Ref;
-  auto* acc = dom.acc();
-  const index_t ld = dom.ldacc();
-  std::vector<index_t> touched_rows, touched_cols;
-  // Exact re-verification of everything touched; `rows`/`cols` become what
-  // still mismatches.
-  const auto reverify = [&] {
-    std::sort(touched_rows.begin(), touched_rows.end());
-    touched_rows.erase(std::unique(touched_rows.begin(), touched_rows.end()),
-                       touched_rows.end());
-    std::sort(touched_cols.begin(), touched_cols.end());
-    touched_cols.erase(std::unique(touched_cols.begin(), touched_cols.end()),
-                       touched_cols.end());
-    rows.clear();
-    cols.clear();
-    double d = 0.0;
-    for (const index_t i : touched_rows) {
-      Ref sum = Ref(0);
-      for (index_t j = 0; j < n; ++j) sum += acc[i + j * ld];
-      if (dom.mismatch(tol, true, sum, ctx.cc()[i], d))
-        rows.push_back({i, d});
-    }
-    for (const index_t j : touched_cols) {
-      Ref sum = Ref(0);
-      for (index_t i = 0; i < m; ++i) sum += acc[i + j * ld];
-      if (dom.mismatch(tol, false, sum, ctx.cr()[j], d))
-        cols.push_back({j, d});
-    }
-    return rows.empty() && cols.empty();
-  };
-
-  constexpr int kMaxRounds = 4;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    const SolveOutcome outcome = solve_error_assignment(
-        rows, cols, dom.slack(tol, rows.size() + cols.size()));
-    if (!outcome.solved) {
-      if (round == 0)
-        detected += std::int64_t(std::max(rows.size(), cols.size()));
-      ++uncorrectable;
-      return;
-    }
-    for (const LocatedError& err : outcome.errors) {
-      dom.correct(acc[err.row + err.col * ld], err.delta);
-      touched_rows.push_back(err.row);
-      touched_cols.push_back(err.col);
-      if (correction_log != nullptr)
-        correction_log->push_back({panel, round, err.row, err.col, err.delta});
-    }
-    if (round == 0) {
-      detected += std::int64_t(outcome.errors.size());
-      corrected += std::int64_t(outcome.errors.size());
-    }
-    if (reverify()) return;
-  }
-  ++uncorrectable;
-}
-
-/// The team phase of a rebuildable panel's repair: recompute every crossing
-/// of `rep.rows` x `rep.cols` from A and B over depth [0, kend), since every
-/// wrong element lies where a mismatched row crosses a mismatched column,
-/// then re-verify those rows and columns with exact sums over the
-/// accumulator.
+/// The team phase of a panel's repair: recompute every crossing of
+/// `rep.rows` x `rep.cols` from its starting value and A and B over depth
+/// [0, kend), since every wrong element lies where a mismatched row crosses
+/// a mismatched column, then re-verify those rows and columns with exact
+/// sums over the accumulator.
 /// Each member takes a contiguous share of the rows, at most
 /// ceil(|R| / nt), and owns every crossing in them, so it re-sums its rows
 /// at once; after one barrier the members share the column sums.
@@ -254,7 +184,7 @@ inline void recompute_crossings(
       // The element-level analogue of a checksum mismatch.
       if (dom.mismatch(tol, true, value, fresh[c], delta)) {
         if (correction_log != nullptr)
-          mine.log.push_back({panel, 0, i, rep.cols[c], delta});
+          mine.log.push_back({panel, i, rep.cols[c], delta});
         ++mine.fixed;
       }
       value = fresh[c];
@@ -531,38 +461,26 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
           };
           if (any_mismatch(row_mm) || any_mismatch(col_mm)) {
             // Rank 0 merges the lists (each ascends, as do the members'
-            // ranges) and either settles the panel itself or publishes its
+            // ranges) and either flags the panel itself or publishes its
             // crossing lines to the team.
             tm.single([&] {
-              std::vector<Mismatch> rows, cols;
-              for (int t = 0; t < nt; ++t) {
-                rows.insert(rows.end(), row_mm[std::size_t(t)].begin(),
-                            row_mm[std::size_t(t)].end());
-                cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
-                            col_mm[std::size_t(t)].end());
-              }
-              repair.recompute = false;
-              // A private accumulator starts at zero: always rebuildable.
-              if constexpr (!Domain<S, C>::kPrivateAcc) {
-                if (!dom.rebuildable()) {
-                  locate_correct_reverify(rows, cols, dom, tol, m, n, ctx,
-                                          panel, correction_log, detected,
-                                          corrected, uncorrectable);
-                  return;
-                }
-              }
-              if (rows.empty() || cols.empty() ||
-                  index_t(rows.size()) * index_t(cols.size()) >
-                      m * n / kRecomputeShare + std::max(m, n)) {
-                detected += std::int64_t(std::max(rows.size(), cols.size()));
-                ++uncorrectable;
-                return;
-              }
               repair.rows.clear();
               repair.cols.clear();
-              for (const Mismatch& mm : rows) repair.rows.push_back(mm.idx);
-              for (const Mismatch& mm : cols) repair.cols.push_back(mm.idx);
-              repair.recompute = true;
+              for (int t = 0; t < nt; ++t) {
+                for (const Mismatch& mm : row_mm[std::size_t(t)])
+                  repair.rows.push_back(mm.idx);
+                for (const Mismatch& mm : col_mm[std::size_t(t)])
+                  repair.cols.push_back(mm.idx);
+              }
+              const index_t nr = index_t(repair.rows.size());
+              const index_t nc = index_t(repair.cols.size());
+              repair.recompute = nr > 0 && nc > 0 &&
+                                 nr * nc <= m * n / kRecomputeShare +
+                                                std::max(m, n);
+              if (!repair.recompute) {
+                detected += std::max(nr, nc);
+                ++uncorrectable;
+              }
             });  // trailing team barrier
             if (repair.recompute) {
               recompute_crossings(tm, repair, dom, tol, av, bv, p + pinc, m,

@@ -14,11 +14,11 @@
 // row-major and column-major layouts.
 //
 // The *_reliable variants run the FT kernel and transparently re-execute on
-// the (rare) panels the locator cannot disambiguate — giving an
-// unconditional correct-result guarantee under any error pattern the
-// checksums can detect.  At beta != 0 they snapshot C first and restore it
-// before each re-execution; at beta = 0 the call never reads C, so they
-// re-execute over it as it stands.
+// the (rare) panels the repair flags — giving an unconditional
+// correct-result guarantee under any error pattern the checksums can
+// detect.  At beta != 0 they snapshot C first and restore it before each
+// re-execution; at beta = 0 the call never reads C, so they re-execute
+// over it as it stands.
 //
 // GemmEngine<T> offers the same operations with workspace *and plan* reuse
 // across calls (steady-state allocation-free, re-planning-free via the

@@ -16,8 +16,6 @@ using index_t = std::int64_t;
 /// One correction the verifier applied to C, with its provenance.
 struct CorrectionRecord {
   int panel = 0;        ///< rank-KC panel whose verification caught it
-  int round = 0;        ///< 0 = recompute or checksum delta; >0 = a later
-                        ///< round of the delta rules (core/driver.hpp)
   index_t i = 0;        ///< global row of the corrected element
   index_t j = 0;        ///< global column
   double delta = 0.0;   ///< perturbation removed from C(i, j)

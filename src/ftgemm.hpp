@@ -25,8 +25,6 @@
 #include "core/operand_cache.hpp"  // IWYU pragma: export
 #include "core/options.hpp"        // IWYU pragma: export
 #include "core/plan.hpp"           // IWYU pragma: export
-#include "ftblas/level1.hpp"       // IWYU pragma: export
-#include "ftblas/level2.hpp"       // IWYU pragma: export
 #include "inject/injectors.hpp"    // IWYU pragma: export
 #include "serve/service.hpp"       // IWYU pragma: export
 #include "util/matrix.hpp"         // IWYU pragma: export

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -210,6 +211,13 @@ template <typename T>
 double gemm_tolerance(index_t k) {
   const double eps = std::numeric_limits<T>::epsilon();
   return 64.0 * eps * std::sqrt(double(std::max<index_t>(k, 1)));
+}
+
+/// Euclidean norm of column 0 of `v`.
+inline double norm2(const Matrix<double>& v) {
+  double sum = 0.0;
+  for (index_t i = 0; i < v.rows(); ++i) sum += v(i, 0) * v(i, 0);
+  return std::sqrt(sum);
 }
 
 /// The one matrix comparison of the suite.  tol > 0 compares the

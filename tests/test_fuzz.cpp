@@ -325,65 +325,41 @@ TEST(CorrectionLog, MatchesInjectorGroundTruth) {
   EXPECT_EQ(log[0].i, 10);
   EXPECT_EQ(log[0].j, 20);
   EXPECT_NEAR(log[0].delta, 2.5, 1e-9);
-  EXPECT_EQ(log[0].round, 0);
   EXPECT_EQ(log[1].panel, 1);
   EXPECT_EQ(log[1].i, 70);
   EXPECT_EQ(log[1].j, 5);
   EXPECT_NEAR(log[1].delta, -4.25, 1e-9);
 }
 
-/// One corruption whose magnitude dwarfs the whole row sum (an exponent-
-/// scale upset) at (17, 23), under the correction log.
-std::vector<CorrectionRecord> run_huge_upset(const GemmCase& cs,
-                                             Matrix<double>& c,
-                                             FtReport& rep) {
-  const Problem<double> p(cs);
-  c = p.c.clone();
-  DeterministicInjector inj(
-      {{InjectionKind::kAddDelta, 0, 17, 23, 1e300, 0}});
-  std::vector<CorrectionRecord> log;
-  Options opts;
-  opts.injector = &inj;
-  opts.correction_log = &log;
-  rep = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
-                 p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), cs.beta,
-                 c.data(), c.ld(), opts);
-  for (const CorrectionRecord& r : log) {
-    EXPECT_EQ(r.i, 17);
-    EXPECT_EQ(r.j, 23);
+TEST(CorrectionLog, HugeUpsetIsOneRecompute) {
+  // One corruption whose magnitude dwarfs the whole row sum (an exponent-
+  // scale upset) at (17, 23).  The element is rebuilt from its starting
+  // value and A and B in one step at every beta, whatever the size of the
+  // upset: one record, and C right.
+  for (const double beta : {0.0, 1.0}) {
+    SCOPED_TRACE("beta=" + std::to_string(beta));
+    const GemmCase cs{64, 64, 64, Trans::kNoTrans, Trans::kNoTrans, 1.0,
+                      beta};
+    const Problem<double> p(cs);
+    Matrix<double> c = p.c.clone();
+    DeterministicInjector inj(
+        {{InjectionKind::kAddDelta, 0, 17, 23, 1e300, 0}});
+    std::vector<CorrectionRecord> log;
+    Options opts;
+    opts.injector = &inj;
+    opts.correction_log = &log;
+    const FtReport rep = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m,
+                                  cs.n, cs.k, cs.alpha, p.a.data(), p.a.ld(),
+                                  p.b.data(), p.b.ld(), cs.beta, c.data(),
+                                  c.ld(), opts);
+    EXPECT_TRUE(rep.clean());
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].i, 17);
+    EXPECT_EQ(log[0].j, 23);
+    EXPECT_NEAR(log[0].delta, 1e300, 1e285);
+    EXPECT_LE(max_rel_diff(c, reference_result(cs, p)),
+              gemm_tolerance<double>(cs.k));
   }
-  return log;
-}
-
-TEST(CorrectionLog, RecordsRecheckRounds) {
-  // beta != 0 leaves only the checksum delta: subtracting the estimate
-  // annihilates the corrupted value but loses the original, which only a
-  // later round recovers.  The log must show both steps.
-  const GemmCase cs{64, 64, 64, Trans::kNoTrans, Trans::kNoTrans, 1.0, 1.0};
-  Matrix<double> c;
-  FtReport rep;
-  const std::vector<CorrectionRecord> log = run_huge_upset(cs, c, rep);
-  EXPECT_TRUE(rep.clean());
-  ASSERT_GE(log.size(), 2u) << "huge flip requires a refinement round";
-  EXPECT_EQ(log[0].round, 0);
-  EXPECT_GT(log.back().round, 0);
-  EXPECT_LE(max_rel_diff(c, reference_result(cs, Problem<double>(cs))),
-            gemm_tolerance<double>(cs.k));
-}
-
-TEST(CorrectionLog, RecomputeNeedsNoRecheckRound) {
-  // beta = 0: the element is rebuilt from A and B in round 0, whatever
-  // the size of the upset.
-  const GemmCase cs{64, 64, 64};
-  Matrix<double> c;
-  FtReport rep;
-  const std::vector<CorrectionRecord> log = run_huge_upset(cs, c, rep);
-  EXPECT_TRUE(rep.clean());
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].round, 0);
-  EXPECT_NEAR(log[0].delta, 1e300, 1e285);
-  EXPECT_LE(max_rel_diff(c, reference_result(cs, Problem<double>(cs))),
-            gemm_tolerance<double>(cs.k));
 }
 
 }  // namespace

@@ -59,8 +59,8 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return GemmCase(info.param).name(); });
 
 TEST(Sgemm, FtCorrectsInjectedErrors) {
-  // beta = 0: five errors are beyond the delta rules, and the recompute
-  // rebuilds every crossing of a mismatched row and column.
+  // Five errors: the recompute rebuilds every crossing of a mismatched row
+  // and column.
   const index_t sz = 96;
   Matrix<float> a(sz, sz), b(sz, sz), c(sz, sz);
   a.fill_random(81);

@@ -180,8 +180,8 @@ TEST(MultiError, SameElementTwiceInOnePanelMergesIntoOneCorrection) {
 }
 
 TEST(MultiError, CancellingPairInRowIsAtLeastDetected) {
-  // +d and -d in the same row cancel in Cc but not in Cr: the locator
-  // cannot close the assignment, so the panel must be flagged
+  // +d and -d in the same row cancel in Cc but not in Cr: no mismatched
+  // row crosses the mismatched columns, so the panel must be flagged
   // uncorrectable — silent corruption is the one forbidden outcome.
   const GemmCase cs{64, 64, 64};
   DeterministicInjector inj({
@@ -213,10 +213,8 @@ TEST(MultiError, OutOfGeometryScheduleEntriesAreCountedUndelivered) {
 // Patterns whose checksums several assignments of the deltas balance.
 //
 // Checksums say which rows and columns are wrong, not which crossings.
-// Where the accumulator is rebuildable (float at beta = 0, int8 always) the
-// call must end clean and equal to the fault-free call.  At beta != 0 only
-// the delta rules run, which are sound for at most two errors per panel:
-// such a pattern must end flagged, or clean and right.
+// The repair recomputes the crossings at every beta, so the call must end
+// clean and equal to the fault-free call, at beta = 0 and 1 alike.
 // ---------------------------------------------------------------------------
 
 struct CrossPattern {
@@ -259,21 +257,15 @@ TEST(CrossTable, RecomputedOrFlaggedNeverSilent) {
   for (const CrossPattern& pattern : cross_patterns()) {
     SCOPED_TRACE(pattern.name);
     for (const double beta : {0.0, 1.0}) {
-      if (beta != 0.0 && pattern.errors.size() > 2) continue;
       SCOPED_TRACE(beta == 0.0 ? "ft_dgemm beta=0" : "ft_dgemm beta=1");
       GemmCase cs{kN, kN, kN};
       cs.beta = beta;
       DeterministicInjector inj(pattern.errors);
       const InjectionRun run = run_with_injector(cs, inj);
       ASSERT_EQ(inj.undelivered_count(), 0u);
-      if (beta == 0.0) {
-        EXPECT_TRUE(run.report.clean());
-        EXPECT_GE(run.report.errors_corrected, 1);
-      }
-      if (run.report.clean()) {
-        EXPECT_LE(run.rel_err, gemm_tolerance<double>(cs.k))
-            << "clean report over a wrong C";
-      }
+      EXPECT_TRUE(run.report.clean());
+      EXPECT_GE(run.report.errors_corrected, 1);
+      EXPECT_LE(run.rel_err, gemm_tolerance<double>(cs.k));
     }
     SCOPED_TRACE("ft_gemm_i8");
     DeterministicInjector inj(pattern.errors);
@@ -291,9 +283,10 @@ TEST(CrossTable, RecomputedOrFlaggedNeverSilent) {
 // gives deltas in [1, 3): on int8 they round to the integers 1..3, so equal
 // deltas meet in one panel all the time; on float they are distinct but
 // still land several to a row or column.  A clean report must mean C equals
-// the fault-free call, bit for bit on int8.  One thread: the locator is
-// what is under test, and hundreds of calls must not wait on barriers of an
-// oversubscribed host.
+// the fault-free call, bit for bit on int8.  The float calls run at beta = 0
+// and at beta = 1 over one C0, restored before every call.  One thread: the
+// locator is what is under test, and hundreds of calls must not wait on
+// barriers of an oversubscribed host.
 // ---------------------------------------------------------------------------
 
 TEST(NeverSilent, Int8SmallIntegerDeltas) {
@@ -329,28 +322,35 @@ void float_small_deltas_never_silent() {
   Matrix<S> a(kN, kN), b(kN, kN);
   a.fill_random(91);
   b.fill_random(92);
-  const auto run = [&](FaultInjector* inj, Matrix<float>& c) {
+  Matrix<float> c0(kN, kN);
+  c0.fill_random(93);
+  const auto run = [&](FaultInjector* inj, float beta, Matrix<float>& c) {
     Options opts;
     opts.threads = 1;
     opts.injector = inj;
+    c = c0.clone();
     if constexpr (std::is_same_v<S, float>) {
       return ft_sgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, kN,
-                      kN, kN, 1.0f, a.data(), kN, b.data(), kN, 0.0f,
+                      kN, kN, 1.0f, a.data(), kN, b.data(), kN, beta,
                       c.data(), kN, opts);
     } else {
       return ft_gemm_bf16(Layout::kColMajor, Trans::kNoTrans,
                           Trans::kNoTrans, kN, kN, kN, 1.0f, a.data(), kN,
-                          b.data(), kN, 0.0f, c.data(), kN, opts);
+                          b.data(), kN, beta, c.data(), kN, opts);
     }
   };
-  Matrix<float> want(kN, kN), got(kN, kN);
-  ASSERT_TRUE(run(nullptr, want).clean());
-  for (std::uint64_t s = 0; s < 300; ++s) {
-    CountInjector inj(4, s, 2.0);
-    const FtReport rep = run(&inj, got);
-    if (rep.clean()) {
-      EXPECT_LE(max_rel_diff(got, want), gemm_tolerance<float>(kN))
-          << "silent: seed=" << s;
+  for (const float beta : {0.0f, 1.0f}) {
+    Matrix<float> want, got;
+    ASSERT_TRUE(run(nullptr, beta, want).clean());
+    for (const int errors : {2, 4}) {
+      for (std::uint64_t s = 0; s < 300; ++s) {
+        CountInjector inj(errors, s, 2.0);
+        const FtReport rep = run(&inj, beta, got);
+        if (rep.clean()) {
+          EXPECT_LE(max_rel_diff(got, want), gemm_tolerance<float>(kN))
+              << "silent: beta=" << beta << " E=" << errors << " seed=" << s;
+        }
+      }
     }
   }
 }
@@ -487,27 +487,29 @@ TEST_P(BitflipSweep, HighBitsCorrected) {
       EXPECT_EQ(rep.errors_corrected, 1) << "bit " << bit;
       EXPECT_TRUE(rep.clean());
     }
-    // Whether corrected (large flip, converged via the exact-recheck
-    // rounds) or below threshold (low mantissa bit, numerically harmless by
-    // the tolerance argument), the result must stay near the reference.
+    // Whether corrected (a large flip, rebuilt by the recompute) or below
+    // threshold (low mantissa bit, numerically harmless by the tolerance
+    // argument), the result must stay near the reference.
     EXPECT_LE(max_rel_diff(c, ref),
               std::max(gemm_tolerance<double>(cs.k), 1e-9));
     return;
   }
-  // A non-finite element cannot be repaired by subtracting a delta: the
-  // panel must be flagged, and a re-execution restores the result.
-  EXPECT_FALSE(rep.clean());
-  EXPECT_GE(rep.errors_detected, 1);
+  // A non-finite element is rebuilt from the kept beta*C0 and A and B in
+  // the call itself: no flag, so a reliable call never re-executes.
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.errors_corrected, 1);
+  EXPECT_TRUE(all_finite(c));
+  EXPECT_LE(max_rel_diff(c, ref), gemm_tolerance<double>(cs.k));
 
-  FirstCallOnly once(inj);
-  opts.injector = &once;
   Matrix<double> healed = p.c.clone();
   const FtReport rel = ft_dgemm_reliable(
       Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, p.a.data(),
       p.a.ld(), p.b.data(), p.b.ld(), cs.beta, healed.data(), healed.ld(),
       opts);
   EXPECT_TRUE(rel.clean());
-  EXPECT_EQ(rel.retries, 1);
+  EXPECT_EQ(rel.errors_corrected, 1);
+  EXPECT_EQ(rel.retries, 0);
+  EXPECT_TRUE(all_finite(healed));
   EXPECT_LE(max_rel_diff(healed, ref), gemm_tolerance<double>(cs.k));
 }
 

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <vector>
 
-#include "ftblas/level1.hpp"
 #include "inject/injectors.hpp"
 #include "test_common.hpp"
 
@@ -14,6 +13,7 @@ namespace ftgemm {
 namespace {
 
 using testing::gemm_tolerance;
+using testing::norm2;
 
 TEST(Integration, ChainedGemmsMlpForwardUnderInjection) {
   // A 4-layer MLP forward pass: each layer is C = A_l * X with injected
@@ -94,7 +94,7 @@ TEST(Integration, PowerIterationConvergesUnderInjection) {
                                   a.ld(), v.data(), v.ld(), 0.0, w.data(),
                                   w.ld(), opts);
     ASSERT_TRUE(rep.clean());
-    const double norm = ftblas::dnrm2(n, w.data(), 1);
+    const double norm = norm2(w);
     ASSERT_GT(norm, 0.0);
     for (index_t i = 0; i < n; ++i) v(i, 0) = w(i, 0) / norm;
     lambda = norm;
@@ -109,7 +109,7 @@ TEST(Integration, PowerIterationConvergesUnderInjection) {
     baseline::naive_dgemm(Trans::kNoTrans, Trans::kNoTrans, n, 1, n, 1.0,
                           a.data(), a.ld(), v2.data(), v2.ld(), 0.0,
                           w2.data(), w2.ld());
-    const double norm = ftblas::dnrm2(n, w2.data(), 1);
+    const double norm = norm2(w2);
     for (index_t i = 0; i < n; ++i) v2(i, 0) = w2(i, 0) / norm;
     lambda_ref = norm;
   }
