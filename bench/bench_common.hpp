@@ -5,14 +5,12 @@
 //   FTGEMM_BENCH_REPS   timed repetitions per point        (default 5;
 //                       the paper uses 20 — raise it on quiet machines)
 //   FTGEMM_BENCH_THREADS  thread count for the parallel figures
-//                         (default: omp_get_max_threads())
+//                         (default: runtime::hardware_concurrency())
 //
 // The paper sweeps 1024..10240 (serial) and 512..20480 (parallel) on a
 // 10-core Xeon W-2255; the default sweep here is scaled to a CI-class
 // single-core VM but keeps the same geometry (doubling sizes, same series).
 #pragma once
-
-#include <omp.h>
 
 #include <cmath>
 #include <cstdint>
@@ -54,7 +52,8 @@ inline std::vector<index_t> square_sizes(index_t lo = 256) {
 inline int bench_reps() { return int(env_long("FTGEMM_BENCH_REPS", 5)); }
 
 inline int bench_threads() {
-  return int(env_long("FTGEMM_BENCH_THREADS", omp_get_max_threads()));
+  return int(env_long("FTGEMM_BENCH_THREADS",
+                      runtime::hardware_concurrency()));
 }
 
 /// Time `fn` (a full GEMM of the given shape) `reps` times; median GFLOPS.
@@ -103,12 +102,7 @@ inline void print_provenance() {
   // Machine context, so a record from a 1-hardware-thread CI container is
   // self-describing next to one from real multi-core hardware (record.sh
   // lifts this line into the JSON env block).
-  std::printf("# hardware_concurrency=%d team_backend=%s\n",
-              runtime::hardware_concurrency(),
-              runtime::resolve_backend(RuntimeBackend::kAuto) ==
-                      RuntimeBackend::kPool
-                  ? "pool"
-                  : "openmp");
+  std::printf("# hardware_concurrency=%d\n", runtime::hardware_concurrency());
   // Provenance: which source revision produced the numbers and which ISA
   // feature bits the dispatch saw — two records of the same bench are only
   // comparable when both match (record.sh lifts these into the JSON env

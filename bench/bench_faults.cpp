@@ -29,12 +29,7 @@ int main() {
   std::printf("# reproduces: DESIGN.md §12 memory-fault model claims\n");
   std::printf("# trials_per_cell=%d threads=%d seed=%llu\n", trials, threads,
               static_cast<unsigned long long>(seed));
-  std::printf("# hardware_concurrency=%d team_backend=%s\n",
-              runtime::hardware_concurrency(),
-              runtime::resolve_backend(RuntimeBackend::kAuto) ==
-                      RuntimeBackend::kPool
-                  ? "pool"
-                  : "openmp");
+  std::printf("# hardware_concurrency=%d\n", runtime::hardware_concurrency());
   std::printf("# git_sha=%s isa_features=%s\n", FTGEMM_GIT_SHA,
               cpu_feature_string().c_str());
   std::printf("%-10s%8s%8s%6s%8s%10s%10s%10s%8s%8s%10s%9s%8s%8s%10s\n",

@@ -31,7 +31,6 @@ int main() {
   Options opts;
   opts.threads = threads;
   GemmEngine<double> engine(opts);
-  const RuntimeBackend backend = runtime::resolve_backend(opts.runtime);
   const auto idle = [](runtime::TeamMember&) {};
 
   for (const index_t n : square_sizes(256)) {
@@ -63,7 +62,7 @@ int main() {
                                   r % 2 == 0 ? kFt : kOri};
       double secs[kSeries];
       for (const int idx : order) {
-        if (idx == order[1]) runtime::run_team(backend, threads, idle);
+        if (idx == order[1]) runtime::run_team(threads, idle);
         const WallTimer t;
         series[idx]();
         secs[idx] = t.seconds();

@@ -31,7 +31,6 @@ int main() {
   Options opts;
   opts.threads = threads;
   GemmEngine<double> engine(opts);
-  const RuntimeBackend backend = runtime::resolve_backend(opts.runtime);
   const auto idle = [](runtime::TeamMember&) {};
   bool all_verified = true;
 
@@ -76,7 +75,7 @@ int main() {
     std::vector<double> gflops[kSeries], overhead;
     for (int r = 0; r < reps; ++r) {
       double secs[kSeries];
-      runtime::run_team(backend, threads, idle);
+      runtime::run_team(threads, idle);
       for (int i = 0; i < kSeries; ++i) {
         const int idx = (r + i) % kSeries;
         const WallTimer t;

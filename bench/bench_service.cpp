@@ -80,7 +80,6 @@ double run_sync(std::vector<ClientWorkload>& clients, index_t calls,
       ClientWorkload& w = clients[std::size_t(id)];
       Options opts;
       opts.threads = nt;
-      opts.runtime = RuntimeBackend::kPool;
       for (index_t i = 0; i < calls; ++i) {
         const FtReport rep = ft_dgemm(
             Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, w.n, w.n,
@@ -120,7 +119,6 @@ AsyncRun run_async(std::vector<ClientWorkload>& clients, index_t calls,
       ClientWorkload& w = clients[std::size_t(id)];
       Options opts;
       opts.threads = nt;
-      opts.runtime = RuntimeBackend::kPool;
       std::vector<serve::GemmRequest> wnd;
       wnd.reserve(std::size_t(window));
       for (index_t i = 0; i < calls; ++i) {
@@ -160,7 +158,6 @@ AsyncRun run_async(std::vector<ClientWorkload>& clients, index_t calls,
 void prewarm(ClientWorkload& w, index_t window, int nt, int shards) {
   Options opts;
   opts.threads = nt;
-  opts.runtime = RuntimeBackend::kPool;
   ft_dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, w.n, w.n,
            w.n, 1.0, w.a.data(), w.n, w.b.data(), w.n, 0.0, w.c[0].data(),
            w.n, opts);  // direct-path plan (sync loop, direct dispatch)

@@ -18,18 +18,15 @@ out="BENCH_${name}.json"
     "date -u +%Y-%m-%dT%H:%M:%SZ" | getline d
     printf "  \"date\": \"%s\",\n", d
     ncomments = 0; have_cols = 0; nrows = 0
-    hwc = ""; backend = ""; sha = ""; feats = ""
+    hwc = ""; sha = ""; feats = ""
   }
-  # bench_common print_header stamps "# hardware_concurrency=N
-  # team_backend=..." so every record says what machine/runtime produced
-  # it; lift that into the env block (emitted in END, once comments are
-  # parsed).
+  # bench_common print_header stamps "# hardware_concurrency=N" so every
+  # record says what machine produced it; lift that into the env block
+  # (emitted in END, once comments are parsed).
   /^#/ {
     sub(/^# ?/, "")
     if (match($0, /hardware_concurrency=[0-9]+/))
       hwc = substr($0, RSTART + 21, RLENGTH - 21)
-    if (match($0, /team_backend=[a-z]+/))
-      backend = substr($0, RSTART + 13, RLENGTH - 13)
     # bench_common also stamps "# git_sha=<rev> isa_features=<bits...>"
     # (build provenance); lift both alongside the machine context.
     if (match($0, /git_sha=[^ ]+/))
@@ -51,8 +48,8 @@ out="BENCH_${name}.json"
           "FTGEMM_BENCH_BATCH FTGEMM_BENCH_SIZE FTGEMM_BENCH_CALLS " \
           "FTGEMM_BENCH_BIG FTGEMM_BENCH_WINDOW " \
           "FTGEMM_BENCH_SERVICE_THREADS FTGEMM_SERVICE_SHARDS " \
-          "FTGEMM_ISA FTGEMM_MC FTGEMM_NC FTGEMM_KC FTGEMM_RUNTIME " \
-          "FTGEMM_THREADS OMP_NUM_THREADS", knobs, " ")
+          "FTGEMM_ISA FTGEMM_MC FTGEMM_NC FTGEMM_KC FTGEMM_THREADS", \
+          knobs, " ")
     for (i in knobs) if (knobs[i] in ENVIRON) {
       printf "%s\"%s\": \"%s\"", sep, knobs[i], ENVIRON[knobs[i]]
       sep = ", "
@@ -62,10 +59,6 @@ out="BENCH_${name}.json"
     }
     if (hwc != "") {
       printf "%s\"hardware_concurrency\": %s", sep, hwc
-      sep = ", "
-    }
-    if (backend != "") {
-      printf "%s\"team_backend\": \"%s\"", sep, backend
       sep = ", "
     }
     if (sha != "") {

@@ -41,8 +41,8 @@
 //       and resident hits alike; Cr is fused into pack_b over op(B).
 //
 // Both domains share the executor's thread topology, barrier structure and
-// summation order, so results do not depend on the team backend or on the
-// fast-path decision.  Both reduce a Bc partial per member from the B~
+// summation order, so results do not depend on which thread runs which
+// rank or on the fast-path decision.  Both reduce a Bc partial per member from the B~
 // columns it packed; the executor sums the partials in rank order.  Three
 // plumbing facts are also domain-owned so the entry points stay generic:
 // the row-major swap of per-call quantization parameters, the accepted

@@ -213,12 +213,10 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
     reports[std::size_t(p)] = rep;
   };
 
-  // Inter-batch dispatch: one team of `workers` members on the plan's
-  // runtime — with the pool backend, batch members run directly on parked
-  // pool workers instead of a nested OpenMP region.  Dynamic scheduling via
-  // a shared claim counter (the moral equivalent of omp for
-  // schedule(dynamic)); problem-to-worker assignment does not affect
-  // results, only load balance.  workers == 1 (the intra path, or a
+  // Inter-batch dispatch: one team of `workers` members, so batch members
+  // run directly on the calling thread's parked workers.  Dynamic
+  // scheduling via a shared claim counter; problem-to-worker assignment
+  // does not affect results, only load balance.  workers == 1 (the intra path, or a
   // one-problem batch) runs inline on the calling thread and each problem's
   // plan opens its own nt-member team.
   std::atomic<index_t> next{0};
@@ -229,7 +227,7 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
       run_one(p, ctx);
     }
   };
-  runtime::run_team(plan.runtime, workers, member_body);
+  runtime::run_team(workers, member_body);
 
   for (const FtReport& r : reports) {
     if (r.resident_hit) ++report.resident_hits;

@@ -24,22 +24,21 @@
 // fused checksum sums are lane-reassociated within the ToleranceModel
 // bound (docs/DESIGN.md, "SIMD packing & checksum engine").
 //
-// Thread topology (§2.3): the thread team (runtime/team.hpp — persistent
-// worker pool or OpenMP region, frozen into the plan) partitions C along the
-// M-dimension; B~ is one buffer shared by all members and packed
-// cooperatively along the N-dimension; each member reduces a partial panel
-// checksum Bc from the B~ columns it packed, and sums the partials of all
-// members in rank order into its own copy (the cross-thread reduction of
-// §2.3).  Each member packs its own private A~.  The executor is
-// runtime-agnostic: it sees only TeamMember's tid/nt/barrier/single, and a
+// Thread topology (§2.3): the thread team (runtime/team.hpp, plan.threads
+// members) partitions C along the M-dimension; B~ is one buffer shared by
+// all members and packed cooperatively along the N-dimension; each member
+// reduces a partial panel checksum Bc from the B~ columns it packed, and
+// sums the partials of all members in rank order into its own copy (the
+// cross-thread reduction of §2.3).  Each member packs its own private A~.
+// The executor sees only TeamMember's tid/nt/barrier/single, and a
 // member's rank fully determines its partition and reduction position, so
-// results are bit-identical across backends at equal nt.  Running with
+// results do not depend on which thread runs which rank.  Running with
 // threads = 1 *is* the serial algorithm — no separate code path exists, so
 // serial and parallel results are produced by the same verified code.
 //
 // The planner's small-GEMM fast path (plan.fast_path) is that serial
 // algorithm too: the planner pins the plan to one thread, run_team executes
-// a one-member team inline (no parallel region, and barriers are no-ops),
+// a one-member team inline (no dispatch, and barriers are no-ops),
 // and the whole problem is one panel, one B~ chunk and one A~ block.  Fast
 // and general plans therefore run the same code and produce the same bits.
 //
@@ -497,7 +496,7 @@ FtReport execute(const GemmPlan<S, C>& plan, ScalarOf<S, C> alpha,
     // final; a degenerate call computed nothing.
     dom.store(r, degenerate);
   };
-  runtime::run_team(plan.runtime, nt, team_body);
+  runtime::run_team(nt, team_body);
 
   report.panels = degenerate ? 0 : int(plan.num_panels);
   report.errors_detected = detected;

@@ -4,7 +4,7 @@
 //
 //   dgemm / sgemm        — the high-performance baseline ("FT-GEMM: Ori" in
 //                          the paper's figures): packing, cache blocking,
-//                          SIMD micro-kernels, OpenMP threading.
+//                          SIMD micro-kernels, thread teams.
 //   ft_dgemm / ft_sgemm  — the same computation protected by the fused
 //                          online-ABFT scheme; returns an FtReport with
 //                          detection/correction statistics.

@@ -3,7 +3,7 @@
 // ML-inference-style serving rarely issues one huge GEMM; it issues dozens
 // of small/medium ones per request (one per layer, per attention head, per
 // expert...).  Looping over ft_gemm serially leaves cores idle on small
-// problems and pays one OpenMP fork/join per problem.  The batched entry
+// problems and pays one team fork/join per problem.  The batched entry
 // points amortize both:
 //
 //   gemm_batched / ft_gemm_batched              — array-of-pointers operands
@@ -18,12 +18,11 @@
 // statistics.
 //
 // Scheduling (see docs/DESIGN.md): the dispatcher picks between
-//   - inter-batch parallelism: one team member per problem dispatched onto
-//     the plan's thread-team runtime (parked pool workers or an OpenMP
-//     region, runtime/team.hpp), each running the serial driver on a
-//     private GemmContext leased from the process-wide ContextCache — wins
-//     when problems are small (per-problem threading would be all barrier,
-//     no work);
+//   - inter-batch parallelism: one team member per problem, on the calling
+//     thread's parked workers (runtime/team.hpp), each running the serial
+//     driver on a private GemmContext leased from the process-wide
+//     ContextCache — wins when problems are small (per-problem threading
+//     would be all barrier, no work);
 //   - intra-batch parallelism: problems run one after another, each using
 //     the full multi-threaded driver — wins when a single problem is big
 //     enough to feed every core.
@@ -60,8 +59,7 @@ enum class BatchSchedule {
 struct BatchOptions {
   /// Per-problem options.  `threads` caps the worker count of the whole
   /// batch (0 defers to FTGEMM_THREADS, then hardware concurrency — see
-  /// runtime/topology.hpp); `runtime` picks the thread-team backend the
-  /// batch dispatches onto; `injector` / `correction_log` attach to the
+  /// runtime/topology.hpp); `injector` / `correction_log` attach to the
   /// problem selected by `inject_problem`.
   Options base;
   /// Scheduling policy (see header comment).

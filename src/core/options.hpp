@@ -7,7 +7,6 @@
 
 #include "arch/isa.hpp"
 #include "inject/injector.hpp"
-#include "runtime/team.hpp"
 
 namespace ftgemm {
 
@@ -32,11 +31,6 @@ struct Options {
   /// Worker threads; 0 defers to FTGEMM_THREADS, then hardware concurrency
   /// (see runtime/topology.hpp for the full resolution order).
   int threads = 0;
-  /// Thread-team runtime the call executes on: the persistent worker pool
-  /// or a per-call OpenMP region.  kAuto defers to FTGEMM_RUNTIME, then the
-  /// library default.  Results are bit-identical across backends at equal
-  /// thread counts (see runtime/team.hpp).
-  RuntimeBackend runtime = RuntimeBackend::kAuto;
   /// Kernel ISA override (defaults to the best the CPU supports).
   std::optional<Isa> isa;
   /// Verification threshold safety factor; 0 means the library default

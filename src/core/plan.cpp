@@ -20,7 +20,6 @@ PlanKey make_plan_key(Trans ta, Trans tb, index_t m, index_t n, index_t k,
   key.ft = ft;
   key.fast_path_allowed = opts.small_fast_path;
   key.threads = runtime::topology(opts.threads);
-  key.runtime = int(runtime::resolve_backend(opts.runtime));
   key.isa_override = opts.isa ? int(*opts.isa) : -1;
   key.tolerance_factor = opts.tolerance_factor;
   return key;
@@ -68,7 +67,6 @@ GemmPlan<S, C> build_plan(const PlanKey& key) {
                    flops <= env_double("FTGEMM_FAST_PATH_FLOPS",
                                        kFastPathFlopCutoff);
   plan.threads = plan.fast_path ? 1 : key.threads;
-  plan.runtime = RuntimeBackend(key.runtime);
   // Unpadded footprint (diagnostics); GemmContext::ensure sizes its
   // buffers from the same WorkspaceSizes and pads per-thread strides.
   plan.workspace_bytes = WorkspaceSizes<S, C>(plan).bytes(plan.threads);

@@ -61,10 +61,9 @@ inline constexpr double kFastPathFlopCutoff = 2.0 * 128.0 * 128.0 * 128.0;
 
 /// Fingerprint of every input the planner reads.  ISA and tolerance are kept
 /// *raw* (as the caller's Options carried them) so cache lookups stay free of
-/// env reads and cpuid checks; the thread count and team runtime are kept
-/// *resolved* (via runtime/topology.hpp) so a changed environment —
-/// FTGEMM_THREADS, OMP_NUM_THREADS, FTGEMM_RUNTIME — is never masked by a
-/// warm cache.
+/// env reads and cpuid checks; the thread count is kept *resolved* (via
+/// runtime/topology.hpp) so a changed environment — FTGEMM_THREADS, the
+/// affinity mask — is never masked by a warm cache.
 struct PlanKey {
   index_t m = 0;
   index_t n = 0;
@@ -74,7 +73,6 @@ struct PlanKey {
   bool ft = false;
   bool fast_path_allowed = true;  ///< Options::small_fast_path
   int threads = 1;                ///< resolved worker-count request
-  int runtime = int(RuntimeBackend::kOpenMP);  ///< resolved team backend
   int isa_override = -1;          ///< int(Options::isa) or -1 for auto
   double tolerance_factor = 0.0;  ///< raw Options value; 0 = library default
   /// Storage-dtype discriminator (kStorageDtypeTag<S>): 0 for the uniform
@@ -87,8 +85,7 @@ struct PlanKey {
   [[nodiscard]] bool operator==(const PlanKey& o) const {
     return m == o.m && n == o.n && k == o.k && ta == o.ta && tb == o.tb &&
            ft == o.ft && fast_path_allowed == o.fast_path_allowed &&
-           threads == o.threads && runtime == o.runtime &&
-           isa_override == o.isa_override &&
+           threads == o.threads && isa_override == o.isa_override &&
            tolerance_factor == o.tolerance_factor && sdtype == o.sdtype;
   }
 };
@@ -109,7 +106,6 @@ struct PlanKeyHash {
         (std::uint64_t(key.ft) << 2) | (std::uint64_t(key.fast_path_allowed) << 3) |
         (std::uint64_t(key.sdtype) << 4));
     mix(std::uint64_t(std::uint32_t(key.threads)));
-    mix(std::uint64_t(std::uint32_t(key.runtime)));
     mix(std::uint64_t(std::uint32_t(key.isa_override)));
     std::uint64_t tol_bits = 0;
     static_assert(sizeof(tol_bits) == sizeof(key.tolerance_factor));
@@ -136,9 +132,6 @@ struct GemmPlan {
   KernelSet<StorageT, ComputeT> kernels;
   BlockingPlan blocking;     ///< shape-aware MC/NC/KC/MR/NR
   int threads = 1;           ///< execution topology (1 on the fast path)
-  /// Resolved thread-team backend executes on (never kAuto; see
-  /// runtime/team.hpp for the bit-identity contract between backends).
-  RuntimeBackend runtime = RuntimeBackend::kOpenMP;
   index_t num_panels = 0;    ///< rank-KC verification intervals for k > 0
   bool k_zero = false;       ///< k <= 0 (alpha == 0 is resolved per call)
   bool fast_path = false;    ///< single-macro-tile direct execution
@@ -181,7 +174,6 @@ template <typename StorageT, typename ComputeT>
   mix(std::uint64_t(p.blocking.mr));
   mix(std::uint64_t(p.blocking.nr));
   mix(std::uint64_t(std::uint32_t(p.threads)));
-  mix(std::uint64_t(std::uint32_t(int(p.runtime))));
   mix(std::uint64_t(p.num_panels));
   mix(std::uint64_t(p.k_zero) | (std::uint64_t(p.fast_path) << 1));
   std::uint64_t tol_bits = 0;
@@ -192,8 +184,8 @@ template <typename StorageT, typename ComputeT>
   return h;
 }
 
-/// Build the lookup key for (shape, opts).  Resolves the thread count and
-/// team runtime (via runtime/topology.hpp) but deliberately nothing else.
+/// Build the lookup key for (shape, opts).  Resolves the thread count (via
+/// runtime/topology.hpp) but deliberately nothing else.
 PlanKey make_plan_key(Trans ta, Trans tb, index_t m, index_t n, index_t k,
                       const Options& opts, bool ft);
 

@@ -131,7 +131,6 @@ class Cell {
     fill(a_, rng);
     fill(b_, rng);
     base_.threads = cfg.threads;
-    base_.runtime = cfg.runtime;
     base_.resident_a = cfg.surface == CampaignSurface::kResident;
     if (cfg.entry == CampaignEntry::kService) {
       // Staged while paused, then released: the routing mix (the targeted

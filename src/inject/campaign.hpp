@@ -28,8 +28,8 @@
 // entry point, so reliable x panel_a and reliable x panel_b are rejected.
 //
 // Operands, strikes and targets are seeded and no fault count depends on
-// thread interleaving, so a config reproduces its counters run to run and
-// on either team backend (mean_gflops and the service's routing aside).
+// thread interleaving, so a config reproduces its counters run to run
+// (mean_gflops and the service's routing aside).
 #pragma once
 
 #include <cstdint>
@@ -77,8 +77,6 @@ struct CampaignConfig {
   double magnitude = 2.0;  ///< compute surface: injected delta scale
   std::uint64_t seed = 0x5eedu;
   int threads = 2;  ///< per call; the worker cap of a batched call
-  /// Thread-team backend of every GEMM in the cell.
-  RuntimeBackend runtime = RuntimeBackend::kAuto;
   BatchSchedule schedule = BatchSchedule::kAuto;  ///< batched entry only
   /// SEC-DED coded resident payloads (FTGEMM_OPERAND_ECC), so single-bit
   /// resident strikes are corrected in place instead of healed by

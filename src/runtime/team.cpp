@@ -1,35 +1,40 @@
-// Thread-team backends: the OpenMP region fallback and the persistent
-// worker pool (see runtime/team.hpp for the contract).
+// Thread-team runtime (see runtime/team.hpp for the contract), on
+// libgomp's design: each thread that leads a team owns its workers, and
+// every wait spins before it parks.
 //
-// Pool anatomy — three pieces, all process-wide:
+// Three pieces:
 //
-//   WorkerSlot  — one parked worker thread.  Job handoff is a single
-//     atomic pointer published under the slot mutex, so a spinning worker
-//     picks it up lock-free while a parked worker is woken exactly once
-//     (storing under the mutex makes the park/assign race a textbook
-//     condition-variable pattern instead of a Dekker store-load).
+//   Crew   — one leader's workers, held thread_local.  A team takes the
+//     slots after those the leader's running teams hold, so a nested team
+//     led by the same thread (rank 0 of a running team) gets workers of
+//     its own.  The crew grows on demand, never shrinks, and joins its
+//     workers when the leader exits.  Workers are spawned by their leader,
+//     so they run in its scheduling class.
 //
-//   TeamJob     — one run_team invocation: the member function, the team's
-//     sense-reversing barrier, and a completion latch.  Heap-allocated and
-//     manually reference-counted (leader + one ref per worker) so the last
-//     participant out — whoever it is — frees it, and neither the leader's
-//     spin-exit nor a worker's final notify can touch a dead job.
+//   Worker — one parked thread.  The leader publishes a Team pointer under
+//     the worker's mutex, so a spinning worker picks it up lock-free while
+//     a parked one is woken exactly once.
 //
-//   WorkerPool  — the free-list.  run() leases nt-1 workers (growing the
-//     pool on demand, never shrinking), participates as rank 0, and waits
-//     on the job latch.  Leasing means concurrent application threads get
-//     disjoint workers — N serving threads each running 4-member teams use
-//     4N workers, not a shared global region — which is what makes the
-//     batched scheduler safe to dispatch onto the pool from any thread.
+//   Team   — one run_team call, on the leader's stack: the member function,
+//     the barrier and the count of workers still running.  A worker
+//     touches its Team only before it decrements that count, and the
+//     leader returns only once it reads zero, so the Team outlives every
+//     access.
 //
-// Spin policy: both the barrier and the parked-worker wakeup spin a bounded
-// number of iterations before falling back to a futex sleep (condvar).  On
-// an oversubscribed machine (teams wider than the core count — the CI
-// regime) spinning only steals cycles from the threads being waited on, so
-// the spin budget collapses to zero there.  FTGEMM_POOL_SPIN overrides.
+// Spin rule (the GOMP_SPINCOUNT default of the libgomp manual, plus a
+// yield): workers awaiting a team, members in a barrier and the leader
+// awaiting its workers spin kLongSpin iterations while the process's
+// workers plus one leader fit in hardware_concurrency(), and kShortSpin
+// once they do not; then they park on a condition variable.  libgomp uses
+// 300,000 and 100.  Every kYieldEvery-th iteration of the long spin is a
+// sched_yield(), so a long spinner never keeps a core from a runnable
+// thread of another process.  The short spin does not yield: it parks
+// within microseconds anyway, and a yield there hands the core to another
+// of this process's threads while the spinner's team waits for it.  A
+// pause is not a fixed time: 16,384 of them took 365-463 us on a 4-core
+// AVX-512 Xeon, so the long spin lasts milliseconds there, long enough to
+// keep a team awake between back-to-back calls.
 #include "runtime/team.hpp"
-
-#include <omp.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -39,16 +44,17 @@
 #include <vector>
 
 #include "runtime/topology.hpp"
-#include "util/env.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace ftgemm::runtime {
 
 namespace {
+
+constexpr int kLongSpin = 1 << 18;
+constexpr int kShortSpin = 1024;
+constexpr int kYieldEvery = 64;
+
+/// Workers alive in the process, over every crew.
+std::atomic<int> g_workers{0};
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -58,27 +64,40 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Bounded spin before parking (workers awaiting a job, members inside a
-/// barrier, the leader awaiting completion).  ~10^4 pause iterations is a
-/// few microseconds — enough to bridge back-to-back serving dispatches
-/// without ever burning a core for long.
-int spin_budget() {
-  static const int budget = [] {
-    const long env = env_long("FTGEMM_POOL_SPIN", -1);
-    if (env >= 0) return int(env);
-    return hardware_concurrency() > 1 ? 16384 : 0;
-  }();
-  return budget;
+/// The spin rule's test: the process's workers plus one leader fit the
+/// cores.
+bool threads_fit_cores() {
+  static const int cores = hardware_concurrency();
+  return g_workers.load(std::memory_order_relaxed) + 1 <= cores;
 }
+
+/// Spin until done() holds or the budget is spent; returns done()'s last
+/// value.
+template <typename Done>
+bool spin_until(Done done) {
+  const bool fit = threads_fit_cores();
+  const int budget = fit ? kLongSpin : kShortSpin;
+  for (int i = 1; i <= budget; ++i) {
+    if (done()) return true;
+    if (fit && i % kYieldEvery == 0) {
+      std::this_thread::yield();
+    } else {
+      cpu_relax();
+    }
+  }
+  return done();
+}
+
+}  // namespace
 
 /// Centralized sense-reversing barrier for one team.  The last arriver
 /// flips the generation and wakes any parked members; everyone else spins
 /// on the generation, then parks.
-class PoolBarrier final : public TeamBarrier {
+class TeamBarrier {
  public:
-  explicit PoolBarrier(int nt) : nt_(nt) {}
+  explicit TeamBarrier(int nt) : nt_(nt) {}
 
-  void wait() override {
+  void wait() {
     const int gen = generation_.load(std::memory_order_acquire);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == nt_) {
       arrived_.store(0, std::memory_order_relaxed);
@@ -90,14 +109,12 @@ class PoolBarrier final : public TeamBarrier {
       cv_.notify_all();
       return;
     }
-    for (int i = spin_budget(); i > 0; --i) {
-      if (generation_.load(std::memory_order_acquire) != gen) return;
-      cpu_relax();
-    }
-    std::unique_lock<std::mutex> lk(m_);
-    cv_.wait(lk, [&] {
+    const auto passed = [&] {
       return generation_.load(std::memory_order_acquire) != gen;
-    });
+    };
+    if (spin_until(passed)) return;
+    std::unique_lock<std::mutex> lk(m_);
+    cv_.wait(lk, passed);
   }
 
  private:
@@ -108,238 +125,143 @@ class PoolBarrier final : public TeamBarrier {
   std::condition_variable cv_;
 };
 
-/// One run_team invocation (see file comment for the lifetime protocol):
-/// the calling thread participates as rank 0, holds one ref, and parks on
-/// done_cv until every worker has finished.
-struct TeamJob {
-  TeamJob(int nt, TeamFnRef fn)
-      : fn(fn), barrier(nt), nt(nt), refs(nt), active_workers(nt - 1) {}
-
-  const TeamFnRef fn;
-  PoolBarrier barrier;
-  const int nt;
-  std::atomic<int> refs;            ///< participants still holding it
-  std::atomic<int> active_workers;  ///< workers not yet finished
-  std::mutex m;
-  std::condition_variable done_cv;  ///< leader parks here past the spin
-};
-
-void drop_ref(TeamJob* job) {
-  if (job->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete job;
+void TeamMember::barrier() {
+  if (nt_ > 1) barrier_->wait();
 }
 
-struct WorkerSlot {
-  std::atomic<TeamJob*> job{nullptr};
-  int tid = 0;  ///< rank for the pending job; published by the job store
+namespace {
+
+struct Team {
+  Team(int nt, TeamFnRef fn) : fn(fn), barrier(nt), nt(nt), running(nt - 1) {}
+
+  const TeamFnRef fn;
+  TeamBarrier barrier;
+  const int nt;
+  std::atomic<int> running;  ///< workers not yet finished
+};
+
+struct Worker {
+  std::atomic<Team*> team{nullptr};
+  int tid = 0;  ///< rank in the pending team; published by the team store
+  std::atomic<bool> stop{false};  ///< set under m when the leader exits
   std::mutex m;
   std::condition_variable cv;
-  bool stop = false;  ///< guarded by m
   std::thread thread;
 };
 
-class WorkerPool {
+class Crew {
  public:
-  static WorkerPool& instance() {
-    static WorkerPool pool;
-    return pool;
+  Crew() = default;
+  Crew(const Crew&) = delete;
+  Crew& operator=(const Crew&) = delete;
+
+  ~Crew() {
+    for (auto& w : workers_) {
+      {
+        std::lock_guard<std::mutex> lk(w->m);
+        w->stop.store(true, std::memory_order_relaxed);
+      }
+      w->cv.notify_one();
+    }
+    for (auto& w : workers_) w->thread.join();
+    g_workers.fetch_sub(int(workers_.size()), std::memory_order_relaxed);
   }
 
   void run(int nt, TeamFnRef fn) {
-    const int workers = nt - 1;
-    TeamJob* job = new TeamJob(nt, fn);
-
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      for (int i = 0; i < workers; ++i) {
-        if (free_.empty()) spawn_locked();
-        WorkerSlot* slot = free_.back();
-        free_.pop_back();
-        assign(slot, job, i + 1);
-      }
-    }
-
-    TeamMember leader(0, nt, &job->barrier);
-    job->fn(leader);
-
-    // Completion latch: spin, then park on the job's condvar.  The job's
-    // refcount keeps the latch alive through a worker's final notify even
-    // when the leader leaves via the spin path.
-    if (job->active_workers.load(std::memory_order_acquire) > 0) {
-      for (int i = spin_budget(); i > 0; --i) {
-        if (job->active_workers.load(std::memory_order_acquire) == 0) break;
-        cpu_relax();
-      }
-      if (job->active_workers.load(std::memory_order_acquire) > 0) {
-        std::unique_lock<std::mutex> lk(job->m);
-        job->done_cv.wait(lk, [&] {
-          return job->active_workers.load(std::memory_order_acquire) == 0;
-        });
-      }
-    }
-    drop_ref(job);
-  }
-
-  [[nodiscard]] int worker_count() {
-    std::lock_guard<std::mutex> lk(m_);
-    return int(slots_.size());
+    const int first = held_;
+    grow(first + nt - 1);  // may throw; no worker has a job yet
+    held_ = first + nt - 1;
+    lead(first, nt, fn);
+    held_ = first;
   }
 
  private:
-  WorkerPool()
-      : pin_(env_long("FTGEMM_POOL_PIN", 0) != 0),
-        ncpu_(hardware_concurrency()) {}
-
-  // Joining happens outside m_: a worker finishing its last job needs m_
-  // for the free-list push, and no worker ever touches slots_ itself.
-  ~WorkerPool() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      for (auto& slot : slots_) {
-        std::lock_guard<std::mutex> slk(slot->m);
-        slot->stop = true;
+  /// noexcept: an exception from the member function must not unwind the
+  /// frame that holds the team while workers still use it, so it ends the
+  /// program, as it does on a worker thread.
+  void lead(int first, int nt, TeamFnRef fn) noexcept {
+    Team team(nt, fn);
+    for (int r = 1; r < nt; ++r) {
+      Worker& w = *workers_[std::size_t(first + r - 1)];
+      {
+        std::lock_guard<std::mutex> lk(w.m);
+        w.tid = r;
+        w.team.store(&team, std::memory_order_release);
       }
+      w.cv.notify_one();
     }
-    for (auto& slot : slots_) {
-      slot->cv.notify_one();
-      slot->thread.join();
+
+    TeamMember leader(0, nt, &team.barrier);
+    fn(leader);
+
+    const auto finished = [&] {
+      return team.running.load(std::memory_order_acquire) == 0;
+    };
+    if (!spin_until(finished)) {
+      std::unique_lock<std::mutex> lk(done_m_);
+      done_cv_.wait(lk, finished);
     }
   }
 
-  /// Hand a leased worker its job.  Storing under the slot mutex makes the
-  /// handoff race-free against a worker transitioning from spin to park:
-  /// the worker re-checks the slot under the same mutex before sleeping.
-  static void assign(WorkerSlot* slot, TeamJob* job, int tid) {
-    {
-      std::lock_guard<std::mutex> lk(slot->m);
-      slot->tid = tid;
-      slot->job.store(job, std::memory_order_release);
+  void grow(int n) {
+    if (int(workers_.size()) >= n) return;
+    workers_.reserve(std::size_t(n));
+    while (int(workers_.size()) < n) {
+      auto w = std::make_unique<Worker>();
+      Worker* raw = w.get();
+      raw->thread = std::thread([this, raw] { serve(*raw); });
+      workers_.push_back(std::move(w));  // no reallocation: reserved
+      g_workers.fetch_add(1, std::memory_order_relaxed);
     }
-    slot->cv.notify_one();
   }
 
-  void spawn_locked() {
-    auto slot = std::make_unique<WorkerSlot>();
-    WorkerSlot* raw = slot.get();
-    const int index = int(slots_.size());
-    raw->thread = std::thread([this, raw, index] { worker_main(raw, index); });
-    slots_.push_back(std::move(slot));
-    free_.push_back(raw);
-  }
-
-  void worker_main(WorkerSlot* slot, int index) {
-#if defined(__linux__)
-    // A new thread copies its spawner's scheduling class; the first thread
-    // to lease a worker must not set the class of every later caller's
-    // teams (a batch-class shard dispatcher, an idle-class caller).
-    const sched_param normal{};
-    pthread_setschedparam(pthread_self(), SCHED_OTHER, &normal);
-    if (pin_ && ncpu_ > 0) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(std::size_t(index % ncpu_), &set);
-      pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-    }
-#else
-    (void)index;
-#endif
+  void serve(Worker& w) {
     for (;;) {
-      TeamJob* job = nullptr;
-      for (int i = spin_budget(); i > 0; --i) {
-        job = slot->job.load(std::memory_order_acquire);
-        if (job != nullptr) break;
-        cpu_relax();
+      Team* team = nullptr;
+      const auto ready = [&] {
+        team = w.team.load(std::memory_order_acquire);
+        return team != nullptr || w.stop.load(std::memory_order_relaxed);
+      };
+      if (!spin_until(ready)) {
+        std::unique_lock<std::mutex> lk(w.m);
+        w.cv.wait(lk, ready);
       }
-      if (job == nullptr) {
-        std::unique_lock<std::mutex> lk(slot->m);
-        slot->cv.wait(lk, [&] {
-          return slot->stop ||
-                 slot->job.load(std::memory_order_acquire) != nullptr;
-        });
-        if (slot->stop) return;
-        job = slot->job.load(std::memory_order_acquire);
-      }
-      const int tid = slot->tid;
-      slot->job.store(nullptr, std::memory_order_relaxed);
+      if (team == nullptr) return;  // the leader exited
+      const int tid = w.tid;
+      w.team.store(nullptr, std::memory_order_relaxed);
 
-      TeamMember member(tid, job->nt, &job->barrier);
-      job->fn(member);
+      TeamMember member(tid, team->nt, &team->barrier);
+      team->fn(member);
 
-      // Return to the free list *before* signalling completion: by the
-      // time the leader can observe the team as done, every worker is
-      // already reusable, so an immediately following run() never spawns
-      // spuriously.
-      {
-        std::lock_guard<std::mutex> lk(m_);
-        free_.push_back(slot);
+      // Past this decrement the leader may return and free the Team; only
+      // the crew's own latch is touched after it.
+      if (team->running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        { std::lock_guard<std::mutex> lk(done_m_); }
+        done_cv_.notify_one();
       }
-      {
-        std::lock_guard<std::mutex> lk(job->m);
-        if (job->active_workers.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-          job->done_cv.notify_one();
-        }
-      }
-      drop_ref(job);
     }
   }
 
-  std::mutex m_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::vector<WorkerSlot*> free_;
-  const bool pin_;
-  const int ncpu_;
+  std::mutex done_m_;  ///< the leader parks here past its spin
+  std::condition_variable done_cv_;
+  int held_ = 0;  ///< slots the leader's running teams hold
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
-
-class OmpBarrier final : public TeamBarrier {
- public:
-  void wait() override {
-// Orphaned directive: binds to the innermost enclosing parallel region.
-#pragma omp barrier
-  }
-};
-
-OmpBarrier g_omp_barrier;
-
-/// Returns false — without having run fn at all — when the region
-/// materializes with fewer than nt threads (OMP_DYNAMIC, OMP_THREAD_LIMIT,
-/// resource exhaustion): the caller partitioned work over nt ranks, so an
-/// under-delivered team would silently drop the absent ranks' share.
-bool run_openmp(int nt, TeamFnRef fn) {
-  bool delivered = true;
-#pragma omp parallel num_threads(nt)
-  {
-    if (omp_get_num_threads() == nt) {
-      TeamMember member(omp_get_thread_num(), nt, &g_omp_barrier);
-      fn(member);
-    } else if (omp_get_thread_num() == 0) {
-      delivered = false;  // visible to the caller via the region join
-    }
-  }
-  return delivered;
-}
 
 }  // namespace
 
-void run_team(RuntimeBackend backend, int nt, TeamFnRef fn) {
+void run_team(int nt, TeamFnRef fn) {
   if (nt <= 1) {
     TeamMember solo(0, 1, nullptr);
     fn(solo);
     return;
   }
-  backend = resolve_backend(backend);
-  // The pool is the fallback whenever OpenMP cannot host a faithful
-  // nt-member team: inside an existing parallel region (a nested region
-  // delivers a one-member team by default, silently dropping every tid > 0
-  // partition) or when the runtime hands the region fewer threads than
-  // requested.  Member function, ranks, and team size are identical either
-  // way, so results do not depend on which backend ends up executing.
-  if (backend == RuntimeBackend::kOpenMP && !omp_in_parallel() &&
-      run_openmp(nt, fn)) {
-    return;
-  }
-  WorkerPool::instance().run(nt, fn);
+  thread_local Crew crew;
+  crew.run(nt, fn);
 }
 
-int pool_worker_count() { return WorkerPool::instance().worker_count(); }
+int pool_worker_count() {
+  return g_workers.load(std::memory_order_relaxed);
+}
 
 }  // namespace ftgemm::runtime

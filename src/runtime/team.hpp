@@ -2,65 +2,40 @@
 // layer executes on.
 //
 // The paper's §2.3 algorithm needs exactly three collective primitives —
-// fork a team of nt members, barrier, and a single-executor section — and
-// nothing OpenMP-specific.  This layer expresses them behind one interface:
+// fork a team of nt members, barrier, and a single-executor section.  This
+// layer expresses them behind one interface:
 //
-//   run_team(backend, nt, fn)  — run fn(member) on nt team members;
+//   run_team(nt, fn)           — run fn(member) on nt team members;
 //   TeamMember::tid()/nt()     — the member's rank and the team size;
 //   TeamMember::barrier()      — synchronize the whole team;
 //   TeamMember::single(f)      — f runs on exactly one member (rank 0),
-//                                followed by a team barrier, mirroring
-//                                OpenMP single's implicit barrier.
+//                                followed by a team barrier.
 //
-// Two backends implement it (selected per plan, see runtime/topology.hpp):
-//
-//   kOpenMP — the pre-existing `#pragma omp parallel` region.  Barriers are
-//     orphaned `#pragma omp barrier` directives binding to the innermost
-//     region.  When the caller is already inside an OpenMP parallel region
-//     (where a nested region would silently deliver a one-thread team and
-//     drop every tid > 0 partition), run_team routes the call to the pool
-//     backend instead, which is nesting-agnostic.
-//
-//   kPool — a persistent process-wide worker pool (runtime/team.cpp).
-//     Workers are spawned once, parked on a condition variable between
-//     regions (with a bounded spin phase before parking, skipped when the
-//     machine is oversubscribed), and leased per region under a free-list
-//     mutex — so N application threads can each run teams concurrently
-//     without oversubscribing a shared global region or re-spawning
-//     threads.  FTGEMM_POOL_PIN=1 pins workers round-robin to cores.
+// Every thread that leads a team keeps its own parked workers
+// (runtime/team.cpp): they are spawned on its first team, serve only its
+// teams, and are joined when it exits.  A leader therefore always pairs
+// with the same workers, and concurrent leaders share no lock.
 //
 // Bit-identity contract: a team member's rank and team size fully determine
-// its partition of the work and its position in every reduction, and both
-// backends run the identical member function at the identical (tid, nt) —
-// so results are bit-identical across backends at equal nt.
-// tests/test_runtime.cpp asserts this across the plan-equivalence shape
-// sweep.  Across thread counts, C's summation order does not depend on nt;
-// the FT checksums' does (Bc, for one, is summed from per-member partials
-// in rank order), inside the verification tolerance.
+// its partition of the work and its position in every reduction, so
+// results do not depend on which thread runs which rank.  Across thread
+// counts, C's summation order does not depend on nt; the FT checksums'
+// does (Bc, for one, is summed from per-member partials in rank order),
+// inside the verification tolerance.
 #pragma once
 
 #include <type_traits>
 
 namespace ftgemm {
 
-/// Team runtime a plan executes on.  kAuto defers to FTGEMM_RUNTIME, then
-/// the library default (see runtime/topology.hpp).
-enum class RuntimeBackend {
-  kAuto = 0,    ///< resolve at plan time from the environment
-  kOpenMP = 1,  ///< per-call OpenMP parallel region
-  kPool = 2,    ///< persistent parked-worker pool
-};
+/// Kept only because benchmark/ still names it; ROADMAP item 10(g) removes
+/// it with resolve_backend and the three-argument run_team.
+enum class RuntimeBackend { kAuto = 0 };
 
 namespace runtime {
 
-/// Synchronization point shared by one team; backends implement wait().
-class TeamBarrier {
- public:
-  virtual void wait() = 0;
-
- protected:
-  ~TeamBarrier() = default;
-};
+/// One team's barrier (defined in runtime/team.cpp).
+class TeamBarrier;
 
 /// One member's view of a running team.  Cheap value handle: rank, size,
 /// and the team's barrier.
@@ -74,14 +49,11 @@ class TeamMember {
 
   /// Wait until every team member arrives.  All writes made by any member
   /// before its barrier() are visible to every member after.
-  void barrier() {
-    if (nt_ > 1) barrier_->wait();
-  }
+  void barrier();
 
-  /// Run f on exactly one member (rank 0), then barrier the team — the
-  /// semantics of `#pragma omp single` with its implicit barrier, made
-  /// deterministic (OpenMP hands the block to the first arriver; pinning it
-  /// to rank 0 keeps the executor stable across backends and runs).
+  /// Run f on exactly one member (rank 0), then barrier the team.  Pinning
+  /// the executor to rank 0, rather than to the first arriver, keeps it
+  /// stable across runs.
   template <typename F>
   void single(F&& f) {
     if (tid_ == 0) f();
@@ -95,7 +67,7 @@ class TeamMember {
 };
 
 /// Non-owning reference to the team body: run_team is not a template (the
-/// backends live in a .cpp), and a std::function would heap-allocate on
+/// runtime lives in a .cpp), and a std::function would heap-allocate on
 /// every dispatch — measurable at serving sizes.  The referenced callable
 /// must outlive the run_team call (it always does: the lambda lives in the
 /// caller's frame and run_team returns only after every member finished).
@@ -118,13 +90,19 @@ class TeamFnRef {
   void (*call_)(void*, TeamMember&);
 };
 
-/// Execute fn(member) on a team of nt members on the given backend.
-/// nt <= 1 runs fn inline on the calling thread (no region, no pool trip);
-/// the calling thread always participates as rank 0, so nt - 1 workers are
-/// dispatched at most.  Returns after every member has finished.
-void run_team(RuntimeBackend backend, int nt, TeamFnRef fn);
+/// Execute fn(member) on a team of nt members.  nt <= 1 runs fn inline on
+/// the calling thread (no dispatch); otherwise the calling thread runs
+/// rank 0 and its own workers run ranks 1..nt-1.  A member of a running
+/// team may lead a nested team.  Returns after every member has finished.
+void run_team(int nt, TeamFnRef fn);
 
-/// Workers currently alive in the process-wide pool (diagnostics/tests).
+/// Forwards to run_team(nt, fn); see RuntimeBackend.
+inline void run_team(RuntimeBackend, int nt, TeamFnRef fn) {
+  run_team(nt, fn);
+}
+
+/// Worker threads alive in the process, over every leader (diagnostics and
+/// tests).
 int pool_worker_count();
 
 }  // namespace runtime

@@ -1,41 +1,30 @@
-// Topology policy: the single place worker counts and runtime backends are
-// resolved.
-//
-// Before this layer existed, `opts.threads > 0 ? opts.threads :
-// omp_get_max_threads()` was re-derived independently by the planner and the
-// batched scheduler; any future policy change (cgroup awareness, a global
-// cap, a serving-thread reservation) had to be made twice.  Every entry
-// point now funnels through topology() / resolve_backend(), and the result
-// is frozen into the GemmPlan fingerprint so a warm PlanCache never masks a
+// Topology policy: the single place worker counts are resolved.  The
+// planner and the batched scheduler both ask topology(), and the result is
+// frozen into the GemmPlan fingerprint so a warm PlanCache never masks a
 // changed environment.
 //
 // Resolution order for the worker count (topology()):
 //   1. the per-call request (Options::threads > 0),
-//   2. the FTGEMM_THREADS environment variable (> 0),
-//   3. hardware concurrency (omp_get_max_threads(), which itself honors
-//      OMP_NUM_THREADS — the pre-refactor behavior).
-//
-// Resolution order for the team runtime (resolve_backend()):
-//   1. the per-call request (Options::runtime != kAuto),
-//   2. the FTGEMM_RUNTIME environment variable ("pool", "omp"/"openmp"),
-//   3. kOpenMP (the long-verified default).
+//   2. the FTGEMM_THREADS environment variable (> 0), the only cap,
+//   3. hardware concurrency (the CPUs the process may run on).
 #pragma once
 
 #include "runtime/team.hpp"
 
 namespace ftgemm::runtime {
 
-/// Worker threads the machine offers this process (>= 1).  Reads
-/// omp_get_max_threads() so OMP_NUM_THREADS / omp_set_num_threads() keep
-/// working as global caps under both backends.
+/// CPUs in the calling thread's affinity mask, read on every call, so a
+/// narrowed mask (taskset, a cpuset) caps the default team; falls back to
+/// std::thread::hardware_concurrency().  Always >= 1.
 int hardware_concurrency();
 
 /// Resolve a per-call thread request (0 = unset) against FTGEMM_THREADS and
 /// hardware concurrency.  Always >= 1.
 int topology(int requested_threads);
 
-/// Resolve a per-call backend request against FTGEMM_RUNTIME.  Never
-/// returns kAuto.
-RuntimeBackend resolve_backend(RuntimeBackend requested);
+/// Returns its argument; see RuntimeBackend.
+inline RuntimeBackend resolve_backend(RuntimeBackend requested) {
+  return requested;
+}
 
 }  // namespace ftgemm::runtime

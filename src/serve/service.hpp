@@ -67,7 +67,7 @@
 // through the identical one-thread plan (same blocking, same kernels, same
 // summation order) — the same one-member execute either way.
 // tests/test_service.cpp asserts this differentially across shapes x
-// backends x priorities x shard counts.
+// team sizes x priorities x shard counts.
 //
 // Ordering: priority lanes drain highest-first and FIFO within a lane *per
 // shard*; once more than one shard (or the inline lane) is in play,
@@ -148,8 +148,8 @@ enum class RejectReason : std::uint8_t {
 /// with element strides between consecutive problems; stride 0 broadcasts
 /// A/B).  Operand pointers are type-erased so one queue serves every
 /// precision; build requests with the typed make_* helpers below.
-/// `opts` is request-scoped: threads, runtime backend, ISA, tolerance,
-/// injectors and correction log all apply to this request alone.
+/// `opts` is request-scoped: threads, ISA, tolerance, injectors and
+/// correction log all apply to this request alone.
 struct GemmRequest {
   Precision precision = Precision::kF64;
   bool ft = true;

@@ -330,11 +330,11 @@ TEST(MemoryFaultCampaign, SweepDetectsAllSingleBitStrikesAndIsNeverSilent) {
   }
 }
 
-// Same config => bit-identical counters, run to run and across thread-team
-// backends: the cross-backend bit-identity contract extends to strike
-// placement (B~ strikes run under tm.single, A~ strikes are pinned to
-// member 0), so a campaign is a reproducible experiment everywhere.
-TEST(MemoryFaultCampaign, DeterministicAcrossRunsAndBackends) {
+// Same config => bit-identical counters, run to run: strike placement does
+// not depend on which thread runs which rank (B~ strikes run under
+// tm.single, A~ strikes are pinned to member 0), so a campaign is a
+// reproducible experiment.
+TEST(MemoryFaultCampaign, DeterministicAcrossRuns) {
   CampaignConfig cfg;
   cfg.surface = CampaignSurface::kPanelB;
   cfg.faults = 2;
@@ -342,13 +342,9 @@ TEST(MemoryFaultCampaign, DeterministicAcrossRunsAndBackends) {
   cfg.trials = 4;
   cfg.seed = test_seed(0xca3);
   cfg.threads = 2;
-  cfg.runtime = RuntimeBackend::kOpenMP;
 
   const CampaignResult a = run_campaign(cfg);
   const CampaignResult b = run_campaign(cfg);
-  CampaignConfig pool_cfg = cfg;
-  pool_cfg.runtime = RuntimeBackend::kPool;
-  const CampaignResult c = run_campaign(pool_cfg);
 
   const auto expect_equal = [&](const CampaignResult& x,
                                 const CampaignResult& y, const char* what) {
@@ -362,8 +358,7 @@ TEST(MemoryFaultCampaign, DeterministicAcrossRunsAndBackends) {
     EXPECT_EQ(x.masked, y.masked) << what << seed_note(cfg.seed);
     EXPECT_EQ(x.silent, y.silent) << what << seed_note(cfg.seed);
   };
-  expect_equal(a, b, "rerun, same backend");
-  expect_equal(a, c, "openmp vs pool");
+  expect_equal(a, b, "rerun");
   EXPECT_EQ(a.silent, 0) << seed_note(cfg.seed);
   EXPECT_GT(a.detected, 0) << seed_note(cfg.seed);
 }

@@ -223,7 +223,7 @@ inline double norm2(const Matrix<double>& v) {
 /// The one matrix comparison of the suite.  tol > 0 compares the
 /// denominator-guarded relative difference (max_rel_diff) against tol;
 /// tol == 0 demands bit-identity (max_abs_diff exactly zero — the FT-vs-Ori
-/// and cross-backend contracts).  On failure, names the worst element.
+/// and thread-count contracts).  On failure, names the worst element.
 template <typename T>
 void expect_matrix_near(const Matrix<T>& got, const Matrix<T>& want,
                         double tol, const std::string& label = "") {

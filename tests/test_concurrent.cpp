@@ -2,8 +2,7 @@
 // issue mixed (FT-)GEMM entry points simultaneously against the process-wide
 // leased context pool, every result is verified, and the pool's accounting
 // must balance afterwards.  This is the serving regime the context-leasing
-// and team-runtime layers exist for — before them, the free functions were
-// only safe per-thread, and the batched scheduler nested OpenMP regions.
+// and team-runtime layers exist for: every submitter leads its own teams.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,8 +22,8 @@ using testing::Problem;
 using testing::gemm_tolerance;
 using testing::reference_result;
 
-/// One submitter's workload: a fixed rotation of entry points, precisions,
-/// and team backends, each call verified against the naive oracle.  All
+/// One submitter's workload: a fixed rotation of entry points, precisions
+/// and team sizes, each call verified against the naive oracle.  All
 /// shapes are deterministic functions of (id, iter) so failures reproduce.
 void submitter(int id, int iters, std::atomic<int>& failures) {
   const auto note = [&](bool ok) {
@@ -33,8 +32,6 @@ void submitter(int id, int iters, std::atomic<int>& failures) {
   for (int it = 0; it < iters; ++it) {
     Options opts;
     opts.threads = 1 + (id + it) % 3;  // 1..3-member teams
-    opts.runtime = (id + it) % 2 == 0 ? RuntimeBackend::kPool
-                                      : RuntimeBackend::kOpenMP;
     const std::uint64_t seed = std::uint64_t(1000 * id + it);
     switch ((id + it) % 4) {
       case 0: {  // ft_dgemm, multi-panel shape

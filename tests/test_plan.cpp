@@ -59,17 +59,6 @@ TEST(PlanKey, EqualityAndHashCoverEveryField) {
   other.isa = Isa::kScalar;
   EXPECT_FALSE(base == make_plan_key(Trans::kNoTrans, Trans::kTrans, 32, 48,
                                      64, other, true));
-  // The resolved team runtime is part of the fingerprint (compare two
-  // explicit backends so the ambient FTGEMM_RUNTIME default cannot mask
-  // the field).
-  Options omp_rt = opts;
-  omp_rt.runtime = RuntimeBackend::kOpenMP;
-  Options pool_rt = opts;
-  pool_rt.runtime = RuntimeBackend::kPool;
-  EXPECT_FALSE(make_plan_key(Trans::kNoTrans, Trans::kTrans, 32, 48, 64,
-                             omp_rt, true) ==
-               make_plan_key(Trans::kNoTrans, Trans::kTrans, 32, 48, 64,
-                             pool_rt, true));
 }
 
 TEST(GemmPlan, SameInputsSamePlan) {

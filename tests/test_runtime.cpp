@@ -1,10 +1,10 @@
-// The thread-team runtime layer (src/runtime/): topology resolution, backend
-// selection, team-primitive semantics on both backends, and — the contract
-// the whole refactor rests on — bit-identical (FT-)GEMM results between the
-// persistent worker pool and the OpenMP region at equal thread counts.
+// The thread-team runtime layer (src/runtime/): topology resolution,
+// team-primitive semantics, the per-leader workers (nesting, ownership,
+// exit, scheduling class), and — the contract the executor rests on —
+// bit-identical (FT-)GEMM results at every thread count.
 #include <gtest/gtest.h>
-#include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -12,8 +12,6 @@
 #include <vector>
 
 #include "core/gemm_batched.hpp"
-#include "core/plan.hpp"
-#include "inject/injectors.hpp"
 #include "runtime/team.hpp"
 #include "runtime/topology.hpp"
 #include "test_common.hpp"
@@ -21,6 +19,8 @@
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #endif
 
 namespace ftgemm {
@@ -50,55 +50,42 @@ TEST(Topology, EnvThenHardwareConcurrency) {
   EXPECT_GE(runtime::hardware_concurrency(), 1);
 }
 
-TEST(Topology, BackendResolutionOrder) {
-  // Explicit request wins regardless of environment.
-  ::setenv("FTGEMM_RUNTIME", "pool", 1);
-  EXPECT_EQ(runtime::resolve_backend(RuntimeBackend::kOpenMP),
-            RuntimeBackend::kOpenMP);
-  // kAuto defers to FTGEMM_RUNTIME...
-  EXPECT_EQ(runtime::resolve_backend(RuntimeBackend::kAuto),
-            RuntimeBackend::kPool);
-  ::setenv("FTGEMM_RUNTIME", "omp", 1);
-  EXPECT_EQ(runtime::resolve_backend(RuntimeBackend::kAuto),
-            RuntimeBackend::kOpenMP);
-  ::setenv("FTGEMM_RUNTIME", "openmp", 1);
-  EXPECT_EQ(runtime::resolve_backend(RuntimeBackend::kAuto),
-            RuntimeBackend::kOpenMP);
-  // ...then the library default.
-  ::unsetenv("FTGEMM_RUNTIME");
-  EXPECT_EQ(runtime::resolve_backend(RuntimeBackend::kAuto),
-            RuntimeBackend::kOpenMP);
+#if defined(__linux__)
+/// The default team is the affinity mask, read at call time: a child whose
+/// mask is narrowed to two CPUs gets two-member teams.
+TEST(Topology, NarrowedAffinityMaskCapsTheDefault) {
+  cpu_set_t all;
+  CPU_ZERO(&all);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+  if (CPU_COUNT(&all) < 2) GTEST_SKIP() << "needs two CPUs";
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  for (int cpu = 0, kept = 0; cpu < CPU_SETSIZE && kept < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &all)) {
+      CPU_SET(cpu, &two);
+      ++kept;
+    }
+  }
+  ::unsetenv("FTGEMM_THREADS");
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // _exit: the child must not run the parent's exit-time joins.
+    if (sched_setaffinity(0, sizeof(two), &two) != 0) _exit(100);
+    _exit(runtime::topology(0));
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
-
-TEST(Topology, PlannerFreezesResolvedBackendIntoThePlan) {
-  Options opts;
-  opts.threads = 2;
-  ::setenv("FTGEMM_RUNTIME", "pool", 1);
-  const GemmPlan<double> pooled = build_plan<double>(
-      Trans::kNoTrans, Trans::kNoTrans, 256, 256, 256, opts, false);
-  EXPECT_EQ(pooled.runtime, RuntimeBackend::kPool);
-  ::unsetenv("FTGEMM_RUNTIME");
-  const GemmPlan<double> defaulted = build_plan<double>(
-      Trans::kNoTrans, Trans::kNoTrans, 256, 256, 256, opts, false);
-  EXPECT_EQ(defaulted.runtime, RuntimeBackend::kOpenMP);
-
-  opts.runtime = RuntimeBackend::kPool;
-  const GemmPlan<double> forced = build_plan<double>(
-      Trans::kNoTrans, Trans::kNoTrans, 256, 256, 256, opts, false);
-  EXPECT_EQ(forced.runtime, RuntimeBackend::kPool);
-  // The backend is part of the fingerprint: pool and OpenMP plans of one
-  // shape never alias in a cache.
-  EXPECT_FALSE(forced.key == defaulted.key);
-}
+#endif
 
 // ---------------------------------------------------------------------------
-// Team-primitive semantics, identical across backends.
+// Team-primitive semantics.
 // ---------------------------------------------------------------------------
 
-class TeamSemantics : public ::testing::TestWithParam<RuntimeBackend> {};
-
-TEST_P(TeamSemantics, EveryRankRunsOnceAndBarrierSynchronizes) {
-  const RuntimeBackend backend = GetParam();
+TEST(TeamSemantics, EveryRankRunsOnceAndBarrierSynchronizes) {
   const int nt = 4;
   std::vector<int> seen(std::size_t(nt), 0);
   std::atomic<int> errors{0};
@@ -115,13 +102,12 @@ TEST_P(TeamSemantics, EveryRankRunsOnceAndBarrierSynchronizes) {
       if (seen[std::size_t(t)] != 1) errors.fetch_add(1);
     }
   };
-  runtime::run_team(backend, nt, body);
+  runtime::run_team(nt, body);
   EXPECT_EQ(errors.load(), 0);
   for (int t = 0; t < nt; ++t) EXPECT_EQ(seen[std::size_t(t)], 1);
 }
 
-TEST_P(TeamSemantics, BarrierPhasesNeverTear) {
-  const RuntimeBackend backend = GetParam();
+TEST(TeamSemantics, BarrierPhasesNeverTear) {
   const int nt = 3;
   const int phases = 64;
   std::vector<int> slot(std::size_t(nt), -1);
@@ -136,12 +122,11 @@ TEST_P(TeamSemantics, BarrierPhasesNeverTear) {
       tm.barrier();  // writes of the next phase must not race the reads
     }
   };
-  runtime::run_team(backend, nt, body);
+  runtime::run_team(nt, body);
   EXPECT_EQ(errors.load(), 0);
 }
 
-TEST_P(TeamSemantics, SingleRunsExactlyOnceOnRankZeroThenBarriers) {
-  const RuntimeBackend backend = GetParam();
+TEST(TeamSemantics, SingleRunsExactlyOnceOnRankZeroThenBarriers) {
   const int nt = 4;
   std::atomic<int> executions{0};
   std::atomic<int> errors{0};
@@ -156,14 +141,13 @@ TEST_P(TeamSemantics, SingleRunsExactlyOnceOnRankZeroThenBarriers) {
     // The trailing barrier makes the single's writes visible everywhere.
     if (payload != 42) errors.fetch_add(1);
   };
-  runtime::run_team(backend, nt, body);
+  runtime::run_team(nt, body);
   EXPECT_EQ(executions.load(), 1);
   EXPECT_EQ(executor, 0) << "single is pinned to rank 0 for determinism";
   EXPECT_EQ(errors.load(), 0);
 }
 
-TEST_P(TeamSemantics, SoloTeamRunsInlineWithoutDispatch) {
-  const RuntimeBackend backend = GetParam();
+TEST(TeamSemantics, SoloTeamRunsInlineWithoutDispatch) {
   int runs = 0;
   auto body = [&](runtime::TeamMember& tm) {
     EXPECT_EQ(tm.tid(), 0);
@@ -171,38 +155,119 @@ TEST_P(TeamSemantics, SoloTeamRunsInlineWithoutDispatch) {
     tm.barrier();          // no-op, must not hang
     tm.single([&] { ++runs; });
   };
-  runtime::run_team(backend, 1, body);
+  runtime::run_team(1, body);
   EXPECT_EQ(runs, 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothBackends, TeamSemantics,
-                         ::testing::Values(RuntimeBackend::kOpenMP,
-                                           RuntimeBackend::kPool),
-                         [](const auto& info) {
-                           return info.param == RuntimeBackend::kPool
-                                      ? "pool"
-                                      : "openmp";
-                         });
+// ---------------------------------------------------------------------------
+// Per-leader workers.
+// ---------------------------------------------------------------------------
 
 TEST(PoolRuntime, WorkersPersistAndAreReusedAcrossRegions) {
   auto noop = [](runtime::TeamMember& tm) { tm.barrier(); };
-  runtime::run_team(RuntimeBackend::kPool, 3, noop);
+  runtime::run_team(3, noop);
   const int after_first = runtime::pool_worker_count();
   EXPECT_GE(after_first, 2);
-  // Back-to-back sequential teams of the same width lease the same parked
+  // Back-to-back sequential teams of the same width reuse the same parked
   // workers instead of spawning.
-  for (int i = 0; i < 16; ++i) runtime::run_team(RuntimeBackend::kPool, 3, noop);
+  for (int i = 0; i < 16; ++i) runtime::run_team(3, noop);
   EXPECT_EQ(runtime::pool_worker_count(), after_first);
 }
 
+TEST(PoolRuntime, RanksZeroAndTwoEachLeadANestedTeam) {
+  // Rank 0 nests on its own crew's next slots; rank 2 is a worker and
+  // leads from a crew of its own.  Both inner teams run at once.
+  constexpr int kOuter = 3, kInner = 3, kPhases = 16;
+  std::vector<int> outer_seen(kOuter, 0);
+  std::vector<std::vector<int>> inner_seen(2, std::vector<int>(kInner, 0));
+  std::atomic<int> errors{0};
+  auto outer = [&](runtime::TeamMember& om) {
+    outer_seen[std::size_t(om.tid())] += 1;
+    if (om.tid() == 0 || om.tid() == 2) {
+      std::vector<int>& seen = inner_seen[std::size_t(om.tid() / 2)];
+      std::vector<int> slot(kInner, -1);
+      auto inner = [&](runtime::TeamMember& im) {
+        if (im.nt() != kInner) errors.fetch_add(1);
+        seen[std::size_t(im.tid())] += 1;
+        for (int phase = 0; phase < kPhases; ++phase) {
+          slot[std::size_t(im.tid())] = phase;
+          im.barrier();
+          for (int t = 0; t < kInner; ++t) {
+            if (slot[std::size_t(t)] != phase) errors.fetch_add(1);
+          }
+          im.barrier();
+        }
+      };
+      runtime::run_team(kInner, inner);
+    }
+    om.barrier();  // the outer barrier still holds after the nested teams
+    for (int t = 0; t < kOuter; ++t) {
+      if (outer_seen[std::size_t(t)] != 1) errors.fetch_add(1);
+    }
+  };
+  runtime::run_team(kOuter, outer);
+  EXPECT_EQ(errors.load(), 0);
+  for (int t = 0; t < kOuter; ++t) EXPECT_EQ(outer_seen[std::size_t(t)], 1);
+  for (const auto& seen : inner_seen) {
+    for (int t = 0; t < kInner; ++t) EXPECT_EQ(seen[std::size_t(t)], 1);
+  }
+}
+
+TEST(PoolRuntime, EachLeaderKeepsItsOwnWorkers) {
+  constexpr int kNt = 3, kCalls = 50;
+  using Ids = std::vector<std::thread::id>;
+  Ids first[2];
+  bool stable[2] = {true, true};
+  // Both leaders stay alive until both are done, so their workers' lives
+  // overlap and a thread id cannot be reused between the two sets.
+  std::atomic<int> done{0};
+  const auto lead = [&](int who) {
+    Ids ids(kNt);
+    auto record = [&](runtime::TeamMember& tm) {
+      ids[std::size_t(tm.tid())] = std::this_thread::get_id();
+      tm.barrier();
+    };
+    for (int call = 0; call < kCalls; ++call) {
+      runtime::run_team(kNt, record);
+      if (call == 0) {
+        first[who] = ids;
+      } else if (ids != first[who]) {
+        stable[who] = false;
+      }
+    }
+    done.fetch_add(1);
+    while (done.load() < 2) std::this_thread::yield();
+  };
+  std::thread a(lead, 0);
+  std::thread b(lead, 1);
+  a.join();
+  b.join();
+  EXPECT_TRUE(stable[0]);
+  EXPECT_TRUE(stable[1]);
+  for (const std::thread::id& id : first[0]) {
+    EXPECT_EQ(std::count(first[1].begin(), first[1].end(), id), 0);
+  }
+}
+
+TEST(PoolRuntime, ExitingLeaderJoinsItsWorkers) {
+  const int before = runtime::pool_worker_count();
+  int during = -1;
+  std::thread leader([&] {
+    auto noop = [](runtime::TeamMember& tm) { tm.barrier(); };
+    runtime::run_team(4, noop);
+    during = runtime::pool_worker_count();
+  });
+  leader.join();
+  EXPECT_EQ(during, before + 3);
+  EXPECT_EQ(runtime::pool_worker_count(), before);
+}
+
 #if defined(__linux__)
-/// Pool workers run in the normal class whoever spawns them.  A new thread
-/// copies its spawner's scheduling class by default, so without the reset
-/// the first caller to lease a worker (a batch-class shard dispatcher, an
-/// idle-class thread) would set the class of every later caller's teams.
-TEST(PoolRuntime, SpawnedWorkersKeepTheNormalClass) {
-  // One more worker than the pool has, so at least one gets spawned here.
-  const int nt = runtime::pool_worker_count() + 2;
+/// A leader spawns its own workers, and a new thread copies its creator's
+/// scheduling class, so a batch-class leader's teams run in the batch
+/// class on every rank.
+TEST(PoolRuntime, WorkersRunInTheirLeadersClass) {
+  const int nt = 3;
   std::vector<int> policy(std::size_t(nt), -1);
   bool switched = false;
   std::thread caller([&] {
@@ -212,51 +277,28 @@ TEST(PoolRuntime, SpawnedWorkersKeepTheNormalClass) {
     auto record = [&](runtime::TeamMember& tm) {
       policy[std::size_t(tm.tid())] = sched_getscheduler(0);
     };
-    runtime::run_team(RuntimeBackend::kPool, nt, record);
+    runtime::run_team(nt, record);
   });
   caller.join();
   ASSERT_TRUE(switched) << "could not switch the caller to SCHED_BATCH";
-  EXPECT_EQ(policy[0], SCHED_BATCH) << "rank 0 is the calling thread";
-  for (int r = 1; r < nt; ++r) {
-    EXPECT_EQ(policy[std::size_t(r)], SCHED_OTHER) << "rank " << r;
+  for (int r = 0; r < nt; ++r) {
+    EXPECT_EQ(policy[std::size_t(r)], SCHED_BATCH) << "rank " << r;
   }
 }
 #endif
 
-TEST(PoolRuntime, NestedOpenMPRegionFallsBackToPool) {
-  // A nested `#pragma omp parallel` delivers a one-member team by default,
-  // which would silently drop every tid > 0 partition.  run_team detects
-  // the nesting and routes the OpenMP backend to the pool instead.
-  std::vector<int> seen(2, 0);
-#pragma omp parallel num_threads(2)
-  {
-    if (omp_get_thread_num() == 0) {
-      auto body = [&](runtime::TeamMember& tm) {
-        seen[std::size_t(tm.tid())] = 1;
-        tm.barrier();
-      };
-      runtime::run_team(RuntimeBackend::kOpenMP, 2, body);
-    }
-  }
-  EXPECT_EQ(seen[0], 1);
-  EXPECT_EQ(seen[1], 1);
-}
-
 // ---------------------------------------------------------------------------
-// The acceptance bar: pool results are bit-identical to OpenMP results at
-// equal thread counts, Ori and FT, across shapes with edge tiles,
-// transposes, non-trivial scalars, and multiple verification panels.
+// The executor's contract: C is bit-identical at every thread count, Ori and
+// FT, across shapes with edge tiles, transposes, non-trivial scalars,
+// multiple verification panels and idle members.
 // ---------------------------------------------------------------------------
 
 template <typename T>
-void expect_backend_bit_identity(const GemmCase& cs, int threads) {
+void expect_thread_count_bit_identity(const GemmCase& cs) {
   Problem<T> p(cs, 31);
-  Options omp_opts;
-  omp_opts.threads = threads;
-  omp_opts.runtime = RuntimeBackend::kOpenMP;
-  omp_opts.small_fast_path = false;  // keep the team path under test
-  Options pool_opts = omp_opts;
-  pool_opts.runtime = RuntimeBackend::kPool;
+  Options one;
+  one.threads = 1;
+  one.small_fast_path = false;  // keep the team path under test
 
   const auto call_ft = [&](Matrix<T>& c, const Options& o) {
     if constexpr (sizeof(T) == 8) {
@@ -283,31 +325,35 @@ void expect_backend_bit_identity(const GemmCase& cs, int threads) {
   const std::size_t bytes =
       sizeof(T) * std::size_t(p.c.ld()) * std::size_t(cs.n);
 
-  Matrix<T> ft_omp = p.c.clone();
-  Matrix<T> ft_pool = p.c.clone();
-  const FtReport rep_omp = call_ft(ft_omp, omp_opts);
-  const FtReport rep_pool = call_ft(ft_pool, pool_opts);
-  EXPECT_TRUE(rep_omp.clean()) << cs;
-  EXPECT_TRUE(rep_pool.clean()) << cs;
-  EXPECT_EQ(rep_pool.errors_detected, 0) << cs;
-  ASSERT_EQ(0, std::memcmp(ft_omp.data(), ft_pool.data(), bytes))
-      << "FT pool backend diverged from OpenMP at nt=" << threads << " for "
-      << cs;
+  Matrix<T> ft_one = p.c.clone();
+  const FtReport rep_one = call_ft(ft_one, one);
+  EXPECT_TRUE(rep_one.clean()) << cs;
+  Matrix<T> ori_one = p.c.clone();
+  call_ori(ori_one, one);
 
-  Matrix<T> ori_omp = p.c.clone();
-  Matrix<T> ori_pool = p.c.clone();
-  call_ori(ori_omp, omp_opts);
-  call_ori(ori_pool, pool_opts);
-  ASSERT_EQ(0, std::memcmp(ori_omp.data(), ori_pool.data(), bytes))
-      << "Ori pool backend diverged from OpenMP at nt=" << threads << " for "
-      << cs;
+  for (const int threads : {2, 3, 4}) {
+    Options opts = one;
+    opts.threads = threads;
+    Matrix<T> ft = p.c.clone();
+    const FtReport rep = call_ft(ft, opts);
+    EXPECT_TRUE(rep.clean()) << cs;
+    EXPECT_EQ(rep.errors_detected, 0) << cs;
+    EXPECT_EQ(rep.panels, rep_one.panels) << cs;
+    ASSERT_EQ(0, std::memcmp(ft_one.data(), ft.data(), bytes))
+        << "FT at nt=" << threads << " diverged from nt=1 for " << cs;
+
+    Matrix<T> ori = p.c.clone();
+    call_ori(ori, opts);
+    ASSERT_EQ(0, std::memcmp(ori_one.data(), ori.data(), bytes))
+        << "Ori at nt=" << threads << " diverged from nt=1 for " << cs;
+  }
 
   // And both agree with the naive oracle to rounding.
   const Matrix<T> ref = reference_result(cs, p);
-  EXPECT_LE(max_abs_diff(ft_pool, ref), gemm_tolerance<T>(cs.k)) << cs;
+  EXPECT_LE(max_abs_diff(ft_one, ref), gemm_tolerance<T>(cs.k)) << cs;
 }
 
-TEST(BackendBitIdentity, DoubleAcrossShapeAndThreadSweep) {
+TEST(ThreadCountBitIdentity, DoubleAcrossShapeAndThreadSweep) {
   const std::vector<GemmCase> cases = {
       {128, 96, 300},                                     // multi-panel
       {97, 203, 129},                                     // ragged edges
@@ -316,76 +362,47 @@ TEST(BackendBitIdentity, DoubleAcrossShapeAndThreadSweep) {
       {64, 64, 64, Trans::kNoTrans, Trans::kTrans, -1.5, 2.0},
       {31, 29, 100, Trans::kTrans, Trans::kTrans, 0.75, 0.25},
   };
-  for (const int threads : {2, 4}) {
-    for (const GemmCase& cs : cases) {
-      expect_backend_bit_identity<double>(cs, threads);
-    }
-  }
+  for (const GemmCase& cs : cases) expect_thread_count_bit_identity<double>(cs);
 }
 
-TEST(BackendBitIdentity, FloatSpotChecks) {
-  expect_backend_bit_identity<float>({128, 96, 300}, 4);
-  expect_backend_bit_identity<float>(
-      {64, 64, 64, Trans::kNoTrans, Trans::kTrans, -1.5, 2.0}, 3);
-}
-
-TEST(PoolFt, InjectedFaultsCorrectedAcrossMemberBoundaries) {
-  // Same scenario as ParallelFt.InjectionCorrectedAcrossThreadBoundaries,
-  // but the team runs on pool workers: the Cr reduction and the rank-0
-  // solve must see faults from every member's row partition.
-  const GemmCase cs{128, 128, 128};
-  Problem<double> p(cs);
-  const Matrix<double> ref = reference_result(cs, p);
-  Matrix<double> c = p.c.clone();
-  DeterministicInjector inj({
-      {InjectionKind::kAddDelta, 0, 5, 100, 2.0, 0},
-      {InjectionKind::kAddDelta, 0, 120, 3, -7.0, 0},
-  });
-  Options opts;
-  opts.threads = 4;
-  opts.runtime = RuntimeBackend::kPool;
-  opts.injector = &inj;
-  const FtReport rep = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n,
-                                cs.k, cs.alpha, p.a.data(), p.a.ld(),
-                                p.b.data(), p.b.ld(), cs.beta, c.data(),
-                                c.ld(), opts);
-  EXPECT_EQ(static_cast<std::size_t>(rep.errors_corrected),
-            inj.injected_count());
-  EXPECT_TRUE(rep.clean());
-  EXPECT_LE(max_rel_diff(c, ref), gemm_tolerance<double>(cs.k));
+TEST(ThreadCountBitIdentity, FloatSpotChecks) {
+  expect_thread_count_bit_identity<float>({128, 96, 300});
+  expect_thread_count_bit_identity<float>(
+      {64, 64, 64, Trans::kNoTrans, Trans::kTrans, -1.5, 2.0});
 }
 
 TEST(PoolBatched, InterBatchMembersRunOnPoolWorkersBitIdentically) {
-  // Forced inter-batch scheduling on both backends: every member executes
-  // the same serial plan, so the two schedules must agree bitwise.
+  // Forced inter-batch scheduling runs each member's serial plan on one
+  // team worker; forced intra-batch runs each on a 4-member team.  C does
+  // not depend on the thread count, so the two schedules agree bitwise.
   const index_t n = 48, batch = 8;
   Problem<double> p({n, n * batch, n}, 99);
-  std::vector<double> c_omp(p.c.data(), p.c.data() + p.c.ld() * n * batch);
-  std::vector<double> c_pool = c_omp;
+  std::vector<double> c_inter(p.c.data(), p.c.data() + p.c.ld() * n * batch);
+  std::vector<double> c_intra = c_inter;
 
   BatchOptions opts;
-  opts.schedule = BatchSchedule::kInter;
   opts.inject_problem = -1;  // no injector attached — shared-sink veto moot
   opts.base.threads = 4;
+  opts.base.small_fast_path = false;  // keep the 4-member teams intra
 
-  opts.base.runtime = RuntimeBackend::kOpenMP;
-  const BatchReport rep_omp = ft_gemm_strided_batched<double>(
+  opts.schedule = BatchSchedule::kInter;
+  const BatchReport rep_inter = ft_gemm_strided_batched<double>(
       Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
       p.a.data(), p.a.ld(), 0, p.b.data(), p.b.ld(), n * p.b.ld(), 0.5,
-      c_omp.data(), p.c.ld(), n * p.c.ld(), batch, opts);
+      c_inter.data(), p.c.ld(), n * p.c.ld(), batch, opts);
 
-  opts.base.runtime = RuntimeBackend::kPool;
-  const BatchReport rep_pool = ft_gemm_strided_batched<double>(
+  opts.schedule = BatchSchedule::kIntra;
+  const BatchReport rep_intra = ft_gemm_strided_batched<double>(
       Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n, n, 1.0,
       p.a.data(), p.a.ld(), 0, p.b.data(), p.b.ld(), n * p.b.ld(), 0.5,
-      c_pool.data(), p.c.ld(), n * p.c.ld(), batch, opts);
+      c_intra.data(), p.c.ld(), n * p.c.ld(), batch, opts);
 
-  EXPECT_TRUE(rep_omp.inter_batch);
-  EXPECT_TRUE(rep_pool.inter_batch);
-  EXPECT_EQ(rep_omp.dirty_problems, 0);
-  EXPECT_EQ(rep_pool.dirty_problems, 0);
-  ASSERT_EQ(0, std::memcmp(c_omp.data(), c_pool.data(),
-                           sizeof(double) * c_omp.size()));
+  EXPECT_TRUE(rep_inter.inter_batch);
+  EXPECT_FALSE(rep_intra.inter_batch);
+  EXPECT_EQ(rep_inter.dirty_problems, 0);
+  EXPECT_EQ(rep_intra.dirty_problems, 0);
+  ASSERT_EQ(0, std::memcmp(c_inter.data(), c_intra.data(),
+                           sizeof(double) * c_inter.size()));
 }
 
 }  // namespace

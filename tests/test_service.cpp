@@ -1,7 +1,7 @@
 // GemmService differential suite: the async front-end must deliver
 // *bit-identical* results to the synchronous entry points for every routing
 // decision its dispatcher can make — direct dispatch, coalesced-into-
-// batched, any priority, either team backend, both precisions — plus the
+// batched, any priority, any team size, both precisions — plus the
 // lifecycle surface: cancellation, pause/resume, queue-full backpressure,
 // shutdown with in-flight requests, and an 8-client soak with lease/plan
 // accounting (mirroring test_concurrent.cpp one layer up the stack).
@@ -129,7 +129,7 @@ void differential_case(GemmService& service, const GemmCase& cs, bool ft,
   }
 }
 
-TEST(ServiceDifferential, BitIdenticalToSyncAcrossShapesBackendsPriorities) {
+TEST(ServiceDifferential, BitIdenticalToSyncAcrossShapesThreadsPriorities) {
   GemmService service;
   const GemmCase shapes[] = {
       {48, 40, 64},                                        // fast path
@@ -138,24 +138,19 @@ TEST(ServiceDifferential, BitIdenticalToSyncAcrossShapesBackendsPriorities) {
       {64, 300, 320, Trans::kNoTrans, Trans::kTrans},      // Tb, wide
       {60, 60, 60, Trans::kNoTrans, Trans::kNoTrans, -1.5, 0.5},
   };
-  const RuntimeBackend backends[] = {RuntimeBackend::kOpenMP,
-                                     RuntimeBackend::kPool};
   const Priority priorities[] = {Priority::kLow, Priority::kNormal,
                                  Priority::kHigh};
   int i = 0;
   for (const GemmCase& cs : shapes) {
-    for (const RuntimeBackend backend : backends) {
-      for (const bool ft : {false, true}) {
-        Options opts;
-        opts.runtime = backend;
-        opts.threads = 1 + i % 3;
-        const Priority pri = priorities[i % 3];
-        differential_case<double>(service, cs, ft, opts, pri,
-                                  std::uint64_t(100 + i));
-        differential_case<float>(service, cs, ft, opts, pri,
-                                 std::uint64_t(200 + i));
-        ++i;
-      }
+    for (const bool ft : {false, true}) {
+      Options opts;
+      opts.threads = 1 + i % 3;
+      const Priority pri = priorities[i % 3];
+      differential_case<double>(service, cs, ft, opts, pri,
+                                std::uint64_t(100 + i));
+      differential_case<float>(service, cs, ft, opts, pri,
+                               std::uint64_t(200 + i));
+      ++i;
     }
   }
   const auto stats = service.stats();
