@@ -42,11 +42,11 @@
 //
 // Both domains share the executor's thread topology, barrier structure and
 // summation order, so results do not depend on which thread runs which
-// rank or on the fast-path decision.  Both reduce a Bc partial per member from the B~
-// columns it packed; the executor sums the partials in rank order.  Three
-// plumbing facts are also domain-owned so the entry points stay generic:
-// the row-major swap of per-call quantization parameters, the accepted
-// depth, and the alpha a resident payload is keyed under.
+// rank or on the fast-path decision.  Both reduce a Bc partial per member
+// from the B~ columns it packed; the executor sums the partials in rank
+// order.  Three plumbing facts are also domain-owned so the entry points
+// stay generic: the row-major swap of per-call quantization parameters,
+// the accepted depth, and the alpha a resident payload is keyed under.
 //
 // The bottom of this file lists the supported precisions once, as
 // (Precision, StorageT, ComputeT) entries; the serving layer and the

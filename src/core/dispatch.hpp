@@ -216,9 +216,9 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
   // Inter-batch dispatch: one team of `workers` members, so batch members
   // run directly on the calling thread's parked workers.  Dynamic
   // scheduling via a shared claim counter; problem-to-worker assignment
-  // does not affect results, only load balance.  workers == 1 (the intra path, or a
-  // one-problem batch) runs inline on the calling thread and each problem's
-  // plan opens its own nt-member team.
+  // does not affect results, only load balance.  workers == 1 (the intra
+  // path, or a one-problem batch) runs inline on the calling thread and
+  // each problem's plan opens its own nt-member team.
   std::atomic<index_t> next{0};
   const auto member_body = [&](runtime::TeamMember& tm) {
     GemmContext<S, C>& ctx = *leases[std::size_t(tm.tid())];

@@ -70,7 +70,8 @@ TEST(Topology, NarrowedAffinityMaskCapsTheDefault) {
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // _exit: the child must not run the parent's exit-time joins.
+    // _exit: the child must not flush the parent's buffered output or run
+    // the test program's exit handlers.
     if (sched_setaffinity(0, sizeof(two), &two) != 0) _exit(100);
     _exit(runtime::topology(0));
   }
