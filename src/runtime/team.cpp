@@ -29,8 +29,8 @@
 // 300,000 and 100.  Every kYieldEvery-th iteration of the long spin is a
 // sched_yield(), so a long spinner never keeps a core from a runnable
 // thread of another process.  The short spin does not yield: it parks
-// within microseconds anyway, and a yield there hands the core to another
-// of this process's threads while the spinner's team waits for it.  A
+// after tens of microseconds anyway, and a yield there hands the core to
+// another of this process's threads while the spinner's team waits for it.  A
 // pause is not a fixed time: 16,384 of them took 365-463 us on a 4-core
 // AVX-512 Xeon, so the long spin lasts milliseconds there, long enough to
 // keep a team awake between back-to-back calls.
