@@ -9,7 +9,8 @@
 //     led by the same thread (rank 0 of a running team) gets workers of
 //     its own.  The crew grows on demand, never shrinks, and joins its
 //     workers when the leader exits.  Workers are spawned by their leader,
-//     so they run in its scheduling class.
+//     so they run in its scheduling class.  A child process forked after
+//     the thread led a team starts a new crew (see CrewSlot).
 //
 //   Worker — one parked thread.  The leader publishes a Team pointer under
 //     the worker's mutex, so a spinning worker picks it up lock-free while
@@ -45,6 +46,10 @@
 
 #include "runtime/topology.hpp"
 
+#if defined(__linux__)
+#include <pthread.h>
+#endif
+
 namespace ftgemm::runtime {
 
 namespace {
@@ -55,6 +60,20 @@ constexpr int kYieldEvery = 64;
 
 /// Workers alive in the process, over every crew.
 std::atomic<int> g_workers{0};
+
+/// Forks this process descends from since the library was loaded: bumped
+/// in each child, where no worker of the parent exists.
+std::atomic<unsigned> g_forks{0};
+
+#if defined(__linux__)
+void on_fork_child() {
+  g_forks.fetch_add(1, std::memory_order_relaxed);
+  g_workers.store(0, std::memory_order_relaxed);
+}
+
+[[maybe_unused]] const int g_atfork_registered =
+    pthread_atfork(nullptr, nullptr, on_fork_child);
+#endif
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -248,6 +267,37 @@ class Crew {
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
+/// The calling thread's crew.  In a child forked after the thread led a
+/// team, the crew's workers are threads of the parent that the child does
+/// not have, and a lock one of them held at the fork stays held.  The slot
+/// then drops the crew without destroying it, since that would join the
+/// workers, and destroying their joinable std::threads would end the
+/// program; the next team spawns a new crew.
+class CrewSlot {
+ public:
+  CrewSlot() = default;
+  CrewSlot(const CrewSlot&) = delete;
+  CrewSlot& operator=(const CrewSlot&) = delete;
+  ~CrewSlot() { forget_if_forked(); }
+
+  Crew& get() {
+    forget_if_forked();
+    if (!crew_) crew_ = std::make_unique<Crew>();
+    return *crew_;
+  }
+
+ private:
+  void forget_if_forked() {
+    const unsigned forks = g_forks.load(std::memory_order_relaxed);
+    if (forks == forks_) return;
+    forks_ = forks;
+    (void)crew_.release();  // leaked on purpose, see above
+  }
+
+  std::unique_ptr<Crew> crew_;
+  unsigned forks_ = g_forks.load(std::memory_order_relaxed);
+};
+
 }  // namespace
 
 void run_team(int nt, TeamFnRef fn) {
@@ -256,8 +306,8 @@ void run_team(int nt, TeamFnRef fn) {
     fn(solo);
     return;
   }
-  thread_local Crew crew;
-  crew.run(nt, fn);
+  thread_local CrewSlot slot;
+  slot.get().run(nt, fn);
 }
 
 int pool_worker_count() {

@@ -14,7 +14,9 @@
 // Every thread that leads a team keeps its own parked workers
 // (runtime/team.cpp): they are spawned on its first team, serve only its
 // teams, and are joined when it exits.  A leader therefore always pairs
-// with the same workers, and concurrent leaders share no lock.
+// with the same workers, and concurrent leaders share no lock.  A child
+// process forked after its thread led a team spawns new workers on its
+// next team; the parent's are not threads of the child.
 //
 // Bit-identity contract: a team member's rank and team size fully determine
 // its partition of the work and its position in every reduction, so

@@ -93,12 +93,12 @@ GemmResult GemmFuture::wait() const {
     return st_->result;
   }
   if (st_->shard != nullptr) {
-    // Help: run the shard's next groups here instead of sleeping while the
-    // request is still queued.  The gate keeps the shard alive for every
+    // Help: run the shard's next groups here instead of sleeping until the
+    // request settles, whoever has claimed it; park only once the shard
+    // has nothing left to run.  The gate keeps the shard alive for every
     // pass that starts before shutdown does.
     const ClientGate gate(st_->sync);
-    while (!gate.stopping() &&
-           detail::status_of(*st_) == RequestStatus::kQueued &&
+    while (!gate.stopping() && !detail::is_settled(detail::status_of(*st_)) &&
            st_->shard->help(*st_)) {
     }
   }

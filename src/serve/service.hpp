@@ -35,11 +35,12 @@
 //     and its kRejected future carries a RejectReason saying *which*
 //     resource was exhausted.
 //
-//   - *Help-on-wait*: GemmFuture::wait() on a still-queued request runs
-//     its shard's next group on the waiting thread, built exactly as the
-//     dispatcher builds one, until the request has left the queue; then it
-//     blocks.  A client that queued work thus executes it instead of
-//     sleeping while its dispatcher is busy.
+//   - *Help-on-wait*: GemmFuture::wait() on a request that has not
+//     settled runs its shard's next group on the waiting thread, built
+//     exactly as the dispatcher builds one, until the request settles or
+//     the shard has nothing left to run; then it blocks.  A client that
+//     queued work thus executes it instead of sleeping, also while the
+//     dispatcher runs the request it waits for.
 //
 //   - *Coalescing*: queued single-problem requests whose resolved plan
 //     takes the small-GEMM fast path (planner-pinned to one thread) and
@@ -346,11 +347,12 @@ class GemmFuture {
   [[nodiscard]] bool valid() const { return st_ != nullptr; }
 
   /// Block until the request settles (done/cancelled/rejected); returns the
-  /// result.  Returns immediately once settled.  While the request is still
-  /// queued and the service is neither paused nor stopping, the calling
-  /// thread first runs its shard's next groups itself (possibly other
-  /// clients' requests, whose then() continuations then run here too)
-  /// until this request has left the queue.  By value on purpose: the
+  /// result.  Returns immediately once settled.  Until then, while the
+  /// service is neither paused nor stopping, the calling thread runs its
+  /// shard's next groups itself (possibly other clients' requests, whose
+  /// then() continuations then run here too), whether this request is
+  /// still queued or already running on another thread; it parks only
+  /// once the shard has nothing left to run.  By value on purpose: the
   /// idiomatic `service.submit(req).wait()` destroys the temporary future
   /// (and possibly the last reference to the shared state) as the full
   /// expression ends, so a reference would dangle.

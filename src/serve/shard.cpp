@@ -228,8 +228,10 @@ bool ServiceShard::help(detail::RequestState& own) {
     std::lock_guard<std::mutex> lk(pop_m_);
     // Every claim of a queued entry happens under pop_m_, so a request
     // still kQueued here is still in the rings or a holdover: the group
-    // below is the one ahead of it or contains it.
-    if (detail::status_of(own) != RequestStatus::kQueued) return false;
+    // below is the one ahead of it or contains it.  A request already
+    // claimed by the dispatcher or another helper is running elsewhere;
+    // the group below is then simply the shard's next one.
+    if (detail::is_settled(detail::status_of(own))) return false;
     build_group_locked(group, cancelled);
   }
   if (cancelled > 0) owner_->count_cancelled(cancelled);

@@ -12,7 +12,7 @@
 // opportunity.
 //
 // Consumer side: the owning dispatcher and any *helping* waiter (a client
-// blocked in GemmFuture::wait() on a request still in this shard's queue)
+// in GemmFuture::wait() on a request of this shard that has not settled)
 // serialize on `pop_m_` — a consumer-only mutex producers never touch.
 // Serializing consumers buys two properties cheaply: a coalescable
 // same-fingerprint run is always popped atomically as ONE group (never
@@ -29,13 +29,17 @@
 // holdover first within its lane preserves per-lane FIFO; higher lanes
 // still pre-empt it.
 //
-// Help protocol: a waiter whose request is still queued here takes pop_m_,
-// re-checks that the request is still queued (claims happen under pop_m_,
-// so the check is exact), builds the next group in priority order — its own
-// request or one ahead of it — and runs it on its own thread, repeating
-// until its request has left the queue.  It never helps while the service
-// is paused or stopping; GemmService::shutdown() waits for helpers to leave
-// before the final sweep.
+// Help protocol: a waiter whose request has not settled takes pop_m_,
+// re-checks there that it has not, builds the next group in priority order
+// and runs it on its own thread, repeating until its request settles or
+// the shard has nothing left to run; only then does it park.  While the
+// request is still queued (claims happen under pop_m_, so that check is
+// exact) the group is its own request's or one ahead of it; once the
+// dispatcher or another helper has claimed it, the group is whatever the
+// shard would run next (leapfrogging: the waiter runs queued work instead
+// of sleeping on work another thread is running).  It never helps while
+// the service is paused or stopping; GemmService::shutdown() waits for
+// helpers to leave before the final sweep.
 //
 // Park/wake: the dispatcher parks on `cv_` with `parked_` raised.  A
 // producer pushes first and calls wake() after: wake() observes `parked_`
@@ -124,9 +128,10 @@ class ServiceShard {
   }
 
   /// Run this shard's next group on the calling thread, a client waiting
-  /// for `own` (see the help protocol above).  False, running nothing,
-  /// when the service is paused, `own` has left the queue, or no group
-  /// could be built.
+  /// for `own` (see the help protocol above), whether `own` is still
+  /// queued or already running elsewhere.  False, running nothing, when
+  /// the service is paused, `own` has settled, or the shard has no group
+  /// to run.
   bool help(detail::RequestState& own);
 
   /// Per-shard counters (relaxed; snapshot via GemmService::stats).

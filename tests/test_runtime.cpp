@@ -1,11 +1,13 @@
 // The thread-team runtime layer (src/runtime/): topology resolution,
 // team-primitive semantics, the per-leader workers (nesting, ownership,
-// exit, scheduling class), and — the contract the executor rests on —
+// exit, scheduling class, fork), and — the contract the executor rests on —
 // bit-identical (FT-)GEMM results at every thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -285,6 +287,56 @@ TEST(PoolRuntime, WorkersRunInTheirLeadersClass) {
   for (int r = 0; r < nt; ++r) {
     EXPECT_EQ(policy[std::size_t(r)], SCHED_BATCH) << "rank " << r;
   }
+}
+
+/// A child forked after its thread led a team has none of the parent's
+/// workers, so its first team must spawn new ones rather than wait on the
+/// inherited crew.  The child runs a 2-thread ft_dgemm and must match the
+/// parent's C bit for bit.  The parent polls for at most 10 s, then kills
+/// the child, so a hang fails the test and leaves no process behind.
+TEST(PoolRuntime, ForkedChildRunsTeamsOnNewWorkers) {
+  auto noop = [](runtime::TeamMember& tm) { tm.barrier(); };
+  runtime::run_team(2, noop);
+
+  const GemmCase cs{128, 96, 300};
+  Problem<double> p(cs, 41);
+  Options opts;
+  opts.threads = 2;
+  opts.small_fast_path = false;  // keep the team path under test
+  const auto call = [&](Matrix<double>& c) {
+    return ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
+                    cs.alpha, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
+                    cs.beta, c.data(), c.ld(), opts);
+  };
+  Matrix<double> want = p.c.clone();
+  ASSERT_TRUE(call(want).clean());
+  const std::size_t bytes =
+      sizeof(double) * std::size_t(p.c.ld()) * std::size_t(cs.n);
+
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // _exit: the child must not flush the parent's buffered output or run
+    // the test program's exit handlers.
+    Matrix<double> got = p.c.clone();
+    const bool clean = call(got).clean();
+    _exit(clean && std::memcmp(got.data(), want.data(), bytes) == 0 ? 0 : 1);
+  }
+  int status = 0;
+  pid_t reaped = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((reaped = waitpid(child, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (reaped == 0) {
+    kill(child, SIGKILL);
+    waitpid(child, &status, 0);
+  }
+  ASSERT_EQ(reaped, child) << "the forked child's team never returned";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the child's C or report differed";
 }
 #endif
 

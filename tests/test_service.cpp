@@ -740,6 +740,174 @@ TEST(ServiceHelp, WaiterRunsItsOwnQueuedRequest) {
   EXPECT_EQ(stats.helped, 1u);
 }
 
+/// Poll `done` every millisecond for at most `seconds`; its last value.
+template <typename Done>
+bool poll_until(Done done, double seconds) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A compute injector that plans no fault and holds each call carrying it
+/// in begin_call until release(): whichever thread runs such a request
+/// stays busy with it, and its C ends as a clean call's.
+class HoldingInjector final : public FaultInjector {
+ public:
+  void begin_call(std::int64_t, std::int64_t, std::int64_t, int) override {
+    entered_.store(true);
+    while (!released_.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  void plan_block(const BlockContext&, std::vector<InjectionRecord>&) override {
+  }
+  [[nodiscard]] bool entered() const { return entered_.load(); }
+  void release() { released_.store(true); }
+
+ private:
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> released_{false};
+};
+
+/// A one-shard service (inline lane off) whose dispatcher runs R0, held
+/// inside the call by a HoldingInjector, with R1..Rn of distinct shapes
+/// queued behind it.  Members are declared so that the injector and every
+/// operand outlive the service, and the destructor releases R0 before the
+/// service shuts down, also when a test returns early.
+class HeldDispatcher {
+ public:
+  explicit HeldDispatcher(int queued) {
+    const GemmCase shapes[] = {{48, 40, 64}, {40, 48, 56}, {32, 56, 48}};
+    for (int r = 0; r <= queued; ++r) {
+      const GemmCase& cs = shapes[r];
+      cases_.push_back(cs);
+      problems_.emplace_back(cs, std::uint64_t(950 + r));
+      c_sync_.push_back(problems_.back().c.clone());
+      c_async_.push_back(problems_.back().c.clone());
+      run_sync<double>(cs, true, problems_.back(), c_sync_.back(), {});
+    }
+    ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.inline_fast_lane = false;  // every request below must queue
+    cfg.start_paused = true;       // so that the dispatcher, not us, runs R0
+    service_ = std::make_unique<GemmService>(cfg);
+    Options held;
+    held.injector = &holder_;
+    futures_.push_back(service_->submit(request(0, held)));
+    service_->resume();
+    held_ = poll_until([&] { return holder_.entered(); }, 20.0);
+    for (int r = 1; r <= queued; ++r) {
+      futures_.push_back(service_->submit(request(r, {})));
+    }
+  }
+  ~HeldDispatcher() { holder_.release(); }
+
+  /// False when the dispatcher never entered R0.
+  [[nodiscard]] bool held() const { return held_; }
+  void release() { holder_.release(); }
+  GemmService& service() { return *service_; }
+  const GemmFuture& future(int r) const { return futures_[std::size_t(r)]; }
+
+  /// Every request settled done and delivered the synchronous C.
+  void expect_all_done_bit_identical() const {
+    for (std::size_t r = 0; r < futures_.size(); ++r) {
+      const GemmResult res = futures_[r].wait();
+      EXPECT_EQ(res.status, RequestStatus::kDone) << "R" << r;
+      EXPECT_TRUE(res.ok()) << "R" << r;
+      expect_matrix_near(c_async_[r], c_sync_[r], 0.0,
+                         "R" + std::to_string(r));
+    }
+  }
+
+ private:
+  serve::GemmRequest request(int r, const Options& opts) {
+    const GemmCase& cs = cases_[std::size_t(r)];
+    const Problem<double>& p = problems_[std::size_t(r)];
+    Matrix<double>& c = c_async_[std::size_t(r)];
+    return make_gemm_request<double>(true, Layout::kColMajor, cs.ta, cs.tb,
+                                     cs.m, cs.n, cs.k, cs.alpha, p.a.data(),
+                                     p.a.ld(), p.b.data(), p.b.ld(), cs.beta,
+                                     c.data(), c.ld(), opts);
+  }
+
+  HoldingInjector holder_;
+  std::vector<GemmCase> cases_;
+  std::vector<Problem<double>> problems_;
+  std::vector<Matrix<double>> c_sync_, c_async_;
+  std::unique_ptr<GemmService> service_;
+  std::vector<GemmFuture> futures_;
+  bool held_ = false;
+};
+
+/// Help-on-wait is work-conserving: a client whose request the dispatcher
+/// is already running does not sleep while its shard still has queued
+/// groups.  It runs them, then parks until its own request settles.
+TEST(ServiceHelp, WaiterRunsTheShardsQueueWhileItsRequestRunsElsewhere) {
+  HeldDispatcher held(2);
+  ASSERT_TRUE(held.held()) << "the dispatcher never started R0";
+  GemmService& service = held.service();
+  EXPECT_EQ(service.queue_depth(), 2u);
+
+  std::thread client([&] { held.future(0).wait(); });
+  // Bounded: a wait() that parks behind the held R0 fails here, and the
+  // release below then lets it return.
+  const bool ran_both =
+      poll_until([&] { return service.stats().helped == 2; }, 10.0);
+  EXPECT_TRUE(ran_both) << "wait() parked while R1 and R2 were queued";
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.helped, 2u);
+  EXPECT_EQ(stats.shard[0].executed, 2u);
+  EXPECT_EQ(service.queue_depth(), 0u);
+  EXPECT_EQ(held.future(0).status(), RequestStatus::kRunning);
+  EXPECT_TRUE(held.future(1).settled());
+  EXPECT_TRUE(held.future(2).settled());
+  held.release();
+  client.join();
+
+  held.expect_all_done_bit_identical();
+  service.shutdown(true);
+  EXPECT_EQ(service.stats().completed, 3u);
+  EXPECT_EQ(service.stats().helped, 2u);
+}
+
+/// The pause contract holds in that branch too: a client that waits while
+/// the service is paused runs nothing, and the queue stays as staged until
+/// resume().  A client that waits after resume() runs what is queued.
+TEST(ServiceHelp, PausedWaiterRunsNothingUntilResume) {
+  HeldDispatcher held(1);
+  ASSERT_TRUE(held.held()) << "the dispatcher never started R0";
+  GemmService& service = held.service();
+  service.pause();
+
+  std::thread paused_client([&] { held.future(0).wait(); });
+  // A negative check needs a window: give the client time to help, were it
+  // going to.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(service.stats().helped, 0u);
+  EXPECT_EQ(held.future(1).status(), RequestStatus::kQueued);
+  EXPECT_EQ(service.queue_depth(), 1u);
+
+  service.resume();
+  std::thread client([&] { held.future(0).wait(); });
+  const bool ran =
+      poll_until([&] { return held.future(1).settled(); }, 10.0);
+  EXPECT_TRUE(ran) << "no waiter ran R1 after resume()";
+  EXPECT_EQ(service.stats().helped, 1u);
+  EXPECT_EQ(held.future(0).status(), RequestStatus::kRunning);
+  held.release();
+  paused_client.join();
+  client.join();
+
+  held.expect_all_done_bit_identical();
+  service.shutdown(true);
+  EXPECT_EQ(service.stats().completed, 2u);
+  EXPECT_EQ(service.stats().helped, 1u);
+}
+
 /// The inline fast lane must be invisible except in latency: bit-identical
 /// C, bit-identical FT reports, and its own accounting column.
 TEST(ServiceInline, FastLaneIsBitIdenticalToQueuedExecution) {
