@@ -16,8 +16,9 @@
 //           T = FTGEMM_BENCH_SERVICE_THREADS, default 4).  A synchronous
 //           loop opens one thread team PER CLIENT concurrently (N clients
 //           -> N*T runnable threads, barrier-storming each other).  The
-//           service does not bound that: a client waiting on a queued
-//           team request runs it beside the dispatcher's, so teams run
+//           service does not bound that: a waiting client runs its
+//           shard's next team request beside the dispatcher's, also while
+//           the dispatcher runs the request it waits for, so teams run
 //           side by side there too.
 //
 //   sharded_* — the same two profiles against services with an explicit
@@ -25,10 +26,10 @@
 //           at loaded client counts; comparing async_rps across the
 //           _s1/_s2/_s4 rows isolates what sharded admission buys.
 //
-// No ratio is claimed.  On the 4-core record host most loaded rows sit at
-// 0.7-1.0x of the synchronous loop, and the harness is noisy there: three
-// records of one binary put team_nt4 at 4 clients at 0.83x, 0.88x and
-// 1.27x, and the 1-client serial sync_rps at 27k, 44k and 43k.  The last
+// No ratio is claimed.  On the 4-core record host the loaded rows sit at
+// 0.87-1.19x of the synchronous loop, and the harness is noisy there: three
+// records of one binary put serial_nt1 at 1 client at 0.84x, 0.97x and
+// 0.95x, and team_nt4 at 8 clients at 1.06x, 0.92x and 1.03x.  The last
 // comment line of a run states what its own rows show.
 //
 // Clients submit in pipelined windows (FTGEMM_BENCH_WINDOW requests via

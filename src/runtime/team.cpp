@@ -275,9 +275,6 @@ class Crew {
 /// program; the next team spawns a new crew.
 class CrewSlot {
  public:
-  CrewSlot() = default;
-  CrewSlot(const CrewSlot&) = delete;
-  CrewSlot& operator=(const CrewSlot&) = delete;
   ~CrewSlot() { forget_if_forked(); }
 
   Crew& get() {
