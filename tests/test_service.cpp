@@ -894,9 +894,9 @@ TEST(ServiceHelp, PausedWaiterRunsNothingUntilResume) {
   service.resume();
   std::thread client([&] { held.future(0).wait(); });
   const bool ran =
-      poll_until([&] { return held.future(1).settled(); }, 10.0);
+      poll_until([&] { return service.stats().helped == 1; }, 10.0);
   EXPECT_TRUE(ran) << "no waiter ran R1 after resume()";
-  EXPECT_EQ(service.stats().helped, 1u);
+  EXPECT_TRUE(held.future(1).settled());
   EXPECT_EQ(held.future(0).status(), RequestStatus::kRunning);
   held.release();
   paused_client.join();
