@@ -48,7 +48,7 @@ out="BENCH_${name}.json"
           "FTGEMM_BENCH_BATCH FTGEMM_BENCH_SIZE FTGEMM_BENCH_CALLS " \
           "FTGEMM_BENCH_BIG FTGEMM_BENCH_WINDOW " \
           "FTGEMM_BENCH_SERVICE_THREADS FTGEMM_SERVICE_SHARDS " \
-          "FTGEMM_ISA FTGEMM_MC FTGEMM_NC FTGEMM_KC FTGEMM_THREADS", \
+          "FTGEMM_FORCE_ISA FTGEMM_MC FTGEMM_NC FTGEMM_KC FTGEMM_THREADS", \
           knobs, " ")
     for (i in knobs) if (knobs[i] in ENVIRON) {
       printf "%s\"%s\": \"%s\"", sep, knobs[i], ENVIRON[knobs[i]]

@@ -26,11 +26,7 @@ Isa select_isa() {
   if (f.has_avx2_kernel_support()) best = Isa::kAvx2;
   if (f.has_avx512_kernel_support()) best = Isa::kAvx512;
 
-  // FTGEMM_FORCE_ISA is the CI-facing synonym (the scalar-fallback CI leg
-  // sets it); it wins over the historical FTGEMM_ISA when both are set.
-  auto env = env_string("FTGEMM_FORCE_ISA");
-  if (!env) env = env_string("FTGEMM_ISA");
-  if (env) {
+  if (const auto env = env_string("FTGEMM_FORCE_ISA")) {
     const Isa wanted = parse_isa(*env);
     // Never dispatch above hardware capability, even if asked to.
     if (wanted == Isa::kAvx512 && best != Isa::kAvx512) return best;

@@ -13,7 +13,7 @@ enum class Isa {
   kAvx512,  ///< 512-bit kernels (Skylake-SP / Cascade Lake+)
 };
 
-/// Best ISA supported by this machine, overridable with FTGEMM_ISA
+/// Best ISA supported by this machine, overridable with FTGEMM_FORCE_ISA
 /// ("scalar" | "avx2" | "avx512"); an override above hardware capability is
 /// clamped down to what the CPU can execute.
 Isa select_isa();

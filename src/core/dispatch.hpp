@@ -195,14 +195,8 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
     // over a stride-0 broadcast A encode it once — the first miss fills,
     // the rest wait for it and hit).  The memory injector / verification
     // run per-member, like the compute-domain injector.
-    ResidentAcquisition<S, C> acq;
-    if (opts.base.resident_a && m > 0 && n > 0 && k > 0 &&
-        alpha != ScalarOf<S, C>(0) && a[p] != nullptr) {
-      acq = cache.operands().acquire(
-          a[p], lda, ta == Trans::kTrans,
-          Domain<S, C>::resident_alpha(alpha), plan,
-          opts.base.memory_injector, opts.base.resident_verify);
-    }
+    const ResidentAcquisition<S, C> acq =
+        acquire_resident(opts.base, ta, m, n, k, alpha, a[p], lda, plan);
     FtReport rep = execute<S, FT, C>(plan, alpha, a[p], lda, b[p],
                                              ldb, beta, c[p], ldc, injector,
                                              log, ctx, acq.payload.get(),

@@ -16,7 +16,7 @@
 //                functions, GemmEngine, ft_*_reliable, batched) reuses plans
 //                instead of re-planning.
 //
-// Environment knobs (FTGEMM_ISA, FTGEMM_TOL_FACTOR, FTGEMM_MC/NC/KC,
+// Environment knobs (FTGEMM_FORCE_ISA, FTGEMM_TOL_FACTOR, FTGEMM_MC/NC/KC,
 // FTGEMM_KERNEL_MR, FTGEMM_FAST_PATH_FLOPS) are read when a plan is
 // *built*; a warm cache will not observe later changes to them.  Callers
 // that mutate the environment mid-process (the blocking-ablation bench)

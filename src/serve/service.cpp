@@ -6,8 +6,8 @@
 //
 // Lifetime protocol of one request: enqueue() validates, resolves the plan
 // fingerprint, and either (a) executes inline on the calling thread when
-// the fast lane is open (submit() only), or (b) reserves a slot in the home
-// shard's lock-free ring.  A consumer — the home shard's dispatcher or a
+// the fast lane is open (submit() only), or (b) pushes it to its lane in the
+// home shard's queue.  A consumer — the home shard's dispatcher or a
 // client waiting on a request of that shard — claims it into a group and
 // calls back into execute_group(), which runs the synchronous entry
 // points, updates counters, and settles every future.  A client
@@ -15,13 +15,13 @@
 // blocks in ~GemmService until the consumer that settled it has left
 // (dispatchers are joined, helpers drained).
 //
-// Shutdown protocol (the subtle part of lock-free admission): the shared
-// stopping flag closes the door; every submitter and every helping waiter
-// passes through a ClientGate, and shutdown() waits for the gated count to
-// drain *before* arming stop_mode_ — so by the time a dispatcher runs its
-// final drain/cancel sweep, no producer can be mid-push, no helper can be
-// building or running a group, and no request can be admitted and never
-// settled.  The flag, the count and shutdown's mutex/cv live in a shared
+// Shutdown protocol: the shared stopping flag closes the door; every
+// submitter and every helping waiter passes through a ClientGate, and
+// shutdown() waits for the gated count to drain *before* arming
+// stop_mode_ — so by the time a dispatcher runs its final drain/cancel
+// sweep, no producer can be mid-admission, no helper can be building or
+// running a group, and no request can be admitted and never settled.  The
+// flag, the count and shutdown's mutex/cv live in a shared
 // detail::ShutdownSync block so a client that released shutdown's wait can
 // finish its notify after the service is destroyed.
 #include "serve/service.hpp"
@@ -50,8 +50,7 @@ namespace {
 /// RAII pass of a client thread into the service — a submitter (incl. its
 /// inline executions) or a waiter helping its shard: shutdown() waits for
 /// the count to drain before arming the dispatchers' stop mode, so a client
-/// that saw `stopping` clear can always finish its reservation + push or
-/// its group.
+/// that saw `stopping` clear can always finish its admission or its group.
 struct ClientGate {
   /// Owning copy: the decrement below may release shutdown()'s wait, after
   /// which the service can be destroyed under us — everything this
@@ -324,8 +323,7 @@ detail::Pending GemmService::make_pending(
     // request's Options — would apply to the wrong member or not at all.
     // They may still run inline — the inline route *is* the synchronous
     // entry point.
-    p.coalescible = p.inline_eligible && cfg_.coalesce &&
-                    req.opts.injector == nullptr &&
+    p.coalescible = p.inline_eligible && req.opts.injector == nullptr &&
                     req.opts.memory_injector == nullptr &&
                     req.opts.correction_log == nullptr && !req.opts.resident_a;
   }
@@ -420,7 +418,7 @@ std::vector<GemmFuture> GemmService::submit_all(
     }
     ready.push_back(make_pending(r, std::move(st)));
   }
-  // Fill the rings, then wake: a parked dispatcher first sees the window
+  // Fill the lanes, then wake: a parked dispatcher first sees the window
   // whole, so its same-fingerprint runs coalesce as they would from a
   // staged queue.  A shard that fills mid-window is woken before this
   // thread blocks for space (admit_blocking).
@@ -474,7 +472,7 @@ void GemmService::shutdown(bool drain) {
       return sync_->clients.load(std::memory_order_seq_cst) == 0;
     });
   }
-  // The admission window is drained: every accepted request is in a ring
+  // The admission window is drained: every accepted request is in a lane
   // or settled, and only the dispatchers consume.  Arm their final sweep
   // and collect them; their joins end the last in-flight group.
   stop_mode_.store(int(drain ? StopMode::kDrain : StopMode::kCancel),

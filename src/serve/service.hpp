@@ -1,5 +1,5 @@
-// Asynchronous GEMM serving front-end — sharded admission with a
-// lock-free submit fast lane.
+// Asynchronous GEMM serving front-end — sharded admission with an inline
+// fast lane.
 //
 // Every entry point below PR 4 is synchronous: a caller blocks for the
 // whole GEMM, so admission control, queueing, prioritization, and
@@ -24,8 +24,8 @@
 //     returns; each request then settles as soon as its own group finishes.
 //
 //   - N *shards* (ServiceConfig::shards; default: FTGEMM_SERVICE_SHARDS,
-//     else hardware concurrency), each owning a bounded *lock-free MPSC
-//     submit ring* per priority lane (serve/queue.hpp) and its own
+//     else hardware concurrency), each owning a bounded FIFO queue per
+//     priority lane under one mutex (serve/shard.hpp) and its own
 //     dispatcher thread, which executes each group it builds on itself,
 //     one group at a time.  Client threads are round-robin affine to a
 //     home shard (overridable per request via GemmRequest::shard_hint), so
@@ -397,10 +397,9 @@ struct ServiceConfig {
   /// Bounded per-shard admission queue: requests queued across the shard's
   /// priority lanes before submit() blocks / try_submit() rejects.
   std::size_t queue_capacity = 256;
-  /// Largest coalesced batch (members per merged batched call).
+  /// Largest coalesced batch (members per merged batched call); 1 turns
+  /// coalescing off.
   index_t max_coalesce = 16;
-  /// Merge same-fingerprint fast-path requests into batched calls.
-  bool coalesce = true;
   /// Execute fast-path submit() requests inline on the submitting thread
   /// when the service is idle enough (see inline_inflight_limit).
   bool inline_fast_lane = true;
@@ -482,7 +481,7 @@ class GemmService {
 
   /// Bulk admission: queue a window of requests in one pass and return
   /// their futures (index-aligned with the input) without running any of
-  /// them.  Every request enters its home shard's rings before any
+  /// them.  Every request enters its home shard's lanes before any
   /// dispatcher is woken, so a same-fingerprint run stays whole and
   /// coalesces into one batched call; each touched shard is woken once.
   /// Blocks for space like submit(); invalid members reject individually

@@ -1,19 +1,14 @@
-// ServiceShard implementation: lock-free admission, the per-shard
-// dispatcher, group building with the per-lane holdover slots, and helping
-// (see serve/shard.hpp for the protocols and serve/service.hpp for the
-// service contracts).
+// ServiceShard implementation: admission to the per-lane queues, the
+// per-shard dispatcher, group building and helping (see serve/shard.hpp
+// for the protocols and serve/service.hpp for the service contracts).
 //
-// Lock order (never taken in reverse):
-//   pop_m_          — consumer-side group building (the dispatcher's or a
-//                     helping waiter's; no consumer holds it while
-//                     executing);
-//   RequestState::m — per-request settle/claim/cancel transitions;
-//   m_              — park/space condition handshakes;
-//   stats_m_        — service counters (leaf).
+// Locks: m_ is a leaf.  Under it run only lane operations, counter
+// updates and the claim's bare CAS; groups execute, cancellations and
+// continuations fire, and stats_m_ is taken only after it is released.
+// GemmService::shutdown() calls wake_all() under its shutdown_m_.
 #include "serve/shard.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "core/checksum_domain.hpp"
@@ -56,13 +51,7 @@ bool coalesce_match(const GemmRequest& x, const PlanKey& xkey,
 }  // namespace
 
 ServiceShard::ServiceShard(GemmService* owner, int id, std::size_t capacity)
-    : owner_(owner), id_(id), capacity_(std::max<std::size_t>(capacity, 1)) {
-  lanes_.reserve(kPriorityLanes);
-  for (int i = 0; i < kPriorityLanes; ++i) {
-    lanes_.push_back(
-        std::make_unique<detail::SubmitRing<detail::Pending>>(capacity_));
-  }
-}
+    : owner_(owner), id_(id), capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 ServiceShard::~ServiceShard() { join(); }
 
@@ -75,166 +64,126 @@ void ServiceShard::join() {
 }
 
 // ---------------------------------------------------------------------------
-// Admission (producer side — lock-free unless parked/full)
+// Admission (producer side)
 // ---------------------------------------------------------------------------
 
-ServiceShard::Admit ServiceShard::try_admit(detail::Pending& p) {
-  // Reserve a slot against the shard capacity first; the rings are sized to
-  // the full capacity per lane, so a reserved push below can never fail.
-  std::size_t q = queued_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (q >= capacity_) return Admit::kFull;
-    if (queued_.compare_exchange_weak(q, q + 1, std::memory_order_seq_cst)) {
-      break;
-    }
-  }
-  const std::size_t depth = q + 1;
+void ServiceShard::push_locked(detail::Pending& p) {
   // What a waiter needs to help this shard (GemmFuture::wait), published
   // with the entry.
   p.state->shard = this;
   p.state->sync = owner_->sync_;
-  const bool pushed = lanes_[lane_of(p.req.priority)]->push(std::move(p));
-  assert(pushed);
-  (void)pushed;
+  lanes_[std::size_t(lane_of(p.req.priority))].push_back(std::move(p));
+  const std::size_t depth = queued_.load(std::memory_order_relaxed) + 1;
+  queued_.store(depth, std::memory_order_release);
   counters.submitted.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t peak = counters.peak_queue_depth.load(std::memory_order_relaxed);
-  while (peak < depth &&
-         !counters.peak_queue_depth.compare_exchange_weak(
-             peak, depth, std::memory_order_relaxed)) {
+  if (depth > counters.peak_queue_depth.load(std::memory_order_relaxed)) {
+    counters.peak_queue_depth.store(depth, std::memory_order_relaxed);
   }
+}
+
+ServiceShard::Admit ServiceShard::try_admit(detail::Pending& p) {
+  const std::lock_guard<std::mutex> lk(m_);
+  if (queued_.load(std::memory_order_relaxed) >= capacity_) {
+    return Admit::kFull;
+  }
+  push_locked(p);
   return Admit::kOk;
 }
 
 ServiceShard::Admit ServiceShard::admit_blocking(detail::Pending& p) {
-  for (;;) {
-    const Admit a = try_admit(p);
-    if (a != Admit::kFull) return a;
+  std::unique_lock<std::mutex> lk(m_);
+  if (queued_.load(std::memory_order_relaxed) >= capacity_) {
     // The window this push belongs to may not have woken the dispatcher
     // yet; parked, it would never free the space waited for below.
-    wake();
-    std::unique_lock<std::mutex> lk(m_);
-    space_waiters_.fetch_add(1, std::memory_order_seq_cst);
+    cv_.notify_one();
     space_cv_.wait(lk, [&] {
       return owner_->sync_->stopping.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_seq_cst) < capacity_;
+             queued_.load(std::memory_order_relaxed) < capacity_;
     });
-    space_waiters_.fetch_sub(1, std::memory_order_seq_cst);
     if (owner_->sync_->stopping.load(std::memory_order_acquire)) {
       return Admit::kStopping;
     }
   }
+  push_locked(p);
+  return Admit::kOk;
 }
 
-void ServiceShard::wake() {
-  // Dekker store-load: the producer's queued_ bumps (seq_cst) vs the
-  // dispatcher's parked_ raise + predicate re-check under m_.  Either the
-  // dispatcher's predicate sees the bumps, or we see parked_ == true and
-  // deliver the wake through the mutex; the empty critical section orders
-  // the notify after the dispatcher has atomically blocked.
-  if (parked_.load(std::memory_order_seq_cst)) {
-    { std::lock_guard<std::mutex> lk(m_); }
-    cv_.notify_one();
-  }
-}
+void ServiceShard::wake() { cv_.notify_one(); }
 
 void ServiceShard::wake_all() {
-  { std::lock_guard<std::mutex> lk(m_); }
+  // Stop mode, pause and stopping are written outside m_; the empty
+  // critical section orders the notify after a waiter's predicate check.
+  { const std::lock_guard<std::mutex> lk(m_); }
   cv_.notify_all();
   space_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
-// Group building (consumer side — pop_m_ serializes dispatcher vs helpers)
+// Group building (consumer side — dispatcher and helpers, under m_)
 // ---------------------------------------------------------------------------
 
-void ServiceShard::note_removed() {
-  queued_.fetch_sub(1, std::memory_order_seq_cst);
-  if (space_waiters_.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard<std::mutex> lk(m_); }
-    space_cv_.notify_all();
+ServiceShard::Lane* ServiceShard::next_lane_locked() {
+  for (auto lane = lanes_.rbegin(); lane != lanes_.rend(); ++lane) {
+    if (!lane->empty()) return &*lane;
   }
-}
-
-void ServiceShard::put_holdover(detail::Pending&& p) {
-  const int lane = lane_of(p.req.priority);
-  // take_next offers a lane's holdover before that lane's ring, so an
-  // entry we just popped (from ring `lane`, or the slot itself) can only
-  // be parked into an empty slot; a full one here would lose a request.
-  assert(!has_holdover_[lane]);
-  holdover_[lane] = std::move(p);
-  has_holdover_[lane] = true;
-  queued_.fetch_add(1, std::memory_order_seq_cst);
-}
-
-bool ServiceShard::take_next(detail::Pending& out) {
-  for (int lane = kPriorityLanes - 1; lane >= 0; --lane) {
-    // The lane's holdover goes first: it was popped before the ring's
-    // current head, so re-offering it first is FIFO, not a reorder.
-    if (has_holdover_[lane]) {
-      out = std::move(holdover_[lane]);
-      holdover_[lane] = detail::Pending{};
-      has_holdover_[lane] = false;
-      note_removed();
-      return true;
-    }
-    if (lanes_[lane]->pop(out)) {
-      note_removed();
-      return true;
-    }
-  }
-  return false;
+  return nullptr;
 }
 
 void ServiceShard::build_group_locked(std::vector<detail::Pending>& group,
                                       std::uint64_t& cancelled) {
-  // Head: the first claimable entry in priority order; cancelled entries
-  // drain (and are counted) on the way.
-  for (;;) {
-    detail::Pending p;
-    if (!take_next(p)) return;
-    if (detail::try_claim(*p.state)) {
-      group.push_back(std::move(p));
-      break;
-    }
-    ++cancelled;
-  }
-  if (!group.front().coalescible) return;
-  // Copies, not references: push_back below reallocates the group.
-  const GemmRequest head = group.front().req;
-  const PlanKey head_key = group.front().key;
-  const index_t max_c = std::max<index_t>(owner_->cfg_.max_coalesce, 1);
-  while (index_t(group.size()) < max_c) {
-    detail::Pending p;
-    if (!take_next(p)) return;
-    if (!coalesce_match(head, head_key, p)) {
-      // A ring cannot skip an entry in place; park the mismatch in its
-      // lane's holdover slot and stop the run.
-      put_holdover(std::move(p));
-      return;
-    }
+  const auto take = [&](Lane& lane) {
+    detail::Pending p = std::move(lane.front());
+    lane.pop_front();
+    queued_.store(queued_.load(std::memory_order_relaxed) - 1,
+                  std::memory_order_release);
     if (detail::try_claim(*p.state)) {
       group.push_back(std::move(p));
     } else {
       ++cancelled;
     }
+  };
+  // Head: the first claimable entry in priority order; cancelled entries
+  // drain (and are counted) on the way.
+  while (group.empty()) {
+    Lane* lane = next_lane_locked();
+    if (lane == nullptr) break;
+    take(*lane);
   }
+  if (!group.empty() && group.front().coalescible) {
+    // Copies, not references: push_back below reallocates the group.
+    const GemmRequest head = group.front().req;
+    const PlanKey head_key = group.front().key;
+    while (index_t(group.size()) < owner_->cfg_.max_coalesce) {
+      Lane* lane = next_lane_locked();
+      // A mismatch ends the run and stays at the head of its lane.
+      if (lane == nullptr || !coalesce_match(head, head_key, lane->front())) {
+        break;
+      }
+      take(*lane);
+    }
+  }
+}
+
+void ServiceShard::take_group(std::unique_lock<std::mutex>& lk,
+                              std::vector<detail::Pending>& group) {
+  std::uint64_t cancelled = 0;
+  build_group_locked(group, cancelled);
+  lk.unlock();
+  if (!group.empty() || cancelled > 0) space_cv_.notify_all();
+  if (cancelled > 0) owner_->count_cancelled(cancelled);
 }
 
 bool ServiceShard::help(detail::RequestState& own) {
   if (owner_->paused_.load(std::memory_order_acquire)) return false;
+  std::unique_lock<std::mutex> lk(m_);
+  // Every claim of a queued entry happens under m_, so a request still
+  // kQueued here is still in a lane: the group below is the one ahead of it
+  // or contains it.  A request already claimed by the dispatcher or another
+  // helper is running elsewhere; the group below is then simply the
+  // shard's next one.
+  if (detail::is_settled(detail::status_of(own))) return false;
   std::vector<detail::Pending> group;
-  std::uint64_t cancelled = 0;
-  {
-    std::lock_guard<std::mutex> lk(pop_m_);
-    // Every claim of a queued entry happens under pop_m_, so a request
-    // still kQueued here is still in the rings or a holdover: the group
-    // below is the one ahead of it or contains it.  A request already
-    // claimed by the dispatcher or another helper is running elsewhere;
-    // the group below is then simply the shard's next one.
-    if (detail::is_settled(detail::status_of(own))) return false;
-    build_group_locked(group, cancelled);
-  }
-  if (cancelled > 0) owner_->count_cancelled(cancelled);
+  take_group(lk, group);
   if (group.empty()) return false;
   const std::size_t n = group.size();
   run(group);
@@ -243,18 +192,21 @@ bool ServiceShard::help(detail::RequestState& own) {
 }
 
 void ServiceShard::cancel_all() {
-  std::uint64_t cancelled = 0;
+  std::array<Lane, kPriorityLanes> doomed;
   {
-    std::lock_guard<std::mutex> lk(pop_m_);
-    detail::Pending p;
-    while (take_next(p)) {
-      // An entry we popped was never claimable by a dispatcher, so a
-      // failed cancel here can only mean a client's cancel won the claim
-      // CAS (its status may transiently read kRunning while it publishes);
-      // either way the request ends cancelled — count them all.
+    const std::lock_guard<std::mutex> lk(m_);
+    doomed.swap(lanes_);
+    queued_.store(0, std::memory_order_release);
+  }
+  std::uint64_t cancelled = 0;
+  for (auto lane = doomed.rbegin(); lane != doomed.rend(); ++lane) {
+    for (detail::Pending& p : *lane) {
+      // No dispatcher can claim these any more, so a failed cancel here can
+      // only mean a client's cancel won the claim CAS (its status may
+      // transiently read kRunning while it publishes); either way the
+      // request ends cancelled — count them all.
       detail::try_cancel(*p.state);
       ++cancelled;
-      p = detail::Pending{};
     }
   }
   if (cancelled > 0) owner_->count_cancelled(cancelled);
@@ -273,48 +225,27 @@ void ServiceShard::dispatcher_main() {
   pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
 #endif
   std::vector<detail::Pending> group;
+  std::unique_lock<std::mutex> lk(m_);
   for (;;) {
-    group.clear();
-    const int mode = owner_->stop_mode_.load(std::memory_order_acquire);
-    if (mode == int(GemmService::StopMode::kCancel)) {
-      cancel_all();
-      return;
-    }
-    const bool draining = mode == int(GemmService::StopMode::kDrain);
-    const bool paused =
-        owner_->paused_.load(std::memory_order_acquire) && !draining;
-    std::uint64_t cancelled = 0;
-    if (!paused) {
-      std::lock_guard<std::mutex> lk(pop_m_);
-      build_group_locked(group, cancelled);
-    }
-    if (cancelled > 0) owner_->count_cancelled(cancelled);
-    if (!group.empty()) {
-      run(group);
-      continue;
-    }
-    if (draining) {
-      // Admission is closed (shutdown drained the submitter window before
-      // arming drain mode), so a nonzero count can only be a last reserved
-      // push landing.
-      if (queued_.load(std::memory_order_seq_cst) == 0) return;
-      std::this_thread::yield();
-      continue;
-    }
-    if (!paused && queued_.load(std::memory_order_seq_cst) > 0) {
-      // A producer holds a reservation but has not finished its push; it
-      // is wait-free, so spin-yield rather than park.
-      std::this_thread::yield();
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(m_);
-    parked_.store(true, std::memory_order_seq_cst);
     cv_.wait(lk, [&] {
       return owner_->stop_mode_.load(std::memory_order_acquire) != 0 ||
              (!owner_->paused_.load(std::memory_order_acquire) &&
-              queued_.load(std::memory_order_seq_cst) > 0);
+              queued_.load(std::memory_order_relaxed) > 0);
     });
-    parked_.store(false, std::memory_order_seq_cst);
+    if (owner_->stop_mode_.load(std::memory_order_acquire) ==
+        int(GemmService::StopMode::kCancel)) {
+      lk.unlock();
+      cancel_all();
+      return;
+    }
+    // Drain mode runs the backlog paused or not, and admission is closed
+    // once it is armed (shutdown drained the submitter window first), so
+    // empty lanes are the end of the drain.
+    if (queued_.load(std::memory_order_relaxed) == 0) return;
+    take_group(lk, group);
+    if (!group.empty()) run(group);
+    group.clear();
+    lk.lock();
   }
 }
 

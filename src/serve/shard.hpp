@@ -1,39 +1,31 @@
-// One admission shard of the GemmService: a bounded lock-free submit ring
-// per priority lane, plus the dispatcher thread that drains them and runs
+// One admission shard of the GemmService: a FIFO queue per priority lane
+// under one mutex, plus the dispatcher thread that drains them and runs
 // each group it builds on itself.
 //
-// The serving layer splits into N of these so that (a) producers on
-// different client threads never contend on one queue lock — admission is
-// a CAS-reservation against the shard's `queued_` counter followed by a
-// lock-free ring push — and (b) dispatch parallelism scales with shards
-// instead of funneling through a single dispatcher.  Client threads are
-// round-robin affine to a home shard, so one client's pipelined window
-// lands contiguously in one shard's rings and keeps its coalescing
-// opportunity.
+// The serving layer splits into N of these so that (a) clients with
+// different home shards never contend on one queue lock and (b) dispatch
+// parallelism scales with shards instead of funneling through a single
+// dispatcher.  Client threads are round-robin affine to a home
+// shard, so one client's pipelined window lands contiguously in one
+// shard's lanes and keeps its coalescing opportunity.
 //
-// Consumer side: the owning dispatcher and any *helping* waiter (a client
-// in GemmFuture::wait() on a request of this shard that has not settled)
-// serialize on `pop_m_` — a consumer-only mutex producers never touch.
-// Serializing consumers buys two properties cheaply: a coalescable
-// same-fingerprint run is always popped atomically as ONE group (never
+// `m_` guards the lanes, and every producer and consumer of the shard
+// takes it: admission, the dispatcher and any *helping* waiter (a client
+// in GemmFuture::wait() on a request of this shard that has not settled).
+// Building a group under it buys two properties: a coalescable
+// same-fingerprint run is always taken atomically as ONE group (never
 // split between the dispatcher and a helper, so helped traffic coalesces
-// exactly like dispatched traffic), and one `holdover_` slot *per priority
-// lane* is enough to hold the popped-but-mismatched entry a coalescing
-// sweep can end on (a ring, unlike the old deque, cannot skip an entry in
-// place).  The slot must be per lane, not per shard: a sweep can park a
-// mismatch from a higher lane while a lower lane's holdover is still
-// waiting, and a single slot would overwrite — and thereby lose — the
-// parked request.  Because take_next re-offers a lane's holdover before
-// that lane's ring, a popped ring entry's own slot is provably empty, so a
-// park can never clobber (asserted in put_holdover).  Re-offering the
-// holdover first within its lane preserves per-lane FIFO; higher lanes
-// still pre-empt it.
+// exactly like dispatched traffic), and the sweep looks at a lane's front
+// before it pops, so the entry that ends a run stays at the head of its
+// lane.  Nothing runs under `m_`: a group executes, and continuations and
+// cancellations fire, after the builder has unlocked (a then()
+// continuation may submit to its own shard).
 //
-// Help protocol: a waiter whose request has not settled takes pop_m_,
+// Help protocol: a waiter whose request has not settled takes m_,
 // re-checks there that it has not, builds the next group in priority order
 // and runs it on its own thread, repeating until its request settles or
 // the shard has nothing left to run; only then does it park.  While the
-// request is still queued (claims happen under pop_m_, so that check is
+// request is still queued (claims happen under m_, so that check is
 // exact) the group is its own request's or one ahead of it; once the
 // dispatcher or another helper has claimed it, the group is whatever the
 // shard would run next (leapfrogging: the waiter runs queued work instead
@@ -41,28 +33,25 @@
 // the service is paused or stopping; GemmService::shutdown() waits for
 // helpers to leave before the final sweep.
 //
-// Park/wake: the dispatcher parks on `cv_` with `parked_` raised.  A
-// producer pushes first and calls wake() after: wake() observes `parked_`
-// (seq_cst, Dekker-style against the dispatcher's predicate re-check under
-// the mutex), takes the shard mutex empty and notifies.  submit_all pushes
-// its whole window before it wakes anyone, so a parked dispatcher first
-// sees the window whole.  The common-case push — dispatcher running —
-// stays lock-free end to end.  On Linux the dispatcher runs in the
-// SCHED_BATCH class, so the wake never preempts the producer, which is
-// usually about to run that window itself in wait().
+// Park/wake: the dispatcher checks stop mode, pause and the lanes under m_
+// and parks on `cv_`.  A producer pushes under m_ and calls wake() after
+// unlocking; submit_all pushes its whole window before it wakes anyone, so
+// a parked dispatcher first sees the window whole.  On Linux the
+// dispatcher runs in the SCHED_BATCH class, so the wake never preempts the
+// producer, which is usually about to run that window itself in wait().
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/plan.hpp"
-#include "serve/queue.hpp"
 #include "serve/service.hpp"
 #include "serve/state.hpp"
 
@@ -95,18 +84,17 @@ class ServiceShard {
   ServiceShard& operator=(const ServiceShard&) = delete;
 
   /// Spawn the dispatcher.  Separate from construction so that every shard
-  /// has allocated its rings before any dispatcher runs: a shard
-  /// constructor that throws leaves no running dispatcher for the unwind
-  /// to join (it would park forever, as nothing arms its stop mode).
+  /// is built before any dispatcher runs: a shard constructor that throws
+  /// leaves no running dispatcher for the unwind to join (it would park
+  /// forever, as nothing arms its stop mode).
   void start();
   void join();
 
   enum class Admit { kOk, kFull, kStopping };
 
-  /// Lock-free admission: reserve a queue slot (CAS on queued_) and push
-  /// to the request's priority ring.  kFull when the shard is at capacity;
-  /// `p` is consumed only on kOk.  Wakes nobody: the producer calls wake()
-  /// once its requests are in.
+  /// Push to the request's priority lane, or kFull when the shard is at
+  /// capacity; `p` is consumed only on kOk.  Wakes nobody: the producer
+  /// calls wake() once its requests are in.
   Admit try_admit(detail::Pending& p);
 
   /// Blocking admission: waits for queue space (backpressure), waking the
@@ -114,17 +102,16 @@ class ServiceShard {
   /// parked one; kStopping when the service began shutdown while waiting.
   Admit admit_blocking(detail::Pending& p);
 
-  /// Wake the dispatcher if it is parked: the producer's half of the
-  /// parked_/queued_ handshake, called after its pushes.
+  /// Wake the dispatcher if it is parked; called after the pushes.
   void wake();
 
   /// Wake dispatcher and any space-waiting producers (shutdown/resume).
   void wake_all();
 
-  /// Requests admitted and not yet claimed into a group (approximate
-  /// between quiescent points, like any concurrent counter).
+  /// Requests admitted and not yet claimed into a group.  Written under m_
+  /// and read unlocked, as a hint, by the inline lane.
   [[nodiscard]] std::size_t queued() const {
-    return queued_.load(std::memory_order_seq_cst);
+    return queued_.load(std::memory_order_acquire);
   }
 
   /// Run this shard's next group on the calling thread, a client waiting
@@ -150,19 +137,23 @@ class ServiceShard {
  private:
   friend class GemmService;
 
+  using Lane = std::deque<detail::Pending>;
+
   void dispatcher_main();
-  /// Build one claimable group: holdover first (within its lane), then the
-  /// rings highest lane first; extends a coalescible head with the
-  /// contiguous same-fingerprint run up to max_coalesce.  pop_m_ held.
+  /// Push to the request's lane; m_ held and space checked.
+  void push_locked(detail::Pending& p);
+  /// The highest non-empty lane, or null; m_ held.
+  Lane* next_lane_locked();
+  /// Build one claimable group off the lanes' fronts, highest lane first;
+  /// extends a coalescible head with the contiguous same-fingerprint run
+  /// up to max_coalesce.  m_ held.
   void build_group_locked(std::vector<detail::Pending>& group,
                           std::uint64_t& cancelled);
-  /// Next unclaimed entry in priority order (holdover-aware); pop_m_ held.
-  bool take_next(detail::Pending& out);
-  void put_holdover(detail::Pending&& p);
-  /// An entry left the rings/holdover: drop the reservation and wake one
-  /// space-waiting producer.
-  void note_removed();
-  /// Cancel-drain everything still queued (shutdown(drain=false)).
+  /// Build the next group under `lk` (holding m_), then unlock, wake the
+  /// producers waiting for the space it freed and count its cancellations.
+  void take_group(std::unique_lock<std::mutex>& lk,
+                  std::vector<detail::Pending>& group);
+  /// Cancel everything still queued (shutdown(drain=false)).
   void cancel_all();
   /// Run a claimed group on the calling thread (this shard's dispatcher
   /// or a helping waiter), counted in the service's in-flight groups.
@@ -172,26 +163,11 @@ class ServiceShard {
   int id_;
   std::size_t capacity_;
 
-  /// One ring per priority lane, each sized to the full shard capacity so
-  /// a reserved push can never fail.
-  std::vector<std::unique_ptr<detail::SubmitRing<detail::Pending>>> lanes_;
-
-  /// Admission reservations: entries in the rings plus the holdover slot.
-  std::atomic<std::size_t> queued_{0};
-  std::atomic<bool> parked_{false};
-  std::atomic<int> space_waiters_{0};
-
-  std::mutex m_;  ///< park/space condition handshakes (producers take it
-                  ///< only when the dispatcher is parked or they must wait)
+  std::mutex m_;  ///< the lanes, queued_ writes and both condition waits
   std::condition_variable cv_;        ///< dispatcher park
   std::condition_variable space_cv_;  ///< blocked producers
-
-  std::mutex pop_m_;  ///< consumer-side: dispatcher vs helping waiters
-  /// One parked popped-but-mismatched entry per priority lane (see the
-  /// file comment for why a single shared slot would lose requests);
-  /// guarded by pop_m_ like the pops that fill and drain it.
-  std::array<detail::Pending, kPriorityLanes> holdover_;
-  std::array<bool, kPriorityLanes> has_holdover_{};
+  std::array<Lane, kPriorityLanes> lanes_;  ///< FIFO per Priority
+  std::atomic<std::size_t> queued_{0};      ///< entries across the lanes
 
   std::thread dispatcher_;
 };

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "arch/cpu_features.hpp"
@@ -49,59 +50,47 @@ TEST(Isa, SelectNeverExceedsHardware) {
   }
 }
 
-// The Isa.EnvOverride* tests probe the env-var policy itself, so they must
-// neutralize any FTGEMM_FORCE_ISA inherited from the outer environment
-// (the CI scalar-fallback leg exports it for the whole ctest run; it wins
-// over FTGEMM_ISA by design) — and restore it afterwards so the rest of
-// this binary still runs under the leg's forced ISA.
+// The Isa.EnvOverride* tests set FTGEMM_FORCE_ISA themselves, so they
+// restore any value inherited from the outer environment afterwards (the CI
+// ISA legs export it for the whole ctest run): the rest of this binary
+// still runs under the leg's forced ISA.
 class ForceIsaScope {
  public:
   ForceIsaScope() {
-    if (const char* v = std::getenv("FTGEMM_FORCE_ISA")) {
-      saved_ = v;
+    if (const char* v = std::getenv("FTGEMM_FORCE_ISA")) saved_ = v;
+  }
+  ~ForceIsaScope() {
+    if (saved_) {
+      ::setenv("FTGEMM_FORCE_ISA", saved_->c_str(), 1);
+    } else {
       ::unsetenv("FTGEMM_FORCE_ISA");
     }
   }
-  ~ForceIsaScope() {
-    if (!saved_.empty()) ::setenv("FTGEMM_FORCE_ISA", saved_.c_str(), 1);
-  }
 
  private:
-  std::string saved_;
+  std::optional<std::string> saved_;
 };
 
 TEST(Isa, EnvOverrideDowngrades) {
-  ForceIsaScope no_force;
-  ::setenv("FTGEMM_ISA", "scalar", 1);
+  const ForceIsaScope restore;
+  ::setenv("FTGEMM_FORCE_ISA", "scalar", 1);
   EXPECT_EQ(select_isa(), Isa::kScalar);
-  ::setenv("FTGEMM_ISA", "avx2", 1);
+  ::setenv("FTGEMM_FORCE_ISA", "avx2", 1);
   const Isa got = select_isa();
   if (cpu_features().has_avx2_kernel_support()) {
     EXPECT_EQ(got, Isa::kAvx2);
   } else {
     EXPECT_EQ(got, Isa::kScalar);
   }
-  ::unsetenv("FTGEMM_ISA");
 }
 
 TEST(Isa, EnvOverrideCannotUpgradeBeyondHardware) {
-  ForceIsaScope no_force;
-  ::setenv("FTGEMM_ISA", "avx512", 1);
+  const ForceIsaScope restore;
+  ::setenv("FTGEMM_FORCE_ISA", "avx512", 1);
   const Isa got = select_isa();
   if (!cpu_features().has_avx512_kernel_support()) {
     EXPECT_NE(got, Isa::kAvx512);
   }
-  ::unsetenv("FTGEMM_ISA");
-}
-
-TEST(Isa, ForceIsaWinsOverHistoricalOverride) {
-  ForceIsaScope no_force;
-  ::setenv("FTGEMM_FORCE_ISA", "scalar", 1);
-  ::setenv("FTGEMM_ISA", "avx2", 1);
-  EXPECT_EQ(select_isa(), Isa::kScalar)
-      << "FTGEMM_FORCE_ISA must take precedence over FTGEMM_ISA";
-  ::unsetenv("FTGEMM_ISA");
-  ::unsetenv("FTGEMM_FORCE_ISA");
 }
 
 }  // namespace

@@ -250,11 +250,12 @@ TEST(ServiceDifferential, StridedBatchedRequestMatchesSyncBatched) {
 TEST(ServiceLifecycle, PriorityLanesDrainHighestFirst) {
   ServiceConfig cfg;
   cfg.start_paused = true;
-  cfg.coalesce = false;  // keep one completion per request, in lane order
-  cfg.shards = 1;        // lane order is a per-shard guarantee
+  cfg.shards = 1;  // lane order is a per-shard guarantee
   GemmService service(cfg);
 
-  const GemmCase cs{32, 32, 32};
+  // Six distinct shapes (m = 32 + r): no two requests merge, so each
+  // completes on its own, in lane order.
+  std::vector<GemmCase> shapes;
   std::vector<Problem<double>> problems;
   std::vector<Matrix<double>> cs_out;
   std::mutex order_m;
@@ -265,10 +266,12 @@ TEST(ServiceLifecycle, PriorityLanesDrainHighestFirst) {
                            Priority::kNormal, Priority::kNormal,
                            Priority::kHigh,   Priority::kHigh};
   for (int r = 0; r < 6; ++r) {
-    problems.emplace_back(cs, std::uint64_t(60 + r));
+    shapes.push_back(GemmCase{32 + r, 32, 32});
+    problems.emplace_back(shapes.back(), std::uint64_t(60 + r));
     cs_out.push_back(problems.back().c.clone());
   }
   for (int r = 0; r < 6; ++r) {
+    const GemmCase& cs = shapes[std::size_t(r)];
     const Problem<double>& p = problems[std::size_t(r)];
     GemmFuture fut = service.submit(make_gemm_request<double>(
         true, Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
@@ -1696,10 +1699,21 @@ TEST(ServiceSoak, EightClientsFourShards) {
 }
 
 TEST(ServiceSoak, EightClientsFourShardsQueuedOnly) {
-  // Same traffic with the inline fast lane closed: everything rides the
-  // rings, then the dispatchers or a helping waiter.
+  // Same traffic with the inline fast lane closed: everything is queued,
+  // then run by the dispatchers or a helping waiter.
   ServiceConfig cfg;
   cfg.shards = 4;
+  cfg.inline_fast_lane = false;
+  run_soak(cfg);
+}
+
+TEST(ServiceSoak, EightClientsShareOneFullShard) {
+  // Multi-producer backpressure: one shard that holds one request, so the
+  // eight clients block for space on it while the dispatcher and the
+  // waiting clients free it.
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.queue_capacity = 1;
   cfg.inline_fast_lane = false;
   run_soak(cfg);
 }
