@@ -27,9 +27,9 @@
 //           _s1/_s2/_s4 rows isolates what sharded admission buys.
 //
 // No ratio is claimed.  On the 4-core record host the loaded rows sit at
-// 0.87-1.19x of the synchronous loop, and the harness is noisy there: three
-// records of one binary put serial_nt1 at 1 client at 0.84x, 0.97x and
-// 0.95x, and team_nt4 at 8 clients at 1.06x, 0.92x and 1.03x.  The last
+// 0.84-1.11x of the synchronous loop, and the harness is noisy there: three
+// records of one binary put serial_nt1 at 1 client at 0.96x, 1.00x and
+// 0.88x, and team_nt4 at 2 clients at 0.93x, 0.85x and 0.77x.  The last
 // comment line of a run states what its own rows show.
 //
 // Clients submit in pipelined windows (FTGEMM_BENCH_WINDOW requests via

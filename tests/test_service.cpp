@@ -298,14 +298,13 @@ TEST(ServiceLifecycle, PriorityLanesDrainHighestFirst) {
 }
 
 TEST(ServiceLifecycle, HoldoverSurvivesHigherLaneMismatchSweep) {
-  // Regression: a coalescing sweep parks its one popped-but-mismatched
-  // entry in a holdover slot.  With a single per-shard slot, a later sweep
-  // whose head came from a HIGHER lane could park its own mismatch on top
-  // of a still-waiting lower-lane holdover — destroying that request
-  // without ever settling it (the client's wait() hung forever and the
-  // leaked queue reservation wedged shutdown(drain)).  The slots are per
-  // lane now; this test stages the exact overwrite interleaving and
-  // requires every future to settle.
+  // Regression: a coalescing sweep ends on a mismatched entry, which must
+  // stay queued at the head of its lane.  When sweeps popped it into a
+  // single per-shard holdover slot, a later sweep whose head came from a
+  // HIGHER lane parked its own mismatch on top of a still-waiting
+  // lower-lane one — destroying that request without ever settling it (the
+  // client's wait() hung forever and shutdown(drain) wedged).  This test
+  // stages that interleaving and requires every future to settle.
   ServiceConfig cfg;
   cfg.start_paused = true;
   cfg.shards = 1;
@@ -313,13 +312,13 @@ TEST(ServiceLifecycle, HoldoverSurvivesHigherLaneMismatchSweep) {
   GemmService service(cfg);
 
   // Four fast-path (coalescible) shapes with four distinct plan
-  // fingerprints: every sweep that pops a second entry mismatches and
-  // must park it.
+  // fingerprints: every sweep that looks at a second entry mismatches and
+  // must leave it queued.
   const GemmCase shapes[] = {
       {48, 40, 64},  // [0] low-lane head of sweep 1
-      {40, 48, 64},  // [1] low-lane mismatch -> parked holdover
+      {40, 48, 64},  // [1] low-lane mismatch, left queued
       {32, 48, 64},  // [2] high-lane head of sweep 2
-      {64, 40, 32},  // [3] high-lane mismatch -> the overwriting park
+      {64, 40, 32},  // [3] high-lane mismatch of sweep 2
   };
   const Priority lanes[] = {Priority::kLow, Priority::kLow, Priority::kHigh,
                             Priority::kHigh};
@@ -345,9 +344,9 @@ TEST(ServiceLifecycle, HoldoverSurvivesHigherLaneMismatchSweep) {
   std::vector<GemmFuture> futures;
   futures.push_back(submit(0));
   futures.push_back(submit(1));
-  // Hold the dispatcher inside sweep 1's execution (after it parked
-  // request 1 in the low lane's holdover slot) until the high-lane pair
-  // is staged behind it.
+  // Hold the dispatcher inside sweep 1's execution (after it left
+  // request 1 at the head of the low lane) until the high-lane pair is
+  // staged behind it.
   std::atomic<bool> sweep1_executing{false};
   std::atomic<bool> release{false};
   futures[0].then([&](const GemmResult&) {
@@ -362,22 +361,21 @@ TEST(ServiceLifecycle, HoldoverSurvivesHigherLaneMismatchSweep) {
   }
   futures.push_back(submit(2));
   futures.push_back(submit(3));
-  // The parked holdover plus the two high-lane arrivals.
+  // The low-lane mismatch plus the two high-lane arrivals.
   EXPECT_EQ(service.queue_depth(), 3u);
   release.store(true);
 
-  // Sweep 2 pops request 2 as its head, mismatches on request 3, and must
-  // park it WITHOUT clobbering the still-parked request 1.
+  // Sweep 2 takes request 2 as its head, mismatches on request 3, and must
+  // leave it queued WITHOUT losing the still-queued request 1.
   bool all_settled = true;
   for (int r = 0; r < 4; ++r) {
     const bool settled = futures[std::size_t(r)].wait_for(30.0);
     EXPECT_TRUE(settled) << "request " << r
-                         << " was lost from a holdover slot";
+                         << " was lost by a mismatch sweep";
     all_settled = all_settled && settled;
   }
-  // A lost request leaks its queue reservation and drain would spin
-  // forever; fall back to cancel-mode shutdown so a regression fails
-  // instead of hanging.
+  // A lost request could leave drain waiting forever; fall back to
+  // cancel-mode shutdown so a regression fails instead of hanging.
   service.shutdown(all_settled);
   if (!all_settled) return;
   for (int r = 0; r < 4; ++r) {
