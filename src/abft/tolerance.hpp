@@ -11,24 +11,21 @@
 // We bound the noise with a random-walk model: each checksum entry is the
 // result of O(K + N) accumulations of values of magnitude at most
 //     M_elem = |alpha| * amax(A) * amax(B) * K  +  |beta| * amax(C0),
-// giving noise ~ eps * (sqrt(K) + sqrt(N)) * M_elem.  A configurable safety
-// factor (default 512, FTGEMM_TOL_FACTOR) sits on top.  Errors smaller than
-// tau are mathematically indistinguishable from rounding and are, by the
-// same argument, harmless to the result.
+// giving noise ~ eps * (sqrt(K) + sqrt(N)) * M_elem.  A safety factor
+// (default 512, Options::tolerance_factor per call) sits on top.  Errors
+// smaller than tau are mathematically indistinguishable from rounding and
+// are, by the same argument, harmless to the result.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "util/env.hpp"
 #include "util/matrix.hpp"
 
 namespace ftgemm {
 
-inline double default_tolerance_factor() {
-  return env_double("FTGEMM_TOL_FACTOR", 512.0);
-}
+constexpr double default_tolerance_factor() { return 512.0; }
 
 /// Type-aware default: float's epsilon is ~2^29 larger than double's, so the
 /// same multiplicative factor would make tau comparable to O(1) injected

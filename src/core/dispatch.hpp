@@ -19,7 +19,6 @@
 #include "core/plan.hpp"
 #include "runtime/team.hpp"
 #include "runtime/topology.hpp"
-#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace ftgemm::detail {
@@ -89,16 +88,15 @@ FtReport dispatch(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
       acq.payload.get(), opts.memory_injector, q);
   rep.resident_hit = acq.hit;
   rep.resident_heals = acq.heals;
-  rep.resident_ecc_corrected = acq.ecc_corrected;
   return rep;
 }
 
 /// Per-problem flop count at or below which kAuto picks inter-batch
 /// parallelism: threading a problem this small is mostly barrier overhead
 /// (the FT driver synchronizes several times per rank-KC panel), while one
-/// worker per problem keeps every core on independent arithmetic.  The
-/// default hands problems up to ~400^3 to the inter-batch path; override
-/// with FTGEMM_BATCH_INTER_FLOPS for tuning or A/B experiments.
+/// worker per problem keeps every core on independent arithmetic.  It hands
+/// problems up to ~400^3 to the inter-batch path; BatchOptions::schedule
+/// forces either schedule.
 inline constexpr double kInterBatchFlopCutoff = 134.0e6;
 
 inline bool pick_inter_batch(const BatchOptions& opts, index_t m, index_t n,
@@ -110,7 +108,7 @@ inline bool pick_inter_batch(const BatchOptions& opts, index_t m, index_t n,
   }
   if (batch < 2) return false;
   const double flops = 2.0 * double(m) * double(n) * double(std::max<index_t>(k, 1));
-  return flops <= env_double("FTGEMM_BATCH_INTER_FLOPS", kInterBatchFlopCutoff);
+  return flops <= kInterBatchFlopCutoff;
 }
 
 template <typename S, bool FT, typename C = S>
@@ -203,7 +201,6 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
                                              opts.base.memory_injector, q);
     rep.resident_hit = acq.hit;
     rep.resident_heals = acq.heals;
-    rep.resident_ecc_corrected = acq.ecc_corrected;
     reports[std::size_t(p)] = rep;
   };
 
@@ -226,7 +223,6 @@ BatchReport run_batched(Layout layout, Trans ta, Trans tb, index_t m,
   for (const FtReport& r : reports) {
     if (r.resident_hit) ++report.resident_hits;
     report.resident_heals += r.resident_heals;
-    report.resident_ecc_corrected += r.resident_ecc_corrected;
   }
   if constexpr (FT) {
     for (const FtReport& r : reports) {

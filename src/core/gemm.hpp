@@ -132,7 +132,7 @@ FtReport ft_gemm_f16_reliable(Layout layout, Trans ta, Trans tb, index_t m,
                               const Options& opts = {}, int max_retries = 2);
 
 /// Drop the process-wide cached plans AND resident operand payloads (all
-/// precisions, mixed included).  FTGEMM_* environment knobs (ISA, blocking, tolerance,
+/// precisions, mixed included).  FTGEMM_* environment knobs (ISA, blocking,
 /// fast-path bound, operand-cache caps) are read when a plan / payload is
 /// *built*, so a warm cache will not observe later changes to them — call
 /// this after mutating the environment mid-process.  Calls already holding

@@ -85,9 +85,6 @@ struct BatchReport {
   /// batch) and integrity heals performed on hits.
   index_t resident_hits = 0;
   std::int64_t resident_heals = 0;
-  /// Resident-panel bits corrected in place by the SEC-DED syndrome sweep
-  /// (FTGEMM_OPERAND_ECC), summed over members — see FtReport.
-  std::int64_t resident_ecc_corrected = 0;
   /// Rejected before execution (negative dimension/batch or undersized
   /// leading dimension, see valid_gemm_args): no member ran, C untouched.
   bool invalid_args = false;

@@ -7,7 +7,6 @@
 
 #include "core/context.hpp"
 #include "core/driver.hpp"
-#include "core/secded.hpp"
 #include "inject/injector.hpp"
 #include "util/env.hpp"
 
@@ -274,11 +273,10 @@ void fill_payload<std::int8_t, std::int32_t>(
 }
 
 /// A payload for (trans, alpha, plan) with its geometry set and every
-/// buffer allocated — the SEC-DED parity too when `ecc` — so bytes() is
-/// final before a byte of it is encoded.
+/// buffer allocated, so bytes() is final before a byte of it is encoded.
 template <typename S, typename C>
 std::shared_ptr<ResidentAPayload<S, C>> shape_payload(
-    bool trans, C alpha, const GemmPlan<S, C>& plan, bool ecc) {
+    bool trans, C alpha, const GemmPlan<S, C>& plan) {
   auto pl = std::make_shared<ResidentAPayload<S, C>>();
   pl->m = plan.key.m;
   pl->k = plan.key.k;
@@ -291,22 +289,7 @@ std::shared_ptr<ResidentAPayload<S, C>> shape_payload(
   pl->ar.reset(std::size_t(pl->k));
   pl->rowchk.reset(std::size_t(pl->tiles * pl->mr));
   pl->colchk.reset(std::size_t(pl->k));
-  // Parity covers the whole allocation: int8 payloads include the
-  // quad-padded tail, since its bytes feed the kernels just like live ones.
-  if (ecc) pl->ecc.reset(secded::parity_bytes(pl->panels.size() * sizeof(S)));
   return pl;
-}
-
-/// Fill a shaped payload from the source operand, SEC-DED parity included.
-template <typename S, typename C>
-void encode_payload(ResidentAPayload<S, C>& pl, const S* a, index_t lda,
-                    const GemmPlan<S, C>& plan) {
-  fill_payload(pl, a, lda, plan);
-  if (pl.ecc.size() > 0) {
-    secded::encode_buffer(
-        reinterpret_cast<const unsigned char*>(pl.panels.data()),
-        pl.panels.size() * sizeof(S), pl.ecc.data());
-  }
 }
 
 }  // namespace
@@ -326,8 +309,7 @@ template <typename S, typename C>
 OperandCache<S, C>::OperandCache(std::size_t capacity,
                                  std::size_t byte_capacity)
     : capacity_(capacity > 0 ? capacity : 1),
-      byte_capacity_(byte_capacity > 0 ? byte_capacity : 1),
-      ecc_(env_long("FTGEMM_OPERAND_ECC", 0) != 0) {}
+      byte_capacity_(byte_capacity > 0 ? byte_capacity : 1) {}
 
 template <typename S, typename C>
 void OperandCache<S, C>::evict_to_caps_locked() {
@@ -374,7 +356,7 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
     // submitters), and the lock order stays slot, then cache.  The payload
     // is shaped first: the eviction sweep reads Slot::bytes without the
     // slot mutex.
-    auto payload = shape_payload(trans, alpha, plan, ecc());
+    auto payload = shape_payload(trans, alpha, plan);
     auto fresh = std::make_shared<Slot>();
     fresh->bytes = payload->bytes();
     std::unique_lock<std::mutex> fresh_lk(fresh->m);
@@ -392,7 +374,7 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
       }
     }
     if (!slot) {
-      encode_payload(*payload, a, lda, plan);
+      fill_payload(*payload, a, lda, plan);
       fresh->payload = payload;
       out.payload = std::move(payload);
       return out;
@@ -400,9 +382,9 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
   }
 
   // Hit (after waiting out the encode when the slot is still being
-  // filled): inject planned memory faults, then (with ECC) syndrome-sweep,
-  // then CHECK_BEFORE-verify and heal.  Serialized per entry so an injected
-  // flip and a concurrent sweep never race on the payload bytes.
+  // filled): inject planned memory faults, then CHECK_BEFORE-verify and
+  // heal.  Serialized per entry so an injected flip and a concurrent sweep
+  // never race on the payload bytes.
   std::lock_guard<std::mutex> slot_lk(slot->m);
   std::shared_ptr<const Payload> payload = slot->payload;
   if (mem_injector != nullptr && payload) {
@@ -412,7 +394,7 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
     mem_injector->plan_flips(mctx, flips);
     if (!flips.empty()) {
       // Test-only corruption of the (logically immutable) resident bytes —
-      // the very event the defenses below exist to catch.
+      // the very event the re-verify below exists to catch.
       S* data = const_cast<S*>(payload->panels.data());
       for (const PanelFlip& f : flips) {
         // plan_flips' canonicalized contract: in range, unique.
@@ -423,38 +405,16 @@ ResidentAcquisition<S, C> OperandCache<S, C>::acquire(
       mem_injector->record_applied(flips.size());
     }
   }
-  // SEC-DED sweep: corrects any single flipped bit per 64-bit word in
-  // place — no re-encode, no source-operand read.  A double-detect (or a
-  // multi-bit alias that "corrected" the wrong bit) falls through to the
-  // integrity re-verify, which forces the re-encode heal.
-  bool ecc_uncorrectable = false;
-  if (payload && payload->ecc.size() > 0) {
-    auto* bytes = const_cast<unsigned char*>(
-        reinterpret_cast<const unsigned char*>(payload->panels.data()));
-    auto* parity = const_cast<std::uint8_t*>(payload->ecc.data());
-    const secded::ScrubResult scrub = secded::scrub_buffer(
-        bytes, payload->panels.size() * sizeof(S), parity);
-    out.ecc_corrected = int(scrub.corrected + scrub.parity_fixed);
-    ecc_uncorrectable = scrub.uncorrectable > 0;
-    if (out.ecc_corrected > 0 || ecc_uncorrectable) {
-      std::lock_guard<std::mutex> lk(m_);
-      ecc_corrected_ += scrub.corrected + scrub.parity_fixed;
-      ecc_detected_ += scrub.uncorrectable;
-    }
-  }
-  if (payload && (verify || ecc_uncorrectable)) {
-    if (verify) {
+  if (payload && verify) {
+    {
       std::lock_guard<std::mutex> lk(m_);
       ++verifies_;
     }
-    const bool ok =
-        !ecc_uncorrectable && (!verify || verify_payload(*payload));
-    if (!ok) {
+    if (!verify_payload(*payload)) {
       // Memory fault detected: re-encode from the source and swap the
-      // healed payload into the slot (self-healing).  The heal restores
-      // the ECC protection the old payload carried.
-      auto fresh = shape_payload(trans, alpha, plan, payload->ecc.size() > 0);
-      encode_payload(*fresh, a, lda, plan);
+      // healed payload into the slot (self-healing).
+      auto fresh = shape_payload(trans, alpha, plan);
+      fill_payload(*fresh, a, lda, plan);
       slot->payload = fresh;
       payload = std::move(fresh);
       out.heals = 1;
@@ -482,8 +442,6 @@ OperandCacheStats OperandCache<S, C>::stats() {
   s.misses = misses_;
   s.verifies = verifies_;
   s.heals = heals_;
-  s.ecc_corrected = ecc_corrected_;
-  s.ecc_detected = ecc_detected_;
   s.evictions = evictions_;
   s.entries = lru_.size();
   s.bytes = bytes_;

@@ -41,7 +41,6 @@
 // cache slot) for as long as the caller holds it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -135,20 +134,13 @@ struct ResidentAPayload {
   /// per-packed-row and per-depth totals.
   AlignedBuffer<Sum> rowchk;  ///< length tiles*mr
   AlignedBuffer<Sum> colchk;  ///< length k
-  /// SEC-DED parity, one byte per 64-bit word of the packed panel bytes
-  /// (core/secded.hpp); empty unless the cache had ECC enabled when this
-  /// payload was encoded.  With ECC, a single flipped payload bit is
-  /// *corrected* on the hit path without touching the source operand; the
-  /// integrity re-verify still runs behind it as the miscorrection backstop.
-  AlignedBuffer<std::uint8_t> ecc;
 
   [[nodiscard]] std::size_t elems() const {
     return std::size_t(tiles * mr) * std::size_t(k);
   }
   [[nodiscard]] std::size_t bytes() const {
     return elems() * sizeof(StorageT) + std::size_t(k) * sizeof(ComputeT) +
-           (std::size_t(k) + std::size_t(tiles * mr)) * sizeof(Sum) +
-           ecc.size();
+           (std::size_t(k) + std::size_t(tiles * mr)) * sizeof(Sum);
   }
   /// Packed tiles of the rank-KC panel starting at k-offset p (the driver's
   /// panel-loop variable, a multiple of kc).
@@ -163,8 +155,6 @@ struct OperandCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t verifies = 0;   ///< CHECK_BEFORE sweeps run on hits
   std::uint64_t heals = 0;      ///< mismatches healed by re-encoding
-  std::uint64_t ecc_corrected = 0;  ///< single-bit SEC-DED corrections
-  std::uint64_t ecc_detected = 0;   ///< double-bit SEC-DED detections
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;        ///< resident payload bytes currently cached
@@ -176,7 +166,6 @@ struct ResidentAcquisition {
   std::shared_ptr<const ResidentAPayload<StorageT, ComputeT>> payload;
   bool hit = false;
   int heals = 0;
-  int ecc_corrected = 0;  ///< payload bits SEC-DED-corrected on this hit
 };
 
 class MemoryFaultInjector;
@@ -192,18 +181,9 @@ class OperandCache {
   static constexpr std::size_t kDefaultCapacity = 16;
   static constexpr std::size_t kDefaultByteCapacity = 256u << 20;  // 256 MiB
 
-  /// Caps resolve FTGEMM_OPERAND_CACHE_ENTRIES / _BYTES at construction;
-  /// FTGEMM_OPERAND_ECC=1 turns the SEC-DED coding on.
+  /// Caps resolve FTGEMM_OPERAND_CACHE_ENTRIES / _BYTES at construction.
   OperandCache();
   OperandCache(std::size_t capacity, std::size_t byte_capacity);
-
-  /// Toggle SEC-DED coding of payloads (campaigns flip this at runtime).
-  /// Applies to payloads encoded afterwards; existing entries keep (or
-  /// lack) their parity until re-encoded.
-  void set_ecc(bool on) { ecc_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool ecc() const {
-    return ecc_.load(std::memory_order_relaxed);
-  }
 
   /// Look up (encoding on miss) the resident payload for (a, plan).  On a
   /// hit, applies `mem_injector`'s planned panel flips (may be null), then —
@@ -252,10 +232,7 @@ class OperandCache {
   std::uint64_t misses_ = 0;
   std::uint64_t verifies_ = 0;
   std::uint64_t heals_ = 0;
-  std::uint64_t ecc_corrected_ = 0;
-  std::uint64_t ecc_detected_ = 0;
   std::uint64_t evictions_ = 0;
-  std::atomic<bool> ecc_{false};
 };
 
 extern template class OperandCache<float>;

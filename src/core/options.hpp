@@ -34,7 +34,7 @@ struct Options {
   /// Kernel ISA override (defaults to the best the CPU supports).
   std::optional<Isa> isa;
   /// Verification threshold safety factor; 0 means the library default
-  /// (512, overridable with FTGEMM_TOL_FACTOR).  FT entry points only.
+  /// (512; 64 for fp32 compute).  FT entry points only.
   double tolerance_factor = 0.0;
   /// Let the planner take the single-macro-tile direct path for problems
   /// that fit one MC x NC x KC tile (pins the call to one thread, skips the
@@ -80,9 +80,6 @@ struct FtReport {
   bool resident_hit = false;
   /// Resident-panel integrity mismatches healed by re-encoding this call.
   int resident_heals = 0;
-  /// Resident-panel bits corrected in place by the SEC-DED syndrome sweep
-  /// (FTGEMM_OPERAND_ECC) — corrections that did NOT need a re-encode heal.
-  int resident_ecc_corrected = 0;
 
   /// True when the result is trustworthy (all mismatches corrected).
   [[nodiscard]] bool clean() const { return uncorrectable_panels == 0; }

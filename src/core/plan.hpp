@@ -16,9 +16,9 @@
 //                functions, GemmEngine, ft_*_reliable, batched) reuses plans
 //                instead of re-planning.
 //
-// Environment knobs (FTGEMM_FORCE_ISA, FTGEMM_TOL_FACTOR, FTGEMM_MC/NC/KC,
-// FTGEMM_KERNEL_MR, FTGEMM_FAST_PATH_FLOPS) are read when a plan is
-// *built*; a warm cache will not observe later changes to them.  Callers
+// Environment knobs (FTGEMM_FORCE_ISA, FTGEMM_MC/NC/KC, FTGEMM_KERNEL_MR,
+// FTGEMM_FAST_PATH_FLOPS) are read when a plan is *built*; a warm cache
+// will not observe later changes to them.  Callers
 // that mutate the environment mid-process (the blocking-ablation bench)
 // must start from an empty cache: a fresh GemmEngine for engine users,
 // clear_process_caches() (core/gemm.hpp) for free-function users.

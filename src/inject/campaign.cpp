@@ -14,7 +14,6 @@
 #include "core/gemm.hpp"
 #include "inject/injectors.hpp"
 #include "serve/service.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -224,7 +223,6 @@ template <typename S, typename C>
 CampaignResult run_cell(const CampaignConfig& cfg, Shape shape) {
   using Scalar = detail::ScalarOf<S, C>;
   ContextCache<S, C>& cache = process_context_cache<S, C>();
-  cache.operands().set_ecc(cfg.ecc);
   Cell<S, C> cell(cfg, shape);
   const std::size_t len = cell.unit_elems();
   std::vector<Scalar> ref(std::size_t(cell.units()) * len);
@@ -264,13 +262,11 @@ CampaignResult run_cell(const CampaignConfig& cfg, Shape shape) {
       res.max_rel_error = std::max(res.max_rel_error, err);
       res.errors_detected += rep.errors_detected;
       res.errors_corrected += rep.errors_corrected;
-      res.ecc_corrected += rep.resident_ecc_corrected;
       res.heals += rep.resident_heals;
       res.retries += rep.retries;
       res.coalesced += units[u].coalesced ? 1 : 0;
       detected = detected || rep.errors_detected > 0 ||
-                 rep.uncorrectable_panels > 0 || rep.resident_heals > 0 ||
-                 rep.resident_ecc_corrected > 0;
+                 rep.uncorrectable_panels > 0 || rep.resident_heals > 0;
       flagged = flagged || !rep.clean();
       silent = silent || (rep.clean() && wrong);
     }
@@ -285,7 +281,6 @@ CampaignResult run_cell(const CampaignConfig& cfg, Shape shape) {
   }
   res.injected = striker.applied();
   res.mean_gflops = gflops_sum / double(std::max(cfg.trials, 1));
-  cache.operands().set_ecc(env_long("FTGEMM_OPERAND_ECC", 0) != 0);
   return res;
 }
 
@@ -322,17 +317,13 @@ std::vector<CampaignConfig> memory_fault_grid(int trials,
         CampaignSurface::kPanelB, CampaignSurface::kPlan}) {
     for (const int faults : {1, 4}) {
       for (const int burst : {1, 3}) {
-        for (const bool ecc : {false, true}) {
-          if (ecc && surface != CampaignSurface::kResident) continue;
-          CampaignConfig cfg;
-          cfg.surface = surface;
-          cfg.faults = faults;
-          cfg.burst = burst;
-          cfg.trials = trials;
-          cfg.seed = seed;
-          cfg.ecc = ecc;
-          grid.push_back(cfg);
-        }
+        CampaignConfig cfg;
+        cfg.surface = surface;
+        cfg.faults = faults;
+        cfg.burst = burst;
+        cfg.trials = trials;
+        cfg.seed = seed;
+        grid.push_back(cfg);
       }
     }
   }

@@ -14,7 +14,7 @@
 // subtracts a rounded delta).  Every trial lands in one bucket:
 //
 //   detected — some defense fired (checksum mismatch, uncorrectable panel,
-//              resident heal or SEC-DED fix, plan heal); `flagged` counts
+//              resident heal, plan heal); `flagged` counts
 //              the detected trials that left a unit whose report is not
 //              clean;
 //   masked   — nothing fired and every unit matches its oracle;
@@ -78,10 +78,6 @@ struct CampaignConfig {
   std::uint64_t seed = 0x5eedu;
   int threads = 2;  ///< per call; the worker cap of a batched call
   BatchSchedule schedule = BatchSchedule::kAuto;  ///< batched entry only
-  /// SEC-DED coded resident payloads (FTGEMM_OPERAND_ECC), so single-bit
-  /// resident strikes are corrected in place instead of healed by
-  /// re-encoding.  The configured state is restored after the cell.
-  bool ecc = false;
 };
 
 /// Counters aggregated over a cell's trials.
@@ -97,7 +93,6 @@ struct CampaignResult {
   // Defense counters summed over every unit of every trial.
   std::int64_t errors_detected = 0;   ///< checksum mismatches attributed
   std::int64_t errors_corrected = 0;  ///< C elements repaired
-  std::int64_t ecc_corrected = 0;     ///< resident bits fixed by SEC-DED
   std::int64_t heals = 0;             ///< resident payload re-encodes
   std::int64_t plan_heals = 0;        ///< plan self-check rebuilds
   std::int64_t retries = 0;           ///< reliable-entry re-executions
@@ -117,7 +112,7 @@ struct CampaignResult {
 
 /// The memory-fault sweep of BENCH_faults.json on the sync entry point:
 /// surfaces {resident, panel_a, panel_b, plan} x faults {1, 4} x burst
-/// {1, 3}, the resident cells both without and with ECC (20 cells).
+/// {1, 3} (16 cells).
 [[nodiscard]] std::vector<CampaignConfig> memory_fault_grid(
     int trials, std::uint64_t seed);
 

@@ -118,8 +118,8 @@ double apply_corruption<std::int32_t>(std::int32_t& value,
 // models inside a kernel.  Three strike surfaces exist:
 //
 //  - kResidentPanel: the resident-operand cache's packed panels, struck on
-//    each cache hit before the CHECK_BEFORE re-verification (and before the
-//    optional SEC-DED syndrome sweep, see core/secded.hpp).
+//    each cache hit before the CHECK_BEFORE re-verification, which heals a
+//    mismatch by re-encoding from the source operand.
 //  - kPanelA / kPanelB: *transient* packed panels in driver workspace,
 //    struck between pack (where the predicted checksums are derived) and
 //    the macro-kernel consume — a fault the rank-KC panel verification must

@@ -579,7 +579,6 @@ void GemmService::execute_direct(detail::Pending& p, bool inlined) {
         stats_.resident_misses +=
             std::uint64_t(res.batch.problems - res.batch.resident_hits);
         stats_.resident_heals += res.batch.resident_heals;
-        stats_.resident_ecc_corrected += res.batch.resident_ecc_corrected;
       }
     } else {
       ++stats_.direct_calls;
@@ -591,7 +590,6 @@ void GemmService::execute_direct(detail::Pending& p, bool inlined) {
         res.report.resident_hit ? ++stats_.resident_hits
                                 : ++stats_.resident_misses;
         stats_.resident_heals += res.report.resident_heals;
-        stats_.resident_ecc_corrected += res.report.resident_ecc_corrected;
       }
     }
   }

@@ -450,9 +450,6 @@ struct ServiceStats {
   std::uint64_t resident_hits = 0;
   std::uint64_t resident_misses = 0;
   std::int64_t resident_heals = 0;
-  /// Resident-panel bits corrected in place by the SEC-DED syndrome sweep
-  /// (FTGEMM_OPERAND_ECC) — corrections that did not need a re-encode heal.
-  std::int64_t resident_ecc_corrected = 0;
   std::uint64_t peak_queue_depth = 0;  ///< max over shards
   /// Queued-route groups executing at once (dispatchers and helping
   /// waiters), all shards.

@@ -150,8 +150,7 @@ std::string cell_note(const CampaignConfig& c) {
   return std::string("  [cell entry=") + campaign_entry_name(c.entry) +
          " surface=" + campaign_surface_name(c.surface) +
          " faults=" + std::to_string(c.faults) +
-         " burst=" + std::to_string(c.burst) +
-         " ecc=" + (c.ecc ? "on" : "off") + "]";
+         " burst=" + std::to_string(c.burst) + "]";
 }
 
 // The whole grid: every valid entry x surface cell, one single-bit (or
@@ -205,9 +204,7 @@ TEST(CampaignGrid, EveryEntrySurfaceCellIsNeverSilent) {
 // The CHECK_BEFORE re-verification must detect each strike, heal it by
 // re-encoding from the source weight, and every round's result must match
 // the naive reference — never a silently wrong answer, exactly like the
-// compute-domain campaigns above.  Under FTGEMM_OPERAND_ECC=1 the SEC-DED
-// sweep corrects every flip in place before the re-verification, so the
-// flips show up as ECC corrections and nothing is left to heal.
+// compute-domain campaigns above.
 TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
   clear_process_caches();
   const std::uint64_t seed = test_seed(2026);
@@ -241,7 +238,6 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
                                 /*every=*/3);
   opts.memory_injector = &injector;
   std::int64_t heals = 0;
-  std::int64_t ecc_corrected = 0;
   for (int round = 0; round < kRounds; ++round) {
     c = p.c.clone();
     rep = ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
@@ -250,7 +246,6 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
     ASSERT_TRUE(rep.resident_hit) << "round " << round << seed_note(seed);
     EXPECT_TRUE(rep.clean()) << "round " << round << seed_note(seed);
     heals += rep.resident_heals;
-    ecc_corrected += rep.resident_ecc_corrected;
     // Healed-or-clean, the delivered result is the cold result, bit for
     // bit — and therefore within the standard tolerance of the oracle.
     testing::expect_matrix_near(c, c_cold, 0.0,
@@ -259,15 +254,8 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
   testing::expect_matrix_near(c, ref, testing::gemm_tolerance<double>(cs.k),
                               "final round vs naive_ref_gemm");
 
-  // Strikes land on hits 0, 3, ..., 27: ten corrupted rounds, each healed
-  // (or, with ECC on, every flip corrected in place).
-  if (env_long("FTGEMM_OPERAND_ECC", 0) != 0) {
-    EXPECT_EQ(ecc_corrected, std::int64_t(kRounds / 3) * kFlipsPerStrike)
-        << seed_note(seed);
-    EXPECT_EQ(heals, 0) << seed_note(seed);
-  } else {
-    EXPECT_EQ(heals, kRounds / 3) << seed_note(seed);
-  }
+  // Strikes land on hits 0, 3, ..., 27: ten corrupted rounds, each healed.
+  EXPECT_EQ(heals, kRounds / 3) << seed_note(seed);
   EXPECT_EQ(injector.applied_count(),
             std::size_t(kRounds / 3) * kFlipsPerStrike)
       << seed_note(seed);
@@ -275,21 +263,18 @@ TEST(MemoryFaultCampaign, ResidentPanelFlipsAlwaysHealedNeverSilent) {
 
 // The acceptance sweep (DESIGN.md §12): every surface x fault count x
 // burstiness cell of the default grid, at a reduced trial count.  The hard
-// claims: every trial is detected or provably masked (result bit-identical
-// to the clean reference) — never silent at any fault density; the
-// bit-exact defenses (SEC-DED parity, plan self-checksum, exact int8 panel
-// checksums) mask nothing, so their single-bit cells detect 100%; and the
-// ECC cell corrects singles in place with ZERO re-encode heals, its
-// corrected-bit count matching the injector ground truth exactly.  Only the
-// fp resident surface without ECC may mask: an ulp-level mantissa flip can
-// be rounded away by both the fp integrity sums and the product.
+// claims: never silent at any fault density, and nothing masked — every
+// memory defense is bit-exact (the resident integrity sums add raw bit
+// patterns as wrapping integers, the plan self-checksum, the exact int8
+// panel checksums), so every trial is detected and every single-bit cell
+// detects 100%.  A detected resident strike is healed by exactly one
+// re-encode.
 TEST(MemoryFaultCampaign, SweepDetectsAllSingleBitStrikesAndIsNeverSilent) {
   const std::uint64_t seed = test_seed(0x5eed);
   constexpr int kTrials = 5;
   const std::vector<CampaignConfig> grid = memory_fault_grid(kTrials, seed);
-  // 4 surfaces x faults {1,4} x burst {1,3}, plus the 4 resident cells
-  // duplicated with ECC on.
-  ASSERT_EQ(grid.size(), 20u);
+  // 4 surfaces x faults {1,4} x burst {1,3}.
+  ASSERT_EQ(grid.size(), 16u);
 
   for (const CampaignConfig& cfg : grid) {
     const CampaignResult r = run_campaign(cfg);
@@ -299,27 +284,14 @@ TEST(MemoryFaultCampaign, SweepDetectsAllSingleBitStrikesAndIsNeverSilent) {
     EXPECT_EQ(r.silent, 0) << cell_note(cfg) << seed_note(seed);
     EXPECT_EQ(r.detected + r.masked, std::int64_t(kTrials))
         << cell_note(cfg) << seed_note(seed);
-    const bool bit_exact_surface =
-        cfg.ecc || cfg.surface != CampaignSurface::kResident;
-    if (bit_exact_surface) {
-      EXPECT_EQ(r.masked, 0) << cell_note(cfg) << seed_note(seed);
-    }
+    EXPECT_EQ(r.masked, 0) << cell_note(cfg) << seed_note(seed);
     if (cfg.faults == 1 && cfg.burst == 1) {
       EXPECT_EQ(r.injected, std::int64_t(kTrials))
           << cell_note(cfg) << seed_note(seed);
-      if (bit_exact_surface) {
-        // 100% detection of single-bit faults on every bit-exact surface.
-        EXPECT_EQ(r.detected, std::int64_t(kTrials))
-            << cell_note(cfg) << seed_note(seed);
-      }
-      if (cfg.ecc) {
-        // SEC-DED corrects every single strike in place: corrected bits
-        // match the injector ground truth exactly, and the re-encode heal
-        // path is never taken.
-        EXPECT_EQ(r.ecc_corrected, r.injected)
-            << cell_note(cfg) << seed_note(seed);
-        EXPECT_EQ(r.heals, 0) << cell_note(cfg) << seed_note(seed);
-      } else if (cfg.surface == CampaignSurface::kResident) {
+      // 100% detection of single-bit faults on every surface.
+      EXPECT_EQ(r.detected, std::int64_t(kTrials))
+          << cell_note(cfg) << seed_note(seed);
+      if (cfg.surface == CampaignSurface::kResident) {
         // Every detected trial healed by re-encode, exactly once.
         EXPECT_EQ(r.heals, r.detected) << cell_note(cfg) << seed_note(seed);
       } else if (cfg.surface == CampaignSurface::kPlan) {

@@ -590,11 +590,7 @@ TEST(Int8Resident, HitsAreBitIdenticalAndHealsFlips) {
                                    p.b.ld(), 0.5f, healed.data(),
                                    healed.ld(), qp, hurt);
   EXPECT_TRUE(heal.resident_hit);
-  // With FTGEMM_OPERAND_ECC (CI sanitize leg) some or all of the three
-  // flips are swept in place instead of forcing a re-encode heal — either
-  // defense must have fired, and the served result is exact regardless.
-  EXPECT_GE(heal.resident_heals + std::int64_t(heal.resident_ecc_corrected),
-            1);
+  EXPECT_EQ(heal.resident_heals, 1);
   expect_matrix_near(healed, want, 0.0, "healed hit" + seed_note(seed));
 }
 

@@ -1,7 +1,7 @@
-// Memory-fault model unit tests (DESIGN.md §12): the SEC-DED (72,64) code,
-// the memory-injector canonicalization contract (net-bit ground truth), the
-// ECC-coded resident-operand path, the transient packed-panel strike
-// surfaces on the exact int8 path, and the plan-cache self-check heal.
+// Memory-fault model unit tests (DESIGN.md §12): the memory-injector
+// canonicalization contract (net-bit ground truth), the transient
+// packed-panel strike surfaces on the exact int8 path, and the plan-cache
+// self-check heal.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,10 +10,8 @@
 #include "core/context.hpp"
 #include "core/gemm.hpp"
 #include "core/gemm_i8.hpp"
-#include "core/secded.hpp"
 #include "inject/injectors.hpp"
 #include "test_common.hpp"
-#include "util/env.hpp"
 
 namespace ftgemm {
 namespace {
@@ -22,97 +20,10 @@ using testing::seed_note;
 using testing::test_seed;
 
 // ---------------------------------------------------------------------------
-// SEC-DED codec
+// Injector canonicalization contract (the ground-truth bugfixes)
 // ---------------------------------------------------------------------------
 
-TEST(SecDed, CleanWordsRoundTrip) {
-  const std::uint64_t words[] = {0ull, ~0ull, 0x0123456789abcdefull,
-                                 0x8000000000000001ull, 42ull};
-  for (std::uint64_t orig : words) {
-    std::uint64_t w = orig;
-    std::uint8_t par = secded::encode(w);
-    EXPECT_EQ(secded::check_correct(w, par), secded::Outcome::kClean);
-    EXPECT_EQ(w, orig);
-    EXPECT_EQ(par, secded::encode(orig));
-  }
-}
-
-TEST(SecDed, EverySingleDataBitIsCorrected) {
-  const std::uint64_t orig = 0xfeedfacecafe1234ull;
-  for (int bit = 0; bit < 64; ++bit) {
-    std::uint64_t w = orig ^ (std::uint64_t(1) << bit);
-    std::uint8_t par = secded::encode(orig);
-    EXPECT_EQ(secded::check_correct(w, par), secded::Outcome::kCorrectedData)
-        << "bit " << bit;
-    EXPECT_EQ(w, orig) << "bit " << bit;
-    EXPECT_EQ(par, secded::encode(orig)) << "bit " << bit;
-  }
-}
-
-TEST(SecDed, EveryParityByteBitIsCorrectedWithoutTouchingData) {
-  const std::uint64_t orig = 0x0123456789abcdefull;
-  for (int bit = 0; bit < 8; ++bit) {
-    std::uint64_t w = orig;
-    std::uint8_t par = std::uint8_t(secded::encode(orig) ^ (1u << bit));
-    EXPECT_EQ(secded::check_correct(w, par),
-              secded::Outcome::kCorrectedParity)
-        << "parity bit " << bit;
-    EXPECT_EQ(w, orig) << "parity bit " << bit;
-    EXPECT_EQ(par, secded::encode(orig)) << "parity bit " << bit;
-  }
-}
-
-TEST(SecDed, DoubleBitFlipsAreDetectedNotMiscorrected) {
-  const std::uint64_t orig = 0xdeadbeefdeadbeefull;
-  const std::uint8_t good_par = secded::encode(orig);
-  // Data-data doubles across a spread of bit pairs.
-  for (int lo = 0; lo < 64; lo += 7) {
-    for (int hi = lo + 1; hi < 64; hi += 13) {
-      std::uint64_t w =
-          orig ^ (std::uint64_t(1) << lo) ^ (std::uint64_t(1) << hi);
-      std::uint8_t par = good_par;
-      EXPECT_EQ(secded::check_correct(w, par),
-                secded::Outcome::kDetectedDouble)
-          << "bits " << lo << "," << hi;
-      // The word is left for the caller's re-encode heal, untouched.
-      EXPECT_EQ(w, orig ^ (std::uint64_t(1) << lo) ^ (std::uint64_t(1) << hi));
-    }
-  }
-  // Data + parity double.
-  std::uint64_t w = orig ^ (std::uint64_t(1) << 17);
-  std::uint8_t par = std::uint8_t(good_par ^ 0x04u);
-  EXPECT_EQ(secded::check_correct(w, par), secded::Outcome::kDetectedDouble);
-}
-
-TEST(SecDed, BufferScrubCorrectsSinglesCountsDoublesAndCoversTail) {
-  // 37 bytes = 4 full words + a 5-byte zero-padded tail word.
-  constexpr std::size_t kBytes = 37;
-  std::vector<unsigned char> buf(kBytes);
-  for (std::size_t i = 0; i < kBytes; ++i)
-    buf[i] = (unsigned char)(i * 37 + 11);
-  const std::vector<unsigned char> orig = buf;
-  std::vector<std::uint8_t> par(secded::parity_bytes(kBytes));
-  ASSERT_EQ(par.size(), 5u);
-  secded::encode_buffer(buf.data(), kBytes, par.data());
-
-  buf[3] ^= 0x10;   // single in word 0
-  buf[17] ^= 0x01;  // single in word 2
-  buf[36] ^= 0x80;  // single in the partial tail word
-  buf[8] ^= 0x03;   // double inside word 1
-
-  const secded::ScrubResult res =
-      secded::scrub_buffer(buf.data(), kBytes, par.data());
-  EXPECT_EQ(res.corrected, 3u);
-  EXPECT_EQ(res.uncorrectable, 1u);
-  // The three single-struck words were restored bit-exactly.
-  EXPECT_EQ(buf[3], orig[3]);
-  EXPECT_EQ(buf[17], orig[17]);
-  EXPECT_EQ(buf[36], orig[36]);
-  // The double-struck word is exactly as corrupted (heal is the caller's).
-  EXPECT_EQ(buf[8], (unsigned char)(orig[8] ^ 0x03));
-}
-
-TEST(SecDed, FlipValueBitXorsExactlyOneBit) {
+TEST(MemInjectorContract, FlipValueBitXorsExactlyOneBit) {
   double d = 1.0;
   std::uint64_t before, after;
   std::memcpy(&before, &d, sizeof(d));
@@ -126,10 +37,6 @@ TEST(SecDed, FlipValueBitXorsExactlyOneBit) {
   flip_value_bit(b, 7);
   EXPECT_EQ(std::uint8_t(b), std::uint8_t(5u ^ 0x80u));
 }
-
-// ---------------------------------------------------------------------------
-// Injector canonicalization contract (the ground-truth bugfixes)
-// ---------------------------------------------------------------------------
 
 /// Regression: drawing far more flips than the surface holds distinct
 /// (elem, bit) slots used to emit duplicate pairs whose XORs self-cancel,
@@ -233,131 +140,24 @@ TEST(MemInjectorContract, SurfaceInjectorIsOneShotAndSurfaceFiltered) {
 }
 
 // ---------------------------------------------------------------------------
-// ECC-coded resident operands
-// ---------------------------------------------------------------------------
-
-struct ResidentFixture {
-  testing::GemmCase cs{96, 64, 160};
-  std::uint64_t seed;
-  testing::Problem<double> p;
-  Matrix<double> c_cold;
-
-  explicit ResidentFixture(std::uint64_t s) : seed(s), p(cs, s) {
-    clear_process_caches();
-    c_cold = p.c.clone();
-    Options cold;
-    cold.threads = 2;
-    ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
-             p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), cs.beta,
-             c_cold.data(), c_cold.ld(), cold);
-  }
-
-  FtReport run(Matrix<double>& c, const Options& opts) const {
-    return ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
-                    cs.alpha, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
-                    cs.beta, c.data(), c.ld(), opts);
-  }
-};
-
-/// With FTGEMM_OPERAND_ECC on, a single flipped payload bit per hit is
-/// corrected in place by the syndrome sweep: no re-encode heal, exact
-/// ground-truth match between injected and corrected bits, bit-exact
-/// results.
-TEST(ResidentEcc, SingleBitStrikesCorrectedInPlaceWithoutHeal) {
-  const std::uint64_t seed = test_seed(2027);
-  ResidentFixture fx(seed);
-  auto& cache = process_context_cache<double>();
-  cache.operands().set_ecc(true);
-
-  Options opts;
-  opts.threads = 2;
-  opts.resident_a = true;
-  Matrix<double> c = fx.p.c.clone();
-  FtReport rep = fx.run(c, opts);  // warm miss: encodes panels + parity
-  ASSERT_FALSE(rep.resident_hit) << seed_note(seed);
-
-  constexpr int kRounds = 10;
-  PanelBitFlipInjector injector(/*flips=*/1, seed, /*bit=*/61);
-  opts.memory_injector = &injector;
-  std::int64_t ecc_total = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    c = fx.p.c.clone();
-    rep = fx.run(c, opts);
-    ASSERT_TRUE(rep.resident_hit) << "round " << round << seed_note(seed);
-    EXPECT_EQ(rep.resident_ecc_corrected, 1)
-        << "round " << round << seed_note(seed);
-    EXPECT_EQ(rep.resident_heals, 0) << "round " << round << seed_note(seed);
-    EXPECT_TRUE(rep.clean()) << "round " << round << seed_note(seed);
-    ecc_total += rep.resident_ecc_corrected;
-    testing::expect_matrix_near(c, fx.c_cold, 0.0,
-                                "ecc round " + std::to_string(round));
-  }
-  // Injector ground truth matches the observed corrections exactly.
-  EXPECT_EQ(injector.applied_count(), std::size_t(kRounds)) << seed_note(seed);
-  EXPECT_EQ(ecc_total, kRounds) << seed_note(seed);
-
-  cache.operands().set_ecc(env_long("FTGEMM_OPERAND_ECC", 0) != 0);
-  clear_process_caches();
-}
-
-/// Burst strikes exceed the code's single-bit correction capability inside a
-/// word: a 2-bit burst in one 64-bit word is double-detected and must fall
-/// through to the re-encode heal; a burst straddling a word boundary splits
-/// into two correctable singles.  Either way the result stays bit-exact.
-TEST(ResidentEcc, BurstStrikesDetectedAndHealedNeverSilent) {
-  const std::uint64_t seed = test_seed(2028);
-  ResidentFixture fx(seed);
-  auto& cache = process_context_cache<double>();
-  cache.operands().set_ecc(true);
-
-  Options opts;
-  opts.threads = 2;
-  opts.resident_a = true;
-  Matrix<double> c = fx.p.c.clone();
-  FtReport rep = fx.run(c, opts);
-  ASSERT_FALSE(rep.resident_hit) << seed_note(seed);
-
-  constexpr int kRounds = 12;
-  PanelBitFlipInjector injector(/*flips=*/1, seed, /*bit=*/61, /*every=*/1,
-                                /*burst=*/2);
-  opts.memory_injector = &injector;
-  std::int64_t heals = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    c = fx.p.c.clone();
-    rep = fx.run(c, opts);
-    ASSERT_TRUE(rep.resident_hit) << "round " << round << seed_note(seed);
-    // Same-word burst: double-detect, zero sweeps, one heal.  Boundary
-    // burst: two independent singles, both swept, no heal.  Never neither.
-    EXPECT_TRUE(rep.resident_heals > 0 || rep.resident_ecc_corrected == 2)
-        << "round " << round << seed_note(seed);
-    EXPECT_TRUE(rep.clean()) << "round " << round << seed_note(seed);
-    heals += rep.resident_heals;
-    testing::expect_matrix_near(c, fx.c_cold, 0.0,
-                                "burst round " + std::to_string(round));
-  }
-  // A 2-bit run lands inside one word for 63 of every 64 start positions;
-  // over 12 rounds at least one double-detect heal is certain in practice.
-  EXPECT_GE(heals, 1) << seed_note(seed);
-  EXPECT_EQ(injector.applied_count(), std::size_t(kRounds) * 2)
-      << seed_note(seed);
-
-  cache.operands().set_ecc(env_long("FTGEMM_OPERAND_ECC", 0) != 0);
-  clear_process_caches();
-}
-
-// ---------------------------------------------------------------------------
 // Plan-cache strike surface
 // ---------------------------------------------------------------------------
 
 TEST(PlanSurface, CachedPlanStrikeIsHealedAndResultUnchanged) {
   const std::uint64_t seed = test_seed(2029);
-  ResidentFixture fx(seed);
+  const testing::GemmCase cs{96, 64, 160};
+  const testing::Problem<double> p(cs, seed);
+  clear_process_caches();
   auto& cache = process_context_cache<double>();
-
   Options opts;
   opts.threads = 2;
-  Matrix<double> c = fx.p.c.clone();
-  (void)fx.run(c, opts);  // plan-cache miss: builds + stamps self_check
+  const auto run = [&](Matrix<double>& c) {
+    return ft_dgemm(Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k,
+                    cs.alpha, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
+                    cs.beta, c.data(), c.ld(), opts);
+  };
+  Matrix<double> c_cold = p.c.clone();
+  (void)run(c_cold);  // plan-cache miss: builds + stamps self_check
 
   SurfaceBitFlipInjector injector(MemorySurface::kPlan, /*faults=*/1,
                                   /*burst=*/1, seed);
@@ -365,10 +165,10 @@ TEST(PlanSurface, CachedPlanStrikeIsHealedAndResultUnchanged) {
   const std::uint64_t heals_before = cache.plan_heals();
   for (int round = 0; round < 4; ++round) {
     injector.arm();
-    c = fx.p.c.clone();
-    const FtReport rep = fx.run(c, opts);
+    Matrix<double> c = p.c.clone();
+    const FtReport rep = run(c);
     EXPECT_TRUE(rep.clean()) << "round " << round << seed_note(seed);
-    testing::expect_matrix_near(c, fx.c_cold, 0.0,
+    testing::expect_matrix_near(c, c_cold, 0.0,
                                 "plan round " + std::to_string(round));
   }
   // Every struck lookup self-check-mismatched and rebuilt from the key:

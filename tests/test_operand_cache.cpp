@@ -494,18 +494,9 @@ void heal_campaign(const GemmCase& cs, const Options& base, int flip_bit) {
     c = p.c.clone();
     const FtReport rep = run_gemm<T>(true, cs, p, c, opts);
     EXPECT_TRUE(rep.resident_hit) << seed_note(seed);
-    if (env_long("FTGEMM_OPERAND_ECC", 0) != 0) {
-      // ECC leg (CI sanitize matrix): the single flipped bit is corrected
-      // in place by the SEC-DED sweep — no re-encode heal needed.
-      EXPECT_EQ(rep.resident_ecc_corrected, 1)
-          << "round " << round << ": flip must be swept by ECC"
-          << seed_note(seed);
-      EXPECT_EQ(rep.resident_heals, 0) << seed_note(seed);
-    } else {
-      EXPECT_EQ(rep.resident_heals, 1)
-          << "round " << round << ": flip must be detected and healed"
-          << seed_note(seed);
-    }
+    EXPECT_EQ(rep.resident_heals, 1)
+        << "round " << round << ": flip must be detected and healed"
+        << seed_note(seed);
     EXPECT_EQ(rep.errors_detected, 0)
         << "healed before compute: no downstream ABFT noise"
         << seed_note(seed);
@@ -569,18 +560,10 @@ TEST(OperandCacheFaults, VerifyOffIsNotSilent) {
   EXPECT_TRUE(rep.resident_hit);
   EXPECT_EQ(rep.resident_heals, 0) << "verification was off";
   EXPECT_GT(injector.applied_count(), 0u);
-  if (env_long("FTGEMM_OPERAND_ECC", 0) != 0) {
-    // The SEC-DED scrub is hardware-ECC-like: it runs on every hit even
-    // with the integrity re-verification off, so the flip never reaches
-    // the compute and there is nothing left for ABFT to flag.
-    EXPECT_EQ(rep.resident_ecc_corrected, 1) << seed_note(seed);
-    EXPECT_TRUE(rep.clean()) << seed_note(seed);
-  } else {
-    EXPECT_TRUE(rep.errors_detected > 0 || !rep.clean())
-        << "a consumed panel corruption must be flagged by compute-domain "
-           "ABFT, never silent"
-        << seed_note(seed);
-  }
+  EXPECT_TRUE(rep.errors_detected > 0 || !rep.clean())
+      << "a consumed panel corruption must be flagged by compute-domain "
+         "ABFT, never silent"
+      << seed_note(seed);
 }
 
 /// Flips bit `bit` of packed element `elem` of the resident panels on each
@@ -627,7 +610,7 @@ FtReport resident_ft(const Matrix<S>& a, const Matrix<S>& b,
 }
 
 /// Strike every bit of every 37th packed element of a resident 48^3 A on a
-/// hit, ECC off, one flip per call.  Operands are nonzero (1..9, as in the
+/// hit, one flip per call.  Operands are nonzero (1..9, as in the
 /// fault campaign), so every flip of a live element changes C.  No call may
 /// come back clean over a C that differs from the fault-free one, and every
 /// flip must be caught by the integrity re-verify: low mantissa bits are
@@ -638,7 +621,6 @@ void resident_bit_sweep(std::uint64_t seed) {
   constexpr index_t kN = 48;
   auto& operands = process_context_cache<S, C>().operands();
   operands.clear();
-  operands.set_ecc(false);
   Matrix<S> a(kN, kN), b(kN, kN);
   a.fill_random(seed, S(1.0f), S(9.0f));
   b.fill_random(seed + 1, S(1.0f), S(9.0f));
@@ -683,7 +665,6 @@ void resident_bit_sweep(std::uint64_t seed) {
   EXPECT_EQ(silent, 0) << seed_note(seed);
   EXPECT_EQ(healed, strikes) << "flips the integrity sums missed"
                              << seed_note(seed);
-  operands.set_ecc(env_long("FTGEMM_OPERAND_ECC", 0) != 0);
   operands.clear();
 }
 
