@@ -18,10 +18,10 @@
 //
 // Environment knobs (FTGEMM_FORCE_ISA, FTGEMM_MC/NC/KC, FTGEMM_KERNEL_MR,
 // FTGEMM_FAST_PATH_FLOPS) are read when a plan is *built*; a warm cache
-// will not observe later changes to them.  Callers
-// that mutate the environment mid-process (the blocking-ablation bench)
-// must start from an empty cache: a fresh GemmEngine for engine users,
-// clear_process_caches() (core/gemm.hpp) for free-function users.
+// will not observe later changes to them.  Callers that mutate the
+// environment mid-process (the blocking-ablation bench) must start from an
+// empty cache: a fresh GemmEngine for engine users, clear_process_caches()
+// (core/gemm.hpp) for free-function users.
 //
 // The small-GEMM fast path: when the whole problem fits one macro-tile
 // (m <= MC, n <= NC, k <= KC after shape-aware clamping) AND its flop count
