@@ -61,9 +61,5 @@ int main() {
   for (const long kc : {64L, 128L, 256L, 384L, 512L}) run_with("FTGEMM_KC", kc);
   for (const long mc : {32L, 64L, 128L, 256L, 512L}) run_with("FTGEMM_MC", mc);
   for (const long nc : {512L, 1024L, 4096L, 8192L}) run_with("FTGEMM_NC", nc);
-  // Register-tile ablation (AVX-512 f64 only): MR=8 halves the accumulator
-  // count, MR=24 maximizes reuse per B broadcast at higher register
-  // pressure; the FT epilogue cost also scales with the tile shape.
-  for (const long mr : {8L, 16L, 24L}) run_with("FTGEMM_KERNEL_MR", mr);
   return 0;
 }

@@ -24,14 +24,8 @@ void register_tile(Isa isa, int elem_bytes, index_t& mr, index_t& nr) {
   const bool f64 = elem_bytes == 8;
   switch (isa) {
     case Isa::kAvx512:
-      // f64: 16x8 -> 16 zmm accumulators (8x8/24x8 selectable for the
-      // kernel-shape ablation); f32: 32x8, same register budget.
-      if (f64) {
-        const long want = env_long("FTGEMM_KERNEL_MR", 16);
-        mr = (want == 8 || want == 24) ? want : 16;
-      } else {
-        mr = 32;
-      }
+      // f64: 16x8 -> 16 zmm accumulators; f32: 32x8, same register budget.
+      mr = f64 ? 16 : 32;
       nr = 8;
       return;
     case Isa::kAvx2:

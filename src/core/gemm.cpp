@@ -56,9 +56,11 @@ FtReport reliable_impl(Layout layout, Trans ta, Trans tb, index_t m,
     total.panels = rep.panels;
     total.errors_detected += rep.errors_detected;
     total.errors_corrected += rep.errors_corrected;
+    total.resident_heals += rep.resident_heals;
     total.elapsed_seconds += rep.elapsed_seconds;
     if (rep.clean() || attempt == max_retries) {
       total.uncorrectable_panels = rep.uncorrectable_panels;
+      total.resident_hit = rep.resident_hit;
       total.retries = attempt;
       return total;
     }

@@ -19,33 +19,28 @@ namespace ftgemm {
 namespace {
 
 // ---------------------------------------------------------------------------
-// f64 kernels, templated over the register-tile height.
-//
-// WV = zmm vectors per column: MR = 8*WV.  WV=2 (16x8) is the default —
-// 16 accumulators + 2 A vectors + 1 broadcast fit the 32 zmm registers with
-// headroom; WV=1 (8x8) halves the accumulator count (less latency hiding),
-// WV=3 (24x8) uses 24 accumulators + 3 A vectors + broadcast = 28 registers
-// (more reuse per B broadcast, tighter register pressure).  The shape is
-// runtime-selectable via FTGEMM_KERNEL_MR for the ablation bench.
+// f64: MR = 16 (kWv = 2 zmm per column), NR = 8 — 16 accumulators + 2 A
+// vectors + 1 broadcast fit the 32 zmm registers with headroom.
 // ---------------------------------------------------------------------------
 
+constexpr int kWv = 2;
+constexpr index_t kMrF64 = 8 * kWv;
 constexpr index_t kNrF64 = 8;
 
-template <int WV>
-void dkernel_base(index_t kc, const double* a, const double* b, double* c,
-                  index_t ldc) {
-  __m512d acc[WV][kNrF64];
+void dkernel_16x8_base(index_t kc, const double* a, const double* b,
+                       double* c, index_t ldc) {
+  __m512d acc[kWv][kNrF64];
 #pragma GCC unroll 8
   for (int j = 0; j < kNrF64; ++j)
-    for (int w = 0; w < WV; ++w) acc[w][j] = _mm512_setzero_pd();
+    for (int w = 0; w < kWv; ++w) acc[w][j] = _mm512_setzero_pd();
   for (index_t p = 0; p < kc; ++p) {
-    __m512d av[WV];
-    for (int w = 0; w < WV; ++w) av[w] = _mm512_load_pd(a + 8 * w);
-    a += 8 * WV;
+    __m512d av[kWv];
+    for (int w = 0; w < kWv; ++w) av[w] = _mm512_load_pd(a + 8 * w);
+    a += 8 * kWv;
 #pragma GCC unroll 8
     for (int j = 0; j < kNrF64; ++j) {
       const __m512d bv = _mm512_set1_pd(b[j]);
-      for (int w = 0; w < WV; ++w)
+      for (int w = 0; w < kWv; ++w)
         acc[w][j] = _mm512_fmadd_pd(av[w], bv, acc[w][j]);
     }
     b += kNrF64;
@@ -53,39 +48,38 @@ void dkernel_base(index_t kc, const double* a, const double* b, double* c,
 #pragma GCC unroll 8
   for (int j = 0; j < kNrF64; ++j) {
     double* cj = c + j * ldc;
-    for (int w = 0; w < WV; ++w) {
+    for (int w = 0; w < kWv; ++w) {
       _mm512_storeu_pd(cj + 8 * w, _mm512_add_pd(_mm512_loadu_pd(cj + 8 * w),
                                                  acc[w][j]));
     }
   }
 }
 
-template <int WV>
-void dkernel_ft(index_t kc, const double* a, const double* b, double* c,
-                index_t ldc, double* cr_ref, double* cc_ref) {
-  __m512d acc[WV][kNrF64];
+void dkernel_16x8_ft(index_t kc, const double* a, const double* b, double* c,
+                     index_t ldc, double* cr_ref, double* cc_ref) {
+  __m512d acc[kWv][kNrF64];
 #pragma GCC unroll 8
   for (int j = 0; j < kNrF64; ++j)
-    for (int w = 0; w < WV; ++w) acc[w][j] = _mm512_setzero_pd();
+    for (int w = 0; w < kWv; ++w) acc[w][j] = _mm512_setzero_pd();
   for (index_t p = 0; p < kc; ++p) {
-    __m512d av[WV];
-    for (int w = 0; w < WV; ++w) av[w] = _mm512_load_pd(a + 8 * w);
-    a += 8 * WV;
+    __m512d av[kWv];
+    for (int w = 0; w < kWv; ++w) av[w] = _mm512_load_pd(a + 8 * w);
+    a += 8 * kWv;
 #pragma GCC unroll 8
     for (int j = 0; j < kNrF64; ++j) {
       const __m512d bv = _mm512_set1_pd(b[j]);
-      for (int w = 0; w < WV; ++w)
+      for (int w = 0; w < kWv; ++w)
         acc[w][j] = _mm512_fmadd_pd(av[w], bv, acc[w][j]);
     }
     b += kNrF64;
   }
-  __m512d rowsum[WV];
-  for (int w = 0; w < WV; ++w) rowsum[w] = _mm512_setzero_pd();
+  __m512d rowsum[kWv];
+  for (int w = 0; w < kWv; ++w) rowsum[w] = _mm512_setzero_pd();
 #pragma GCC unroll 8
   for (int j = 0; j < kNrF64; ++j) {
     double* cj = c + j * ldc;
     __m512d colsum = _mm512_setzero_pd();
-    for (int w = 0; w < WV; ++w) {
+    for (int w = 0; w < kWv; ++w) {
       const __m512d cv =
           _mm512_add_pd(_mm512_loadu_pd(cj + 8 * w), acc[w][j]);
       _mm512_storeu_pd(cj + 8 * w, cv);
@@ -95,7 +89,7 @@ void dkernel_ft(index_t kc, const double* a, const double* b, double* c,
     double* crj = cr_ref + j * 8;  // 8 lane partials per column (cr_lanes)
     _mm512_storeu_pd(crj, _mm512_add_pd(_mm512_loadu_pd(crj), colsum));
   }
-  for (int w = 0; w < WV; ++w) {
+  for (int w = 0; w < kWv; ++w) {
     _mm512_storeu_pd(cc_ref + 8 * w,
                      _mm512_add_pd(_mm512_loadu_pd(cc_ref + 8 * w),
                                    rowsum[w]));
@@ -183,19 +177,7 @@ void skernel_32x8_ft(index_t kc, const float* a, const float* b, float* c,
 }  // namespace
 
 KernelSet<double> avx512_kernels_f64() {
-  return avx512_kernels_f64_mr(16);
-}
-
-KernelSet<double> avx512_kernels_f64_mr(index_t mr) {
-  switch (mr) {
-    case 8:
-      return {&dkernel_base<1>, &dkernel_ft<1>, 8, kNrF64, 8, Isa::kAvx512, {}};
-    case 24:
-      return {&dkernel_base<3>, &dkernel_ft<3>, 24, kNrF64, 8, Isa::kAvx512, {}};
-    case 16:
-    default:
-      return {&dkernel_base<2>, &dkernel_ft<2>, 16, kNrF64, 8, Isa::kAvx512, {}};
-  }
+  return {&dkernel_16x8_base, &dkernel_16x8_ft, kMrF64, kNrF64, 8, Isa::kAvx512, {}};
 }
 
 KernelSet<float> avx512_kernels_f32() {

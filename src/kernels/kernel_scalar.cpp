@@ -6,7 +6,6 @@
 #include <type_traits>
 
 #include "kernels/microkernel.hpp"
-#include "util/env.hpp"
 
 namespace ftgemm {
 
@@ -87,11 +86,7 @@ KernelSet<S, C> get_kernel_set(Isa isa) {
     KernelSet<S, C> ks;
     if constexpr (sizeof(C) == 8) {
       switch (isa) {
-        case Isa::kAvx512:
-          // Kernel-shape override for the ablation bench; register_tile()
-          // applies the same sanitized value so packing stays consistent.
-          ks = avx512_kernels_f64_mr(env_long("FTGEMM_KERNEL_MR", 16));
-          break;
+        case Isa::kAvx512: ks = avx512_kernels_f64(); break;
         case Isa::kAvx2: ks = avx2_kernels_f64(); break;
         case Isa::kScalar: ks = scalar_kernels_f64(); break;
       }

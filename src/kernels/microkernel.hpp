@@ -223,8 +223,8 @@ PackSet<float> avx512_pack_f32();
 
 // Mixed-precision (narrow storage, fp32 compute) pack engines.  The scalar
 // sets live in the flag-free TU and are the portable fallback; the SIMD
-// sets widen inside the pack load (bf16: integer shift; fp16: VCVTPH2PS)
-// and share the fp32 accumulator structure, so their encode_cc/reduce_bc/
+// sets are the fp32 engine of their TU behind a widening load (bf16:
+// integer shift; fp16: VCVTPH2PS), so their encode_cc/reduce_bc/
 // scale_encode_c members ARE the fp32 implementations.
 PackSet<bf16_t, float> scalar_pack_bf16();
 PackSet<fp16_t, float> scalar_pack_f16();
@@ -235,9 +235,6 @@ PackSet<fp16_t, float> avx512_pack_f16();
 
 // Per-ISA accessors implemented in the ISA-specific translation units.
 KernelSet<double> avx512_kernels_f64();
-/// Alternative AVX-512 f64 register-tile heights (8/16/24 rows) for the
-/// kernel-shape ablation; FTGEMM_KERNEL_MR selects one globally.
-KernelSet<double> avx512_kernels_f64_mr(index_t mr);
 KernelSet<float> avx512_kernels_f32();
 KernelSet<double> avx2_kernels_f64();
 KernelSet<float> avx2_kernels_f32();

@@ -1,10 +1,12 @@
 // AVX2/FMA packing & checksum engine (256-bit streams).
 //
-// See pack_simd_common.hpp for the shared implementation and the
-// bit-identity / summation-order contract.  This translation unit is
-// compiled with -mavx2 -mfma regardless of the build host; runtime dispatch
-// (get_pack_set via select_isa) guarantees these entry points are only
-// called on capable CPUs.
+// See pack_simd_common.hpp for the one implementation and the bit-identity
+// / summation-order contract; this file supplies its 256-bit compute traits
+// and the bf16/fp16 widening loaders, and builds all four float sets with
+// make_simd_pack.  This translation unit is compiled with -mavx2 -mfma
+// -mf16c regardless of the build host; runtime dispatch (get_pack_set via
+// select_isa) guarantees these entry points are only called on capable
+// CPUs.
 #include <immintrin.h>
 
 #include "kernels/pack_simd_common.hpp"
@@ -98,8 +100,8 @@ struct TraitsF256 {
   }
 };
 
-// Widening loaders for the mixed-precision packers (storage -> fp32
-// vectors; see pack_simd_common.hpp "Mixed-precision paths").  Masked loads
+// Widening loaders of the bf16/fp16 sets (storage -> fp32 vectors; the
+// loader interface is described in pack_simd_common.hpp).  Masked loads
 // stage through a zeroed stack buffer — AVX2 has no 16-bit masked load, and
 // the tails are rare (one ragged group per panel row at most).
 
@@ -114,8 +116,8 @@ struct LoadBf16x8 {
   static __m256 loadu(const S* p) {
     return widen(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
-  static __m256 load8(const S* p) { return loadu(p); }
-  static __m128 load4(const S* p) {
+  static __m256 tile_a(const S* p) { return loadu(p); }
+  static __m128 tile_b(const S* p) {
     const __m128i h = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
     return _mm_castsi128_ps(_mm_slli_epi32(_mm_cvtepu16_epi32(h), 16));
   }
@@ -134,8 +136,8 @@ struct LoadF16x8 {
     return _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
-  static __m256 load8(const S* p) { return loadu(p); }
-  static __m128 load4(const S* p) {
+  static __m256 tile_a(const S* p) { return loadu(p); }
+  static __m128 tile_b(const S* p) {
     return _mm_cvtph_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
   }
   static __m256 maskload(const S* p, index_t n) {
@@ -151,10 +153,10 @@ struct LoadF16x8 {
 PackSet<double> avx2_pack_f64() { return make_simd_pack<TraitsD256>(Isa::kAvx2); }
 PackSet<float> avx2_pack_f32() { return make_simd_pack<TraitsF256>(Isa::kAvx2); }
 PackSet<bf16_t, float> avx2_pack_bf16() {
-  return make_mixed_pack<TraitsF256, LoadBf16x8>(Isa::kAvx2);
+  return make_simd_pack<TraitsF256, LoadBf16x8>(Isa::kAvx2);
 }
 PackSet<fp16_t, float> avx2_pack_f16() {
-  return make_mixed_pack<TraitsF256, LoadF16x8>(Isa::kAvx2);
+  return make_simd_pack<TraitsF256, LoadF16x8>(Isa::kAvx2);
 }
 
 }  // namespace ftgemm

@@ -1,10 +1,12 @@
 // AVX-512 packing & checksum engine (512-bit streams, opmask tails).
 //
-// See pack_simd_common.hpp for the shared implementation and the
-// bit-identity / summation-order contract.  NoTrans operands stream with
-// full zmm vectors; the Trans register-tile transposes use the shared
-// 256-bit tiles (transposes are shuffle-port bound, so wider vectors buy
-// little there, and the 256-bit ops are legal under AVX-512VL).
+// See pack_simd_common.hpp for the one implementation and the bit-identity
+// / summation-order contract; this file supplies its 512-bit compute traits
+// and the bf16/fp16 widening loaders, and builds all four float sets with
+// make_simd_pack.  The streaming stages run full zmm vectors; the
+// register-tile transposes use the shared 256/128-bit tiles (transposes are
+// shuffle-port bound, so wider vectors buy little there, and those ops are
+// legal under AVX-512VL).
 //
 // This translation unit is compiled with the AVX-512 flag set regardless of
 // the build host; runtime dispatch (get_pack_set via select_isa) guarantees
@@ -69,10 +71,10 @@ struct TraitsF512 {
   static T hmax(Vec v) { return _mm512_reduce_max_ps(v); }
 };
 
-// Widening loaders for the mixed-precision packers (storage -> fp32
-// vectors).  16-bit opmask loads (AVX-512BW+VL, both in this TU's flag set)
-// make the ragged tails branch-free; the 256-bit load8/load4 forms feed the
-// shared register-tile transposes.
+// Widening loaders of the bf16/fp16 sets (storage -> fp32 vectors).  16-bit
+// opmask loads (AVX-512BW+VL, both in this TU's flag set) make the ragged
+// tails branch-free; the 256/128-bit tile_a/tile_b forms feed the shared
+// register-tile transposes.
 
 struct LoadBf16x16 {
   using S = bf16_t;
@@ -87,12 +89,12 @@ struct LoadBf16x16 {
     const __mmask16 m = static_cast<__mmask16>((1u << n) - 1u);
     return widen(_mm256_maskz_loadu_epi16(m, p));
   }
-  static __m256 load8(const S* p) {
+  static __m256 tile_a(const S* p) {
     const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
     return _mm256_castsi256_ps(
         _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
   }
-  static __m128 load4(const S* p) {
+  static __m128 tile_b(const S* p) {
     const __m128i h = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
     return _mm_castsi128_ps(_mm_slli_epi32(_mm_cvtepu16_epi32(h), 16));
   }
@@ -109,11 +111,11 @@ struct LoadF16x16 {
     // Masked-out lanes are zero fp16 bits, which widen to +0.0f.
     return _mm512_cvtph_ps(_mm256_maskz_loadu_epi16(m, p));
   }
-  static __m256 load8(const S* p) {
+  static __m256 tile_a(const S* p) {
     return _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
-  static __m128 load4(const S* p) {
+  static __m128 tile_b(const S* p) {
     return _mm_cvtph_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
   }
 };
@@ -127,10 +129,10 @@ PackSet<float> avx512_pack_f32() {
   return make_simd_pack<TraitsF512>(Isa::kAvx512);
 }
 PackSet<bf16_t, float> avx512_pack_bf16() {
-  return make_mixed_pack<TraitsF512, LoadBf16x16>(Isa::kAvx512);
+  return make_simd_pack<TraitsF512, LoadBf16x16>(Isa::kAvx512);
 }
 PackSet<fp16_t, float> avx512_pack_f16() {
-  return make_mixed_pack<TraitsF512, LoadF16x16>(Isa::kAvx512);
+  return make_simd_pack<TraitsF512, LoadF16x16>(Isa::kAvx512);
 }
 
 }  // namespace ftgemm

@@ -5,9 +5,10 @@
 // compiled WITHOUT any SIMD flags on purpose: the template instantiations
 // bound into the scalar set here are the ones the fallback path executes on
 // machines without AVX2, so they must never contain AVX encodings.  (The
-// SIMD translation units reach the scalar fallback through scalar_pack_*()
-// function pointers instead of instantiating the templates themselves,
-// which would let the linker pick an AVX-compiled copy for everyone.)
+// SIMD translation units reach the scalar fallback through the function
+// pointers of get_pack_set(Isa::kScalar) instead of instantiating the
+// templates themselves, which would let the linker pick an AVX-compiled
+// copy for everyone.)
 //
 // The mixed-precision sets (bf16/fp16 storage, fp32 compute) bind the same
 // templates at <S, C>: the widen happens inside the pack load via C(...),

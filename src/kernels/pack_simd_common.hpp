@@ -1,4 +1,5 @@
-// Shared implementation of the SIMD packing & checksum engine.
+// The SIMD packing & checksum engine, one implementation for every float
+// precision.
 //
 // Included ONLY by the ISA-specific translation units (pack_avx2.cpp,
 // pack_avx512.cpp), each compiled with its own -m flags.  Everything here
@@ -9,32 +10,49 @@
 // to the AVX2 dispatch path and fault on narrower machines.  For the same
 // reason the SIMD TUs never instantiate the scalar pack templates
 // themselves; ragged edges reach the portable code through the
-// scalar_pack_*() function pointers (compiled flag-free in pack_scalar.cpp).
+// get_pack_set(Isa::kScalar) function pointers (compiled flag-free in
+// pack_scalar.cpp).
 //
-// Layout of the engine (per element type):
-//   - NoTrans operands stream with full-width unit-stride vectors
-//     (traits-parameterized: 256-bit in pack_avx2.cpp, 512-bit in
-//     pack_avx512.cpp), with software prefetch of the upcoming columns of
-//     the next panel.
-//   - Trans operands go through 4x4 (f64) / 8x8 or 4x4 (f32) register-tile
-//     transposes — 256-bit ops shared by both TUs; transposes are
-//     shuffle-port bound, so wider vectors buy little there.
+// Every stage is one body over two parameters:
+//   - TR, the compute traits (T = the panel/checksum type, Vec, W,
+//     zero/set1/loadu/storeu, maskload/maskstore — first n lanes, masked-out
+//     lanes read as zero — add/mul/fmadd/max/abs, hsum/hmax);
+//   - LD, the storage loader: LD::S is the operand element type, and every
+//     load returns elements already in compute vectors — loadu/maskload a
+//     TR::Vec, tile_a/tile_b one row of the TileA/TileB register tile
+//     below.  The fp64/fp32 sets use SameLoad<TR> (plain loads); the
+//     bf16/fp16 sets use a widening loader (bf16: cvtepu16 + 16-bit shift
+//     into the f32 layout; fp16: VCVTPH2PS), both exact.
+// Everything after the load — alpha multiply, checksum FMA lanes,
+// accumulator shapes, tile/gate geometry — depends on TR alone, so a bf16
+// set packs the same bits as the fp32 set run on the widened operand, and
+// the fp32 replay/reduce/scale members serve the narrow sets unchanged.
+//
+// Layout of the engine:
+//   - NoTrans A and Trans B stream with full-width unit-stride vectors
+//     (256-bit in pack_avx2.cpp, 512-bit in pack_avx512.cpp), with software
+//     prefetch of the upcoming columns of the next panel.
+//   - Trans A and NoTrans B go through register-tile transposes (TileA:
+//     4x4 f64 / 8x8 f32; TileB: 4x4) — 256/128-bit ops shared by both TUs;
+//     transposes are shuffle-port bound, so wider vectors buy little there.
 //   - The fused checksum updates (Cc += alpha*A·Bc, Cr += Ar·B~, Bc = B~·e)
 //     run as multi-accumulator FMA lanes carried across the k-loop and
 //     reduced once per panel; amax tracking folds into the same sweeps as
 //     abs-masked vector max.
 //
 // Contract: packed panels are BIT-IDENTICAL to the scalar templates in
-// kernels/packing.hpp (same per-element arithmetic).  Checksum sums are
-// reassociated into vector lanes, so they differ from the scalar order by
-// rounding only — within the ToleranceModel bound (see docs/DESIGN.md,
-// "SIMD packing & checksum engine"; asserted over a shape/trans sweep in
-// tests/test_packing.cpp).
+// kernels/packing.hpp (same per-element arithmetic: one widen, one multiply
+// by alpha).  Checksum sums are reassociated into vector lanes, so they
+// differ from the scalar order by rounding only — within the ToleranceModel
+// bound (see docs/DESIGN.md, "SIMD packing & checksum engine"; asserted over
+// a shape/trans sweep in tests/test_packing.cpp, and against the same ISA's
+// fp32 set for bf16/fp16 in tests/test_precision.cpp).
 #pragma once
 
 #include <immintrin.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "kernels/packing.hpp"
 
@@ -54,17 +72,14 @@ inline void prefetch_t0(const void* p) {
 
 /// Scalar fallback set, reached through function pointers so this TU never
 /// instantiates the portable templates under SIMD flags.
-template <typename T>
-const PackSet<T>& scalar_pack() {
-  static const PackSet<T> set = [] {
-    if constexpr (sizeof(T) == 8) return scalar_pack_f64();
-    else return scalar_pack_f32();
-  }();
+template <typename S, typename C>
+const PackSet<S, C>& scalar_pack() {
+  static const PackSet<S, C> set = get_pack_set<S, C>(Isa::kScalar);
   return set;
 }
 
 // ---------------------------------------------------------------------------
-// Register-tile transposes (256-bit, shared by both TUs).
+// Register tiles of the transposing stages (256/128-bit, shared by both TUs).
 // ---------------------------------------------------------------------------
 
 /// In-place 4x4 f64 transpose: r[k] becomes lane-vector k of the tile.
@@ -107,6 +122,71 @@ inline void transpose8x8_ps(__m256 r[8]) {
   r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
 }
 
+/// One tile vector type: N lanes of T, an N x N in-place transpose.
+struct TileD4 {
+  using T = double;
+  using Vec = __m256d;
+  static constexpr int N = 4;
+  static Vec zero() { return _mm256_setzero_pd(); }
+  static Vec set1(T x) { return _mm256_set1_pd(x); }
+  static Vec loadu(const T* p) { return _mm256_loadu_pd(p); }
+  static void storeu(T* p, Vec v) { _mm256_storeu_pd(p, v); }
+  static Vec add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+  static Vec fmadd(Vec a, Vec b, Vec c) { return _mm256_fmadd_pd(a, b, c); }
+  static void transpose(Vec r[N]) { transpose4x4_pd(r); }
+};
+
+struct TileS8 {
+  using T = float;
+  using Vec = __m256;
+  static constexpr int N = 8;
+  static Vec zero() { return _mm256_setzero_ps(); }
+  static Vec set1(T x) { return _mm256_set1_ps(x); }
+  static Vec loadu(const T* p) { return _mm256_loadu_ps(p); }
+  static void storeu(T* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static Vec add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+  static Vec fmadd(Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); }
+  static void transpose(Vec r[N]) { transpose8x8_ps(r); }
+};
+
+struct TileS4 {
+  using T = float;
+  using Vec = __m128;
+  static constexpr int N = 4;
+  static Vec zero() { return _mm_setzero_ps(); }
+  static Vec set1(T x) { return _mm_set1_ps(x); }
+  static Vec loadu(const T* p) { return _mm_loadu_ps(p); }
+  static void storeu(T* p, Vec v) { _mm_storeu_ps(p, v); }
+  static Vec fmadd(Vec a, Vec b, Vec c) { return _mm_fmadd_ps(a, b, c); }
+  static void transpose(Vec r[N]) { _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]); }
+};
+
+/// Trans pack_a tile (4x4 f64 / 8x8 f32) and NoTrans pack_b tile (4x4:
+/// 4x4 SSE for f32, so NR = 6/8 tiles still fill whole blocks), by compute
+/// type.
+template <typename C>
+using TileA = std::conditional_t<sizeof(C) == 8, TileD4, TileS8>;
+template <typename C>
+using TileB = std::conditional_t<sizeof(C) == 8, TileD4, TileS4>;
+
+/// The loader of the fp64/fp32 sets: storage is the compute type.
+template <class TR>
+struct SameLoad {
+  using S = typename TR::T;
+  static typename TR::Vec loadu(const S* p) { return TR::loadu(p); }
+  static typename TR::Vec maskload(const S* p, index_t n) {
+    return TR::maskload(p, n);
+  }
+  static typename TileA<S>::Vec tile_a(const S* p) {
+    return TileA<S>::loadu(p);
+  }
+  static typename TileB<S>::Vec tile_b(const S* p) {
+    return TileB<S>::loadu(p);
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Trans-specialized pack_a panel (register-tile transpose, full panel:
 // rows == mr).  `base` addresses effective element (row0, k0); storage rows
@@ -119,97 +199,53 @@ inline void transpose8x8_ps(__m256 r[8]) {
 // outer would revisit each line a full panel-sweep later, paying the RFO
 // twice).  The per-row-block Cc accumulators persist across the k loop.
 
-template <bool FT>
-void pack_a_panel_trans(const double* base, index_t ld, index_t klen,
-                        index_t mr, double alpha, double* __restrict__ dst,
-                        const double* __restrict__ bc,
-                        double* __restrict__ cc) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  const index_t groups = mr / 4;
-  __m256d acc[kMaxGroups];
+template <class TR, class LD, bool FT>
+void pack_a_panel_trans(const typename LD::S* base, index_t ld, index_t klen,
+                        index_t mr, typename TR::T alpha,
+                        typename TR::T* __restrict__ dst,
+                        const typename TR::T* __restrict__ bc,
+                        typename TR::T* __restrict__ cc) {
+  using C = typename TR::T;
+  using TA = TileA<C>;
+  constexpr index_t N = TA::N;
+  const typename TA::Vec av = TA::set1(alpha);
+  const index_t groups = mr / N;
+  typename TA::Vec acc[kMaxGroups];
   if constexpr (FT) {
-    for (index_t g = 0; g < groups; ++g) acc[g] = _mm256_setzero_pd();
+    for (index_t g = 0; g < groups; ++g) acc[g] = TA::zero();
   }
   index_t kk = 0;
-  for (; kk + 4 <= klen; kk += 4) {
+  for (; kk + N <= klen; kk += N) {
     for (index_t g = 0; g < groups; ++g) {
-      const double* row = base + 4 * g * ld + kk;
-      __m256d t[4] = {_mm256_loadu_pd(row), _mm256_loadu_pd(row + ld),
-                      _mm256_loadu_pd(row + 2 * ld),
-                      _mm256_loadu_pd(row + 3 * ld)};
-      transpose4x4_pd(t);
-      for (int q = 0; q < 4; ++q) {
-        const __m256d v = _mm256_mul_pd(av, t[q]);
-        _mm256_storeu_pd(dst + (kk + q) * mr + 4 * g, v);
+      const typename LD::S* row = base + N * g * ld + kk;
+      typename TA::Vec t[N];
+      for (int q = 0; q < N; ++q) t[q] = LD::tile_a(row + q * ld);
+      TA::transpose(t);
+      for (int q = 0; q < N; ++q) {
+        const typename TA::Vec v = TA::mul(av, t[q]);
+        TA::storeu(dst + (kk + q) * mr + N * g, v);
         if constexpr (FT)
-          acc[g] = _mm256_fmadd_pd(v, _mm256_set1_pd(bc[kk + q]), acc[g]);
+          acc[g] = TA::fmadd(v, TA::set1(bc[kk + q]), acc[g]);
       }
     }
   }
   for (; kk < klen; ++kk) {
-    double* col = dst + kk * mr;
+    C* col = dst + kk * mr;
     if constexpr (FT) {
-      const double bcv = bc[kk];
+      const C bcv = bc[kk];
       for (index_t ii = 0; ii < mr; ++ii) {
-        const double v = alpha * base[ii * ld + kk];
+        const C v = alpha * C(base[ii * ld + kk]);
         col[ii] = v;
         cc[ii] += v * bcv;
       }
     } else {
-      for (index_t ii = 0; ii < mr; ++ii) col[ii] = alpha * base[ii * ld + kk];
+      for (index_t ii = 0; ii < mr; ++ii)
+        col[ii] = alpha * C(base[ii * ld + kk]);
     }
   }
   if constexpr (FT) {
-    for (index_t g = 0; g < groups; ++g) {
-      _mm256_storeu_pd(cc + 4 * g,
-                       _mm256_add_pd(_mm256_loadu_pd(cc + 4 * g), acc[g]));
-    }
-  }
-}
-
-template <bool FT>
-void pack_a_panel_trans(const float* base, index_t ld, index_t klen,
-                        index_t mr, float alpha, float* __restrict__ dst,
-                        const float* __restrict__ bc, float* __restrict__ cc) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  const index_t groups = mr / 8;
-  __m256 acc[kMaxGroups];
-  if constexpr (FT) {
-    for (index_t g = 0; g < groups; ++g) acc[g] = _mm256_setzero_ps();
-  }
-  index_t kk = 0;
-  for (; kk + 8 <= klen; kk += 8) {
-    for (index_t g = 0; g < groups; ++g) {
-      const float* row = base + 8 * g * ld + kk;
-      __m256 t[8];
-      for (int q = 0; q < 8; ++q) t[q] = _mm256_loadu_ps(row + q * ld);
-      transpose8x8_ps(t);
-      for (int q = 0; q < 8; ++q) {
-        const __m256 v = _mm256_mul_ps(av, t[q]);
-        _mm256_storeu_ps(dst + (kk + q) * mr + 8 * g, v);
-        if constexpr (FT)
-          acc[g] = _mm256_fmadd_ps(v, _mm256_set1_ps(bc[kk + q]), acc[g]);
-      }
-    }
-  }
-  for (; kk < klen; ++kk) {
-    float* col = dst + kk * mr;
-    if constexpr (FT) {
-      const float bcv = bc[kk];
-      for (index_t ii = 0; ii < mr; ++ii) {
-        const float v = alpha * base[ii * ld + kk];
-        col[ii] = v;
-        cc[ii] += v * bcv;
-      }
-    } else {
-      for (index_t ii = 0; ii < mr; ++ii) col[ii] = alpha * base[ii * ld + kk];
-    }
-  }
-  if constexpr (FT) {
-    for (index_t g = 0; g < groups; ++g) {
-      _mm256_storeu_ps(cc + 8 * g,
-                       _mm256_add_ps(_mm256_loadu_ps(cc + 8 * g), acc[g]));
-    }
+    for (index_t g = 0; g < groups; ++g)
+      TA::storeu(cc + N * g, TA::add(TA::loadu(cc + N * g), acc[g]));
   }
 }
 
@@ -226,210 +262,112 @@ void pack_a_panel_trans(const float* base, index_t ld, index_t klen,
 // FMA (cr[jj] += sum_kk ar[kk] * B~(kk, jj)) fuses directly into the pack
 // loop — the SIMD engine does not re-sweep the packed panel in a second
 // stage (the scalar oracle does; the sums are reassociated either way, and
-// tests hold both within the tolerance contract).  Full panel: cols == nr.
+// tests hold both within the tolerance contract).  The source columns are
+// prefetched once per 64 bytes of compute-type depth.
 
-template <bool FT>
-void pack_b_panel_notrans(const double* base, index_t ld, index_t klen,
-                          index_t nr, double* __restrict__ dst,
-                          const double* __restrict__ ar,
-                          double* __restrict__ cr) {
+template <class TR, class LD, bool FT>
+void pack_b_panel_notrans(const typename LD::S* base, index_t ld,
+                          index_t klen, index_t nr,
+                          typename TR::T* __restrict__ dst,
+                          const typename TR::T* __restrict__ ar,
+                          typename TR::T* __restrict__ cr) {
+  using C = typename TR::T;
+  using TB = TileB<C>;
   const index_t jblocks = nr / 4;
   const index_t jtail = jblocks * 4;
-  __m256d acc[kMaxGroups];
+  typename TB::Vec acc[kMaxGroups];
   if constexpr (FT) {
-    for (index_t g = 0; g < jblocks; ++g) acc[g] = _mm256_setzero_pd();
+    for (index_t g = 0; g < jblocks; ++g) acc[g] = TB::zero();
   }
   index_t kk = 0;
   for (; kk + 4 <= klen; kk += 4) {
     for (index_t g = 0; g < jblocks; ++g) {
-      const double* col = base + 4 * g * ld + kk;
-      if (kk % 8 == 0) {
+      const typename LD::S* col = base + 4 * g * ld + kk;
+      if (kk % index_t(64 / sizeof(C)) == 0) {
         prefetch_t0(col + 4 * kPfDist);
         prefetch_t0(col + ld + 4 * kPfDist);
         prefetch_t0(col + 2 * ld + 4 * kPfDist);
         prefetch_t0(col + 3 * ld + 4 * kPfDist);
       }
-      __m256d t[4] = {_mm256_loadu_pd(col), _mm256_loadu_pd(col + ld),
-                      _mm256_loadu_pd(col + 2 * ld),
-                      _mm256_loadu_pd(col + 3 * ld)};
-      transpose4x4_pd(t);
+      typename TB::Vec t[4];
+      for (int q = 0; q < 4; ++q) t[q] = LD::tile_b(col + q * ld);
+      TB::transpose(t);
       for (int q = 0; q < 4; ++q) {
-        _mm256_storeu_pd(dst + (kk + q) * nr + 4 * g, t[q]);
+        TB::storeu(dst + (kk + q) * nr + 4 * g, t[q]);
         if constexpr (FT)
-          acc[g] = _mm256_fmadd_pd(t[q], _mm256_set1_pd(ar[kk + q]), acc[g]);
+          acc[g] = TB::fmadd(t[q], TB::set1(ar[kk + q]), acc[g]);
       }
     }
     for (index_t jj = jtail; jj < nr; ++jj) {  // narrow tail columns
-      const double* cj = base + jj * ld;
+      const typename LD::S* cj = base + jj * ld;
       for (int q = 0; q < 4; ++q) {
-        const double v = cj[kk + q];
+        const C v = C(cj[kk + q]);
         dst[(kk + q) * nr + jj] = v;
         if constexpr (FT) cr[jj] += ar[kk + q] * v;
       }
     }
   }
   for (; kk < klen; ++kk) {
-    double* row = dst + kk * nr;
+    C* row = dst + kk * nr;
     if constexpr (FT) {
-      const double arv = ar[kk];
+      const C arv = ar[kk];
       for (index_t jj = 0; jj < nr; ++jj) {
-        const double v = base[jj * ld + kk];
+        const C v = C(base[jj * ld + kk]);
         row[jj] = v;
         cr[jj] += arv * v;
       }
     } else {
-      for (index_t jj = 0; jj < nr; ++jj) row[jj] = base[jj * ld + kk];
+      for (index_t jj = 0; jj < nr; ++jj) row[jj] = C(base[jj * ld + kk]);
     }
   }
   if constexpr (FT) {
     for (index_t g = 0; g < jblocks; ++g) {
-      alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, acc[g]);
+      alignas(32) C lanes[4];
+      TB::storeu(lanes, acc[g]);
       for (int q = 0; q < 4; ++q) cr[4 * g + q] += lanes[q];
     }
   }
-}
-
-template <bool FT>
-void pack_b_panel_notrans(const float* base, index_t ld, index_t klen,
-                          index_t nr, float* __restrict__ dst,
-                          const float* __restrict__ ar,
-                          float* __restrict__ cr) {
-  const index_t jblocks = nr / 4;  // 4x4 SSE tiles: NR=6/8 leave < 8 cols
-  const index_t jtail = jblocks * 4;
-  __m128 acc[kMaxGroups];
-  if constexpr (FT) {
-    for (index_t g = 0; g < jblocks; ++g) acc[g] = _mm_setzero_ps();
-  }
-  index_t kk = 0;
-  for (; kk + 4 <= klen; kk += 4) {
-    for (index_t g = 0; g < jblocks; ++g) {
-      const float* col = base + 4 * g * ld + kk;
-      if (kk % 16 == 0) {
-        prefetch_t0(col + 4 * kPfDist);
-        prefetch_t0(col + ld + 4 * kPfDist);
-        prefetch_t0(col + 2 * ld + 4 * kPfDist);
-        prefetch_t0(col + 3 * ld + 4 * kPfDist);
-      }
-      __m128 t0 = _mm_loadu_ps(col);
-      __m128 t1 = _mm_loadu_ps(col + ld);
-      __m128 t2 = _mm_loadu_ps(col + 2 * ld);
-      __m128 t3 = _mm_loadu_ps(col + 3 * ld);
-      _MM_TRANSPOSE4_PS(t0, t1, t2, t3);
-      _mm_storeu_ps(dst + (kk + 0) * nr + 4 * g, t0);
-      _mm_storeu_ps(dst + (kk + 1) * nr + 4 * g, t1);
-      _mm_storeu_ps(dst + (kk + 2) * nr + 4 * g, t2);
-      _mm_storeu_ps(dst + (kk + 3) * nr + 4 * g, t3);
-      if constexpr (FT) {
-        acc[g] = _mm_fmadd_ps(t0, _mm_set1_ps(ar[kk + 0]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t1, _mm_set1_ps(ar[kk + 1]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t2, _mm_set1_ps(ar[kk + 2]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t3, _mm_set1_ps(ar[kk + 3]), acc[g]);
-      }
-    }
-    for (index_t jj = jtail; jj < nr; ++jj) {
-      const float* cj = base + jj * ld;
-      for (int q = 0; q < 4; ++q) {
-        const float v = cj[kk + q];
-        dst[(kk + q) * nr + jj] = v;
-        if constexpr (FT) cr[jj] += ar[kk + q] * v;
-      }
-    }
-  }
-  for (; kk < klen; ++kk) {
-    float* row = dst + kk * nr;
-    if constexpr (FT) {
-      const float arv = ar[kk];
-      for (index_t jj = 0; jj < nr; ++jj) {
-        const float v = base[jj * ld + kk];
-        row[jj] = v;
-        cr[jj] += arv * v;
-      }
-    } else {
-      for (index_t jj = 0; jj < nr; ++jj) row[jj] = base[jj * ld + kk];
-    }
-  }
-  if constexpr (FT) {
-    for (index_t g = 0; g < jblocks; ++g) {
-      alignas(16) float lanes[4];
-      _mm_store_ps(lanes, acc[g]);
-      for (int q = 0; q < 4; ++q) cr[4 * g + q] += lanes[q];
-    }
-  }
-}
-
-/// Transpose tile height of the Trans pack_a path per element type.
-template <typename T>
-constexpr index_t trans_tile() {
-  return sizeof(T) == 8 ? 4 : 8;
 }
 
 // ---------------------------------------------------------------------------
 // Cc replay from an already-packed panel (resident-operand cache hits).
 // Each routine repeats EXACTLY the accumulator structure of its pack_a
-// counterpart above — same fmadd operand order, same aligned-prefix /
-// scalar-tail split, same deferred vector-accumulator add — with the packed
-// value standing in for the just-scaled element, so the accumulated Cc is
-// bit-identical to a cold pack_a_ft over the same slab.
+// counterpart — same fmadd operand order, same aligned-prefix / scalar-tail
+// split, same deferred vector-accumulator add — with the packed value
+// standing in for the just-scaled element, so the accumulated Cc is
+// bit-identical to a cold pack_a_ft over the same slab.  Replays read
+// compute-type panels only, so the narrow sets share them.
 // ---------------------------------------------------------------------------
 
-/// Replay of pack_a_panel_trans<FT=true> (double).  Full tile: rows == mr.
-inline void encode_cc_panel_trans(const double* __restrict__ packed,
-                                  index_t klen, index_t mr,
-                                  const double* __restrict__ bc,
-                                  double* __restrict__ cc) {
-  const index_t groups = mr / 4;
-  __m256d acc[kMaxGroups];
-  for (index_t g = 0; g < groups; ++g) acc[g] = _mm256_setzero_pd();
+/// Replay of pack_a_panel_trans<FT=true>.  Full tile: rows == mr.
+template <typename C>
+void encode_cc_panel_trans(const C* __restrict__ packed, index_t klen,
+                           index_t mr, const C* __restrict__ bc,
+                           C* __restrict__ cc) {
+  using TA = TileA<C>;
+  constexpr index_t N = TA::N;
+  const index_t groups = mr / N;
+  typename TA::Vec acc[kMaxGroups];
+  for (index_t g = 0; g < groups; ++g) acc[g] = TA::zero();
   index_t kk = 0;
-  for (; kk + 4 <= klen; kk += 4) {
+  for (; kk + N <= klen; kk += N) {
     for (index_t g = 0; g < groups; ++g) {
-      for (int q = 0; q < 4; ++q) {
-        const __m256d v = _mm256_loadu_pd(packed + (kk + q) * mr + 4 * g);
-        acc[g] = _mm256_fmadd_pd(v, _mm256_set1_pd(bc[kk + q]), acc[g]);
+      for (int q = 0; q < N; ++q) {
+        const typename TA::Vec v = TA::loadu(packed + (kk + q) * mr + N * g);
+        acc[g] = TA::fmadd(v, TA::set1(bc[kk + q]), acc[g]);
       }
     }
   }
   for (; kk < klen; ++kk) {
-    const double* col = packed + kk * mr;
-    const double bcv = bc[kk];
+    const C* col = packed + kk * mr;
+    const C bcv = bc[kk];
     for (index_t ii = 0; ii < mr; ++ii) cc[ii] += col[ii] * bcv;
   }
-  for (index_t g = 0; g < groups; ++g) {
-    _mm256_storeu_pd(cc + 4 * g,
-                     _mm256_add_pd(_mm256_loadu_pd(cc + 4 * g), acc[g]));
-  }
+  for (index_t g = 0; g < groups; ++g)
+    TA::storeu(cc + N * g, TA::add(TA::loadu(cc + N * g), acc[g]));
 }
 
-/// Replay of pack_a_panel_trans<FT=true> (float).  Full tile: rows == mr.
-inline void encode_cc_panel_trans(const float* __restrict__ packed,
-                                  index_t klen, index_t mr,
-                                  const float* __restrict__ bc,
-                                  float* __restrict__ cc) {
-  const index_t groups = mr / 8;
-  __m256 acc[kMaxGroups];
-  for (index_t g = 0; g < groups; ++g) acc[g] = _mm256_setzero_ps();
-  index_t kk = 0;
-  for (; kk + 8 <= klen; kk += 8) {
-    for (index_t g = 0; g < groups; ++g) {
-      for (int q = 0; q < 8; ++q) {
-        const __m256 v = _mm256_loadu_ps(packed + (kk + q) * mr + 8 * g);
-        acc[g] = _mm256_fmadd_ps(v, _mm256_set1_ps(bc[kk + q]), acc[g]);
-      }
-    }
-  }
-  for (; kk < klen; ++kk) {
-    const float* col = packed + kk * mr;
-    const float bcv = bc[kk];
-    for (index_t ii = 0; ii < mr; ++ii) cc[ii] += col[ii] * bcv;
-  }
-  for (index_t g = 0; g < groups; ++g) {
-    _mm256_storeu_ps(cc + 8 * g,
-                     _mm256_add_ps(_mm256_loadu_ps(cc + 8 * g), acc[g]));
-  }
-}
-
-/// Replay of pack_a_panel_notrans<TR, FT=true>.  Full tile: rows == mr.
+/// Replay of pack_a_panel_notrans<TR, LD, FT=true>.  Full tile: rows == mr.
 template <class TR>
 void encode_cc_panel_notrans(const typename TR::T* __restrict__ packed,
                              index_t klen, index_t mr,
@@ -452,18 +390,15 @@ void encode_cc_panel_notrans(const typename TR::T* __restrict__ packed,
 }
 
 // ---------------------------------------------------------------------------
-// Traits-parameterized full-width streaming paths.  A Traits class TR
-// provides: T, Vec, W, zero/set1/loadu/storeu, maskload/maskstore (first n
-// lanes; masked-out lanes read as zero), add/mul/fmadd/max/abs, hsum/hmax.
+// Full-width streaming paths.
 // ---------------------------------------------------------------------------
 
 /// NoTrans pack_a panel: unit-stride copy-scale of mr-row columns, with the
 /// fused Cc FMA carried in one accumulator per vector group (mr/W chains).
 /// Full panel: rows == mr, mr % W == 0, mr/W <= kMaxGroups.
-template <class TR, bool FT>
-void pack_a_panel_notrans(const typename TR::T* base, index_t ld,
-                          index_t klen, index_t mr,
-                          typename TR::T alpha,
+template <class TR, class LD, bool FT>
+void pack_a_panel_notrans(const typename LD::S* base, index_t ld,
+                          index_t klen, index_t mr, typename TR::T alpha,
                           typename TR::T* __restrict__ dst,
                           const typename TR::T* __restrict__ bc,
                           typename TR::T* __restrict__ cc) {
@@ -474,23 +409,23 @@ void pack_a_panel_notrans(const typename TR::T* base, index_t ld,
   Vec acc[kMaxGroups];
   for (index_t g = 0; g < groups; ++g) acc[g] = TR::zero();
   for (index_t kk = 0; kk < klen; ++kk) {
-    const typename TR::T* __restrict__ src = base + kk * ld;
+    const typename LD::S* __restrict__ src = base + kk * ld;
     typename TR::T* __restrict__ col = dst + kk * mr;
-    const typename TR::T* pf = src + kPfDist * ld;
+    const typename LD::S* pf = src + kPfDist * ld;
     if constexpr (FT) {
       const Vec bcv = TR::set1(bc[kk]);
       for (index_t g = 0; g < groups; ++g) {
-        if ((index_t(sizeof(typename TR::T)) * g * W) % 64 == 0)
+        if ((index_t(sizeof(typename LD::S)) * g * W) % 64 == 0)
           prefetch_t0(pf + g * W);
-        const Vec v = TR::mul(alphav, TR::loadu(src + g * W));
+        const Vec v = TR::mul(alphav, LD::loadu(src + g * W));
         TR::storeu(col + g * W, v);
         acc[g] = TR::fmadd(v, bcv, acc[g]);
       }
     } else {
       for (index_t g = 0; g < groups; ++g) {
-        if ((index_t(sizeof(typename TR::T)) * g * W) % 64 == 0)
+        if ((index_t(sizeof(typename LD::S)) * g * W) % 64 == 0)
           prefetch_t0(pf + g * W);
-        TR::storeu(col + g * W, TR::mul(alphav, TR::loadu(src + g * W)));
+        TR::storeu(col + g * W, TR::mul(alphav, LD::loadu(src + g * W)));
       }
     }
   }
@@ -504,8 +439,8 @@ void pack_a_panel_notrans(const typename TR::T* base, index_t ld,
 /// streams with a masked tail group, and (with FT) the predicted-Cr FMA
 /// fused into the same pass, one accumulator per vector group carried
 /// across k.  Full panel: cols == nr.
-template <class TR, bool FT>
-void pack_b_panel_transcopy(const typename TR::T* base, index_t ld,
+template <class TR, class LD, bool FT>
+void pack_b_panel_transcopy(const typename LD::S* base, index_t ld,
                             index_t klen, index_t nr,
                             typename TR::T* __restrict__ dst,
                             const typename TR::T* __restrict__ ar,
@@ -520,26 +455,26 @@ void pack_b_panel_transcopy(const typename TR::T* base, index_t ld,
     for (index_t g = 0; g < ng; ++g) acc[g] = TR::zero();
   }
   for (index_t kk = 0; kk < klen; ++kk) {
-    const typename TR::T* __restrict__ src = base + kk * ld;
+    const typename LD::S* __restrict__ src = base + kk * ld;
     typename TR::T* __restrict__ out = dst + kk * nr;
     prefetch_t0(src + kPfDist * ld);
     if constexpr (FT) {
       const Vec arv = TR::set1(ar[kk]);
       index_t jj = 0;
       for (; jj < full; jj += W) {
-        const Vec v = TR::loadu(src + jj);
+        const Vec v = LD::loadu(src + jj);
         TR::storeu(out + jj, v);
         acc[jj / W] = TR::fmadd(arv, v, acc[jj / W]);
       }
       if (rem) {
-        const Vec v = TR::maskload(src + jj, rem);
+        const Vec v = LD::maskload(src + jj, rem);
         TR::maskstore(out + jj, rem, v);
         acc[full / W] = TR::fmadd(arv, v, acc[full / W]);
       }
     } else {
       index_t jj = 0;
-      for (; jj < full; jj += W) TR::storeu(out + jj, TR::loadu(src + jj));
-      if (rem) TR::maskstore(out + jj, rem, TR::maskload(src + jj, rem));
+      for (; jj < full; jj += W) TR::storeu(out + jj, LD::loadu(src + jj));
+      if (rem) TR::maskstore(out + jj, rem, LD::maskload(src + jj, rem));
     }
   }
   if constexpr (FT) {
@@ -694,11 +629,11 @@ double scale_encode_c_simd(typename TR::T* c, index_t ldc, index_t i0,
 }
 
 /// Ar partial encode + amax (mirrors encode_ar_partial in abft/checksum.hpp).
-template <class TR>
-double encode_ar_simd(const OperandView<typename TR::T>& a, index_t i0,
+template <class TR, class LD>
+double encode_ar_simd(const OperandView<typename LD::S>& a, index_t i0,
                       index_t ilen, index_t k, typename TR::T alpha,
                       typename TR::T* __restrict__ ar_part) {
-  using T = typename TR::T;
+  using S = typename LD::S;
   using Vec = typename TR::Vec;
   constexpr index_t W = TR::W;
   Vec amaxv = TR::zero();
@@ -707,483 +642,7 @@ double encode_ar_simd(const OperandView<typename TR::T>& a, index_t i0,
     const index_t full = ilen - ilen % W;
     const index_t rem = ilen - full;
     for (index_t p = 0; p < k; ++p) {
-      const T* __restrict__ col = a.data + i0 + p * a.ld;
-      prefetch_t0(col + a.ld);
-      Vec s0 = TR::zero(), s1 = TR::zero();
-      index_t i = 0;
-      for (; i + 2 * W <= ilen; i += 2 * W) {
-        const Vec v0 = TR::loadu(col + i);
-        const Vec v1 = TR::loadu(col + i + W);
-        amaxv = TR::max(amaxv, TR::abs(v0));
-        amaxv = TR::max(amaxv, TR::abs(v1));
-        s0 = TR::add(s0, v0);
-        s1 = TR::add(s1, v1);
-      }
-      for (; i < full; i += W) {
-        const Vec v = TR::loadu(col + i);
-        amaxv = TR::max(amaxv, TR::abs(v));
-        s0 = TR::add(s0, v);
-      }
-      if (rem) {
-        const Vec v = TR::maskload(col + i, rem);
-        amaxv = TR::max(amaxv, TR::abs(v));
-        s1 = TR::add(s1, v);
-      }
-      ar_part[p] += alpha * TR::hsum(TR::add(s0, s1));
-    }
-  } else {
-    // A^T: row i of the storage is contiguous along p — full-width FMA into
-    // ar_part (contiguous read-modify-write).
-    const index_t full = k - k % W;
-    const index_t rem = k - full;
-    const Vec alphav = TR::set1(alpha);
-    for (index_t i = 0; i < ilen; ++i) {
-      const T* __restrict__ row = a.data + (i0 + i) * a.ld;
-      prefetch_t0(row + a.ld);
-      index_t p = 0;
-      for (; p < full; p += W) {
-        const Vec v = TR::loadu(row + p);
-        amaxv = TR::max(amaxv, TR::abs(v));
-        TR::storeu(ar_part + p,
-                   TR::fmadd(alphav, v, TR::loadu(ar_part + p)));
-      }
-      if (rem) {
-        const Vec v = TR::maskload(row + p, rem);
-        amaxv = TR::max(amaxv, TR::abs(v));
-        TR::maskstore(ar_part + p, rem,
-                      TR::fmadd(alphav, v, TR::maskload(ar_part + p, rem)));
-      }
-    }
-  }
-  return double(TR::hmax(amaxv));
-}
-
-// ---------------------------------------------------------------------------
-// Top-level dispatch entries: full panels go to the SIMD paths above, the
-// ragged tail panel (and any off-spec tile geometry) to the scalar set.
-// Signatures match the PackSet function-pointer types exactly.
-// ---------------------------------------------------------------------------
-
-template <class TR, bool FT>
-void pack_a_generic(const OperandView<typename TR::T>& a, index_t m0,
-                    index_t k0, index_t mlen, index_t klen, index_t mr,
-                    typename TR::T alpha, typename TR::T* dst,
-                    const typename TR::T* bc, typename TR::T* cc) {
-  using T = typename TR::T;
-  const bool simd_ok =
-      a.trans ? (mr % trans_tile<T>() == 0 &&
-                 mr / trans_tile<T>() <= kMaxGroups)
-              : (mr % TR::W == 0 && mr / TR::W <= kMaxGroups);
-  index_t ip = 0;
-  if (simd_ok) {
-    for (; ip + mr <= mlen; ip += mr) {
-      const T* base = a.ptr(m0 + ip, k0);
-      if (a.trans) {
-        pack_a_panel_trans<FT>(base, a.ld, klen, mr, alpha, dst, bc,
-                               FT ? cc + ip : nullptr);
-      } else {
-        pack_a_panel_notrans<TR, FT>(base, a.ld, klen, mr, alpha, dst, bc,
-                                     FT ? cc + ip : nullptr);
-      }
-      dst += mr * klen;
-    }
-  }
-  if (ip < mlen) {  // ragged tail panel (or whole call): scalar oracle path
-    if constexpr (FT) {
-      scalar_pack<T>().pack_a_ft(a, m0 + ip, k0, mlen - ip, klen, mr, alpha,
-                                 dst, bc, cc + ip);
-    } else {
-      scalar_pack<T>().pack_a(a, m0 + ip, k0, mlen - ip, klen, mr, alpha,
-                              dst);
-    }
-  }
-}
-
-template <class TR>
-void pack_a_disp(const OperandView<typename TR::T>& a, index_t m0, index_t k0,
-                 index_t mlen, index_t klen, index_t mr, typename TR::T alpha,
-                 typename TR::T* dst) {
-  pack_a_generic<TR, false>(a, m0, k0, mlen, klen, mr, alpha, dst, nullptr,
-                            nullptr);
-}
-
-template <class TR>
-void pack_a_ft_disp(const OperandView<typename TR::T>& a, index_t m0,
-                    index_t k0, index_t mlen, index_t klen, index_t mr,
-                    typename TR::T alpha, typename TR::T* dst,
-                    const typename TR::T* bc, typename TR::T* cc) {
-  pack_a_generic<TR, true>(a, m0, k0, mlen, klen, mr, alpha, dst, bc, cc);
-}
-
-template <class TR, bool FT>
-void pack_b_generic(const OperandView<typename TR::T>& b, index_t k0,
-                    index_t j0, index_t klen, index_t nlen, index_t nr,
-                    typename TR::T* dst, const typename TR::T* ar,
-                    typename TR::T* cr) {
-  using T = typename TR::T;
-  const bool simd_ok = nr <= kMaxGroups * TR::W && nr / 4 <= kMaxGroups;
-  index_t jp = 0;
-  if (simd_ok) {
-    for (; jp + nr <= nlen; jp += nr) {
-      const T* base = b.ptr(k0, j0 + jp);
-      if (b.trans) {
-        pack_b_panel_transcopy<TR, FT>(base, b.ld, klen, nr, dst, ar,
-                                       FT ? cr + jp : nullptr);
-      } else {
-        pack_b_panel_notrans<FT>(base, b.ld, klen, nr, dst, ar,
-                                 FT ? cr + jp : nullptr);
-      }
-      dst += nr * klen;
-    }
-  }
-  if (jp < nlen) {  // ragged tail panel (cols < nr): scalar oracle path
-    if constexpr (FT) {
-      scalar_pack<T>().pack_b_ft(b, k0, j0 + jp, klen, nlen - jp, nr, dst,
-                                 ar, cr + jp);
-    } else {
-      scalar_pack<T>().pack_b(b, k0, j0 + jp, klen, nlen - jp, nr, dst);
-    }
-  }
-}
-
-template <class TR>
-void pack_b_disp(const OperandView<typename TR::T>& b, index_t k0, index_t j0,
-                 index_t klen, index_t nlen, index_t nr,
-                 typename TR::T* dst) {
-  pack_b_generic<TR, false>(b, k0, j0, klen, nlen, nr, dst, nullptr, nullptr);
-}
-
-template <class TR>
-void pack_b_ft_disp(const OperandView<typename TR::T>& b, index_t k0,
-                    index_t j0, index_t klen, index_t nlen, index_t nr,
-                    typename TR::T* dst, const typename TR::T* ar,
-                    typename TR::T* cr) {
-  pack_b_generic<TR, true>(b, k0, j0, klen, nlen, nr, dst, ar, cr);
-}
-
-/// Dispatch for the Cc replay: the SAME full-tile/ragged-tail split and
-/// tile-geometry gate as pack_a_generic, so every tile's Cc contribution is
-/// accumulated by the replay twin of the packer that produced it.
-template <class TR>
-void encode_cc_disp(const typename TR::T* packed, bool trans, index_t mlen,
-                    index_t klen, index_t mr, const typename TR::T* bc,
-                    typename TR::T* cc) {
-  using T = typename TR::T;
-  const bool simd_ok =
-      trans ? (mr % trans_tile<T>() == 0 &&
-               mr / trans_tile<T>() <= kMaxGroups)
-            : (mr % TR::W == 0 && mr / TR::W <= kMaxGroups);
-  index_t ip = 0;
-  if (simd_ok) {
-    for (; ip + mr <= mlen; ip += mr) {
-      if (trans) {
-        encode_cc_panel_trans(packed, klen, mr, bc, cc + ip);
-      } else {
-        encode_cc_panel_notrans<TR>(packed, klen, mr, bc, cc + ip);
-      }
-      packed += mr * klen;
-    }
-  }
-  if (ip < mlen) {  // ragged tail tile (or whole call): scalar oracle path
-    scalar_pack<T>().encode_cc(packed, trans, mlen - ip, klen, mr, bc,
-                               cc + ip);
-  }
-}
-
-template <class TR>
-double reduce_bc_disp(const typename TR::T* b_packed, index_t klen,
-                      index_t nlen, index_t nr, typename TR::T* bc,
-                      double amax_in) {
-  if (nr > kBcBlockVecs * TR::W) {
-    return scalar_pack<typename TR::T>().reduce_bc(b_packed, klen, nlen, nr,
-                                                   bc, amax_in);
-  }
-  return reduce_bc_simd<TR>(b_packed, klen, nlen, nr, bc, amax_in);
-}
-
-/// Assemble the PackSet for one traits class.  The encode sweeps need no
-/// dispatch wrapper (no tile-geometry gate), so their _simd implementations
-/// are bound directly.
-template <class TR>
-PackSet<typename TR::T> make_simd_pack(Isa isa) {
-  PackSet<typename TR::T> p;
-  p.pack_a = &pack_a_disp<TR>;
-  p.pack_a_ft = &pack_a_ft_disp<TR>;
-  p.pack_b = &pack_b_disp<TR>;
-  p.pack_b_ft = &pack_b_ft_disp<TR>;
-  p.reduce_bc = &reduce_bc_disp<TR>;
-  p.scale_encode_c = &scale_encode_c_simd<TR>;
-  p.encode_ar = &encode_ar_simd<TR>;
-  p.encode_cc = &encode_cc_disp<TR>;
-  p.pack_a_raw = scalar_pack<typename TR::T>().pack_a_raw;
-  p.widen_a = scalar_pack<typename TR::T>().widen_a;
-  p.isa = isa;
-  return p;
-}
-
-// ===========================================================================
-// Mixed-precision paths: narrow storage (bf16/fp16), fp32 compute.
-//
-// A widening loader LD supplies the storage side: `LD::S` is the narrow
-// scalar, and each load returns elements ALREADY widened to fp32 vectors
-// (bf16: cvtepu16 + 16-bit shift into the f32 layout; fp16: VCVTPH2PS).
-// Everything downstream of the load — alpha multiply, checksum FMA lanes,
-// accumulator shapes, tile/gate geometry — is byte-for-byte the fp32
-// structure above, with trans_tile pinned at the fp32 value (8).  Two
-// consequences the engine depends on:
-//
-//   1. Panels are bit-identical to convert-then-scalar-pack (the widen is
-//      exact, and each element still sees exactly one multiply by alpha).
-//   2. The fp32 replay/reduce/scale members (encode_cc_disp, reduce_bc_disp,
-//      scale_encode_c_simd) serve the mixed sets UNCHANGED: they only ever
-//      touch fp32 panels, and the mixed packers' accumulator structure is
-//      the fp32 one, so the resident-hit Cc replay stays bit-exact.
-//
-// Ragged edges reach the flag-free scalar templates through the
-// scalar_pack_bf16()/scalar_pack_f16() function pointers, same rule as the
-// uniform-type engine.
-// ===========================================================================
-
-/// Mixed scalar fallback set, by storage type (fp32 compute).  Reached
-/// through the flag-free accessors, never by instantiating the scalar
-/// templates in this TU.
-template <typename S>
-const PackSet<S, float>& scalar_pack_mixed() {
-  static const PackSet<S, float> set = [] {
-    if constexpr (kStorageDtypeTag<S> == kStorageDtypeTag<bf16_t>)
-      return scalar_pack_bf16();
-    else
-      return scalar_pack_f16();
-  }();
-  return set;
-}
-
-/// Trans pack_a, mixed: widen-load 8 storage rows, fp32 8x8 transpose tiles
-/// — the exact structure of pack_a_panel_trans(float).  Full tile:
-/// rows == mr, mr % 8 == 0.
-template <class LD, bool FT>
-void pack_a_panel_trans_mixed(const typename LD::S* base, index_t ld,
-                              index_t klen, index_t mr, float alpha,
-                              float* __restrict__ dst,
-                              const float* __restrict__ bc,
-                              float* __restrict__ cc) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  const index_t groups = mr / 8;
-  __m256 acc[kMaxGroups];
-  if constexpr (FT) {
-    for (index_t g = 0; g < groups; ++g) acc[g] = _mm256_setzero_ps();
-  }
-  index_t kk = 0;
-  for (; kk + 8 <= klen; kk += 8) {
-    for (index_t g = 0; g < groups; ++g) {
-      const typename LD::S* row = base + 8 * g * ld + kk;
-      __m256 t[8];
-      for (int q = 0; q < 8; ++q) t[q] = LD::load8(row + q * ld);
-      transpose8x8_ps(t);
-      for (int q = 0; q < 8; ++q) {
-        const __m256 v = _mm256_mul_ps(av, t[q]);
-        _mm256_storeu_ps(dst + (kk + q) * mr + 8 * g, v);
-        if constexpr (FT)
-          acc[g] = _mm256_fmadd_ps(v, _mm256_set1_ps(bc[kk + q]), acc[g]);
-      }
-    }
-  }
-  for (; kk < klen; ++kk) {
-    float* col = dst + kk * mr;
-    if constexpr (FT) {
-      const float bcv = bc[kk];
-      for (index_t ii = 0; ii < mr; ++ii) {
-        const float v = alpha * float(base[ii * ld + kk]);
-        col[ii] = v;
-        cc[ii] += v * bcv;
-      }
-    } else {
-      for (index_t ii = 0; ii < mr; ++ii)
-        col[ii] = alpha * float(base[ii * ld + kk]);
-    }
-  }
-  if constexpr (FT) {
-    for (index_t g = 0; g < groups; ++g) {
-      _mm256_storeu_ps(cc + 8 * g,
-                       _mm256_add_ps(_mm256_loadu_ps(cc + 8 * g), acc[g]));
-    }
-  }
-}
-
-/// NoTrans pack_a, mixed: full-width widen-load streaming, fp32 accumulator
-/// chains — the exact structure of pack_a_panel_notrans<TR>.  Full panel:
-/// rows == mr, mr % TR::W == 0.
-template <class TR, class LD, bool FT>
-void pack_a_panel_notrans_mixed(const typename LD::S* base, index_t ld,
-                                index_t klen, index_t mr, float alpha,
-                                float* __restrict__ dst,
-                                const float* __restrict__ bc,
-                                float* __restrict__ cc) {
-  using Vec = typename TR::Vec;
-  constexpr index_t W = TR::W;
-  const index_t groups = mr / W;
-  const Vec alphav = TR::set1(alpha);
-  Vec acc[kMaxGroups];
-  for (index_t g = 0; g < groups; ++g) acc[g] = TR::zero();
-  for (index_t kk = 0; kk < klen; ++kk) {
-    const typename LD::S* __restrict__ src = base + kk * ld;
-    float* __restrict__ col = dst + kk * mr;
-    const typename LD::S* pf = src + kPfDist * ld;
-    if constexpr (FT) {
-      const Vec bcv = TR::set1(bc[kk]);
-      for (index_t g = 0; g < groups; ++g) {
-        if ((index_t(sizeof(typename LD::S)) * g * W) % 64 == 0)
-          prefetch_t0(pf + g * W);
-        const Vec v = TR::mul(alphav, LD::loadu(src + g * W));
-        TR::storeu(col + g * W, v);
-        acc[g] = TR::fmadd(v, bcv, acc[g]);
-      }
-    } else {
-      for (index_t g = 0; g < groups; ++g) {
-        if ((index_t(sizeof(typename LD::S)) * g * W) % 64 == 0)
-          prefetch_t0(pf + g * W);
-        TR::storeu(col + g * W, TR::mul(alphav, LD::loadu(src + g * W)));
-      }
-    }
-  }
-  if constexpr (FT) {
-    for (index_t g = 0; g < groups; ++g)
-      TR::storeu(cc + g * W, TR::add(TR::loadu(cc + g * W), acc[g]));
-  }
-}
-
-/// NoTrans pack_b, mixed: 4-wide widen loads into the fp32 4x4 SSE
-/// transpose tiles of pack_b_panel_notrans(float).  Full panel: cols == nr.
-template <class LD, bool FT>
-void pack_b_panel_notrans_mixed(const typename LD::S* base, index_t ld,
-                                index_t klen, index_t nr,
-                                float* __restrict__ dst,
-                                const float* __restrict__ ar,
-                                float* __restrict__ cr) {
-  const index_t jblocks = nr / 4;
-  const index_t jtail = jblocks * 4;
-  __m128 acc[kMaxGroups];
-  if constexpr (FT) {
-    for (index_t g = 0; g < jblocks; ++g) acc[g] = _mm_setzero_ps();
-  }
-  index_t kk = 0;
-  for (; kk + 4 <= klen; kk += 4) {
-    for (index_t g = 0; g < jblocks; ++g) {
-      const typename LD::S* col = base + 4 * g * ld + kk;
-      if (kk % 16 == 0) {
-        prefetch_t0(col + 4 * kPfDist);
-        prefetch_t0(col + ld + 4 * kPfDist);
-        prefetch_t0(col + 2 * ld + 4 * kPfDist);
-        prefetch_t0(col + 3 * ld + 4 * kPfDist);
-      }
-      __m128 t0 = LD::load4(col);
-      __m128 t1 = LD::load4(col + ld);
-      __m128 t2 = LD::load4(col + 2 * ld);
-      __m128 t3 = LD::load4(col + 3 * ld);
-      _MM_TRANSPOSE4_PS(t0, t1, t2, t3);
-      _mm_storeu_ps(dst + (kk + 0) * nr + 4 * g, t0);
-      _mm_storeu_ps(dst + (kk + 1) * nr + 4 * g, t1);
-      _mm_storeu_ps(dst + (kk + 2) * nr + 4 * g, t2);
-      _mm_storeu_ps(dst + (kk + 3) * nr + 4 * g, t3);
-      if constexpr (FT) {
-        acc[g] = _mm_fmadd_ps(t0, _mm_set1_ps(ar[kk + 0]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t1, _mm_set1_ps(ar[kk + 1]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t2, _mm_set1_ps(ar[kk + 2]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t3, _mm_set1_ps(ar[kk + 3]), acc[g]);
-      }
-    }
-    for (index_t jj = jtail; jj < nr; ++jj) {
-      const typename LD::S* cj = base + jj * ld;
-      for (int q = 0; q < 4; ++q) {
-        const float v = float(cj[kk + q]);
-        dst[(kk + q) * nr + jj] = v;
-        if constexpr (FT) cr[jj] += ar[kk + q] * v;
-      }
-    }
-  }
-  for (; kk < klen; ++kk) {
-    float* row = dst + kk * nr;
-    if constexpr (FT) {
-      const float arv = ar[kk];
-      for (index_t jj = 0; jj < nr; ++jj) {
-        const float v = float(base[jj * ld + kk]);
-        row[jj] = v;
-        cr[jj] += arv * v;
-      }
-    } else {
-      for (index_t jj = 0; jj < nr; ++jj) row[jj] = float(base[jj * ld + kk]);
-    }
-  }
-  if constexpr (FT) {
-    for (index_t g = 0; g < jblocks; ++g) {
-      alignas(16) float lanes[4];
-      _mm_store_ps(lanes, acc[g]);
-      for (int q = 0; q < 4; ++q) cr[4 * g + q] += lanes[q];
-    }
-  }
-}
-
-/// Trans pack_b, mixed: full-width widen-load copy streams (the effective
-/// row is contiguous in storage), structure of pack_b_panel_transcopy<TR>.
-template <class TR, class LD, bool FT>
-void pack_b_panel_transcopy_mixed(const typename LD::S* base, index_t ld,
-                                  index_t klen, index_t nr,
-                                  float* __restrict__ dst,
-                                  const float* __restrict__ ar,
-                                  float* __restrict__ cr) {
-  using Vec = typename TR::Vec;
-  constexpr index_t W = TR::W;
-  const index_t full = nr - nr % W;
-  const index_t rem = nr - full;
-  const index_t ng = full / W + (rem ? 1 : 0);
-  Vec acc[kMaxGroups + 1];
-  if constexpr (FT) {
-    for (index_t g = 0; g < ng; ++g) acc[g] = TR::zero();
-  }
-  for (index_t kk = 0; kk < klen; ++kk) {
-    const typename LD::S* __restrict__ src = base + kk * ld;
-    float* __restrict__ out = dst + kk * nr;
-    prefetch_t0(src + kPfDist * ld);
-    if constexpr (FT) {
-      const Vec arv = TR::set1(ar[kk]);
-      index_t jj = 0;
-      for (; jj < full; jj += W) {
-        const Vec v = LD::loadu(src + jj);
-        TR::storeu(out + jj, v);
-        acc[jj / W] = TR::fmadd(arv, v, acc[jj / W]);
-      }
-      if (rem) {
-        const Vec v = LD::maskload(src + jj, rem);
-        TR::maskstore(out + jj, rem, v);
-        acc[full / W] = TR::fmadd(arv, v, acc[full / W]);
-      }
-    } else {
-      index_t jj = 0;
-      for (; jj < full; jj += W) TR::storeu(out + jj, LD::loadu(src + jj));
-      if (rem) TR::maskstore(out + jj, rem, LD::maskload(src + jj, rem));
-    }
-  }
-  if constexpr (FT) {
-    alignas(64) float lanes[(kMaxGroups + 1) * W];
-    for (index_t g = 0; g < ng; ++g) TR::storeu(lanes + g * W, acc[g]);
-    for (index_t jj = 0; jj < nr; ++jj) cr[jj] += lanes[jj];
-  }
-}
-
-/// Ar partial encode + amax over a narrow-storage operand (mirrors
-/// encode_ar_partial<S, float>): widen loads, fp32 lane sums.
-template <class TR, class LD>
-double encode_ar_simd_mixed(const OperandView<typename LD::S>& a, index_t i0,
-                            index_t ilen, index_t k, float alpha,
-                            float* __restrict__ ar_part) {
-  using Vec = typename TR::Vec;
-  constexpr index_t W = TR::W;
-  Vec amaxv = TR::zero();
-  if (!a.trans) {
-    const index_t full = ilen - ilen % W;
-    const index_t rem = ilen - full;
-    for (index_t p = 0; p < k; ++p) {
-      const typename LD::S* __restrict__ col = a.data + i0 + p * a.ld;
+      const S* __restrict__ col = a.data + i0 + p * a.ld;
       prefetch_t0(col + a.ld);
       Vec s0 = TR::zero(), s1 = TR::zero();
       index_t i = 0;
@@ -1208,17 +667,20 @@ double encode_ar_simd_mixed(const OperandView<typename LD::S>& a, index_t i0,
       ar_part[p] += alpha * TR::hsum(TR::add(s0, s1));
     }
   } else {
+    // A^T: row i of the storage is contiguous along p — full-width FMA into
+    // ar_part (contiguous read-modify-write).
     const index_t full = k - k % W;
     const index_t rem = k - full;
     const Vec alphav = TR::set1(alpha);
     for (index_t i = 0; i < ilen; ++i) {
-      const typename LD::S* __restrict__ row = a.data + (i0 + i) * a.ld;
+      const S* __restrict__ row = a.data + (i0 + i) * a.ld;
       prefetch_t0(row + a.ld);
       index_t p = 0;
       for (; p < full; p += W) {
         const Vec v = LD::loadu(row + p);
         amaxv = TR::max(amaxv, TR::abs(v));
-        TR::storeu(ar_part + p, TR::fmadd(alphav, v, TR::loadu(ar_part + p)));
+        TR::storeu(ar_part + p,
+                   TR::fmadd(alphav, v, TR::loadu(ar_part + p)));
       }
       if (rem) {
         const Vec v = LD::maskload(row + p, rem);
@@ -1231,14 +693,15 @@ double encode_ar_simd_mixed(const OperandView<typename LD::S>& a, index_t i0,
   return double(TR::hmax(amaxv));
 }
 
-/// Widen + alpha-scale a raw storage panel into the fp32 panel (resident
-/// cache hit).  Full tiles have no padding rows, so they widen as one flat
-/// stream — each element sees the identical single widen + single multiply
-/// the cold pack applied, hence bit-identity.  The ragged tail tile (with
-/// its explicit zero padding) goes through the scalar template.
+/// Widen + alpha-scale a raw storage panel into the compute panel (resident
+/// cache hit on narrow storage; the uniform sets never call it).  Full
+/// tiles have no padding rows, so they widen as one flat stream — each
+/// element sees the identical single widen + single multiply the cold pack
+/// applied, hence bit-identity.  The ragged tail tile (with its explicit
+/// zero padding) goes through the scalar template.
 template <class TR, class LD>
-void widen_a_mixed(const typename LD::S* raw, index_t mlen, index_t klen,
-                   index_t mr, float alpha, float* dst) {
+void widen_a_simd(const typename LD::S* raw, index_t mlen, index_t klen,
+                  index_t mr, typename TR::T alpha, typename TR::T* dst) {
   using Vec = typename TR::Vec;
   constexpr index_t W = TR::W;
   const index_t tiles = mlen / mr;
@@ -1252,73 +715,79 @@ void widen_a_mixed(const typename LD::S* raw, index_t mlen, index_t klen,
     TR::maskstore(dst + i, n - full,
                   TR::mul(alphav, LD::maskload(raw + i, n - full)));
   if (mlen % mr) {
-    scalar_pack_mixed<typename LD::S>().widen_a(raw + n, mlen - tiles * mr,
-                                                klen, mr, alpha, dst + n);
+    scalar_pack<typename LD::S, typename TR::T>().widen_a(
+        raw + n, mlen - tiles * mr, klen, mr, alpha, dst + n);
   }
 }
 
-// Mixed dispatch wrappers: IDENTICAL tile-geometry gates to the fp32
-// wrappers (trans_tile<float>() == 8, TR::W group widths), because the fp32
-// encode_cc_disp replay serves the mixed sets and its gate must agree with
-// the packer that filled the panel.
+// ---------------------------------------------------------------------------
+// Top-level dispatch entries: full panels go to the SIMD paths above, the
+// ragged tail panel (and any off-spec tile geometry) to the scalar set.
+// Signatures match the PackSet function-pointer types exactly.
+// ---------------------------------------------------------------------------
+
+/// Tile-geometry gate of the A side, shared by pack_a_generic and
+/// encode_cc_disp so every tile's Cc contribution is replayed by the twin
+/// of the packer that produced it.  It depends on the compute type only.
+template <class TR>
+bool a_simd_ok(bool trans, index_t mr) {
+  const index_t w = trans ? index_t(TileA<typename TR::T>::N) : TR::W;
+  return mr % w == 0 && mr / w <= kMaxGroups;
+}
 
 template <class TR, class LD, bool FT>
-void pack_a_generic_mixed(const OperandView<typename LD::S>& a, index_t m0,
-                          index_t k0, index_t mlen, index_t klen, index_t mr,
-                          float alpha, float* dst, const float* bc,
-                          float* cc) {
+void pack_a_generic(const OperandView<typename LD::S>& a, index_t m0,
+                    index_t k0, index_t mlen, index_t klen, index_t mr,
+                    typename TR::T alpha, typename TR::T* dst,
+                    const typename TR::T* bc, typename TR::T* cc) {
   using S = typename LD::S;
-  const bool simd_ok =
-      a.trans ? (mr % trans_tile<float>() == 0 &&
-                 mr / trans_tile<float>() <= kMaxGroups)
-              : (mr % TR::W == 0 && mr / TR::W <= kMaxGroups);
   index_t ip = 0;
-  if (simd_ok) {
+  if (a_simd_ok<TR>(a.trans, mr)) {
     for (; ip + mr <= mlen; ip += mr) {
       const S* base = a.ptr(m0 + ip, k0);
       if (a.trans) {
-        pack_a_panel_trans_mixed<LD, FT>(base, a.ld, klen, mr, alpha, dst, bc,
-                                         FT ? cc + ip : nullptr);
+        pack_a_panel_trans<TR, LD, FT>(base, a.ld, klen, mr, alpha, dst, bc,
+                                       FT ? cc + ip : nullptr);
       } else {
-        pack_a_panel_notrans_mixed<TR, LD, FT>(base, a.ld, klen, mr, alpha,
-                                               dst, bc,
-                                               FT ? cc + ip : nullptr);
+        pack_a_panel_notrans<TR, LD, FT>(base, a.ld, klen, mr, alpha, dst,
+                                         bc, FT ? cc + ip : nullptr);
       }
       dst += mr * klen;
     }
   }
   if (ip < mlen) {  // ragged tail panel (or whole call): scalar oracle path
+    const auto& scalar = scalar_pack<S, typename TR::T>();
     if constexpr (FT) {
-      scalar_pack_mixed<S>().pack_a_ft(a, m0 + ip, k0, mlen - ip, klen, mr,
-                                       alpha, dst, bc, cc + ip);
+      scalar.pack_a_ft(a, m0 + ip, k0, mlen - ip, klen, mr, alpha, dst, bc,
+                       cc + ip);
     } else {
-      scalar_pack_mixed<S>().pack_a(a, m0 + ip, k0, mlen - ip, klen, mr,
-                                    alpha, dst);
+      scalar.pack_a(a, m0 + ip, k0, mlen - ip, klen, mr, alpha, dst);
     }
   }
 }
 
 template <class TR, class LD>
-void pack_a_disp_mixed(const OperandView<typename LD::S>& a, index_t m0,
-                       index_t k0, index_t mlen, index_t klen, index_t mr,
-                       float alpha, float* dst) {
-  pack_a_generic_mixed<TR, LD, false>(a, m0, k0, mlen, klen, mr, alpha, dst,
-                                      nullptr, nullptr);
+void pack_a_disp(const OperandView<typename LD::S>& a, index_t m0, index_t k0,
+                 index_t mlen, index_t klen, index_t mr, typename TR::T alpha,
+                 typename TR::T* dst) {
+  pack_a_generic<TR, LD, false>(a, m0, k0, mlen, klen, mr, alpha, dst,
+                                nullptr, nullptr);
 }
 
 template <class TR, class LD>
-void pack_a_ft_disp_mixed(const OperandView<typename LD::S>& a, index_t m0,
-                          index_t k0, index_t mlen, index_t klen, index_t mr,
-                          float alpha, float* dst, const float* bc,
-                          float* cc) {
-  pack_a_generic_mixed<TR, LD, true>(a, m0, k0, mlen, klen, mr, alpha, dst,
-                                     bc, cc);
+void pack_a_ft_disp(const OperandView<typename LD::S>& a, index_t m0,
+                    index_t k0, index_t mlen, index_t klen, index_t mr,
+                    typename TR::T alpha, typename TR::T* dst,
+                    const typename TR::T* bc, typename TR::T* cc) {
+  pack_a_generic<TR, LD, true>(a, m0, k0, mlen, klen, mr, alpha, dst, bc,
+                               cc);
 }
 
 template <class TR, class LD, bool FT>
-void pack_b_generic_mixed(const OperandView<typename LD::S>& b, index_t k0,
-                          index_t j0, index_t klen, index_t nlen, index_t nr,
-                          float* dst, const float* ar, float* cr) {
+void pack_b_generic(const OperandView<typename LD::S>& b, index_t k0,
+                    index_t j0, index_t klen, index_t nlen, index_t nr,
+                    typename TR::T* dst, const typename TR::T* ar,
+                    typename TR::T* cr) {
   using S = typename LD::S;
   const bool simd_ok = nr <= kMaxGroups * TR::W && nr / 4 <= kMaxGroups;
   index_t jp = 0;
@@ -1326,56 +795,96 @@ void pack_b_generic_mixed(const OperandView<typename LD::S>& b, index_t k0,
     for (; jp + nr <= nlen; jp += nr) {
       const S* base = b.ptr(k0, j0 + jp);
       if (b.trans) {
-        pack_b_panel_transcopy_mixed<TR, LD, FT>(base, b.ld, klen, nr, dst,
-                                                 ar, FT ? cr + jp : nullptr);
-      } else {
-        pack_b_panel_notrans_mixed<LD, FT>(base, b.ld, klen, nr, dst, ar,
+        pack_b_panel_transcopy<TR, LD, FT>(base, b.ld, klen, nr, dst, ar,
                                            FT ? cr + jp : nullptr);
+      } else {
+        pack_b_panel_notrans<TR, LD, FT>(base, b.ld, klen, nr, dst, ar,
+                                         FT ? cr + jp : nullptr);
       }
       dst += nr * klen;
     }
   }
   if (jp < nlen) {  // ragged tail panel (cols < nr): scalar oracle path
+    const auto& scalar = scalar_pack<S, typename TR::T>();
     if constexpr (FT) {
-      scalar_pack_mixed<S>().pack_b_ft(b, k0, j0 + jp, klen, nlen - jp, nr,
-                                       dst, ar, cr + jp);
+      scalar.pack_b_ft(b, k0, j0 + jp, klen, nlen - jp, nr, dst, ar, cr + jp);
     } else {
-      scalar_pack_mixed<S>().pack_b(b, k0, j0 + jp, klen, nlen - jp, nr, dst);
+      scalar.pack_b(b, k0, j0 + jp, klen, nlen - jp, nr, dst);
     }
   }
 }
 
 template <class TR, class LD>
-void pack_b_disp_mixed(const OperandView<typename LD::S>& b, index_t k0,
-                       index_t j0, index_t klen, index_t nlen, index_t nr,
-                       float* dst) {
-  pack_b_generic_mixed<TR, LD, false>(b, k0, j0, klen, nlen, nr, dst, nullptr,
-                                      nullptr);
+void pack_b_disp(const OperandView<typename LD::S>& b, index_t k0, index_t j0,
+                 index_t klen, index_t nlen, index_t nr,
+                 typename TR::T* dst) {
+  pack_b_generic<TR, LD, false>(b, k0, j0, klen, nlen, nr, dst, nullptr,
+                                nullptr);
 }
 
 template <class TR, class LD>
-void pack_b_ft_disp_mixed(const OperandView<typename LD::S>& b, index_t k0,
-                          index_t j0, index_t klen, index_t nlen, index_t nr,
-                          float* dst, const float* ar, float* cr) {
-  pack_b_generic_mixed<TR, LD, true>(b, k0, j0, klen, nlen, nr, dst, ar, cr);
+void pack_b_ft_disp(const OperandView<typename LD::S>& b, index_t k0,
+                    index_t j0, index_t klen, index_t nlen, index_t nr,
+                    typename TR::T* dst, const typename TR::T* ar,
+                    typename TR::T* cr) {
+  pack_b_generic<TR, LD, true>(b, k0, j0, klen, nlen, nr, dst, ar, cr);
 }
 
-/// Assemble a mixed PackSet: widening packers on the storage side, the
-/// plain fp32 engine on the panel side (reduce/scale/replay never see
-/// storage bits), raw-pack via the flag-free scalar TU, SIMD widen-on-hit.
-template <class TR, class LD>
-PackSet<typename LD::S, float> make_mixed_pack(Isa isa) {
-  PackSet<typename LD::S, float> p;
-  p.pack_a = &pack_a_disp_mixed<TR, LD>;
-  p.pack_a_ft = &pack_a_ft_disp_mixed<TR, LD>;
-  p.pack_b = &pack_b_disp_mixed<TR, LD>;
-  p.pack_b_ft = &pack_b_ft_disp_mixed<TR, LD>;
+/// Dispatch for the Cc replay: the SAME full-tile/ragged-tail split and
+/// tile-geometry gate as pack_a_generic.
+template <class TR>
+void encode_cc_disp(const typename TR::T* packed, bool trans, index_t mlen,
+                    index_t klen, index_t mr, const typename TR::T* bc,
+                    typename TR::T* cc) {
+  using T = typename TR::T;
+  index_t ip = 0;
+  if (a_simd_ok<TR>(trans, mr)) {
+    for (; ip + mr <= mlen; ip += mr) {
+      if (trans) {
+        encode_cc_panel_trans<T>(packed, klen, mr, bc, cc + ip);
+      } else {
+        encode_cc_panel_notrans<TR>(packed, klen, mr, bc, cc + ip);
+      }
+      packed += mr * klen;
+    }
+  }
+  if (ip < mlen) {  // ragged tail tile (or whole call): scalar oracle path
+    scalar_pack<T, T>().encode_cc(packed, trans, mlen - ip, klen, mr, bc,
+                                  cc + ip);
+  }
+}
+
+template <class TR>
+double reduce_bc_disp(const typename TR::T* b_packed, index_t klen,
+                      index_t nlen, index_t nr, typename TR::T* bc,
+                      double amax_in) {
+  using T = typename TR::T;
+  if (nr > kBcBlockVecs * TR::W) {
+    return scalar_pack<T, T>().reduce_bc(b_packed, klen, nlen, nr, bc,
+                                         amax_in);
+  }
+  return reduce_bc_simd<TR>(b_packed, klen, nlen, nr, bc, amax_in);
+}
+
+/// Assemble the PackSet for one (compute traits, storage loader) pair.  The
+/// panel-side members (reduce_bc, scale_encode_c, encode_cc) depend on TR
+/// alone, so a narrow set shares them with the fp32 set of its TU; the
+/// encode sweeps need no dispatch wrapper (no tile-geometry gate).
+template <class TR, class LD = SameLoad<TR>>
+PackSet<typename LD::S, typename TR::T> make_simd_pack(Isa isa) {
+  using S = typename LD::S;
+  using C = typename TR::T;
+  PackSet<S, C> p;
+  p.pack_a = &pack_a_disp<TR, LD>;
+  p.pack_a_ft = &pack_a_ft_disp<TR, LD>;
+  p.pack_b = &pack_b_disp<TR, LD>;
+  p.pack_b_ft = &pack_b_ft_disp<TR, LD>;
   p.reduce_bc = &reduce_bc_disp<TR>;
   p.scale_encode_c = &scale_encode_c_simd<TR>;
-  p.encode_ar = &encode_ar_simd_mixed<TR, LD>;
+  p.encode_ar = &encode_ar_simd<TR, LD>;
   p.encode_cc = &encode_cc_disp<TR>;
-  p.pack_a_raw = scalar_pack_mixed<typename LD::S>().pack_a_raw;
-  p.widen_a = &widen_a_mixed<TR, LD>;
+  p.pack_a_raw = scalar_pack<S, C>().pack_a_raw;
+  p.widen_a = &widen_a_simd<TR, LD>;
   p.isa = isa;
   return p;
 }

@@ -374,7 +374,9 @@ GemmFuture GemmService::enqueue(const GemmRequest& req, bool blocking) {
     return fut;
   }
   const ServiceShard::Admit verdict =
-      blocking ? home.admit_blocking(p) : home.try_admit(p);
+      !blocking                ? home.try_admit(p)
+      : home.admit(&p, 1) == 1 ? ServiceShard::Admit::kOk
+                               : ServiceShard::Admit::kStopping;
   switch (verdict) {
     case ServiceShard::Admit::kOk:
       home.wake();
@@ -418,19 +420,29 @@ std::vector<GemmFuture> GemmService::submit_all(
     }
     ready.push_back(make_pending(r, std::move(st)));
   }
-  // Fill the lanes, then wake: a parked dispatcher first sees the window
-  // whole, so its same-fingerprint runs coalesce as they would from a
-  // staged queue.  A shard that fills mid-window is woken before this
-  // thread blocks for space (admit_blocking).
+  // Admit each shard's share of the window under one hold of its lock,
+  // then wake: a dispatcher sees the share whole, so its same-fingerprint
+  // runs coalesce as they would from a staged queue.  A shard that fills
+  // mid-window is woken before this thread blocks for space (admit).
+  std::vector<ServiceShard*> homes;
+  homes.reserve(ready.size());
+  for (const detail::Pending& p : ready) homes.push_back(&shard_for(p.req));
   std::vector<ServiceShard*> touched;
-  for (detail::Pending& p : ready) {
-    ServiceShard& home = shard_for(p.req);
-    if (home.admit_blocking(p) == ServiceShard::Admit::kStopping) {
-      detail::reject_unpublished(*p.state, RejectReason::kShuttingDown);
+  std::vector<detail::Pending> share;
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    ServiceShard* home = homes[i];
+    if (std::find(touched.begin(), touched.end(), home) != touched.end()) {
+      continue;  // this shard's share is already in
+    }
+    touched.push_back(home);
+    share.clear();
+    for (std::size_t j = i; j < ready.size(); ++j) {
+      if (homes[j] == home) share.push_back(std::move(ready[j]));
+    }
+    const std::size_t in = home->admit(share.data(), share.size());
+    for (std::size_t j = in; j < share.size(); ++j) {
+      detail::reject_unpublished(*share[j].state, RejectReason::kShuttingDown);
       ++rejected;
-    } else if (std::find(touched.begin(), touched.end(), &home) ==
-               touched.end()) {
-      touched.push_back(&home);
     }
   }
   for (ServiceShard* s : touched) s->wake();

@@ -90,22 +90,22 @@ ServiceShard::Admit ServiceShard::try_admit(detail::Pending& p) {
   return Admit::kOk;
 }
 
-ServiceShard::Admit ServiceShard::admit_blocking(detail::Pending& p) {
+std::size_t ServiceShard::admit(detail::Pending* ps, std::size_t n) {
   std::unique_lock<std::mutex> lk(m_);
-  if (queued_.load(std::memory_order_relaxed) >= capacity_) {
-    // The window this push belongs to may not have woken the dispatcher
-    // yet; parked, it would never free the space waited for below.
-    cv_.notify_one();
-    space_cv_.wait(lk, [&] {
-      return owner_->sync_->stopping.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_relaxed) < capacity_;
-    });
-    if (owner_->sync_->stopping.load(std::memory_order_acquire)) {
-      return Admit::kStopping;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (queued_.load(std::memory_order_relaxed) >= capacity_) {
+      // The window these pushes belong to has not woken the dispatcher
+      // yet; parked, it would never free the space waited for below.
+      cv_.notify_one();
+      space_cv_.wait(lk, [&] {
+        return owner_->sync_->stopping.load(std::memory_order_acquire) ||
+               queued_.load(std::memory_order_relaxed) < capacity_;
+      });
+      if (owner_->sync_->stopping.load(std::memory_order_acquire)) return i;
     }
+    push_locked(ps[i]);
   }
-  push_locked(p);
-  return Admit::kOk;
+  return n;
 }
 
 void ServiceShard::wake() { cv_.notify_one(); }

@@ -35,10 +35,12 @@
 //
 // Park/wake: the dispatcher checks stop mode, pause and the lanes under m_
 // and parks on `cv_`.  A producer pushes under m_ and calls wake() after
-// unlocking; submit_all pushes its whole window before it wakes anyone, so
-// a parked dispatcher first sees the window whole.  On Linux the
-// dispatcher runs in the SCHED_BATCH class, so the wake never preempts the
-// producer, which is usually about to run that window itself in wait().
+// unlocking; submit_all pushes each shard's share of its window under one
+// hold of m_ before it wakes anyone, so a dispatcher — parked or not yet
+// parked — sees the share whole or not at all (unless the shard fills
+// mid-window).  On Linux the dispatcher runs in the SCHED_BATCH class, so
+// the wake never preempts the producer, which is usually about to run that
+// window itself in wait().
 #pragma once
 
 #include <array>
@@ -97,10 +99,14 @@ class ServiceShard {
   /// calls wake() once its requests are in.
   Admit try_admit(detail::Pending& p);
 
-  /// Blocking admission: waits for queue space (backpressure), waking the
-  /// dispatcher first so a window still being admitted cannot wait on a
-  /// parked one; kStopping when the service began shutdown while waiting.
-  Admit admit_blocking(detail::Pending& p);
+  /// Blocking admission of `n` requests — one submit(), or a submit_all
+  /// window's share of this shard — pushed in order under one hold of m_.
+  /// A full shard makes it wake the dispatcher first (a window still being
+  /// admitted cannot wait on a parked one) and wait for space
+  /// (backpressure).  Returns how many were pushed: fewer than n only when
+  /// the service began shutdown while waiting, and the rest are not
+  /// consumed.  Wakes nobody otherwise: the producer calls wake().
+  std::size_t admit(detail::Pending* ps, std::size_t n);
 
   /// Wake the dispatcher if it is parked; called after the pushes.
   void wake();

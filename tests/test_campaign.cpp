@@ -189,11 +189,10 @@ TEST(CampaignGrid, EveryEntrySurfaceCellIsNeverSilent) {
       EXPECT_EQ(r.injected, kTrials) << cell_note(cfg) << seed_note(seed);
       EXPECT_EQ(r.detected + r.masked + r.silent, kTrials)
           << cell_note(cfg) << seed_note(seed);
-      if (surface != CampaignSurface::kResident) {
-        // Exact defenses (int8 panel checksums, the plan self-checksum)
-        // and a delta far above tolerance: every trial detected.
-        EXPECT_EQ(r.detected, kTrials) << cell_note(cfg) << seed_note(seed);
-      }
+      // Exact defenses (int8 panel checksums, the plan self-checksum, the
+      // resident payload's integrity sums, whose heal every route reports)
+      // and a delta far above tolerance: every trial detected.
+      EXPECT_EQ(r.detected, kTrials) << cell_note(cfg) << seed_note(seed);
     }
   }
   EXPECT_EQ(cells, 18);

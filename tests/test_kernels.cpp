@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "arch/cpu_features.hpp"
-#include "blocking/plan.hpp"
 #include "kernels/microkernel.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/rng.hpp"
@@ -160,7 +159,7 @@ TEST_P(Avx512ShapeSweep, AlternativeTileHeightsMatchReference) {
   if (!cpu_features().has_avx512_kernel_support())
     GTEST_SKIP() << "no AVX-512";
   const index_t mr = GetParam();
-  const KernelSet<double> ks = avx512_kernels_f64_mr(mr);
+  const KernelSet<double> ks = avx512_kernels_f64();
   ASSERT_EQ(ks.mr, mr);
   const index_t kc = 97;
   AlignedBuffer<double> a(std::size_t(ks.mr * kc));
@@ -191,22 +190,7 @@ TEST_P(Avx512ShapeSweep, AlternativeTileHeightsMatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TileHeights, Avx512ShapeSweep,
-                         ::testing::Values<index_t>(8, 16, 24));
-
-TEST(KernelDispatch, EnvShapeOverrideKeepsGemmCorrect) {
-  if (!cpu_features().has_avx512_kernel_support())
-    GTEST_SKIP() << "no AVX-512";
-  ::setenv("FTGEMM_KERNEL_MR", "24", 1);
-  index_t mr = 0, nr = 0;
-  register_tile(Isa::kAvx512, 8, mr, nr);
-  EXPECT_EQ(mr, 24) << "plan must agree with the dispatched kernel";
-  EXPECT_EQ(get_kernel_set<double>(Isa::kAvx512).mr, 24);
-  ::setenv("FTGEMM_KERNEL_MR", "13", 1);  // invalid -> sanitized to 16
-  register_tile(Isa::kAvx512, 8, mr, nr);
-  EXPECT_EQ(mr, 16);
-  EXPECT_EQ(get_kernel_set<double>(Isa::kAvx512).mr, 16);
-  ::unsetenv("FTGEMM_KERNEL_MR");
-}
+                         ::testing::Values<index_t>(16));
 
 TEST(KernelDispatch, ReturnsRequestedIsa) {
   EXPECT_EQ(get_kernel_set<double>(Isa::kScalar).isa, Isa::kScalar);

@@ -6,8 +6,10 @@
 //      overflow-to-inf), NaNs quiet but never turn finite.
 //   2. Convert-on-pack bit-identity: for every executable ISA, the fused
 //      widening packers produce panels bit-identical to converting each
-//      element to fp32 first and running the fp32 scalar packer — and the
-//      resident raw-pack + widen-on-hit pair reproduces the cold pack
+//      element to fp32 first and running the fp32 scalar packer; panels,
+//      Cc, Cr, Ar and amax are bit-identical to the same ISA's fp32 set run
+//      on the widened operand (one engine, a widening load in front); and
+//      the resident raw-pack + widen-on-hit pair reproduces the cold pack
 //      bit-for-bit.
 //   3. Tolerance contract: FT verification thresholds (derived in the fp32
 //      accumulator type) hold with narrow storage — clean runs report
@@ -154,10 +156,15 @@ Matrix<float> widened(const Matrix<S>& src) {
   return out;
 }
 
+/// The narrow set of `isa` against (a) the scalar fp32 oracle and (b) the
+/// fp32 set of the same ISA, both run on the widened operand.  (b) is exact
+/// on every output: the narrow and fp32 sets are one engine whose loads
+/// differ only by the widen.
 template <typename S>
 void convert_on_pack_sweep(Isa isa) {
   const PackSet<S, float> mixed = get_pack_set<S, float>(isa);
   const PackSet<float> f32 = get_pack_set<float>(Isa::kScalar);
+  const PackSet<float> same = get_pack_set<float>(isa);
   ASSERT_NE(mixed.pack_a, nullptr);
   ASSERT_NE(mixed.pack_a_ft, nullptr);
   ASSERT_NE(mixed.pack_b, nullptr);
@@ -182,6 +189,9 @@ void convert_on_pack_sweep(Isa isa) {
                      " trans=" + std::to_string(trans) +
                      " mlen=" + std::to_string(mlen) +
                      " klen=" + std::to_string(klen));
+        // Rows 2 .. 2 + mlen must lie inside the 150 x 150 source under
+        // either transpose (the packers read whole tiles of them).
+        ASSERT_LE(2 + mlen, src.rows());
         const float alpha = -1.25f;
         const index_t panels = (mlen + mr - 1) / mr;
         const std::size_t dn = std::size_t(panels * mr * klen);
@@ -207,6 +217,17 @@ void convert_on_pack_sweep(Isa isa) {
                       1e-3 * std::max(1.0, std::abs(double(cc_want[i]))))
               << "cc[" << i << "]";
         }
+
+        // Same ISA's fp32 set on the widened operand: exact everywhere.
+        std::vector<float> same_panel(dn, -66.0f);
+        same.pack_a(wview, 2, 1, mlen, klen, mr, alpha, same_panel.data());
+        mixed.pack_a(view, 2, 1, mlen, klen, mr, alpha, got.data());
+        EXPECT_EQ(same_panel, got) << "pack_a must equal the fp32 set";
+        std::vector<float> cc_same(std::size_t(mlen), 1.0f);
+        same.pack_a_ft(wview, 2, 1, mlen, klen, mr, alpha, same_panel.data(),
+                       bc.data(), cc_same.data());
+        EXPECT_EQ(same_panel, got) << "pack_a_ft must equal the fp32 set";
+        EXPECT_EQ(cc_same, cc_got) << "Cc must equal the fp32 set's";
 
         // Resident pair: raw permuted storage bits, widened+scaled on hit,
         // must reproduce the cold convert-on-pack panel bit-for-bit
@@ -246,6 +267,48 @@ void convert_on_pack_sweep(Isa isa) {
           EXPECT_NEAR(cr_got[j], cr_want[j],
                       1e-3 * std::max(1.0, std::abs(double(cr_want[j]))))
               << "cr[" << j << "]";
+        }
+
+        std::vector<float> same_panel(dn, -66.0f);
+        same.pack_b(wview, 1, 2, klen, nlen, nr, same_panel.data());
+        mixed.pack_b(view, 1, 2, klen, nlen, nr, got.data());
+        EXPECT_EQ(same_panel, got) << "pack_b must equal the fp32 set";
+        std::vector<float> cr_same(std::size_t(nlen), 2.0f);
+        same.pack_b_ft(wview, 1, 2, klen, nlen, nr, same_panel.data(),
+                       ar.data(), cr_same.data());
+        EXPECT_EQ(same_panel, got) << "pack_b_ft must equal the fp32 set";
+        EXPECT_EQ(cr_same, cr_got) << "Cr must equal the fp32 set's";
+      }
+    }
+
+    // Ar partial encode + amax over ragged row counts and depths (full
+    // vectors, masked tails, and the two-accumulator NoTrans split).
+    for (const index_t ilen :
+         {index_t(1), index_t(7), index_t(16), index_t(33), index_t(100)}) {
+      for (const index_t k :
+           {index_t(1), index_t(9), index_t(16), index_t(47), index_t(128)}) {
+        SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                     " trans=" + std::to_string(trans) +
+                     " encode_ar ilen=" + std::to_string(ilen) +
+                     " k=" + std::to_string(k));
+        ASSERT_LE(3 + ilen, src.rows());
+        ASSERT_LE(k, src.cols());
+        const float alpha = 0.75f;
+        std::vector<float> ar_want(std::size_t(k), 0.5f),
+            ar_same(std::size_t(k), 0.5f), ar_got(std::size_t(k), 0.5f);
+        const double amax_want =
+            f32.encode_ar(wview, 3, ilen, k, alpha, ar_want.data());
+        const double amax_same =
+            same.encode_ar(wview, 3, ilen, k, alpha, ar_same.data());
+        const double amax_got =
+            mixed.encode_ar(view, 3, ilen, k, alpha, ar_got.data());
+        EXPECT_EQ(amax_want, amax_got) << "amax is a max: exact in any order";
+        EXPECT_EQ(amax_same, amax_got);
+        EXPECT_EQ(ar_same, ar_got) << "Ar must equal the fp32 set's";
+        for (std::size_t p = 0; p < ar_want.size(); ++p) {
+          EXPECT_NEAR(ar_got[p], ar_want[p],
+                      1e-3 * std::max(1.0, std::abs(double(ar_want[p]))))
+              << "ar[" << p << "]";
         }
       }
     }
